@@ -49,8 +49,7 @@ def write_snapshot(path, sys_, state) -> None:
     mesh = sys_.mesh
     nodal_u = sys_.nodal_displacement(state.u)
     nodal_v = sys_.nodal_displacement(state.v)
-    stress_full = np.zeros((mesh.n_cells, sys_.s_comp))
-    stress_full[sys_.stress_cell, sys_.stress_comp] = state.stress
+    stress_full = sys_.stress_blocks(state.stress)
     axes = "xyz"[:mesh.dim]
     with open(path, "w") as fh:
         fh.write(f"# schema: {SNAPSHOT_SCHEMA}\n")

@@ -248,7 +248,7 @@ def make_flow_rule(rc: RunConfig) -> FlowRule:
         # Deliberately inadmissible rule, kept so the admissibility gate and
         # the dissipation verdict can be demonstrated to fail from a config.
         k = rc.kappa0 if rc.kappa0 > 0 else 1.0
-        return FlowRule.custom(lambda theta, eta: -k * eta, c_growth=k,
+        return FlowRule.custom(lambda theta: -k, c_growth=k,
                                kind="anti_monotone")
     raise ConfigError(f"unknown flow rule kind {rc.flow_kind!r}")
 

@@ -101,14 +101,6 @@ class ElasticityTensor:
         c = self.lam / (dim * self.lam + 2.0 * self.mu)
         return (np.eye(m.size) - c * np.outer(m, m)) / (2.0 * self.mu)
 
-    def apply_mandel(self, v: np.ndarray, dim: int) -> np.ndarray:
-        """Vectorized action on Mandel vectors of shape (..., s)."""
-        v = np.asarray(v, dtype=float)
-        tr = v[..., :dim].sum(axis=-1)
-        out = 2.0 * self.mu * v.copy()
-        out[..., :dim] += self.lam * tr[..., None]
-        return out
-
     def inverse_apply_mandel(self, v: np.ndarray, dim: int) -> np.ndarray:
         v = np.asarray(v, dtype=float)
         tr = v[..., :dim].sum(axis=-1)
@@ -116,6 +108,23 @@ class ElasticityTensor:
         out = v.copy()
         out[..., :dim] -= c * tr[..., None]
         return out / (2.0 * self.mu)
+
+    def restricted_spectrum(self, present: np.ndarray, dim: int):
+        """Eigenspaces of ℂ_P = (Pℂ⁻¹P)⁻¹, P the first ``present[e]`` Mandel components.
+
+        By Sherman–Morrison ℂ_P = 2μ·I_P + λ_P·m_P m_Pᵀ, with m_P the p present
+        diagonal entries of the identity and λ_P = 2μλ / ((d − p)λ + 2μ).
+        Returns the unit vectors m_P/√p (n, s) and the eigenvalues (n, 2):
+        2μ + p·λ_P on span(m_P), then 2μ on the rest of P; 0 if that is empty.
+        """
+        q = np.asarray(present)
+        p = np.minimum(q, dim)
+        two_mu = 2.0 * self.mu
+        lam_p = two_mu * self.lam / ((dim - p) * self.lam + two_mu)
+        c = np.stack((np.where(p > 0, two_mu + p * lam_p, 0.0),
+                      np.where(q > 1, two_mu, 0.0)), axis=1)
+        unit = (np.arange(sym_components(dim)) < p[:, None]) / np.sqrt(np.maximum(p, 1))[:, None]
+        return unit, c
 
 
 def elasticity_apply(C: ElasticityTensor, A: np.ndarray) -> np.ndarray:
@@ -140,8 +149,8 @@ class FlowRule:
 
     The temperature factor is clamped into [κ_min, κ_max] so the growth
     constant stays finite for every real θ.  User rules go through
-    ``FlowRule.custom``; run ``verify_admissibility`` on them before use in
-    the time stepper.
+    ``FlowRule.custom`` as a θ-only radial factor; run
+    ``verify_admissibility`` on them before use in the time stepper.
     """
 
     kind: str
@@ -149,7 +158,7 @@ class FlowRule:
     kappa_min: float = 0.0
     kappa_max: float = 1.0
     c_growth: float = 1.0
-    fn: Optional[Callable[[float, np.ndarray], np.ndarray]] = field(default=None, compare=False)
+    fn: Optional[Callable[[np.ndarray], np.ndarray]] = field(default=None, compare=False)
 
     _BUILTIN = ("linear", "mroz_saturating", "temperature_weighted")
 
@@ -178,14 +187,21 @@ class FlowRule:
                    c_growth=kappa0)
 
     @classmethod
-    def custom(cls, fn: Callable[[float, np.ndarray], np.ndarray], c_growth: float,
+    def custom(cls, fn: Callable[[np.ndarray], np.ndarray], c_growth: float,
                kind: str = "custom") -> "FlowRule":
-        """Wrap a user rule fn(theta, T_matrix) -> rate matrix."""
+        """Wrap the user rule G(θ, T) = fn(θ)·T, radial with a θ-only factor.
+
+        ``fn`` maps an array of temperatures to g(θ), an array of that shape
+        or a scalar.  The rule is monotone and dissipative iff g ≥ 0;
+        ``c_growth`` is the declared bound on |g|.
+        """
         return cls(kind, kappa0=0.0, kappa_min=0.0, kappa_max=c_growth, c_growth=c_growth, fn=fn)
 
     def kappa(self, theta):
-        """Temperature factor κ(θ); clamped, defined for every real θ."""
+        """Temperature factor κ(θ); defined for every real θ."""
         theta = np.asarray(theta, dtype=float)
+        if self.fn is not None:
+            return np.broadcast_to(np.asarray(self.fn(theta), dtype=float), theta.shape)
         if self.kind == "temperature_weighted":
             raw = self.kappa0 / (1.0 + np.maximum(theta, 0.0))
             return np.clip(raw, self.kappa_min, self.kappa_max)
@@ -201,20 +217,11 @@ class FlowRule:
         """Vectorized G on Mandel vectors: theta (n,), V (n, s) -> (n, s)."""
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
         V = np.atleast_2d(np.asarray(V, dtype=float))
-        if self.fn is not None:
-            out = np.empty_like(V)
-            mats = from_mandel(V, dim)
-            for i in range(V.shape[0]):
-                out[i] = to_mandel(np.asarray(self.fn(float(theta[i]), mats[i]), dtype=float))
-            return out
-        norm = np.linalg.norm(V, axis=-1)
-        return self._radial_factor(theta, norm)[:, None] * V
+        return self._radial_factor(theta, np.linalg.norm(V, axis=-1))[:, None] * V
 
     def eval(self, theta: float, T: np.ndarray) -> np.ndarray:
         """G(θ, T) for a single symmetric matrix T."""
         T = _check_symmetric(T)
-        if self.fn is not None:
-            return np.asarray(self.fn(float(theta), T), dtype=float)
         v = to_mandel(T)
         out = self.eval_mandel(np.array([theta]), v[None, :], dim=T.shape[0])
         return from_mandel(out[0], T.shape[0])

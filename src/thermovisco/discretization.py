@@ -158,7 +158,8 @@ class GalerkinSystem:
     D : csr_matrix (n_temp, n_disp) — divergence coupling ∫ N_i div φ_j
     stress_vol : (k_stress,) — L² norms² of the stress basis (cell volumes)
 
-    Instances are immutable after construction and safe to share read-only.
+    Instances are immutable after construction, apart from the memo of
+    ``stress_spectrum``, and safe to share read-only.
     """
 
     def __init__(self, mesh: Mesh, n_disp: int, k_stress: int):
@@ -189,6 +190,7 @@ class GalerkinSystem:
         self.stress_cell = np.repeat(np.arange(mesh.n_cells), self.s_comp)[:k_stress]
         self.stress_comp = np.tile(np.arange(self.s_comp), mesh.n_cells)[:k_stress]
         self.stress_vol = np.full(k_stress, mesh.cell_volume)
+        self._spectra = {}
 
         self._build_reference(dim)
         self._assemble(mesh, dim)
@@ -353,6 +355,27 @@ class GalerkinSystem:
 
     # -- solves and field plumbing ---------------------------------------------
 
+    def stress_blocks(self, coeffs: np.ndarray) -> np.ndarray:
+        """Stress coefficients as Mandel vectors (n_cells, s), zero where absent."""
+        blocks = np.zeros((self.mesh.n_cells, self.s_comp))
+        blocks.reshape(-1)[:self.k_stress] = coeffs  # dof a is flat entry a
+        return blocks
+
+    def stress_coeffs(self, blocks: np.ndarray) -> np.ndarray:
+        """Inverse of ``stress_blocks``: the coefficients of the present components."""
+        return blocks.reshape(-1)[:self.k_stress].copy()
+
+    def stress_spectrum(self, C) -> tuple:
+        """``C.restricted_spectrum`` per cell in the ``stress_blocks`` layout, memoized."""
+        if C not in self._spectra:
+            present = np.clip(self.k_stress - self.s_comp * np.arange(self.mesh.n_cells),
+                              0, self.s_comp)
+            spectrum = C.restricted_spectrum(present, self.mesh.dim)
+            for arr in spectrum:  # shared by every caller
+                arr.setflags(write=False)
+            self._spectra[C] = spectrum
+        return self._spectra[C]
+
     def solve_mass_u(self, rhs: np.ndarray) -> np.ndarray:
         return self._Mu_lu.solve(rhs)
 
@@ -457,8 +480,7 @@ def project_stress(sys: GalerkinSystem, sampler: Callable) -> FieldCoefficients:
     mats = np.asarray(sampler(pts), dtype=float)
     mandel = to_mandel(mats).reshape(sys.mesh.n_cells, sys._gauss_ref.shape[0], sys.s_comp)
     means = np.einsum("g,egc->ec", sys._gauss_w, mandel) / sys.mesh.cell_volume
-    vals = means[sys.stress_cell, sys.stress_comp]
-    return FieldCoefficients("stress", vals)
+    return FieldCoefficients("stress", sys.stress_coeffs(means))
 
 
 def strain(sys: GalerkinSystem, disp: FieldCoefficients) -> FieldCoefficients:
@@ -484,7 +506,5 @@ def eval_temperature(sys: GalerkinSystem, theta: np.ndarray, pts: np.ndarray) ->
 
 def eval_stress(sys: GalerkinSystem, coeffs: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """Evaluate the piecewise-constant stress as Mandel vectors (m, s)."""
-    full = np.zeros((sys.mesh.n_cells, sys.s_comp))
-    full[sys.stress_cell, sys.stress_comp] = coeffs
     cell, _ = sys.locate(pts)
-    return full[cell]
+    return sys.stress_blocks(coeffs)[cell]

@@ -6,10 +6,12 @@ construction of the continuous problem:
   1. implicit heat solve for θ, with the advection coefficient div(u_t) and
      the clamped dissipation source frozen at the current mechanical iterate,
   2. momentum update for the velocity with that θ,
-  3. semi-implicit monotone update for the stress with the new strain rate,
+  3. implicit update for the stress with the new strain rate, in closed form,
 
 iterated until the successive-iterate residual drops below ``picard_tol``.
-The scheme is first order in time and unconditionally stable at desk scale.
+The scheme is first order in time.  For a monotone flow rule the stress
+update is solvable for every dt; only heat positivity or Picard divergence
+can reject a step.
 """
 
 from __future__ import annotations
@@ -83,7 +85,6 @@ class SolverConfig:
     truncation: Union[TruncationLevel, str] = "auto"
     picard_tol: float = 1e-10
     picard_max_iters: int = 50
-    stress_inner_max_iters: int = 200
     forcing: Optional[Callable] = None
     u0: Optional[Callable] = None
     u1: Optional[Callable] = None
@@ -187,21 +188,10 @@ def total_energy(sys: GalerkinSystem, C: ElasticityTensor, state: SimState) -> f
 
 def stress_quadratic_form(sys: GalerkinSystem, C: ElasticityTensor,
                           coeffs: np.ndarray) -> np.ndarray:
-    """Cellwise contributions vol·(ℂ⁻¹T̂):T̂, respecting a partial last cell."""
-    s = sys.s_comp
-    vals = np.zeros(sys.mesh.n_cells)
-    full = sys.k_stress // s
-    if full:
-        block = coeffs[:full * s].reshape(full, s)
-        cinv = C.inverse_apply_mandel(block, sys.mesh.dim)
-        vals[:full] = np.einsum("ec,ec->e", cinv, block)
-    rem = sys.k_stress - full * s
-    if rem:
-        comps = sys.stress_comp[full * s:]
-        sub = C.inverse_mandel_matrix(sys.mesh.dim)[np.ix_(comps, comps)]
-        tail = coeffs[full * s:]
-        vals[full] = float(tail @ (sub @ tail))
-    return vals * sys.mesh.cell_volume
+    """Cellwise vol·(ℂ⁻¹T̂):T̂; zero padding restricts ℂ⁻¹ to a partial cell."""
+    blocks = sys.stress_blocks(coeffs)
+    cinv = C.inverse_apply_mandel(blocks, sys.mesh.dim)
+    return np.einsum("ec,ec->e", cinv, blocks) * sys.mesh.cell_volume
 
 
 def resolve_truncation(sys: GalerkinSystem, cfg: SolverConfig,
@@ -219,87 +209,77 @@ def momentum_substep(sys: GalerkinSystem, state: SimState, theta: np.ndarray,
     return state.v + dt * sys.solve_mass_u(rhs)
 
 
-def _stress_blocks(sys: GalerkinSystem, C: ElasticityTensor):
-    """(full-cell count, tail component indices, tail ℂ submatrix) for updates."""
-    s = sys.s_comp
-    full = sys.k_stress // s
-    rem = sys.k_stress - full * s
-    tail_C = None
-    if rem:
-        comps = sys.stress_comp[full * s:]
-        tail_C = np.linalg.inv(C.inverse_mandel_matrix(sys.mesh.dim)[np.ix_(comps, comps)])
-    return full, rem, tail_C
+# Newton stops once a step moves g by less than this share of g; convergence
+# is quadratic, so the error left is of the order of its square.
+_FACTOR_RTOL = 1e-8
+_FACTOR_MAX_ITERS = 100
+
+
+def _saturating_factor(kappa: np.ndarray, r2: np.ndarray, dtc: np.ndarray,
+                       norm_old: np.ndarray):
+    """Per-cell root g of g·(1 + |T(g)|) = κ, the ``mroz_saturating`` factor.
+
+    |T(g)|² = Σ_k r2_k/(1 + g·dtc_k)² over the eigenspaces k, so the left side
+    strictly increases in g, with its root in [κ/(1 + |R|), κ].  Bracketed
+    Newton from κ/(1 + |T_old|), bisecting when a step leaves the bracket.
+    """
+    lo = kappa / (1.0 + np.sqrt(r2.sum(axis=1)))
+    hi = kappa.copy()
+    g = np.minimum(np.maximum(kappa / (1.0 + norm_old), lo), hi)
+    for iters in range(1, _FACTOR_MAX_ITERS + 1):
+        u = 1.0 / (1.0 + g[:, None] * dtc)
+        w = r2 * u * u
+        norm = np.sqrt(w.sum(axis=1))
+        f = g + g * norm - kappa
+        below = f < 0.0
+        np.copyto(lo, g, where=below)
+        np.copyto(hi, g, where=~below)
+        # d(g·|T|)/dg = Σ r2·u³/|T|, which is at most |T| and 0 where T vanishes.
+        slope = 1.0 + (w * u).sum(axis=1) / np.maximum(norm, 1e-300)
+        g_new = g - f / slope
+        np.copyto(g_new, 0.5 * (lo + hi), where=(g_new < lo) | (g_new > hi))
+        done = (abs(g_new - g) <= _FACTOR_RTOL * g_new).all()
+        g = g_new
+        if done:
+            return g, iters
+    raise StepFailureError(f"saturating flow factor did not converge in "
+                           f"{_FACTOR_MAX_ITERS} Newton iterations")
 
 
 def stress_substep(sys: GalerkinSystem, C: ElasticityTensor, G: FlowRule,
                    theta_cells: np.ndarray, stress_old: np.ndarray,
-                   strain_rate: np.ndarray, dt: float, tol: float = 1e-12,
-                   max_iters: int = 200):
-    """Semi-implicit monotone update per cell.
+                   strain_rate: np.ndarray, dt: float):
+    """Implicit stress update ℂ⁻¹(T_new − T_old)/dt + G(θ, T_new) = ε(u_t), per cell.
 
-    Solves ℂ⁻¹(T_new − T_old)/dt + G(θ, T_new) = ε(u_t) by the damped
-    fixed-point map T ← T_old + dt·ℂ(ε(u_t) − G(θ, T)); the factor ½ damping
-    kicks in whenever the residual grows.  Returns (coefficients, iterations).
+    Every rule is radial, G = g·T, so on a cell's components P this reads
+    (I + dt·g·ℂ_P)·T_new = R := T_old + dt·ℂ_P·ε.  Split R = a·n + D along the
+    eigenspaces of ℂ_P; then T_new = a·n/(1 + dt·g·c_vol) + D/(1 + dt·g·c_dev).
+    The ``mroz_saturating`` g = κ(θ)/(1 + |T_new|) is found by Newton.  Returns
+    (coefficients, Newton iterations or 1).  Raises StepFailureError if
+    1 + dt·g·c ≤ 0 (an anti-monotone g < 0), where no solution exists.
     """
-    dim = sys.mesh.dim
-    s = sys.s_comp
-    full, rem, tail_C = _stress_blocks(sys, C)
-
-    out = np.empty(sys.k_stress)
-    iters = 0
-    if full:
-        T_old = stress_old[:full * s].reshape(full, s)
-        E = strain_rate[:full * s].reshape(full, s)
-        th = theta_cells[:full]
-        T = T_old.copy()
-        prev_res = np.inf
-        scale = max(float(np.abs(T_old).max(initial=0.0)),
-                    dt * float(np.abs(E).max(initial=0.0)), 1e-30)
-        for iters in range(1, max_iters + 1):
-            G_val = G.eval_mandel(th, T, dim)
-            T_next = T_old + dt * C.apply_mandel(E - G_val, dim)
-            res = float(np.abs(T_next - T).max(initial=0.0))
-            if res > prev_res:
-                T_next = 0.5 * (T_next + T)
-                res = float(np.abs(T_next - T).max(initial=0.0))
-            T = T_next
-            prev_res = res
-            if res <= tol * max(scale, float(np.abs(T).max(initial=0.0))):
-                break
-        else:
-            raise StepFailureError(
-                f"stress update failed to converge in {max_iters} iterations "
-                f"(last residual {prev_res:.3e}); try a smaller dt")
-        out[:full * s] = T.ravel()
-
-    if rem:
-        comps = sys.stress_comp[full * s:]
-        t_old = stress_old[full * s:]
-        e_tail = strain_rate[full * s:]
-        th_e = theta_cells[full]
-        t = t_old.copy()
-        prev_res = np.inf
-        pad = np.zeros(s)
-        for it in range(1, max_iters + 1):
-            pad[:] = 0.0
-            pad[comps] = t
-            g = G.eval_mandel(np.array([th_e]), pad[None, :], dim)[0][comps]
-            t_next = t_old + dt * (tail_C @ (e_tail - g))
-            res = float(np.abs(t_next - t).max(initial=0.0))
-            if res > prev_res:
-                t_next = 0.5 * (t_next + t)
-                res = float(np.abs(t_next - t).max(initial=0.0))
-            t = t_next
-            prev_res = res
-            if res <= tol * max(float(np.abs(t).max(initial=0.0)), 1e-30):
-                break
-        else:
-            raise StepFailureError(
-                f"stress update (partial cell) failed to converge in {max_iters} "
-                f"iterations; try a smaller dt")
-        out[full * s:] = t
-        iters = max(iters, it)
-    return out, iters
+    n, c = sys.stress_spectrum(C)
+    old = sys.stress_blocks(stress_old)
+    rate = sys.stress_blocks(strain_rate)
+    # ℂ_P·ε = c_dev·ε + (c_vol − c_dev)·(n·ε)·n; absent components stay 0.
+    R = old + dt * (c[:, 1:] * rate + ((c[:, 0] - c[:, 1]) * (rate * n).sum(axis=1))[:, None] * n)
+    a = (R * n).sum(axis=1)
+    D = R - a[:, None] * n
+    kappa = np.asarray(G.kappa(theta_cells), dtype=float)
+    if G.kind == "mroz_saturating":
+        r2 = np.empty_like(c)
+        r2[:, 0] = a * a
+        r2[:, 1] = (D * D).sum(axis=1)
+        g, iters = _saturating_factor(kappa, r2, dt * c, np.sqrt((old * old).sum(axis=1)))
+    else:
+        g, iters = kappa, 1
+    den = 1.0 + dt * g[:, None] * c
+    if not den.min() > 0.0:
+        e = int(np.argmin(den.min(axis=1)))
+        raise StepFailureError(f"stress update has no solution in cell {e}: 1 + dt·g·c = "
+                               f"{den[e].min():.3g} <= 0 for anti-monotone factor g = {g[e]:.3g}")
+    T = (a / den[:, 0])[:, None] * n + D / den[:, 1:]
+    return sys.stress_coeffs(T), iters
 
 
 def heat_substep(sys: GalerkinSystem, state: SimState, div_v_field, G: FlowRule,
@@ -346,20 +326,8 @@ def heat_substep(sys: GalerkinSystem, state: SimState, div_v_field, G: FlowRule,
 def _cell_dissipation(sys: GalerkinSystem, G: FlowRule, theta_cells: np.ndarray,
                       stress: np.ndarray) -> np.ndarray:
     """Midpoint values of G(θ,T):T per cell (zero where no stress dofs live)."""
-    s = sys.s_comp
-    full = sys.k_stress // s
-    out = np.zeros(sys.mesh.n_cells)
-    if full:
-        block = stress[:full * s].reshape(full, s)
-        g = G.eval_mandel(theta_cells[:full], block, sys.mesh.dim)
-        out[:full] = np.einsum("ec,ec->e", g, block)
-    rem = sys.k_stress - full * s
-    if rem:
-        pad = np.zeros(s)
-        pad[sys.stress_comp[full * s:]] = stress[full * s:]
-        g = G.eval_mandel(np.array([theta_cells[full]]), pad[None, :], sys.mesh.dim)[0]
-        out[full] = float(g @ pad)
-    return out
+    blocks = sys.stress_blocks(stress)
+    return np.einsum("ec,ec->e", G.eval_mandel(theta_cells, blocks, sys.mesh.dim), blocks)
 
 
 def _field_residual(new: np.ndarray, prev: np.ndarray) -> float:
@@ -402,8 +370,7 @@ def step(sys: GalerkinSystem, cfg: SolverConfig, state: SimState,
         strain_rate = sys.B @ v_new
         T_new, inner = stress_substep(
             sys, cfg.elasticity, cfg.flow_rule, sys.cell_center_values(th_new),
-            state.stress, strain_rate, dt,
-            tol=min(cfg.picard_tol, 1e-12), max_iters=cfg.stress_inner_max_iters)
+            state.stress, strain_rate, dt)
         inner_total += inner
         res = max(_field_residual(th_new, th_i),
                   _field_residual(v_new, v_i),

@@ -155,7 +155,7 @@ class TestDissipationInequality:
     def test_adversarial_rule_fails_verdict(self):
         mesh = build_mesh(1, [1.0], [20])
         sys = build_spaces(mesh, mesh.interior_nodes.size, mesh.n_cells)
-        bad = FlowRule.custom(lambda theta, eta: -eta, c_growth=1.0)
+        bad = FlowRule.custom(lambda theta: -1.0, c_growth=1.0)
         cfg = SolverConfig(dt=1e-3, t_end=0.05,
                            elasticity=ElasticityTensor(0.0, 0.5),
                            flow_rule=bad, check_flow_rule=False,
