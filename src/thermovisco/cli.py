@@ -18,7 +18,8 @@ from pathlib import Path
 
 from .config import ConfigError, RunConfig, build_problem, load_config, make_flow_rule, shipped_config_path
 from .constitutive import verify_admissibility
-from .discretization import eval_displacement, eval_stress, eval_temperature
+from .diagnostics import format_summary
+from .discretization import eval_displacement, eval_stress, eval_temperature, max_levels
 from .solver import StepFailureError, PicardConvergenceError, run as solver_run
 
 SNAPSHOT_SCHEMA = "thermovisco-snapshot-v1"
@@ -94,10 +95,10 @@ def cmd_run(args) -> int:
     ledger = result.ledger
     ledger.to_csv(out / rc.ledger_filename)
     write_snapshot(out / "snapshot_final.txt", sys_, result.state)
-    ledger.write_summary_json(out / "summary.json")
-    print(ledger.summary_text())
+    summary = ledger.write_summary_json(out / "summary.json")
+    print(format_summary(summary))
     print(f"wrote {out / rc.ledger_filename}, snapshot_final.txt, summary.json")
-    return 0 if ledger.summary()["passed"] else 1
+    return 0 if summary["passed"] else 1
 
 
 def cmd_check_constitutive(args) -> int:
@@ -156,9 +157,7 @@ def cmd_convergence(args) -> int:
     for (cells, n_disp, k_stress, dt) in levels:
         if len(cells) == 1:
             cells = cells * rc.dim
-        n_interior = int(np.prod([c - 1 for c in cells]))
-        max_disp = n_interior * rc.dim
-        max_stress = int(np.prod(cells)) * (rc.dim * (rc.dim + 1) // 2)
+        max_disp, max_stress = max_levels(rc.dim, cells)
         nd = max_disp if n_disp == "full" else min(int(n_disp), max_disp)
         ks = max_stress if k_stress == "full" else min(int(k_stress), max_stress)
         level_rc = dc_replace(rc, cells=cells, n_disp_level=nd, k_stress_level=ks, dt=dt)

@@ -10,14 +10,14 @@ command line can report field-level messages before anything runs.
 from __future__ import annotations
 
 import configparser
-import numpy as np
+import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Optional
 
 from .constitutive import ElasticityTensor, FlowRule, TruncationLevel
-from .discretization import build_mesh, build_spaces
+from .discretization import build_mesh, build_spaces, max_levels
 from .expressions import ExpressionError, compile_expression, tensor_sampler, vector_sampler
 from .solver import SolverConfig
 
@@ -87,8 +87,15 @@ def _get(cp, section, key, cast, default=None, required=False):
         raise ConfigError(f"[{section}] {key}: cannot parse {raw!r}: {exc}") from exc
 
 
+def _float(raw) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError("must be a finite number")
+    return value
+
+
 def _num_list(raw):
-    return tuple(float(v) for v in raw.replace("x", ",").split(","))
+    return tuple(_float(v) for v in raw.replace("x", ",").split(","))
 
 
 def _int_list(raw):
@@ -126,9 +133,7 @@ def load_config(path) -> RunConfig:
     if any(c < 2 for c in cells):
         raise ConfigError(f"[mesh] cells: need at least 2 per axis, got {cells}")
 
-    n_interior = int(np.prod([c - 1 for c in cells]))
-    max_disp = n_interior * dim
-    max_stress = int(np.prod(cells)) * (dim * (dim + 1) // 2)
+    max_disp, max_stress = max_levels(dim, cells)
 
     def level(raw, maximum):
         if raw.strip().lower() == "full":
@@ -144,8 +149,8 @@ def load_config(path) -> RunConfig:
     if not 1 <= k_stress <= max_stress:
         raise ConfigError(f"[spaces] k_stress_level: must be in [1, {max_stress}], got {k_stress}")
 
-    lam = _get(cp, "material", "lambda", float, default=0.0)
-    mu = _get(cp, "material", "mu", float, required=True)
+    lam = _get(cp, "material", "lambda", _float, default=0.0)
+    mu = _get(cp, "material", "mu", _float, required=True)
     if not (mu > 0 and 3 * lam + 2 * mu > 0):
         raise ConfigError(f"[material] moduli: need mu > 0 and 3*lambda + 2*mu > 0, "
                           f"got lambda={lam}, mu={mu}")
@@ -154,18 +159,18 @@ def load_config(path) -> RunConfig:
     if flow_kind not in known:
         raise ConfigError(f"[material] flow_rule: unknown kind {flow_kind!r} "
                           f"(one of {known})")
-    kappa0 = _get(cp, "material", "kappa0", float, default=1.0)
+    kappa0 = _get(cp, "material", "kappa0", _float, default=1.0)
     if kappa0 < 0:
         raise ConfigError(f"[material] kappa0: must be >= 0, got {kappa0}")
-    kappa_min = _get(cp, "material", "kappa_min", float, default=None)
+    kappa_min = _get(cp, "material", "kappa_min", _float, default=None)
 
-    dt = _get(cp, "time", "dt", float, required=True)
+    dt = _get(cp, "time", "dt", _float, required=True)
     if dt <= 0:
         raise ConfigError(f"[time] dt: must be positive, got {dt}")
-    t_end = _get(cp, "time", "t_end", float, required=True)
+    t_end = _get(cp, "time", "t_end", _float, required=True)
     if t_end < dt:
         raise ConfigError(f"[time] t_end: must be at least dt, got {t_end} < {dt}")
-    picard_tol = _get(cp, "time", "picard_tol", float, default=1e-10)
+    picard_tol = _get(cp, "time", "picard_tol", _float, default=1e-10)
     if picard_tol <= 0:
         raise ConfigError(f"[time] picard_tol: must be positive, got {picard_tol}")
     picard_max = _get(cp, "time", "picard_max_iters", int, default=50)
@@ -176,7 +181,7 @@ def load_config(path) -> RunConfig:
         truncation = "auto"
     else:
         try:
-            truncation = TruncationLevel(float(trunc_raw))
+            truncation = TruncationLevel(_float(trunc_raw))
         except ValueError as exc:
             raise ConfigError(f"[time] truncation: {exc}") from exc
 

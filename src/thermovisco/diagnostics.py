@@ -207,27 +207,34 @@ class LedgerBase:
         }
 
     def summary_text(self) -> str:
-        s = self.summary()
-        lines = [f"run summary @ t={s['t_final']:g} ({s['steps']} steps)"]
-        for name, ok in s["verdicts"].items():
-            lines.append(f"  [{'pass' if ok else 'FAIL'}] {name}")
-        lines += [
-            f"  energy residual      = {s['energy_residual']:.6g} (tol {s['energy_residual_tol']:.3g})",
-            f"  entropy residual     = {s['entropy_residual']:.6g}",
-            f"  dissipation margin   = {s['dissipation_margin_min']:.6g} (tol −{s['dissipation_margin_tol']:.3g})",
-            f"  entropic dissipation = {s['entropic_dissipation']:.6g}",
-            f"  clamp deficit        = {s['truncation_deficit']:.6g}",
-            f"  theta min            = {s['theta_min']:.6g}"
-            f" (worst positivity ratio {s['positivity_worst_ratio']:.4f})",
-        ]
-        for v in s["invariant_violations"]:
-            lines.append(f"  ! {v}")
-        return "\n".join(lines)
+        return format_summary(self.summary())
 
-    def write_summary_json(self, path) -> None:
+    def write_summary_json(self, path) -> dict:
+        """Write ``summary()`` to ``path`` as JSON and return it."""
+        summary = self.summary()
         with open(path, "w") as fh:
-            json.dump(self.summary(), fh, indent=2, sort_keys=True)
+            json.dump(summary, fh, indent=2, sort_keys=True)
             fh.write("\n")
+        return summary
+
+
+def format_summary(s: dict) -> str:
+    """Human-readable form of a ledger ``summary()``."""
+    lines = [f"run summary @ t={s['t_final']:g} ({s['steps']} steps)"]
+    for name, ok in s["verdicts"].items():
+        lines.append(f"  [{'pass' if ok else 'FAIL'}] {name}")
+    lines += [
+        f"  energy residual      = {s['energy_residual']:.6g} (tol {s['energy_residual_tol']:.3g})",
+        f"  entropy residual     = {s['entropy_residual']:.6g}",
+        f"  dissipation margin   = {s['dissipation_margin_min']:.6g} (tol −{s['dissipation_margin_tol']:.3g})",
+        f"  entropic dissipation = {s['entropic_dissipation']:.6g}",
+        f"  clamp deficit        = {s['truncation_deficit']:.6g}",
+        f"  theta min            = {s['theta_min']:.6g}"
+        f" (worst positivity ratio {s['positivity_worst_ratio']:.4f})",
+    ]
+    for v in s["invariant_violations"]:
+        lines.append(f"  ! {v}")
+    return "\n".join(lines)
 
 
 class BalanceLedger(LedgerBase):

@@ -10,13 +10,14 @@ products use closed forms; sampler integrals use 2-point Gauss per axis.
 
 from __future__ import annotations
 
+import math
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from dataclasses import dataclass
 from typing import Callable
 
-from .constitutive import SQRT2, sym_components, to_mandel
+from .constitutive import sym_components, to_mandel
 
 
 @dataclass(frozen=True)
@@ -89,25 +90,10 @@ def build_mesh(dim: int, extents, cells) -> Mesh:
     grids = np.meshgrid(*axes, indexing="ij")
     nodes = np.stack([g.reshape(-1, order="F") for g in grids], axis=-1)
 
-    def node_id(idx):
-        nid = 0
-        for a in reversed(range(dim)):
-            nid = nid * npts[a] + idx[a]
-        return nid
-
-    corners = []
-    for local in range(2 ** dim):
-        bits = [(local >> a) & 1 for a in range(dim)]
-        corners.append(bits)
-
-    cell_list = []
-    ranges = [range(m) for m in cells]
-    for ck in ranges[2] if dim == 3 else [0]:
-        for cj in ranges[1] if dim >= 2 else [0]:
-            for ci in ranges[0]:
-                base = (ci, cj, ck)[:dim]
-                cell_list.append([node_id([base[a] + b[a] for a in range(dim)]) for b in corners])
-    cell_nodes = np.array(cell_list, dtype=np.int64)
+    strides = np.cumprod([1] + npts[:-1])
+    first = np.indices(cells[::-1]).reshape(dim, -1)[::-1].T @ strides  # cells x-fastest
+    bits = (np.arange(2 ** dim)[:, None] >> np.arange(dim)) & 1
+    cell_nodes = first[:, None] + bits @ strides
 
     spacing = tuple(extents[a] / cells[a] for a in range(dim))
     return Mesh(dim, extents, cells, nodes, cell_nodes, spacing)
@@ -146,8 +132,18 @@ def _kron_axes(factors):
     return out
 
 
+def max_levels(dim: int, cells) -> tuple:
+    """Largest (n_disp, k_stress) levels with ``cells`` elements per axis."""
+    return math.prod(c - 1 for c in cells) * dim, math.prod(cells) * sym_components(dim)
+
+
 class GalerkinSystem:
     """Assembled discrete spaces and coupling operators on one mesh.
+
+    M_theta, K_theta and every ``advection_matrix`` share one CSR pattern, that
+    of the node pairs sharing a cell, so ``heat_matrix`` sums ``.data`` vectors.
+    Each node-block operator is one scatter of its per-cell blocks into that
+    pattern; D and M_u reuse the scalar scatter per displacement component.
 
     Attributes
     ----------
@@ -168,8 +164,7 @@ class GalerkinSystem:
         self.s_comp = sym_components(dim)
 
         interior = mesh.interior_nodes
-        max_disp = interior.size * dim
-        max_stress = mesh.n_cells * self.s_comp
+        max_disp, max_stress = max_levels(dim, mesh.cells)
         if not 1 <= n_disp <= max_disp:
             raise ValueError(f"n_disp level must be in [1, {max_disp}], got {n_disp}")
         if not 1 <= k_stress <= max_stress:
@@ -218,13 +213,7 @@ class GalerkinSystem:
         self._d_elem = [
             _kron_axes([_G1 if b == c else _m1(h[b]) for b in range(dim)]) for c in range(dim)
         ]
-        # Gradients at the cell center: ∂N_p/∂x_a = sign / (h_a 2^{d-1}).
-        grad_c = np.zeros((n_loc, dim))
-        for p in range(n_loc):
-            for a in range(dim):
-                sign = 1.0 if (p >> a) & 1 else -1.0
-                grad_c[p, a] = sign / (h[a] * 2 ** (dim - 1))
-        self._grad_center = grad_c
+        self._grad_center = self._shape_gradients(np.full((1, dim), 0.5))[0]
 
         # 2-point Gauss per axis on the reference cell [0,1]^d.
         g1 = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
@@ -240,9 +229,16 @@ class GalerkinSystem:
         cn = mesh.cell_nodes
         self._gauss_xy = (mesh.nodes[cn[:, 0]][:, None, :]
                           + self._gauss_ref[None, :, :] * np.array(h))  # (n_cells, n_g, dim)
-        # Scatter index pattern for per-cell (n_loc x n_loc) blocks.
-        self._pat_rows = np.repeat(cn, n_loc, axis=1).ravel()
-        self._pat_cols = np.tile(cn, (1, n_loc)).ravel()
+        # The node-pair pattern, and the slot in its .data of each entry of
+        # the flattened per-cell (n_loc x n_loc) blocks.
+        n = mesh.n_nodes
+        keys, self._slot = np.unique((cn[:, :, None] * n + cn[:, None, :]).ravel(),
+                                     return_inverse=True)
+        pattern = sp.csr_matrix((np.zeros(keys.size), keys % n,
+                                 np.searchsorted(keys // n, np.arange(n + 1))), shape=(n, n))
+        self._indices, self._indptr = pattern.indices, pattern.indptr
+        for arr in (self._indices, self._indptr):  # shared by every operator on it
+            arr.setflags(write=False)
 
     def _shape_values(self, xi):
         dim = self.mesh.dim
@@ -274,82 +270,43 @@ class GalerkinSystem:
 
     # -- assembly -------------------------------------------------------------
 
+    def _scatter(self, blocks) -> sp.csr_matrix:
+        """Sum per-cell (n_loc, n_loc) blocks, or one block for every cell, into the pattern."""
+        blocks = np.broadcast_to(blocks, (self.mesh.n_cells,) + np.shape(blocks)[-2:])
+        data = np.bincount(self._slot, weights=blocks.ravel(), minlength=self._indices.size)
+        return sp.csr_matrix((data, self._indices, self._indptr), shape=(self.n_temp, self.n_temp))
+
     def _assemble(self, mesh, dim):
-        n_loc = 2 ** dim
-        cn = mesh.cell_nodes
-
-        def accumulate(elem):
-            data = np.tile(elem.ravel(), mesh.n_cells)
-            return sp.coo_matrix((data, (self._pat_rows, self._pat_cols)),
-                                 shape=(mesh.n_nodes, mesh.n_nodes)).tocsr()
-
-        self.M_theta = accumulate(self._m_elem)
+        self.M_theta = self._scatter(self._m_elem)
         # Constants are the Neumann kernel: K @ 1 vanishes exactly in 1D and
         # to one or two ulp of the entry scale in 2D/3D (hx/hy ratios are not
         # exactly representable, so bitwise zero is unattainable there).
-        self.K_theta = accumulate(self._k_elem)
+        self.K_theta = self._scatter(self._k_elem)
 
-        # Displacement mass: block copy of the scalar mass at included dofs.
-        rows, cols, data = [], [], []
-        for e in range(mesh.n_cells):
-            dofs = self._dof_of[cn[e]]  # (n_loc, dim)
-            for p in range(n_loc):
-                for q in range(n_loc):
-                    m = self._m_elem[p, q]
-                    for c in range(dim):
-                        a, b = dofs[p, c], dofs[q, c]
-                        if a >= 0 and b >= 0:
-                            rows.append(a)
-                            cols.append(b)
-                            data.append(m)
-        self.M_u = sp.coo_matrix((data, (rows, cols)),
-                                 shape=(self.n_disp, self.n_disp)).tocsr()
+        # Included displacement dofs as (node, component) vector indices.
+        vec = self.disp_node * dim + self.disp_comp
+        # Displacement mass: the scalar mass once per component.
+        self.M_u = sp.kron(self.M_theta, sp.eye(dim), format="csr")[vec][:, vec]
 
-        # Divergence coupling D[i, j] = ∫ N_i ∂N_m/∂x_c for dof j = (m, c).
-        rows, cols, data = [], [], []
-        for e in range(mesh.n_cells):
-            dofs = self._dof_of[cn[e]]
-            for q in range(n_loc):
-                for c in range(dim):
-                    j = dofs[q, c]
-                    if j < 0:
-                        continue
-                    for p in range(n_loc):
-                        rows.append(cn[e, p])
-                        cols.append(j)
-                        data.append(self._d_elem[c][p, q])
-        self.D = sp.coo_matrix((data, (rows, cols)),
-                               shape=(self.n_temp, self.n_disp)).tocsr()
+        # Divergence coupling D[i, (m, c)] = ∫ N_i ∂N_m/∂x_c: one scatter per
+        # component c, interleaved into vector columns m·dim + c.
+        n = self.n_temp
+        data = np.stack([self._scatter(self._d_elem[c]).data for c in range(dim)], axis=1)
+        cols = self._indices[:, None] * dim + np.arange(dim)
+        self.D = sp.csr_matrix((data.ravel(), cols.ravel(), self._indptr * dim),
+                               shape=(n, n * dim))[:, vec]
 
-        # Strain projection B: Mandel components of the cell-mean of ε(φ_j).
-        from .constitutive import _OFFDIAG
-        offdiag = _OFFDIAG[dim]
-        rows, cols, data = [], [], []
-        for a in range(self.k_stress):
-            e = self.stress_cell[a]
-            comp = self.stress_comp[a]
-            dofs = self._dof_of[cn[e]]
-            for p in range(n_loc):
-                g = self._grad_center[p]  # cell mean of a multilinear gradient = center value
-                for c in range(dim):
-                    j = dofs[p, c]
-                    if j < 0:
-                        continue
-                    if comp < dim:
-                        val = g[comp] if c == comp else 0.0
-                    else:
-                        (i1, i2) = offdiag[comp - dim]
-                        val = 0.0
-                        if c == i1:
-                            val += 0.5 * SQRT2 * g[i2]
-                        if c == i2:
-                            val += 0.5 * SQRT2 * g[i1]
-                    if val != 0.0:
-                        rows.append(a)
-                        cols.append(j)
-                        data.append(val)
-        self.B = sp.coo_matrix((data, (rows, cols)),
-                               shape=(self.k_stress, self.n_disp)).tocsr()
+        # Strain projection B: Mandel components of the cell-mean of ε(N_p e_c)
+        # = sym(e_c ⊗ ∇N_p(center)), one constant block per cell; zeros not stored.
+        grad = np.eye(dim)[None, :, :, None] * self._grad_center[:, None, None, :]
+        block = to_mandel(0.5 * (grad + grad.swapaxes(-1, -2)))  # (n_loc, dim, s)
+        p, c, comp = np.nonzero(block)
+        cells = np.arange(mesh.n_cells)[:, None]
+        B = sp.csr_matrix((np.tile(block[p, c, comp], mesh.n_cells),
+                           ((cells * self.s_comp + comp).ravel(),
+                            (mesh.cell_nodes[:, p] * dim + c).ravel())),
+                          shape=(mesh.n_cells * self.s_comp, n * dim))
+        self.B = B[:self.k_stress][:, vec]
         # ∫ ψ_a : ε(φ_j) = vol * B[a, j] (midpoint is exact here).
         self.S = sp.diags(self.stress_vol) @ self.B
 
@@ -402,10 +359,14 @@ class GalerkinSystem:
 
     def advection_matrix(self, div_gauss: np.ndarray) -> sp.csr_matrix:
         """Assemble ∫ div(u_t) N_i N_j with 2-pt Gauss from per-cell values."""
-        blocks = np.einsum("eg,g,gp,gq->epq", div_gauss, self._gauss_w,
-                           self._gauss_N, self._gauss_N)
-        return sp.coo_matrix((blocks.ravel(), (self._pat_rows, self._pat_cols)),
-                             shape=(self.n_temp, self.n_temp)).tocsr()
+        return self._scatter(np.einsum("eg,g,gp,gq->epq", div_gauss, self._gauss_w,
+                                       self._gauss_N, self._gauss_N))
+
+    def heat_matrix(self, dt: float, div_gauss: np.ndarray) -> sp.csr_matrix:
+        """M_θ + dt·K_θ + dt·A_adv(div_gauss), summed as data vectors on the shared pattern."""
+        A = self.advection_matrix(div_gauss)
+        A.data = self.M_theta.data + dt * self.K_theta.data + dt * A.data
+        return A
 
     def heat_source_vector(self, cell_values: np.ndarray) -> np.ndarray:
         """∫ s φ_i for a cellwise-constant source, midpoint-consistent."""
@@ -460,14 +421,7 @@ def project_displacement(sys: GalerkinSystem, sampler: Callable) -> FieldCoeffic
     ``sampler`` maps points (m, dim) to vectors (m, dim) and should vanish
     on the boundary.  The residual is orthogonal to every basis function.
     """
-    pts = sys._gauss_xy.reshape(-1, sys.mesh.dim)
-    fv = np.asarray(sampler(pts), dtype=float).reshape(
-        sys.mesh.n_cells, sys._gauss_ref.shape[0], sys.mesh.dim)
-    contrib = np.einsum("g,egd,gp->epd", sys._gauss_w, fv, sys._gauss_N)
-    b = np.zeros(sys.n_disp)
-    dofs = sys._dof_of[sys.mesh.cell_nodes]
-    mask = dofs >= 0
-    np.add.at(b, dofs[mask], contrib[mask])
+    b = sys.load_vector(lambda t, pts: sampler(pts), 0.0)
     return FieldCoefficients("displacement", sys.solve_mass_u(b))
 
 

@@ -17,7 +17,6 @@ can reject a step.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence, Union
@@ -284,8 +283,7 @@ def stress_substep(sys: GalerkinSystem, C: ElasticityTensor, G: FlowRule,
 
 def heat_substep(sys: GalerkinSystem, state: SimState, div_v_field, G: FlowRule,
                  truncation: TruncationLevel, dt: float,
-                 stress: Optional[np.ndarray] = None,
-                 base_matrix: Optional[sp.csr_matrix] = None) -> HeatResult:
+                 stress: Optional[np.ndarray] = None) -> HeatResult:
     """Implicit Euler heat solve with clamped dissipation source.
 
     (M + dt·K + dt·A_adv(div u_t))·θ_new = M·θ_old + dt·∫clamp(G(θ_old,T):T)φ
@@ -305,9 +303,7 @@ def heat_substep(sys: GalerkinSystem, state: SimState, div_v_field, G: FlowRule,
     src_raw = _cell_dissipation(sys, G, theta_c, stress)
     src = np.asarray(truncate(truncation, src_raw), dtype=float)
 
-    if base_matrix is None:
-        base_matrix = (sys.M_theta + dt * sys.K_theta).tocsr()
-    A = base_matrix + dt * sys.advection_matrix(div.gauss)
+    A = sys.heat_matrix(dt, div.gauss)
     rhs = sys.M_theta @ state.theta + dt * sys.heat_source_vector(src)
     try:
         theta_new = spla.spsolve(A.tocsc(), rhs)
@@ -338,8 +334,7 @@ def _field_residual(new: np.ndarray, prev: np.ndarray) -> float:
     return diff / scale
 
 
-def step(sys: GalerkinSystem, cfg: SolverConfig, state: SimState,
-         _heat_base: Optional[sp.csr_matrix] = None) -> StepResult:
+def step(sys: GalerkinSystem, cfg: SolverConfig, state: SimState) -> StepResult:
     """One Picard-coupled implicit step of size dt.
 
     The (u, stress) iterate is frozen, the heat equation solved for θ, then
@@ -354,8 +349,6 @@ def step(sys: GalerkinSystem, cfg: SolverConfig, state: SimState,
     t_new = state.t + dt
     f_load = sys.load_vector(cfg.forcing, t_new) if cfg.forcing is not None \
         else np.zeros(sys.n_disp)
-    if _heat_base is None:
-        _heat_base = (sys.M_theta + dt * sys.K_theta).tocsr()
 
     v_i, T_i, th_i = state.v, state.stress, state.theta
     history = []
@@ -363,8 +356,7 @@ def step(sys: GalerkinSystem, cfg: SolverConfig, state: SimState,
     inner_total = 0
     for _ in range(1, cfg.picard_max_iters + 1):
         div = divergence_of(sys, v_i)
-        heat = heat_substep(sys, state, div, cfg.flow_rule, cfg.truncation, dt,
-                            stress=T_i, base_matrix=_heat_base)
+        heat = heat_substep(sys, state, div, cfg.flow_rule, cfg.truncation, dt, stress=T_i)
         th_new = heat.theta
         v_new = momentum_substep(sys, state, th_new, T_i, f_load, dt)
         strain_rate = sys.B @ v_new
@@ -423,11 +415,10 @@ def run(sys: GalerkinSystem, cfg: SolverConfig, observers: Sequence[Callable] = 
     ledger = BalanceLedger(sys, cfg.elasticity, trunc, cfg.dt)
     ledger.record_initial(state)
 
-    heat_base = (sys.M_theta + cfg.dt * sys.K_theta).tocsr()
     infos = []
     for i in range(1, n_steps + 1):
         try:
-            result = step(sys, cfg, state, _heat_base=heat_base)
+            result = step(sys, cfg, state)
         except PicardConvergenceError as exc:
             raise PicardConvergenceError(
                 f"step {i} (t={state.t + cfg.dt:g}) failed: {exc}",

@@ -142,6 +142,23 @@ class TestCmdRun:
         assert main(["run", str(bad)]) == 2
         assert "[time] dt" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("mesh", "extents", "inf"),
+        ("material", "lambda", "nan"),
+        ("material", "mu", "inf"),
+        ("material", "kappa0", "nan"),
+        ("material", "kappa_min", "nan"),
+        ("time", "dt", "nan"),
+        ("time", "t_end", "nan"),
+        ("time", "picard_tol", "nan"),
+        ("time", "truncation", "inf"),
+    ])
+    def test_non_finite_number_exit_two(self, tmp_path, capsys, section, key, value):
+        lines = [ln for ln in MINIMAL.split("\n") if not ln.startswith(f"{key} =")]
+        body = "\n".join(lines).replace(f"[{section}]", f"[{section}]\n{key} = {value}")
+        assert main(["run", str(write_cfg(tmp_path, body))]) == 2
+        assert f"[{section}] {key}" in capsys.readouterr().err
+
     def test_runtime_failure_exit_one(self, tmp_path, monkeypatch, capsys):
         # picard_max_iters = 1 cannot converge on a coupled scenario
         monkeypatch.setenv("THERMOVISCO_OUTDIR", str(tmp_path / "out"))

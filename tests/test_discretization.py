@@ -1,7 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from thermovisco.constitutive import SQRT2
+from thermovisco.constitutive import SQRT2, to_mandel
 from thermovisco.discretization import (
     FieldCoefficients,
     build_mesh,
@@ -106,89 +108,111 @@ class TestBuildSpaces:
         with pytest.raises(ValueError):
             build_spaces(m, 0, 1)
 
+    def test_heat_matrix_on_shared_pattern(self):
+        m = build_mesh(3, [1.0, 2.0, 0.5], [3, 2, 2])
+        sys = build_spaces(m, 1, 1)
+        div = np.random.default_rng(2).standard_normal((m.n_cells, 8))
+        dt = 0.3
+        H = sys.heat_matrix(dt, div)
+        expected = sys.M_theta + dt * sys.K_theta + dt * sys.advection_matrix(div)
+        for A in (H, sys.K_theta, sys.advection_matrix(div)):
+            assert np.array_equal(A.indptr, sys.M_theta.indptr)
+            assert np.array_equal(A.indices, sys.M_theta.indices)
+        assert np.abs(H.toarray() - expected.toarray()).max() <= 1e-15
+
     def test_displacement_basis_vanishes_on_boundary(self):
         m = build_mesh(2, [1.0, 1.0], [4, 4])
         sys = build_spaces(m, m.interior_nodes.size * 2, 1)
         assert not np.any(m.boundary_node_mask[sys.disp_node])
 
 
-@pytest.fixture(scope="module")
-def system():
-    m = build_mesh(2, [1.0, 2.0], [2, 3])
-    return build_spaces(m, m.interior_nodes.size * 2, m.n_cells * 3)
+# (dim, extents, cells, n_disp, k_stress); None is the full level.  The
+# partial 2D/3D cases leave the last stress cell with only some components.
+ORACLE_CASES = [
+    (1, [1.3], [5], None, None),
+    (1, [1.3], [5], 3, 4),
+    (2, [1.0, 2.0], [2, 3], None, None),
+    (2, [1.0, 2.0], [3, 3], 5, 9 * 3 - 2),
+    (3, [1.0, 2.0, 0.5], [3, 3, 2], None, None),
+    (3, [1.0, 2.0, 0.5], [3, 3, 2], 7, 18 * 6 - 4),
+]
 
 
-@pytest.fixture(scope="module")
-def quadrature(system):
-    m = system.mesh
-    hx, hy = m.spacing
+def _grid(shape):
+    """Multi-indices of a grid, x index fastest."""
+    return np.array([idx[::-1] for idx in itertools.product(*map(range, shape[::-1]))])
+
+
+def _quadrature(dim, extents, cells):
+    """4-point Gauss per axis on every cell, with tensor-product hats.
+
+    Returns weights (q,), hat values (q, n_nodes), hat gradients
+    (q, n_nodes, dim) and the cell of each point; cells and nodes are
+    numbered x fastest, independently of the mesh's cell table.
+    """
+    h = np.array(extents) / np.array(cells)
     xg, wg = np.polynomial.legendre.leggauss(4)
+    local = _grid([4] * dim)
+    ref, w_loc = (xg[local] + 1) / 2, np.prod(wg[local], axis=1) * np.prod(h) / 2 ** dim
+    corners = _grid(list(cells))
+    pts = ((corners[:, None, :] + ref[None]) * h).reshape(-1, dim)
+    wts = np.tile(w_loc, len(corners))
+    cell_of = np.repeat(np.arange(len(corners)), len(local))
+    X = _grid([c + 1 for c in cells]) * h  # node coordinates
+    r = pts[:, None, :] - X[None]
+    f = np.clip(1 - np.abs(r) / h, 0, None)
+    df = np.where(np.abs(r) < h, -np.sign(r) / h, 0.0)
+    vals = np.prod(f, axis=2)
+    grads = np.stack([df[..., a] * np.prod(np.delete(f, a, axis=2), axis=2)
+                      for a in range(dim)], axis=-1)
+    return wts, vals, grads, cell_of
 
-    def hats(x, y):
-        nx, ny = m.cells[0] + 1, m.cells[1] + 1
-        vals = np.zeros((x.size, m.n_nodes))
-        grads = np.zeros((x.size, m.n_nodes, 2))
-        for j in range(ny):
-            for i in range(nx):
-                nid = i + nx * j
-                fx = np.clip(1 - np.abs(x - i * hx) / hx, 0, None)
-                fy = np.clip(1 - np.abs(y - j * hy) / hy, 0, None)
-                vals[:, nid] = fx * fy
-                dfx = np.where(np.abs(x - i * hx) < hx, -np.sign(x - i * hx) / hx, 0.0)
-                dfy = np.where(np.abs(y - j * hy) < hy, -np.sign(y - j * hy) / hy, 0.0)
-                grads[:, nid, 0] = dfx * fy
-                grads[:, nid, 1] = fx * dfy
-        return vals, grads
 
-    pts, wts = [], []
-    for e in range(m.n_cells):
-        x0, y0 = m.nodes[m.cell_nodes[e, 0]]
-        X = x0 + hx * (xg + 1) / 2
-        Y = y0 + hy * (xg + 1) / 2
-        XX, YY = np.meshgrid(X, Y, indexing="ij")
-        pts.append(np.stack([XX.ravel(), YY.ravel()], axis=1))
-        wts.append((np.outer(wg, wg) * hx * hy / 4).ravel())
-    pts = np.concatenate(pts)
-    wts = np.concatenate(wts)
-    vals, grads = hats(pts[:, 0], pts[:, 1])
-    return wts, vals, grads
+@pytest.fixture(scope="module")
+def oracle_cases():
+    cases = []
+    for dim, extents, cells, n_disp, k_stress in ORACLE_CASES:
+        m = build_mesh(dim, extents, cells)
+        system = build_spaces(m, n_disp or m.interior_nodes.size * dim,
+                              k_stress or m.n_cells * dim * (dim + 1) // 2)
+        cases.append((system, _quadrature(dim, extents, cells)))
+    return cases
 
 
 class TestAssemblyOracle:
-    """Brute-force high-order quadrature oracle for every assembled operator."""
+    """Brute-force high-order quadrature oracle for every assembled operator,
+    in 1D/2D/3D at full and partial levels."""
 
-    def test_temperature_matrices(self, system, quadrature):
-        w, v, g = quadrature
-        M = np.einsum("q,qi,qj->ij", w, v, v)
-        K = np.einsum("q,qid,qjd->ij", w, g, g)
-        assert np.allclose(M, system.M_theta.toarray(), atol=1e-13)
-        assert np.allclose(K, system.K_theta.toarray(), atol=1e-12)
+    def test_temperature_matrices(self, oracle_cases):
+        for system, (w, v, g, _) in oracle_cases:
+            M = np.einsum("q,qi,qj->ij", w, v, v)
+            K = np.einsum("q,qid,qjd->ij", w, g, g)
+            assert np.allclose(M, system.M_theta.toarray(), atol=1e-13)
+            assert np.allclose(K, system.K_theta.toarray(), atol=1e-12)
 
-    def test_divergence_coupling(self, system, quadrature):
-        w, v, g = quadrature
-        D = np.zeros((system.n_temp, system.n_disp))
-        for j in range(system.n_disp):
-            nd, c = system.disp_node[j], system.disp_comp[j]
-            D[:, j] = np.einsum("q,qi,q->i", w, v, g[:, nd, c])
-        assert np.allclose(D, system.D.toarray(), atol=1e-13)
+    def test_displacement_mass(self, oracle_cases):
+        for system, (w, v, g, _) in oracle_cases:
+            M = np.einsum("q,qi,qj->ij", w, v, v)
+            node, comp = system.disp_node, system.disp_comp
+            M_u = M[np.ix_(node, node)] * (comp[:, None] == comp[None, :])
+            assert np.allclose(M_u, system.M_u.toarray(), atol=1e-13)
 
-    def test_strain_projection(self, system, quadrature):
-        w, v, g = quadrature
-        vol = system.mesh.cell_volume
-        n_q = w.size // system.mesh.n_cells
-        B = np.zeros((system.k_stress, system.n_disp))
-        for a in range(system.k_stress):
-            e, comp = system.stress_cell[a], system.stress_comp[a]
-            sl = slice(e * n_q, (e + 1) * n_q)
-            for j in range(system.n_disp):
-                nd, c = system.disp_node[j], system.disp_comp[j]
-                eps = np.zeros((n_q, 2, 2))
-                for q in range(2):
-                    eps[:, c, q] += 0.5 * g[sl, nd, q]
-                    eps[:, q, c] += 0.5 * g[sl, nd, q]
-                val = eps[:, comp, comp] if comp < 2 else SQRT2 * eps[:, 0, 1]
-                B[a, j] = np.sum(w[sl] * val) / vol
-        assert np.allclose(B, system.B.toarray(), atol=1e-13)
+    def test_divergence_coupling(self, oracle_cases):
+        for system, (w, v, g, _) in oracle_cases:
+            D = np.einsum("q,qi,qj->ij", w, v, g[:, system.disp_node, system.disp_comp])
+            assert np.allclose(D, system.D.toarray(), atol=1e-13)
+
+    def test_strain_projection(self, oracle_cases):
+        for system, (w, v, g, cell_of) in oracle_cases:
+            dim = system.mesh.dim
+            # ∇(N_m e_c) = e_c ⊗ ∇N_m for every displacement dof j = (m, c)
+            grad_u = np.zeros((w.size, system.n_disp, dim, dim))
+            grad_u[:, np.arange(system.n_disp), system.disp_comp, :] = g[:, system.disp_node, :]
+            eps = to_mandel(0.5 * (grad_u + grad_u.swapaxes(-1, -2)))  # (q, n_disp, s)
+            means = np.zeros((system.mesh.n_cells,) + eps.shape[1:])
+            np.add.at(means, cell_of, w[:, None, None] * eps)
+            B = means[system.stress_cell, :, system.stress_comp] / system.mesh.cell_volume
+            assert np.allclose(B, system.B.toarray(), atol=1e-13)
 
 
 class TestProjections:
