@@ -144,6 +144,7 @@ class GalerkinSystem:
     of the node pairs sharing a cell, so ``heat_matrix`` sums ``.data`` vectors.
     Each node-block operator is one scatter of its per-cell blocks into that
     pattern; D and M_u reuse the scalar scatter per displacement component.
+    ``heat_factor`` factors the fixed part M_theta + dt·K_theta once per dt.
 
     Attributes
     ----------
@@ -154,8 +155,8 @@ class GalerkinSystem:
     D : csr_matrix (n_temp, n_disp) — divergence coupling ∫ N_i div φ_j
     stress_vol : (k_stress,) — L² norms² of the stress basis (cell volumes)
 
-    Instances are immutable after construction, apart from the memo of
-    ``stress_spectrum``, and safe to share read-only.
+    Instances are immutable after construction, apart from the memos of
+    ``stress_spectrum`` and ``heat_factor``, and safe to share read-only.
     """
 
     def __init__(self, mesh: Mesh, n_disp: int, k_stress: int):
@@ -186,6 +187,7 @@ class GalerkinSystem:
         self.stress_comp = np.tile(np.arange(self.s_comp), mesh.n_cells)[:k_stress]
         self.stress_vol = np.full(k_stress, mesh.cell_volume)
         self._spectra = {}
+        self._heat_lu = {}
 
         self._build_reference(dim)
         self._assemble(mesh, dim)
@@ -368,17 +370,23 @@ class GalerkinSystem:
         A.data = self.M_theta.data + dt * self.K_theta.data + dt * A.data
         return A
 
+    def heat_factor(self, dt: float):
+        """SuperLU factor of M_θ + dt·K_θ, memoized per dt and built at first use."""
+        if dt not in self._heat_lu:
+            # The matrix is symmetric, so its CSR arrays read as CSC are the matrix.
+            base = sp.csc_matrix((self.M_theta.data + dt * self.K_theta.data,
+                                  self._indices, self._indptr), shape=self.M_theta.shape)
+            self._heat_lu[dt] = spla.splu(base)
+        return self._heat_lu[dt]
+
     def heat_source_vector(self, cell_values: np.ndarray) -> np.ndarray:
         """∫ s φ_i for a cellwise-constant source, midpoint-consistent."""
         weights = cell_values * self.mesh.cell_volume / (2 ** self.mesh.dim)
-        rhs = np.zeros(self.n_temp)
-        np.add.at(rhs, self.mesh.cell_nodes.ravel(),
-                  np.repeat(weights, 2 ** self.mesh.dim))
-        return rhs
+        return np.bincount(self.mesh.cell_nodes.ravel(),
+                           weights=np.repeat(weights, 2 ** self.mesh.dim), minlength=self.n_temp)
 
     def load_vector(self, f: Callable, t: float) -> np.ndarray:
         """∫ f(t)·φ_j with 2-pt Gauss per cell; f maps (t, pts) -> (m, dim)."""
-        out = np.zeros(self.n_disp)
         pts = self._gauss_xy.reshape(-1, self.mesh.dim)
         fv = np.asarray(f(t, pts), dtype=float).reshape(self.mesh.n_cells,
                                                         self._gauss_ref.shape[0],
@@ -387,8 +395,7 @@ class GalerkinSystem:
         contrib = np.einsum("g,egd,gp->epd", self._gauss_w, fv, self._gauss_N)
         dofs = self._dof_of[self.mesh.cell_nodes]  # (n_cells, n_loc, dim)
         mask = dofs >= 0
-        np.add.at(out, dofs[mask], contrib[mask])
-        return out
+        return np.bincount(dofs[mask], weights=contrib[mask], minlength=self.n_disp)
 
     def integrate_nodal(self, nodal_values: np.ndarray) -> float:
         """∫ of the Q1 interpolant with the given nodal values."""

@@ -5,6 +5,8 @@ construction of the continuous problem:
 
   1. implicit heat solve for θ, with the advection coefficient div(u_t) and
      the clamped dissipation source frozen at the current mechanical iterate,
+     by conjugate gradients preconditioned with the run's one factor of
+     M_θ + dt·K_θ,
   2. momentum update for the velocity with that θ,
   3. implicit update for the stress with the new strain rate, in closed form,
 
@@ -145,6 +147,8 @@ class HeatResult:
     theta: np.ndarray
     source_raw: np.ndarray      # cellwise G(θ_old, T):T before clamping
     source_trunc: np.ndarray    # cellwise clamped source fed to the solve
+    cg_iters: int               # preconditioned CG iterations
+    fallback: bool              # CG gave up and a direct solve ran instead
 
 
 @dataclass
@@ -156,6 +160,8 @@ class StepResult:
     heat: HeatResult
     f_load: np.ndarray
     stress_inner_iters: int
+    heat_cg_iters: int          # summed over the step's Picard iterations
+    heat_fallbacks: int
 
 
 def initialize(sys: GalerkinSystem, cfg: SolverConfig) -> SimState:
@@ -281,6 +287,37 @@ def stress_substep(sys: GalerkinSystem, C: ElasticityTensor, G: FlowRule,
     return sys.stress_coeffs(T), iters
 
 
+# Heat PCG stops at this residual relative to the right-hand side; past the
+# iteration cap, or on a non-positive curvature, it hands over to spsolve.
+_CG_RTOL = 1e-14
+_CG_MAX_ITERS = 50
+
+
+def _pcg(A, b: np.ndarray, x0: np.ndarray, lu):
+    """Solve A·x = b by CG from x0, preconditioned with ``lu.solve``.
+
+    Returns (x, iterations), with x None if CG gave up.
+    """
+    x = x0.copy()
+    r = b - A @ x
+    stop = _CG_RTOL ** 2 * (b @ b)
+    p, rz = np.zeros_like(b), 1.0
+    for it in range(_CG_MAX_ITERS):
+        if r @ r <= stop:
+            return x, it
+        z = lu.solve(r)
+        rz, rz_old = r @ z, rz
+        p = z + (rz / rz_old) * p
+        Ap = A @ p
+        pAp = p @ Ap
+        if not pAp > 0.0:
+            return None, it + 1
+        alpha = rz / pAp
+        x += alpha * p
+        r -= alpha * Ap
+    return (x if r @ r <= stop else None), _CG_MAX_ITERS
+
+
 def heat_substep(sys: GalerkinSystem, state: SimState, div_v_field, G: FlowRule,
                  truncation: TruncationLevel, dt: float,
                  stress: Optional[np.ndarray] = None) -> HeatResult:
@@ -290,8 +327,12 @@ def heat_substep(sys: GalerkinSystem, state: SimState, div_v_field, G: FlowRule,
 
     The source is evaluated at cell midpoints from the start-of-step
     temperature and the supplied stress iterate; homogeneous Neumann data is
-    built into the space (no constrained rows).  Raises PositivityError if
-    any dof of the solution is nonpositive.
+    built into the space (no constrained rows).  The system is solved by CG
+    from θ_old, preconditioned with the memoized factor of M + dt·K: with
+    δ = dt·‖div u_t‖_∞ < 1, exact 2-point Gauss and M + dt·K ≥ M put the
+    preconditioned spectrum in [1 − δ, 1 + δ].  Should CG stall anyway, a
+    direct solve runs and ``fallback`` is set.  Raises PositivityError if any
+    dof of the solution is nonpositive.
     """
     if not np.all(state.theta > 0.0):
         raise PositivityError(f"start-of-step temperature not positive "
@@ -305,10 +346,13 @@ def heat_substep(sys: GalerkinSystem, state: SimState, div_v_field, G: FlowRule,
 
     A = sys.heat_matrix(dt, div.gauss)
     rhs = sys.M_theta @ state.theta + dt * sys.heat_source_vector(src)
-    try:
-        theta_new = spla.spsolve(A.tocsc(), rhs)
-    except RuntimeError as exc:
-        raise StepFailureError(f"heat solve failed: {exc}") from exc
+    theta_new, cg_iters = _pcg(A, rhs, state.theta, sys.heat_factor(dt))
+    fallback = theta_new is None
+    if fallback:
+        try:
+            theta_new = spla.spsolve(A.tocsc(), rhs)
+        except RuntimeError as exc:
+            raise StepFailureError(f"heat solve failed: {exc}") from exc
     if not np.all(np.isfinite(theta_new)):
         raise StepFailureError("heat solve produced non-finite values")
     if theta_new.min() <= 0.0:
@@ -316,7 +360,7 @@ def heat_substep(sys: GalerkinSystem, state: SimState, div_v_field, G: FlowRule,
             f"temperature solve lost positivity (min dof = {theta_new.min():.6g}); "
             f"the maximum-principle lower bound min(θ₀)·exp(−∫‖div u_t‖_∞) requires "
             f"a nonnegative source and a resolvable step — reduce dt or check the flow rule")
-    return HeatResult(theta_new, src_raw, src)
+    return HeatResult(theta_new, src_raw, src, cg_iters, fallback)
 
 
 def _cell_dissipation(sys: GalerkinSystem, G: FlowRule, theta_cells: np.ndarray,
@@ -353,10 +397,12 @@ def step(sys: GalerkinSystem, cfg: SolverConfig, state: SimState) -> StepResult:
     v_i, T_i, th_i = state.v, state.stress, state.theta
     history = []
     heat = None
-    inner_total = 0
+    inner_total = cg_total = fallbacks = 0
     for _ in range(1, cfg.picard_max_iters + 1):
         div = divergence_of(sys, v_i)
         heat = heat_substep(sys, state, div, cfg.flow_rule, cfg.truncation, dt, stress=T_i)
+        cg_total += heat.cg_iters
+        fallbacks += heat.fallback
         th_new = heat.theta
         v_new = momentum_substep(sys, state, th_new, T_i, f_load, dt)
         strain_rate = sys.B @ v_new
@@ -380,7 +426,8 @@ def step(sys: GalerkinSystem, cfg: SolverConfig, state: SimState) -> StepResult:
     u_new = state.u + dt * v_i
     new_state = SimState(t_new, u_new, v_i, T_i, th_i).freeze()
     return StepResult(new_state, len(history), history,
-                      divergence_of(sys, v_i).sup, heat, f_load, inner_total)
+                      divergence_of(sys, v_i).sup, heat, f_load, inner_total,
+                      cg_total, fallbacks)
 
 
 @dataclass

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from dataclasses import replace
 
 from thermovisco import ElasticityTensor, FlowRule, TruncationLevel, build_mesh, build_spaces
 from thermovisco.constitutive import truncate
+from thermovisco import solver as solver_module
+from thermovisco.discretization import max_levels
 from thermovisco.solver import (
+    DivergenceField,
     PicardConvergenceError,
     PositivityError,
     SimState,
@@ -196,6 +200,46 @@ class TestStress:
                            np.full(sys.k_stress, 1.0), np.zeros(sys.k_stress), dt=2.0)
 
 
+def random_heat_case(cells, partial, delta, dt, signed=True, seed=0):
+    """A heat substep input with a random per-Gauss-point div at dt·‖div‖∞ = delta.
+
+    Every axis has the spacing 1/cells[0]; ``partial`` drops the
+    last displacement dof and the last two stress components.  Returns the
+    system, the state and the divergence field.
+    """
+    dim = len(cells)
+    mesh = build_mesh(dim, [c / cells[0] for c in cells], cells)
+    n_disp, k_stress = max_levels(dim, mesh.cells)
+    if partial:
+        n_disp, k_stress = n_disp - 1, k_stress - 2
+    sys = build_spaces(mesh, n_disp, k_stress)
+    rng = np.random.default_rng(seed)
+    theta = 1.0 + 0.3 * rng.random(sys.n_temp)
+    state = SimState(0.0, np.zeros(sys.n_disp), np.zeros(sys.n_disp),
+                     rng.standard_normal(sys.k_stress), theta)
+    div = rng.uniform(-1.0 if signed else 0.0, 1.0, (mesh.n_cells, sys._gauss_ref.shape[0]))
+    div *= delta / dt / np.abs(div).max()
+    return sys, state, DivergenceField(div, div.mean(axis=1), float(np.abs(div).max()))
+
+
+def swirl_problem():
+    """A tiny 2D run whose initial velocity makes div u_t nonzero."""
+    mesh = build_mesh(2, [1.0, 1.0], [4, 4])
+    sys = build_spaces(mesh, *max_levels(2, mesh.cells))
+    swirl = lambda pts: np.stack([np.sin(np.pi * pts[:, 0]) * np.sin(np.pi * pts[:, 1])] * 2,
+                                 axis=1)
+    cfg = SolverConfig(dt=1e-3, t_end=5e-3, elasticity=C_HALF,
+                       flow_rule=FlowRule.linear(1.0), u1=swirl,
+                       theta0=lambda pts: 1.0 + 0.2 * pts[:, 0])
+    return sys, cfg
+
+
+def direct_heat_solve(sys, state, div, out, dt):
+    A = sys.heat_matrix(dt, div.gauss)
+    rhs = sys.M_theta @ state.theta + dt * sys.heat_source_vector(out.source_trunc)
+    return spla.spsolve(A.tocsc(), rhs)
+
+
 class TestHeat:
     def test_constant_theta_preserved(self):
         sys = small_system()
@@ -223,7 +267,6 @@ class TestHeat:
         theta = 1.0 + 0.5 * np.cos(np.pi * mesh.nodes[:, 0])
         state = SimState(0.0, np.zeros(sys.n_disp), np.zeros(sys.n_disp),
                          np.zeros(sys.k_stress), theta)
-        base = None
         mins = [theta.min()]
         for _ in range(int(round(t_end / dt))):
             out = heat_substep(sys, state, None, FlowRule.linear(1.0),
@@ -258,8 +301,65 @@ class TestHeat:
             heat_substep(sys, state, -2.0, FlowRule.linear(1.0),
                          TruncationLevel(1.0), dt=1.0)
 
+    @pytest.mark.parametrize("delta", [0.0, 0.5, 0.9])
+    @pytest.mark.parametrize("partial", [False, True])
+    @pytest.mark.parametrize("cells", [(9,), (5, 7), (4, 3, 5)])
+    def test_pcg_matches_direct_solve(self, cells, partial, delta):
+        # dt·‖div‖∞ < 1 bounds the preconditioned spectrum in [1 − δ, 1 + δ].
+        dt = 0.01
+        sys, state, div = random_heat_case(cells, partial, delta, dt)
+        out = heat_substep(sys, state, div, FlowRule.linear(1.0), TruncationLevel(10.0), dt)
+        assert not out.fallback
+        # Without advection the preconditioner is the exact inverse: one step.
+        assert out.cg_iters == 1 if delta == 0.0 else out.cg_iters >= 1
+        ref = direct_heat_solve(sys, state, div, out, dt)
+        assert np.abs(out.theta - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("cells", [(200,), (200, 2), (200, 2, 2)])
+    def test_fallback_runs_and_is_counted(self, cells):
+        # dt·‖div‖∞ = 20 spreads the preconditioned spectrum over [1, 21]; 200
+        # cells along x leave far more mass-dominated modes than the CG cap.
+        # div ≥ 0 (pure cooling) and strong diffusion, dt/h² = 4, keep θ positive.
+        dt = 1e-4
+        sys, state, div = random_heat_case(cells, False, 20.0, dt, signed=False)
+        out = heat_substep(sys, state, div, FlowRule.linear(1.0), TruncationLevel(10.0), dt)
+        assert out.fallback
+        ref = direct_heat_solve(sys, state, div, out, dt)
+        assert np.array_equal(out.theta, ref)
+
+    def test_one_factorization_per_run(self, monkeypatch):
+        sys, cfg = swirl_problem()
+        calls = {"splu": 0, "spsolve": 0}
+
+        def counted(name):
+            original = getattr(spla, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        for name in calls:  # after build_spaces, so M_u's factor is not counted
+            monkeypatch.setattr(spla, name, counted(name))
+        result = run(sys, cfg)
+        assert result.n_steps == 5
+        assert calls == {"splu": 1, "spsolve": 0}
+        assert all(info.heat_cg_iters >= info.iterations and info.heat_fallbacks == 0
+                   for info in result.step_infos)
+
 
 class TestStep:
+    def test_counts_heat_fallbacks(self, monkeypatch):
+        # A one-iteration CG cap makes every heat solve of the swirl run fall back.
+        monkeypatch.setattr(solver_module, "_CG_MAX_ITERS", 1)
+        sys, cfg = swirl_problem()
+        state = initialize(sys, cfg)
+        cfg = replace(cfg, truncation=resolve_truncation(sys, cfg, state))
+        result = step(sys, cfg, state)
+        assert result.heat.fallback
+        assert result.heat_fallbacks == result.iterations > 1
+        assert result.heat_cg_iters == result.iterations
+
     def test_zero_data_fixed_point_in_one_iteration(self):
         sys, cfg = make_zero_problem()
         state = initialize(sys, cfg)
