@@ -48,9 +48,9 @@ def _output_dir(rc: RunConfig) -> Path:
 def write_snapshot(path, sys_, state) -> None:
     """Flat, diffable text snapshot: nodal fields then cellwise stress."""
     mesh = sys_.mesh
-    nodal_u = sys_.nodal_displacement(state.u)
-    nodal_v = sys_.nodal_displacement(state.v)
-    stress_full = sys_.stress_blocks(state.stress)
+    nodes = np.hstack([mesh.nodes, sys_.nodal_displacement(state.u),
+                       sys_.nodal_displacement(state.v), state.theta[:, None]])
+    cells = np.hstack([mesh.cell_centers, sys_.stress_blocks(state.stress)])
     axes = "xyz"[:mesh.dim]
     with open(path, "w") as fh:
         fh.write(f"# schema: {SNAPSHOT_SCHEMA}\n")
@@ -58,15 +58,11 @@ def write_snapshot(path, sys_, state) -> None:
         fh.write(f"# dim: {mesh.dim}  cells: {','.join(map(str, mesh.cells))}\n")
         cols = [*axes, *(f"u_{a}" for a in axes), *(f"v_{a}" for a in axes), "theta"]
         fh.write("[nodes] " + " ".join(cols) + "\n")
-        for i in range(mesh.n_nodes):
-            vals = [*mesh.nodes[i], *nodal_u[i], *nodal_v[i], state.theta[i]]
-            fh.write(" ".join(repr(float(v)) for v in vals) + "\n")
+        # .tolist() yields Python floats, whose repr is the shortest round-trip form.
+        fh.writelines(" ".join(map(repr, row)) + "\n" for row in nodes.tolist())
         fh.write("[cells] " + " ".join([*(f"c_{a}" for a in axes),
                                         *(f"stress_{k}" for k in range(sys_.s_comp))]) + "\n")
-        centers = mesh.cell_centers
-        for e in range(mesh.n_cells):
-            vals = [*centers[e], *stress_full[e]]
-            fh.write(" ".join(repr(float(v)) for v in vals) + "\n")
+        fh.writelines(" ".join(map(repr, row)) + "\n" for row in cells.tolist())
 
 
 def cmd_run(args) -> int:

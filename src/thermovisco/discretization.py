@@ -146,6 +146,14 @@ class GalerkinSystem:
     pattern; D and M_u reuse the scalar scatter per displacement component.
     ``heat_factor`` factors the fixed part M_theta + dt·K_theta once per dt.
 
+    Every linear map the Picard loop applies is set up once here, so each
+    iteration does one small dense product per map plus its scatter:
+    ``advection_matrix`` multiplies the Gauss values of div u_t by a fixed
+    (n_g, n_loc²) table of w_g·N_gp·N_gq, ``divergence_corners`` gathers the
+    velocities of every cell through one precomputed dof map and multiplies
+    them by a fixed table of shape-function gradients at the corners, and the
+    momentum right-hand side reads the stored transposes S_T and D_T.
+
     Attributes
     ----------
     M_u : csr_matrix (n_disp, n_disp) — displacement mass matrix
@@ -153,6 +161,7 @@ class GalerkinSystem:
     B : csr_matrix (k_stress, n_disp) — L² projection of ε(u) onto the
         stress basis (cellwise Mandel components of the cell-mean strain)
     D : csr_matrix (n_temp, n_disp) — divergence coupling ∫ N_i div φ_j
+    S_T, D_T : csc_matrix — the transposes of S and D, views sharing their arrays
     stress_vol : (k_stress,) — L² norms² of the stress basis (cell volumes)
 
     Instances are immutable after construction, apart from the memos of
@@ -180,7 +189,8 @@ class GalerkinSystem:
         self.disp_comp = np.tile(np.arange(dim), interior.size)[:n_disp]
         dof_of = -np.ones((mesh.n_nodes, dim), dtype=np.int64)
         dof_of[self.disp_node, self.disp_comp] = np.arange(n_disp)
-        self._dof_of = dof_of
+        # Dof of each (corner, component) of every cell, -1 where absent.
+        self._cell_dofs = dof_of[mesh.cell_nodes].reshape(mesh.n_cells, -1)
 
         # Stress dof a <-> (cell, Mandel component), cell-major order.
         self.stress_cell = np.repeat(np.arange(mesh.n_cells), self.s_comp)[:k_stress]
@@ -223,10 +233,12 @@ class GalerkinSystem:
         self._gauss_ref = pts
         self._gauss_w = np.full(pts.shape[0], mesh.cell_volume / pts.shape[0])
         self._gauss_N = self._shape_values(pts)                   # (n_g, n_loc)
-        self._gauss_dN = self._shape_gradients(pts)               # (n_g, n_loc, dim)
-        corners = np.stack(np.meshgrid(*([np.array([0.0, 1.0])] * dim),
-                                       indexing="ij"), axis=-1).reshape(-1, dim)
-        self._corner_dN = self._shape_gradients(corners)          # (n_loc, n_loc, dim)
+        self._adv_table = np.einsum("g,gp,gq->gpq", self._gauss_w, self._gauss_N,
+                                    self._gauss_N).reshape(pts.shape[0], n_loc * n_loc)
+        # ∂N_p/∂x_d at the local corners k (x-bit fastest), rows (p, d).
+        corners = (np.arange(n_loc)[:, None] >> np.arange(dim)) & 1
+        self._corner_table = self._shape_gradients(corners.astype(float)).transpose(
+            1, 2, 0).reshape(n_loc * dim, n_loc)
 
         cn = mesh.cell_nodes
         self._gauss_xy = (mesh.nodes[cn[:, 0]][:, None, :]
@@ -311,6 +323,7 @@ class GalerkinSystem:
         self.B = B[:self.k_stress][:, vec]
         # ∫ ψ_a : ε(φ_j) = vol * B[a, j] (midpoint is exact here).
         self.S = sp.diags(self.stress_vol) @ self.B
+        self.S_T, self.D_T = self.S.T, self.D.T
 
     # -- solves and field plumbing ---------------------------------------------
 
@@ -348,21 +361,29 @@ class GalerkinSystem:
         """Q1 interpolant at cell centers = mean of the corner values."""
         return nodal[self.mesh.cell_nodes].mean(axis=1)
 
+    def divergence_corners(self, v_coeffs: np.ndarray) -> np.ndarray:
+        """div u_t at the corners of every cell, shape (n_cells, n_loc), x-bit fastest.
+
+        ∂u_a/∂x_a of a multilinear u_a is constant in x_a and multilinear in
+        the other coordinates, so div u_t is itself multilinear (Q1) on each
+        cell, and these corner values determine it exactly: its value at a
+        point is Σ_k N_k·corner_k, and its sup over the cell is the largest
+        |corner_k|.
+        """
+        return np.append(v_coeffs, 0.0)[self._cell_dofs] @ self._corner_table
+
     def divergence_gauss(self, v_coeffs: np.ndarray) -> np.ndarray:
         """div u_t at the Gauss points of every cell, shape (n_cells, n_g)."""
-        V = self.nodal_displacement(v_coeffs)[self.mesh.cell_nodes]  # (n_cells, n_loc, dim)
-        return np.einsum("gpd,epd->eg", self._gauss_dN, V)
+        return self.divergence_corners(v_coeffs) @ self._gauss_N.T
 
     def divergence_sup(self, v_coeffs: np.ndarray) -> float:
         """sup-norm of the piecewise-multilinear div u_t (attained at corners)."""
-        V = self.nodal_displacement(v_coeffs)[self.mesh.cell_nodes]
-        vals = np.einsum("gpd,epd->eg", self._corner_dN, V)
-        return float(np.abs(vals).max()) if vals.size else 0.0
+        return float(np.abs(self.divergence_corners(v_coeffs)).max())
 
     def advection_matrix(self, div_gauss: np.ndarray) -> sp.csr_matrix:
         """Assemble ∫ div(u_t) N_i N_j with 2-pt Gauss from per-cell values."""
-        return self._scatter(np.einsum("eg,g,gp,gq->epq", div_gauss, self._gauss_w,
-                                       self._gauss_N, self._gauss_N))
+        n_loc = self._gauss_N.shape[1]
+        return self._scatter((div_gauss @ self._adv_table).reshape(-1, n_loc, n_loc))
 
     def heat_matrix(self, dt: float, div_gauss: np.ndarray) -> sp.csr_matrix:
         """M_θ + dt·K_θ + dt·A_adv(div_gauss), summed as data vectors on the shared pattern."""
@@ -393,9 +414,9 @@ class GalerkinSystem:
                                                         self.mesh.dim)
         # contribution to dof (node p, comp c): Σ_g w_g f_c(x_g) N_p(x_g)
         contrib = np.einsum("g,egd,gp->epd", self._gauss_w, fv, self._gauss_N)
-        dofs = self._dof_of[self.mesh.cell_nodes]  # (n_cells, n_loc, dim)
-        mask = dofs >= 0
-        return np.bincount(dofs[mask], weights=contrib[mask], minlength=self.n_disp)
+        mask = self._cell_dofs >= 0
+        return np.bincount(self._cell_dofs[mask],
+                           weights=contrib.reshape(mask.shape)[mask], minlength=self.n_disp)
 
     def integrate_nodal(self, nodal_values: np.ndarray) -> float:
         """∫ of the Q1 interpolant with the given nodal values."""

@@ -137,9 +137,10 @@ def as_divergence_field(sys: GalerkinSystem, div) -> DivergenceField:
 
 
 def divergence_of(sys: GalerkinSystem, v: np.ndarray) -> DivergenceField:
-    gauss = sys.divergence_gauss(v)
+    corners = sys.divergence_corners(v)
+    gauss = corners @ sys._gauss_N.T
     # div u_t is multilinear, so the symmetric Gauss-point mean is its center value.
-    return DivergenceField(gauss, gauss.mean(axis=1), sys.divergence_sup(v))
+    return DivergenceField(gauss, gauss.mean(axis=1), float(np.abs(corners).max()))
 
 
 @dataclass
@@ -210,7 +211,7 @@ def resolve_truncation(sys: GalerkinSystem, cfg: SolverConfig,
 def momentum_substep(sys: GalerkinSystem, state: SimState, theta: np.ndarray,
                      stress: np.ndarray, f_load: np.ndarray, dt: float) -> np.ndarray:
     """Exact linear solve of M_u (v_new − v_old)/dt = −Sᵀ·T + Dᵀ·θ + load."""
-    rhs = -(sys.S.T @ stress) + sys.D.T @ theta + f_load
+    rhs = -(sys.S_T @ stress) + sys.D_T @ theta + f_load
     return state.v + dt * sys.solve_mass_u(rhs)
 
 

@@ -254,3 +254,38 @@ class TestSnapshotWriter:
         lines = path.read_text().split("\n")
         node_rows = [l for l in lines if l and not l.startswith(("#", "["))]
         assert len(node_rows) == sys.mesh.n_nodes + sys.mesh.n_cells
+
+    @pytest.mark.parametrize("dim, cells", [(1, [5]), (2, [3, 4]), (3, [2, 3, 2])])
+    def test_matches_row_by_row_formatting(self, tmp_path, dim, cells):
+        from thermovisco import build_mesh, build_spaces
+        from thermovisco.solver import SimState
+        mesh = build_mesh(dim, [1.0, 2.0, 0.5][:dim], cells)
+        s = dim * (dim + 1) // 2
+        # The last stress cell misses a component (in 1D, its only one).
+        sys = build_spaces(mesh, mesh.interior_nodes.size * dim, mesh.n_cells * s - 1)
+        rng = np.random.default_rng(dim)
+        state = SimState(0.1 * dim, rng.standard_normal(sys.n_disp),
+                         rng.standard_normal(sys.n_disp) * 1e-7,
+                         rng.standard_normal(sys.k_stress) * 1e5,
+                         rng.uniform(0.5, 2.0, sys.n_temp))
+        path = tmp_path / "snap.txt"
+        write_snapshot(path, sys, state)
+
+        # The writer's format, one value at a time.
+        axes = "xyz"[:dim]
+        nodal_u = sys.nodal_displacement(state.u)
+        nodal_v = sys.nodal_displacement(state.v)
+        stress_full = sys.stress_blocks(state.stress)
+        lines = [f"# schema: {SNAPSHOT_SCHEMA}", f"# t: {state.t!r}",
+                 f"# dim: {dim}  cells: {','.join(map(str, cells))}",
+                 "[nodes] " + " ".join([*axes, *(f"u_{a}" for a in axes),
+                                        *(f"v_{a}" for a in axes), "theta"])]
+        for i in range(mesh.n_nodes):
+            vals = [*mesh.nodes[i], *nodal_u[i], *nodal_v[i], state.theta[i]]
+            lines.append(" ".join(repr(float(v)) for v in vals))
+        lines.append("[cells] " + " ".join([*(f"c_{a}" for a in axes),
+                                            *(f"stress_{k}" for k in range(s))]))
+        for e in range(mesh.n_cells):
+            vals = [*mesh.cell_centers[e], *stress_full[e]]
+            lines.append(" ".join(repr(float(v)) for v in vals))
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()

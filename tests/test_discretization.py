@@ -143,12 +143,29 @@ def _grid(shape):
     return np.array([idx[::-1] for idx in itertools.product(*map(range, shape[::-1]))])
 
 
+def _hats(extents, cells, pts, cell_of):
+    """Tensor-product hat values (m, n_nodes) and gradients (m, n_nodes, dim)
+    at points ``pts`` inside the cells ``cell_of``; on a cell face the
+    gradient is the one-sided limit from inside that cell.  Cells and nodes
+    are numbered x fastest, independently of the mesh's cell table."""
+    h = np.array(extents) / np.array(cells)
+    X = _grid([c + 1 for c in cells]) * h  # node coordinates
+    mid = (_grid(list(cells))[cell_of] + 0.5) * h
+    r = pts[:, None, :] - X[None]
+    f = np.clip(1 - np.abs(r) / h, 0, None)
+    side = mid[:, None, :] - X[None]  # same sign as r inside the cell
+    df = np.where(np.abs(side) < h, -np.sign(side) / h, 0.0)
+    vals = np.prod(f, axis=2)
+    grads = np.stack([df[..., a] * np.prod(np.delete(f, a, axis=2), axis=2)
+                      for a in range(len(cells))], axis=-1)
+    return vals, grads
+
+
 def _quadrature(dim, extents, cells):
     """4-point Gauss per axis on every cell, with tensor-product hats.
 
     Returns weights (q,), hat values (q, n_nodes), hat gradients
-    (q, n_nodes, dim) and the cell of each point; cells and nodes are
-    numbered x fastest, independently of the mesh's cell table.
+    (q, n_nodes, dim) and the cell of each point.
     """
     h = np.array(extents) / np.array(cells)
     xg, wg = np.polynomial.legendre.leggauss(4)
@@ -158,14 +175,7 @@ def _quadrature(dim, extents, cells):
     pts = ((corners[:, None, :] + ref[None]) * h).reshape(-1, dim)
     wts = np.tile(w_loc, len(corners))
     cell_of = np.repeat(np.arange(len(corners)), len(local))
-    X = _grid([c + 1 for c in cells]) * h  # node coordinates
-    r = pts[:, None, :] - X[None]
-    f = np.clip(1 - np.abs(r) / h, 0, None)
-    df = np.where(np.abs(r) < h, -np.sign(r) / h, 0.0)
-    vals = np.prod(f, axis=2)
-    grads = np.stack([df[..., a] * np.prod(np.delete(f, a, axis=2), axis=2)
-                      for a in range(dim)], axis=-1)
-    return wts, vals, grads, cell_of
+    return (wts, *_hats(extents, cells, pts, cell_of), cell_of)
 
 
 @pytest.fixture(scope="module")
@@ -177,6 +187,15 @@ def oracle_cases():
                               k_stress or m.n_cells * dim * (dim + 1) // 2)
         cases.append((system, _quadrature(dim, extents, cells)))
     return cases
+
+
+def _random_velocity(system):
+    return np.random.default_rng(system.n_disp).standard_normal(system.n_disp)
+
+
+def _oracle_divergence(system, grads, v):
+    """div of the velocity with coefficients v from the oracle's hat gradients."""
+    return grads[:, system.disp_node, system.disp_comp] @ v
 
 
 class TestAssemblyOracle:
@@ -201,6 +220,39 @@ class TestAssemblyOracle:
         for system, (w, v, g, _) in oracle_cases:
             D = np.einsum("q,qi,qj->ij", w, v, g[:, system.disp_node, system.disp_comp])
             assert np.allclose(D, system.D.toarray(), atol=1e-13)
+
+    def test_advection(self, oracle_cases):
+        # The integrand div(v)·N_i·N_j has degree <= 3 per axis, so 2-point
+        # Gauss is exact and matches the 4-point oracle.
+        for system, (w, v, g, _) in oracle_cases:
+            vel = _random_velocity(system)
+            A = np.einsum("q,q,qi,qj->ij", w, _oracle_divergence(system, g, vel), v, v)
+            got = system.advection_matrix(system.divergence_gauss(vel)).toarray()
+            assert np.allclose(A, got, rtol=0.0, atol=1e-13)
+
+    def test_divergence_gauss(self, oracle_cases):
+        # ∫ N_i div v has degree <= 2 per axis: 2-point Gauss of the Gauss
+        # values against every hat is D @ v exactly.
+        for system, _ in oracle_cases:
+            mesh, vel = system.mesh, _random_velocity(system)
+            pts = system._gauss_xy.reshape(-1, mesh.dim)
+            cell_of = np.repeat(np.arange(mesh.n_cells), pts.shape[0] // mesh.n_cells)
+            vals, grads = _hats(mesh.extents, mesh.cells, pts, cell_of)
+            div = system.divergence_gauss(vel).ravel()
+            assert np.allclose(div, _oracle_divergence(system, grads, vel), rtol=0.0, atol=1e-12)
+            w = mesh.cell_volume / (pts.shape[0] // mesh.n_cells)
+            assert np.allclose(w * div @ vals, system.D @ vel, rtol=0.0, atol=1e-13)
+
+    def test_divergence_sup(self, oracle_cases):
+        for system, _ in oracle_cases:
+            mesh, vel = system.mesh, _random_velocity(system)
+            h = np.array(mesh.spacing)
+            bits = _grid([2] * mesh.dim)
+            pts = ((_grid(list(mesh.cells))[:, None, :] + bits[None]) * h).reshape(-1, mesh.dim)
+            cell_of = np.repeat(np.arange(mesh.n_cells), len(bits))
+            _, grads = _hats(mesh.extents, mesh.cells, pts, cell_of)
+            sup = np.abs(_oracle_divergence(system, grads, vel)).max()
+            assert system.divergence_sup(vel) == pytest.approx(sup, rel=1e-14)
 
     def test_strain_projection(self, oracle_cases):
         for system, (w, v, g, cell_of) in oracle_cases:

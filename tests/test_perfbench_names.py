@@ -1,10 +1,16 @@
 """The traced benchmark (perfbench/tracing.py) wraps program functions by the
-names it looks them up by; each of those names must exist where it looks."""
+names it looks them up by; each of those names must exist where it looks,
+and the calls it counts must keep counting the same work."""
 
 import importlib.util
+from dataclasses import replace
 from pathlib import Path
 
-from thermovisco.solver import StepResult
+import numpy as np
+
+from thermovisco import ElasticityTensor, FlowRule, build_mesh, build_spaces
+from thermovisco.discretization import GalerkinSystem
+from thermovisco.solver import SolverConfig, StepResult, initialize, resolve_truncation, step
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -24,3 +30,22 @@ def test_every_entry_point_resolves():
 
 def test_step_result_reports_inner_iterations():
     assert "stress_inner_iters" in StepResult.__dataclass_fields__
+
+
+def test_one_advection_matrix_per_picard_iteration(monkeypatch):
+    # discretization.advection_calls counts the heat systems assembled.
+    mesh = build_mesh(2, [1.0, 1.0], [4, 4])
+    sys = build_spaces(mesh, mesh.interior_nodes.size * 2, mesh.n_cells * 3)
+    cfg = SolverConfig(
+        dt=1e-2, t_end=1e-2, elasticity=ElasticityTensor(1.0, 1.0), flow_rule=FlowRule.linear(1.0),
+        u1=lambda pts: np.sin(np.pi * pts) * np.sin(np.pi * pts[:, ::-1]),
+        theta0=lambda pts: 1.0 + 0.1 * pts[:, 0])
+    state = initialize(sys, cfg)
+    cfg = replace(cfg, truncation=resolve_truncation(sys, cfg, state))
+    calls = []
+    assemble = GalerkinSystem.advection_matrix
+    monkeypatch.setattr(GalerkinSystem, "advection_matrix",
+                        lambda self, div: calls.append(div) or assemble(self, div))
+    result = step(sys, cfg, state)
+    assert result.iterations > 1
+    assert len(calls) == result.iterations
