@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from dataclasses import dataclass
@@ -53,11 +54,11 @@ class Mesh:
 
     @property
     def boundary_node_mask(self) -> np.ndarray:
-        mask = np.zeros(self.n_nodes, dtype=bool)
-        for a in range(self.dim):
-            mask |= np.isclose(self.nodes[:, a], 0.0)
-            mask |= np.isclose(self.nodes[:, a], self.extents[a])
-        return mask
+        # Grid index of every node along each axis (z, y, x rows; x fastest):
+        # a node is on the boundary where one of them is first or last.
+        shape = np.array(self.cells[::-1]) + 1
+        idx = np.indices(shape).reshape(self.dim, -1)
+        return ((idx == 0) | (idx == shape[:, None] - 1)).any(axis=0)
 
     @property
     def interior_nodes(self) -> np.ndarray:
@@ -132,6 +133,55 @@ def _kron_axes(factors):
     return out
 
 
+def _axis_matrix(elem, m):
+    """Dense assembly of a 2x2 element matrix over the m cells of one axis."""
+    out = np.zeros((m + 1, m + 1))
+    e = np.arange(m)
+    for p in (0, 1):
+        for q in (0, 1):
+            out[e + p, e + q] += elem[p, q]
+    return out
+
+
+def _tensor_apply(r, ax, ay, az):
+    """(az ⊗ ay ⊗ ax)·r for r on an (nz, ny, nx) grid flattened x fastest."""
+    g = r.reshape(-1, ax.shape[0]) @ ax.T
+    g = ay @ g.reshape(az.shape[0], ay.shape[0], -1)
+    return (az @ g.reshape(az.shape[0], -1)).reshape(-1)
+
+
+# CG stops at this residual relative to the right-hand side; past the
+# iteration cap, or on a non-positive curvature, it gives up and the caller
+# solves directly.
+_CG_RTOL = 1e-14
+_CG_MAX_ITERS = 50
+
+
+def pcg(A, b: np.ndarray, x0: np.ndarray, precond: Callable):
+    """Solve A·x = b by CG from x0, preconditioned with ``precond(r)``.
+
+    Returns (x, iterations), with x None if CG gave up.
+    """
+    x = x0.copy()
+    r = b - A @ x
+    stop = _CG_RTOL ** 2 * (b @ b)
+    p, rz = np.zeros_like(b), 1.0
+    for it in range(_CG_MAX_ITERS):
+        if r @ r <= stop:
+            return x, it
+        z = precond(r)
+        rz, rz_old = r @ z, rz
+        p = z + (rz / rz_old) * p
+        Ap = A @ p
+        pAp = p @ Ap
+        if not pAp > 0.0:
+            return None, it + 1
+        alpha = rz / pAp
+        x += alpha * p
+        r -= alpha * Ap
+    return (x if r @ r <= stop else None), _CG_MAX_ITERS
+
+
 def max_levels(dim: int, cells) -> tuple:
     """Largest (n_disp, k_stress) levels with ``cells`` elements per axis."""
     return math.prod(c - 1 for c in cells) * dim, math.prod(cells) * sym_components(dim)
@@ -144,7 +194,18 @@ class GalerkinSystem:
     of the node pairs sharing a cell, so ``heat_matrix`` sums ``.data`` vectors.
     Each node-block operator is one scatter of its per-cell blocks into that
     pattern; D and M_u reuse the scalar scatter per displacement component.
-    ``heat_factor`` factors the fixed part M_theta + dt·K_theta once per dt.
+
+    ``heat_inverse(dt)`` applies the inverse of the fixed part
+    M_theta + dt·K_theta, and ``solve_mass_u`` that of M_u.  In 1D both are
+    SuperLU solves: a dense per-axis inverse costs about as much per apply at
+    100 cells and 100 times more at 1000.  In 2D/3D both
+    operators are Kronecker sums and products of per-axis 1D matrices and are
+    inverted exactly one axis at a time, by the fast diagonalization method
+    (Lynch, Rice & Thomas 1964): with K1ₐVₐ = M1ₐVₐΛₐ and VₐᵀM1ₐVₐ = I,
+    (M_theta + dt·K_theta)⁻¹ = (⊗Vₐ)·diag(1/(1 + dt·Σλ))·(⊗Vₐ)ᵀ, and at the
+    full level M_u⁻¹ = (⊗ₐ M1ₐ[int, int]⁻¹) ⊗ I_d.  A partial level's M_u is
+    a principal submatrix, solved by ``pcg`` preconditioned with the
+    full-level inverse restricted to the prefix.
 
     Every linear map the Picard loop applies is set up once here, so each
     iteration does one small dense product per map plus its scatter:
@@ -165,7 +226,8 @@ class GalerkinSystem:
     stress_vol : (k_stress,) — L² norms² of the stress basis (cell volumes)
 
     Instances are immutable after construction, apart from the memos of
-    ``stress_spectrum`` and ``heat_factor``, and safe to share read-only.
+    ``stress_spectrum`` and ``heat_inverse`` (per dt: the LU factor in 1D,
+    only the diagonal 1/(1 + dt·Σλ) in 2D/3D), and safe to share read-only.
     """
 
     def __init__(self, mesh: Mesh, n_disp: int, k_stress: int):
@@ -197,16 +259,32 @@ class GalerkinSystem:
         self.stress_comp = np.tile(np.arange(self.s_comp), mesh.n_cells)[:k_stress]
         self.stress_vol = np.full(k_stress, mesh.cell_volume)
         self._spectra = {}
-        self._heat_lu = {}
+        self._heat_inv = {}
 
         self._build_reference(dim)
         self._assemble(mesh, dim)
-        # Factor eagerly so instances stay immutable (and shareable) after
-        # construction; a singular factorization means a broken basis.
-        try:
-            self._Mu_lu = spla.splu(self.M_u.tocsc())
-        except RuntimeError as exc:
-            raise ValueError(f"singular Gram matrix for displacement space: {exc}") from exc
+        if dim == 1:
+            # Factor eagerly so instances stay immutable (and shareable) after
+            # construction; a singular factorization means a broken basis.
+            try:
+                self._Mu_lu = spla.splu(self.M_u.tocsc())
+            except RuntimeError as exc:
+                raise ValueError(f"singular Gram matrix for displacement space: {exc}") from exc
+        else:
+            self._build_axis_inverses(mesh, dim)
+
+    def _build_axis_inverses(self, mesh, dim):
+        """Per-axis factors of the 2D/3D inverses; 2D gets a trivial z axis."""
+        V, lam, mass_inv = [np.ones((1, 1))] * 3, [np.zeros(1)] * 3, [np.ones((1, 1))] * 3
+        for a in range(dim):
+            m1 = _axis_matrix(_m1(mesh.spacing[a]), mesh.cells[a])
+            lam[a], V[a] = sla.eigh(_axis_matrix(_k1(mesh.spacing[a]), mesh.cells[a]), m1)
+            mass_inv[a] = np.linalg.inv(m1[1:-1, 1:-1])
+        self._heat_V = V
+        self._heat_lam = (lam[2][:, None, None] + lam[1][:, None] + lam[0]).reshape(-1)
+        mass_inv[0] = np.kron(mass_inv[0], np.eye(dim))  # components fastest
+        self._mass_inv = mass_inv
+        self._n_disp_full = max_levels(dim, mesh.cells)[0]
 
     # -- reference-cell data ------------------------------------------------
 
@@ -349,7 +427,19 @@ class GalerkinSystem:
         return self._spectra[C]
 
     def solve_mass_u(self, rhs: np.ndarray) -> np.ndarray:
-        return self._Mu_lu.solve(rhs)
+        """M_u⁻¹·rhs: by SuperLU in 1D, per axis at a full 2D/3D level, else by CG."""
+        if self.mesh.dim == 1:
+            return self._Mu_lu.solve(rhs)
+        if self.n_disp == self._n_disp_full:
+            return _tensor_apply(rhs, *self._mass_inv)
+        x, _ = pcg(self.M_u, rhs, np.zeros_like(rhs), self._restricted_mass_inverse)
+        return spla.spsolve(self.M_u.tocsc(), rhs) if x is None else x
+
+    def _restricted_mass_inverse(self, r: np.ndarray) -> np.ndarray:
+        """The full-level M_u⁻¹ applied to r padded with zeros, cut to the prefix."""
+        full = np.zeros(self._n_disp_full)
+        full[:self.n_disp] = r
+        return _tensor_apply(full, *self._mass_inv)[:self.n_disp]
 
     def nodal_displacement(self, coeffs: np.ndarray) -> np.ndarray:
         """Expand coefficients to a full (n_nodes, dim) nodal array (zeros elsewhere)."""
@@ -391,14 +481,20 @@ class GalerkinSystem:
         A.data = self.M_theta.data + dt * self.K_theta.data + dt * A.data
         return A
 
-    def heat_factor(self, dt: float):
-        """SuperLU factor of M_θ + dt·K_θ, memoized per dt and built at first use."""
-        if dt not in self._heat_lu:
-            # The matrix is symmetric, so its CSR arrays read as CSC are the matrix.
-            base = sp.csc_matrix((self.M_theta.data + dt * self.K_theta.data,
-                                  self._indices, self._indptr), shape=self.M_theta.shape)
-            self._heat_lu[dt] = spla.splu(base)
-        return self._heat_lu[dt]
+    def heat_inverse(self, dt: float) -> Callable:
+        """r ↦ (M_θ + dt·K_θ)⁻¹·r, memoized per dt and built at first use."""
+        if dt not in self._heat_inv:
+            if self.mesh.dim == 1:
+                # The matrix is symmetric, so its CSR arrays read as CSC are the matrix.
+                base = sp.csc_matrix((self.M_theta.data + dt * self.K_theta.data,
+                                      self._indices, self._indptr), shape=self.M_theta.shape)
+                self._heat_inv[dt] = spla.splu(base).solve
+            else:
+                d = 1.0 / (1.0 + dt * self._heat_lam)
+                Vx, Vy, Vz = self._heat_V
+                self._heat_inv[dt] = lambda r: _tensor_apply(
+                    d * _tensor_apply(r, Vx.T, Vy.T, Vz.T), Vx, Vy, Vz)
+        return self._heat_inv[dt]
 
     def heat_source_vector(self, cell_values: np.ndarray) -> np.ndarray:
         """∫ s φ_i for a cellwise-constant source, midpoint-consistent."""

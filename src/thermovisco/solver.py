@@ -5,8 +5,9 @@ construction of the continuous problem:
 
   1. implicit heat solve for θ, with the advection coefficient div(u_t) and
      the clamped dissipation source frozen at the current mechanical iterate,
-     by conjugate gradients preconditioned with the run's one factor of
-     M_θ + dt·K_θ,
+     by conjugate gradients preconditioned with the exact inverse of
+     M_θ + dt·K_θ (one SuperLU factor per run in 1D, per-axis fast
+     diagonalization in 2D/3D, see ``GalerkinSystem``),
   2. momentum update for the velocity with that θ,
   3. implicit update for the stress with the new strain rate, in closed form,
 
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence, Union
 
 from .constitutive import ElasticityTensor, FlowRule, TruncationLevel, truncate, verify_admissibility
-from .discretization import GalerkinSystem, project_displacement, project_stress
+from .discretization import GalerkinSystem, pcg, project_displacement, project_stress
 
 
 class StepFailureError(RuntimeError):
@@ -115,7 +116,6 @@ class DivergenceField:
     """div(u_t) sampled where the heat solve needs it."""
 
     gauss: np.ndarray   # (n_cells, n_gauss)
-    cells: np.ndarray   # (n_cells,) midpoint values
     sup: float          # sup-norm over the domain
 
 
@@ -126,21 +126,18 @@ def as_divergence_field(sys: GalerkinSystem, div) -> DivergenceField:
     n_cells = sys.mesh.n_cells
     n_g = sys._gauss_ref.shape[0]
     if div is None:
-        return DivergenceField(np.zeros((n_cells, n_g)), np.zeros(n_cells), 0.0)
+        return DivergenceField(np.zeros((n_cells, n_g)), 0.0)
     if np.isscalar(div):
         val = float(div)
-        return DivergenceField(np.full((n_cells, n_g), val), np.full(n_cells, val), abs(val))
+        return DivergenceField(np.full((n_cells, n_g), val), abs(val))
     pts = sys._gauss_xy.reshape(-1, sys.mesh.dim)
     vals = np.asarray(div(pts), dtype=float).reshape(n_cells, n_g)
-    centers = np.asarray(div(sys.mesh.cell_centers), dtype=float)
-    return DivergenceField(vals, centers, float(np.abs(vals).max()))
+    return DivergenceField(vals, float(np.abs(vals).max()))
 
 
 def divergence_of(sys: GalerkinSystem, v: np.ndarray) -> DivergenceField:
     corners = sys.divergence_corners(v)
-    gauss = corners @ sys._gauss_N.T
-    # div u_t is multilinear, so the symmetric Gauss-point mean is its center value.
-    return DivergenceField(gauss, gauss.mean(axis=1), float(np.abs(corners).max()))
+    return DivergenceField(corners @ sys._gauss_N.T, float(np.abs(corners).max()))
 
 
 @dataclass
@@ -288,37 +285,6 @@ def stress_substep(sys: GalerkinSystem, C: ElasticityTensor, G: FlowRule,
     return sys.stress_coeffs(T), iters
 
 
-# Heat PCG stops at this residual relative to the right-hand side; past the
-# iteration cap, or on a non-positive curvature, it hands over to spsolve.
-_CG_RTOL = 1e-14
-_CG_MAX_ITERS = 50
-
-
-def _pcg(A, b: np.ndarray, x0: np.ndarray, lu):
-    """Solve A·x = b by CG from x0, preconditioned with ``lu.solve``.
-
-    Returns (x, iterations), with x None if CG gave up.
-    """
-    x = x0.copy()
-    r = b - A @ x
-    stop = _CG_RTOL ** 2 * (b @ b)
-    p, rz = np.zeros_like(b), 1.0
-    for it in range(_CG_MAX_ITERS):
-        if r @ r <= stop:
-            return x, it
-        z = lu.solve(r)
-        rz, rz_old = r @ z, rz
-        p = z + (rz / rz_old) * p
-        Ap = A @ p
-        pAp = p @ Ap
-        if not pAp > 0.0:
-            return None, it + 1
-        alpha = rz / pAp
-        x += alpha * p
-        r -= alpha * Ap
-    return (x if r @ r <= stop else None), _CG_MAX_ITERS
-
-
 def heat_substep(sys: GalerkinSystem, state: SimState, div_v_field, G: FlowRule,
                  truncation: TruncationLevel, dt: float,
                  stress: Optional[np.ndarray] = None) -> HeatResult:
@@ -329,7 +295,8 @@ def heat_substep(sys: GalerkinSystem, state: SimState, div_v_field, G: FlowRule,
     The source is evaluated at cell midpoints from the start-of-step
     temperature and the supplied stress iterate; homogeneous Neumann data is
     built into the space (no constrained rows).  The system is solved by CG
-    from θ_old, preconditioned with the memoized factor of M + dt·K: with
+    from θ_old, preconditioned with ``sys.heat_inverse(dt)``, the memoized
+    exact inverse of M + dt·K (SuperLU in 1D, per-axis in 2D/3D): with
     δ = dt·‖div u_t‖_∞ < 1, exact 2-point Gauss and M + dt·K ≥ M put the
     preconditioned spectrum in [1 − δ, 1 + δ].  Should CG stall anyway, a
     direct solve runs and ``fallback`` is set.  Raises PositivityError if any
@@ -347,7 +314,7 @@ def heat_substep(sys: GalerkinSystem, state: SimState, div_v_field, G: FlowRule,
 
     A = sys.heat_matrix(dt, div.gauss)
     rhs = sys.M_theta @ state.theta + dt * sys.heat_source_vector(src)
-    theta_new, cg_iters = _pcg(A, rhs, state.theta, sys.heat_factor(dt))
+    theta_new, cg_iters = pcg(A, rhs, state.theta, sys.heat_inverse(dt))
     fallback = theta_new is None
     if fallback:
         try:
@@ -427,7 +394,7 @@ def step(sys: GalerkinSystem, cfg: SolverConfig, state: SimState) -> StepResult:
     u_new = state.u + dt * v_i
     new_state = SimState(t_new, u_new, v_i, T_i, th_i).freeze()
     return StepResult(new_state, len(history), history,
-                      divergence_of(sys, v_i).sup, heat, f_load, inner_total,
+                      sys.divergence_sup(v_i), heat, f_load, inner_total,
                       cg_total, fallbacks)
 
 

@@ -2,15 +2,18 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from thermovisco.constitutive import SQRT2, to_mandel
 from thermovisco.discretization import (
     FieldCoefficients,
+    GalerkinSystem,
     build_mesh,
     build_spaces,
     eval_displacement,
     eval_stress,
     eval_temperature,
+    max_levels,
     project_displacement,
     project_stress,
     strain,
@@ -53,6 +56,18 @@ class TestBuildMesh:
     def test_rejects_bad_dim(self):
         with pytest.raises(ValueError):
             build_mesh(4, [1.0] * 4, [2] * 4)
+
+    @pytest.mark.parametrize("extent", [1e-8, 1.0, 1e6])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_interior_nodes_at_any_scale(self, dim, extent):
+        # The interior is the tensor product of each axis's inner indices,
+        # x fastest, whatever the size of the box.
+        cells = [4, 3, 5][:dim]
+        m = build_mesh(dim, [extent * (a + 1) for a in range(dim)], cells)
+        strides = np.cumprod([1] + [c + 1 for c in cells[:-1]])
+        expect = (_grid([c - 1 for c in cells]) + 1) @ strides
+        assert np.array_equal(m.interior_nodes, expect)
+        assert build_spaces(m, *max_levels(dim, cells)).n_disp == expect.size * dim
 
 
 class TestBuildSpaces:
@@ -265,6 +280,54 @@ class TestAssemblyOracle:
             np.add.at(means, cell_of, w[:, None, None] * eps)
             B = means[system.stress_cell, :, system.stress_comp] / system.mesh.cell_volume
             assert np.allclose(B, system.B.toarray(), atol=1e-13)
+
+
+def _relative_error(x, ref):
+    return np.abs(x - ref).max() / np.abs(ref).max()
+
+
+class TestInverses:
+    """The heat and displacement-mass inverses (SuperLU in 1D, per axis in
+    2D/3D) against a sparse direct solve, at full and partial levels."""
+
+    @pytest.mark.parametrize("dt", [1e-4, 1e-3, 1e-1, 10.0])
+    def test_heat_inverse(self, oracle_cases, dt):
+        for system, _ in oracle_cases:
+            r = np.random.default_rng(system.n_temp).standard_normal(system.n_temp)
+            ref = spla.spsolve((system.M_theta + dt * system.K_theta).tocsc(), r)
+            assert _relative_error(system.heat_inverse(dt)(r), ref) <= 1e-12
+
+    def test_mass_u_inverse(self, oracle_cases):
+        for system, _ in oracle_cases:
+            r = np.random.default_rng(system.n_disp).standard_normal(system.n_disp)
+            ref = spla.spsolve(system.M_u.tocsc(), r)
+            assert _relative_error(system.solve_mass_u(r), ref) <= 1e-12
+
+    @pytest.mark.parametrize("dim, cells, levels", [
+        (2, [5, 9], [5, 21, 61, 63]),
+        (2, [48, 48], [1472, 4415]),
+        (3, [4, 3, 5], [5, 24, 68, 71]),
+        (3, [10, 10, 10], [729, 1093, 2183]),
+    ])
+    def test_partial_levels_converge_without_fallback(self, monkeypatch, dim, cells, levels):
+        # A partial level's M_u has no tensor form: CG preconditioned with the
+        # full-level inverse restricted to the prefix takes a few iterations.
+        def no_direct_solve(*args, **kwargs):
+            raise AssertionError("partial-level M_u solve fell back to spsolve")
+
+        applies = []
+        restricted = GalerkinSystem._restricted_mass_inverse
+        monkeypatch.setattr(spla, "spsolve", no_direct_solve)
+        monkeypatch.setattr(GalerkinSystem, "_restricted_mass_inverse",
+                            lambda self, r: applies.append(1) or restricted(self, r))
+        m = build_mesh(dim, [c / cells[0] for c in cells], cells)
+        for n in levels:
+            system = build_spaces(m, n, 1)
+            r = np.random.default_rng(n).standard_normal(n)
+            applies.clear()
+            x = system.solve_mass_u(r)
+            assert 1 <= len(applies) <= 10
+            assert np.abs(system.M_u @ x - r).max() <= 1e-13 * np.abs(r).max()
 
 
 class TestProjections:

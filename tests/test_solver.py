@@ -5,7 +5,7 @@ from dataclasses import replace
 
 from thermovisco import ElasticityTensor, FlowRule, TruncationLevel, build_mesh, build_spaces
 from thermovisco.constitutive import truncate
-from thermovisco import solver as solver_module
+from thermovisco import discretization
 from thermovisco.discretization import max_levels
 from thermovisco.solver import (
     DivergenceField,
@@ -219,15 +219,14 @@ def random_heat_case(cells, partial, delta, dt, signed=True, seed=0):
                      rng.standard_normal(sys.k_stress), theta)
     div = rng.uniform(-1.0 if signed else 0.0, 1.0, (mesh.n_cells, sys._gauss_ref.shape[0]))
     div *= delta / dt / np.abs(div).max()
-    return sys, state, DivergenceField(div, div.mean(axis=1), float(np.abs(div).max()))
+    return sys, state, DivergenceField(div, float(np.abs(div).max()))
 
 
-def swirl_problem():
-    """A tiny 2D run whose initial velocity makes div u_t nonzero."""
-    mesh = build_mesh(2, [1.0, 1.0], [4, 4])
-    sys = build_spaces(mesh, *max_levels(2, mesh.cells))
-    swirl = lambda pts: np.stack([np.sin(np.pi * pts[:, 0]) * np.sin(np.pi * pts[:, 1])] * 2,
-                                 axis=1)
+def swirl_problem(dim=2):
+    """A tiny run on 4^dim cells whose initial velocity makes div u_t nonzero."""
+    mesh = build_mesh(dim, [1.0] * dim, [4] * dim)
+    sys = build_spaces(mesh, *max_levels(dim, mesh.cells))
+    swirl = lambda pts: np.stack([np.prod(np.sin(np.pi * pts), axis=1)] * dim, axis=1)
     cfg = SolverConfig(dt=1e-3, t_end=5e-3, elasticity=C_HALF,
                        flow_rule=FlowRule.linear(1.0), u1=swirl,
                        theta0=lambda pts: 1.0 + 0.2 * pts[:, 0])
@@ -327,9 +326,10 @@ class TestHeat:
         ref = direct_heat_solve(sys, state, div, out, dt)
         assert np.array_equal(out.theta, ref)
 
-    def test_one_factorization_per_run(self, monkeypatch):
-        sys, cfg = swirl_problem()
-        calls = {"splu": 0, "spsolve": 0}
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_no_factorization_in_2d_3d(self, monkeypatch, dim):
+        # Both inverses are per-axis in 2D/3D: no sparse factor is ever made.
+        calls = {"splu": 0, "spsolve": 0, "factorized": 0}
 
         def counted(name):
             original = getattr(spla, name)
@@ -339,11 +339,11 @@ class TestHeat:
                 return original(*args, **kwargs)
             return wrapper
 
-        for name in calls:  # after build_spaces, so M_u's factor is not counted
+        for name in calls:
             monkeypatch.setattr(spla, name, counted(name))
-        result = run(sys, cfg)
+        result = run(*swirl_problem(dim))
         assert result.n_steps == 5
-        assert calls == {"splu": 1, "spsolve": 0}
+        assert calls == {"splu": 0, "spsolve": 0, "factorized": 0}
         assert all(info.heat_cg_iters >= info.iterations and info.heat_fallbacks == 0
                    for info in result.step_infos)
 
@@ -351,7 +351,7 @@ class TestHeat:
 class TestStep:
     def test_counts_heat_fallbacks(self, monkeypatch):
         # A one-iteration CG cap makes every heat solve of the swirl run fall back.
-        monkeypatch.setattr(solver_module, "_CG_MAX_ITERS", 1)
+        monkeypatch.setattr(discretization, "_CG_MAX_ITERS", 1)
         sys, cfg = swirl_problem()
         state = initialize(sys, cfg)
         cfg = replace(cfg, truncation=resolve_truncation(sys, cfg, state))
