@@ -12,6 +12,11 @@ construction of the continuous problem:
   3. implicit update for the stress with the new strain rate, in closed form,
 
 iterated until the successive-iterate residual drops below ``picard_tol``.
+Every solve of the loop starts from the best iterate in hand: from the
+second step on, the loop starts from the linear predictor 2·xₙ − xₙ₋₁ of
+(u_t, stress, θ); each heat CG starts from the current θ iterate, and the
+``mroz_saturating`` Newton from the current stress iterate.  What the heat
+solves take from θ_old alone is computed once per step (``heat_constants``).
 The scheme is first order in time.  For a monotone flow rule the stress
 update is solvable for every dt; only heat positivity or Picard divergence
 can reject a step.
@@ -58,10 +63,6 @@ class SimState:
     v: np.ndarray
     stress: np.ndarray
     theta: np.ndarray
-
-    def copy(self) -> "SimState":
-        return SimState(self.t, self.u.copy(), self.v.copy(),
-                        self.stress.copy(), self.theta.copy())
 
     def freeze(self) -> "SimState":
         for arr in (self.u, self.v, self.stress, self.theta):
@@ -219,16 +220,17 @@ _FACTOR_MAX_ITERS = 100
 
 
 def _saturating_factor(kappa: np.ndarray, r2: np.ndarray, dtc: np.ndarray,
-                       norm_old: np.ndarray):
+                       g_start: np.ndarray):
     """Per-cell root g of g·(1 + |T(g)|) = κ, the ``mroz_saturating`` factor.
 
     |T(g)|² = Σ_k r2_k/(1 + g·dtc_k)² over the eigenspaces k, so the left side
     strictly increases in g, with its root in [κ/(1 + |R|), κ].  Bracketed
-    Newton from κ/(1 + |T_old|), bisecting when a step leaves the bracket.
+    Newton from ``g_start`` clipped to that bracket, bisecting when a step
+    leaves the bracket.
     """
     lo = kappa / (1.0 + np.sqrt(r2.sum(axis=1)))
     hi = kappa.copy()
-    g = np.minimum(np.maximum(kappa / (1.0 + norm_old), lo), hi)
+    g = np.minimum(np.maximum(g_start, lo), hi)
     for iters in range(1, _FACTOR_MAX_ITERS + 1):
         u = 1.0 / (1.0 + g[:, None] * dtc)
         w = r2 * u * u
@@ -251,15 +253,19 @@ def _saturating_factor(kappa: np.ndarray, r2: np.ndarray, dtc: np.ndarray,
 
 def stress_substep(sys: GalerkinSystem, C: ElasticityTensor, G: FlowRule,
                    theta_cells: np.ndarray, stress_old: np.ndarray,
-                   strain_rate: np.ndarray, dt: float):
+                   strain_rate: np.ndarray, dt: float,
+                   stress_start: Optional[np.ndarray] = None):
     """Implicit stress update ℂ⁻¹(T_new − T_old)/dt + G(θ, T_new) = ε(u_t), per cell.
 
     Every rule is radial, G = g·T, so on a cell's components P this reads
     (I + dt·g·ℂ_P)·T_new = R := T_old + dt·ℂ_P·ε.  Split R = a·n + D along the
     eigenspaces of ℂ_P; then T_new = a·n/(1 + dt·g·c_vol) + D/(1 + dt·g·c_dev).
-    The ``mroz_saturating`` g = κ(θ)/(1 + |T_new|) is found by Newton.  Returns
-    (coefficients, Newton iterations or 1).  Raises StepFailureError if
-    1 + dt·g·c ≤ 0 (an anti-monotone g < 0), where no solution exists.
+    The ``mroz_saturating`` g = κ(θ)/(1 + |T_new|) is found by Newton from
+    κ(θ)/(1 + |T_start|), where ``stress_start`` (default T_old) is the best
+    guess of T_new in hand; inside the Picard loop it is the previous
+    iterate.  Returns (coefficients, Newton iterations or 1).  Raises
+    StepFailureError if 1 + dt·g·c ≤ 0 (an anti-monotone g < 0), where no
+    solution exists.
     """
     n, c = sys.stress_spectrum(C)
     old = sys.stress_blocks(stress_old)
@@ -273,7 +279,9 @@ def stress_substep(sys: GalerkinSystem, C: ElasticityTensor, G: FlowRule,
         r2 = np.empty_like(c)
         r2[:, 0] = a * a
         r2[:, 1] = (D * D).sum(axis=1)
-        g, iters = _saturating_factor(kappa, r2, dt * c, np.sqrt((old * old).sum(axis=1)))
+        start = old if stress_start is None else sys.stress_blocks(stress_start)
+        g, iters = _saturating_factor(kappa, r2, dt * c,
+                                      kappa / (1.0 + np.sqrt((start * start).sum(axis=1))))
     else:
         g, iters = kappa, 1
     den = 1.0 + dt * g[:, None] * c
@@ -285,36 +293,55 @@ def stress_substep(sys: GalerkinSystem, C: ElasticityTensor, G: FlowRule,
     return sys.stress_coeffs(T), iters
 
 
+@dataclass
+class HeatConstants:
+    """What every heat solve of one step takes from θ_old alone."""
+
+    theta_cells: np.ndarray     # θ_old at the cell centres, where the source is evaluated
+    mass_old: np.ndarray        # M_θ·θ_old
+
+
+def heat_constants(sys: GalerkinSystem, state: SimState) -> HeatConstants:
+    """Check θ_old > 0 and compute the step's ``HeatConstants``."""
+    if not np.all(state.theta > 0.0):
+        raise PositivityError(f"start-of-step temperature not positive "
+                              f"(min = {state.theta.min():g})")
+    return HeatConstants(sys.cell_center_values(state.theta), sys.M_theta @ state.theta)
+
+
 def heat_substep(sys: GalerkinSystem, state: SimState, div_v_field, G: FlowRule,
                  truncation: TruncationLevel, dt: float,
-                 stress: Optional[np.ndarray] = None) -> HeatResult:
+                 stress: Optional[np.ndarray] = None,
+                 theta_start: Optional[np.ndarray] = None,
+                 constants: Optional[HeatConstants] = None) -> HeatResult:
     """Implicit Euler heat solve with clamped dissipation source.
 
     (M + dt·K + dt·A_adv(div u_t))·θ_new = M·θ_old + dt·∫clamp(G(θ_old,T):T)φ
 
     The source is evaluated at cell midpoints from the start-of-step
     temperature and the supplied stress iterate; homogeneous Neumann data is
-    built into the space (no constrained rows).  The system is solved by CG
-    from θ_old, preconditioned with ``sys.heat_inverse(dt)``, the memoized
-    exact inverse of M + dt·K (SuperLU in 1D, per-axis in 2D/3D): with
-    δ = dt·‖div u_t‖_∞ < 1, exact 2-point Gauss and M + dt·K ≥ M put the
-    preconditioned spectrum in [1 − δ, 1 + δ].  Should CG stall anyway, a
-    direct solve runs and ``fallback`` is set.  Raises PositivityError if any
-    dof of the solution is nonpositive.
+    built into the space (no constrained rows).  The system is solved by CG,
+    preconditioned with ``sys.heat_inverse(dt)``, the memoized exact inverse
+    of M + dt·K (SuperLU in 1D, per-axis in 2D/3D): with δ = dt·‖div u_t‖_∞
+    < 1, exact 2-point Gauss and M + dt·K ≥ M put the preconditioned spectrum
+    in [1 − δ, 1 + δ].  CG starts from ``theta_start``, by default θ_old;
+    inside the Picard loop it is the current θ iterate.  ``constants`` are
+    the step's ``heat_constants(sys, state)``, computed here when not given.
+    Should CG stall anyway, a direct solve runs and ``fallback`` is set.
+    Raises PositivityError if any dof of the solution is nonpositive.
     """
-    if not np.all(state.theta > 0.0):
-        raise PositivityError(f"start-of-step temperature not positive "
-                              f"(min = {state.theta.min():g})")
+    if constants is None:
+        constants = heat_constants(sys, state)
     stress = state.stress if stress is None else stress
     div = as_divergence_field(sys, div_v_field)
 
-    theta_c = sys.cell_center_values(state.theta)
-    src_raw = _cell_dissipation(sys, G, theta_c, stress)
+    src_raw = _cell_dissipation(sys, G, constants.theta_cells, stress)
     src = np.asarray(truncate(truncation, src_raw), dtype=float)
 
     A = sys.heat_matrix(dt, div.gauss)
-    rhs = sys.M_theta @ state.theta + dt * sys.heat_source_vector(src)
-    theta_new, cg_iters = pcg(A, rhs, state.theta, sys.heat_inverse(dt))
+    rhs = constants.mass_old + dt * sys.heat_source_vector(src)
+    theta_new, cg_iters = pcg(A, rhs, state.theta if theta_start is None else theta_start,
+                              sys.heat_inverse(dt))
     fallback = theta_new is None
     if fallback:
         try:
@@ -324,10 +351,13 @@ def heat_substep(sys: GalerkinSystem, state: SimState, div_v_field, G: FlowRule,
     if not np.all(np.isfinite(theta_new)):
         raise StepFailureError("heat solve produced non-finite values")
     if theta_new.min() <= 0.0:
+        stiffness = dt * max(1.0 / h ** 2 for h in sys.mesh.spacing)
         raise PositivityError(
             f"temperature solve lost positivity (min dof = {theta_new.min():.6g}); "
             f"the maximum-principle lower bound min(θ₀)·exp(−∫‖div u_t‖_∞) requires "
-            f"a nonnegative source and a resolvable step — reduce dt or check the flow rule")
+            f"a nonnegative source and a resolvable step — reduce dt or check the flow rule; "
+            f"dt·max(1/h²) = {stiffness:.3g}, so rounding in dt·K_θ is about "
+            f"{np.finfo(float).eps * stiffness:.2g} of M_θ")
     return HeatResult(theta_new, src_raw, src, cg_iters, fallback)
 
 
@@ -346,13 +376,18 @@ def _field_residual(new: np.ndarray, prev: np.ndarray) -> float:
     return diff / scale
 
 
-def step(sys: GalerkinSystem, cfg: SolverConfig, state: SimState) -> StepResult:
+def step(sys: GalerkinSystem, cfg: SolverConfig, state: SimState,
+         previous: Optional[SimState] = None) -> StepResult:
     """One Picard-coupled implicit step of size dt.
 
     The (u, stress) iterate is frozen, the heat equation solved for θ, then
     the momentum and stress updates run with that θ; repeat until the
     successive-iterate residual (max over θ, u_t, stress, relative) is below
     ``picard_tol``.  Finally u advances with the converged velocity.
+
+    The loop starts from ``state``, or, given the state ``previous`` one dt
+    earlier, from the linear predictor 2·state − previous of (u_t, stress, θ).
+    The start moves only where the loop begins, not its fixed point.
     """
     if isinstance(cfg.truncation, str):
         raise ValueError("step needs a resolved TruncationLevel; use run() or "
@@ -361,14 +396,20 @@ def step(sys: GalerkinSystem, cfg: SolverConfig, state: SimState) -> StepResult:
     t_new = state.t + dt
     f_load = sys.load_vector(cfg.forcing, t_new) if cfg.forcing is not None \
         else np.zeros(sys.n_disp)
+    constants = heat_constants(sys, state)
 
-    v_i, T_i, th_i = state.v, state.stress, state.theta
+    if previous is None:
+        v_i, T_i, th_i = state.v, state.stress, state.theta
+    else:
+        v_i, T_i, th_i = (2.0 * state.v - previous.v, 2.0 * state.stress - previous.stress,
+                          2.0 * state.theta - previous.theta)
     history = []
     heat = None
     inner_total = cg_total = fallbacks = 0
     for _ in range(1, cfg.picard_max_iters + 1):
         div = divergence_of(sys, v_i)
-        heat = heat_substep(sys, state, div, cfg.flow_rule, cfg.truncation, dt, stress=T_i)
+        heat = heat_substep(sys, state, div, cfg.flow_rule, cfg.truncation, dt, stress=T_i,
+                            theta_start=th_i, constants=constants)
         cg_total += heat.cg_iters
         fallbacks += heat.fallback
         th_new = heat.theta
@@ -376,7 +417,7 @@ def step(sys: GalerkinSystem, cfg: SolverConfig, state: SimState) -> StepResult:
         strain_rate = sys.B @ v_new
         T_new, inner = stress_substep(
             sys, cfg.elasticity, cfg.flow_rule, sys.cell_center_values(th_new),
-            state.stress, strain_rate, dt)
+            state.stress, strain_rate, dt, stress_start=T_i)
         inner_total += inner
         res = max(_field_residual(th_new, th_i),
                   _field_residual(v_new, v_i),
@@ -431,9 +472,10 @@ def run(sys: GalerkinSystem, cfg: SolverConfig, observers: Sequence[Callable] = 
     ledger.record_initial(state)
 
     infos = []
+    previous = None
     for i in range(1, n_steps + 1):
         try:
-            result = step(sys, cfg, state)
+            result = step(sys, cfg, state, previous)
         except PicardConvergenceError as exc:
             raise PicardConvergenceError(
                 f"step {i} (t={state.t + cfg.dt:g}) failed: {exc}",
@@ -441,7 +483,7 @@ def run(sys: GalerkinSystem, cfg: SolverConfig, observers: Sequence[Callable] = 
         except StepFailureError as exc:
             raise type(exc)(f"step {i} (t={state.t + cfg.dt:g}) failed: {exc}") \
                 from exc
-        state = result.state
+        previous, state = state, result.state
         row = ledger.record_step(state, result)
         if collect_infos:
             infos.append(result)

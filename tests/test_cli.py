@@ -170,6 +170,22 @@ class TestCmdRun:
         err = capsys.readouterr().err
         assert "residual history" in err and "t=" in err
 
+    @pytest.mark.parametrize("dim, cells", [(1, 16), (2, 4), (3, 3)])
+    def test_tiny_extents_report_stiffness_ratio(self, tmp_path, monkeypatch, capsys,
+                                                 dim, cells):
+        # dt/h² ≈ 1e14–1e15 leaves M_θ + dt·K_θ dominated by rounding; the
+        # positivity error names that ratio beside its usual advice.
+        monkeypatch.setenv("THERMOVISCO_OUTDIR", str(tmp_path / "out"))
+        body = shipped_config_path("zero.cfg").read_text()
+        body = body.replace("dim = 1", f"dim = {dim}")
+        body = body.replace("extents = 1.0", "extents = " + ", ".join(["1e-8"] * dim))
+        body = body.replace("cells = 16", "cells = " + ", ".join([str(cells)] * dim))
+        assert main(["run", str(write_cfg(tmp_path, body))]) == 1
+        err = capsys.readouterr().err
+        ratio = 1e-3 * (cells / 1e-8) ** 2
+        assert "lost positivity" in err and "reduce dt" in err
+        assert f"dt·max(1/h²) = {ratio:.3g}" in err
+
     def test_snapshot_stride(self, tmp_path, monkeypatch):
         monkeypatch.setenv("THERMOVISCO_OUTDIR", str(tmp_path / "snap"))
         body = MINIMAL + "\n[output]\nsnapshot_stride = 2\n"

@@ -5,7 +5,8 @@ from dataclasses import replace
 
 from thermovisco import ElasticityTensor, FlowRule, TruncationLevel, build_mesh, build_spaces
 from thermovisco.constitutive import truncate
-from thermovisco import discretization
+from thermovisco import solver
+from thermovisco.config import build_problem, load_config, shipped_config_path
 from thermovisco.discretization import max_levels
 from thermovisco.solver import (
     DivergenceField,
@@ -14,7 +15,9 @@ from thermovisco.solver import (
     SimState,
     SolverConfig,
     StepFailureError,
+    _saturating_factor,
     divergence_of,
+    heat_constants,
     heat_substep,
     initialize,
     momentum_substep,
@@ -199,6 +202,38 @@ class TestStress:
             stress_substep(sys, C_HALF, bad, np.ones(sys.mesh.n_cells),
                            np.full(sys.k_stress, 1.0), np.zeros(sys.k_stress), dt=2.0)
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_warm_start_matches_cold_start(self, dim):
+        # Newton from the solution perturbed by 20% ends where Newton from T_old does.
+        mesh = build_mesh(dim, [1.0] * dim, [3] * dim)
+        n_disp, k = max_levels(dim, mesh.cells)
+        sys = build_spaces(mesh, n_disp, k)
+        rule = FlowRule.mroz_saturating(20.0)
+        C = ElasticityTensor(1.0, 1.0)
+        rng = np.random.default_rng(dim)
+        T_old, E = rng.standard_normal(k), 5.0 * rng.standard_normal(k)
+        theta = rng.uniform(0.5, 2.0, mesh.n_cells)
+        cold, cold_iters = stress_substep(sys, C, rule, theta, T_old, E, 0.25)
+        start = cold * (1.0 + 0.2 * rng.uniform(-1.0, 1.0, k))
+        warm, warm_iters = stress_substep(sys, C, rule, theta, T_old, E, 0.25,
+                                          stress_start=start)
+        assert np.abs(warm - cold).max() <= 1e-12 * np.abs(cold).max()
+        assert warm_iters <= cold_iters
+        same, _ = stress_substep(sys, C, rule, theta, T_old, E, 0.25, stress_start=T_old)
+        assert np.array_equal(same, cold)
+
+    @pytest.mark.parametrize("outside", [-1.0, 0.0, 1e6])
+    def test_saturating_start_is_clipped_to_bracket(self, outside):
+        # A start outside [κ/(1 + |R|), κ] runs exactly as one at the nearer end.
+        rng = np.random.default_rng(3)
+        kappa = rng.uniform(1.0, 20.0, 50)
+        r2 = rng.uniform(0.0, 4.0, (50, 2))
+        dtc = rng.uniform(0.1, 5.0, (50, 2))
+        lo, hi = kappa / (1.0 + np.sqrt(r2.sum(axis=1))), kappa
+        g, iters = _saturating_factor(kappa, r2, dtc, outside * kappa)
+        g_end, iters_end = _saturating_factor(kappa, r2, dtc, hi if outside > 1.0 else lo)
+        assert np.array_equal(g, g_end) and iters == iters_end
+
 
 def random_heat_case(cells, partial, delta, dt, signed=True, seed=0):
     """A heat substep input with a random per-Gauss-point div at dt·‖div‖∞ = delta.
@@ -314,6 +349,21 @@ class TestHeat:
         ref = direct_heat_solve(sys, state, div, out, dt)
         assert np.abs(out.theta - ref).max() <= 1e-12 * np.abs(ref).max()
 
+    @pytest.mark.parametrize("cells", [(9,), (5, 7), (4, 3, 5)])
+    def test_warm_start_matches_cold_start(self, cells):
+        # CG from a perturbed guess reaches the θ_old start's answer; the step's
+        # constants passed in change nothing.
+        dt = 0.01
+        sys, state, div = random_heat_case(cells, False, 0.5, dt)
+        args = (sys, state, div, FlowRule.linear(1.0), TruncationLevel(10.0), dt)
+        cold = heat_substep(*args)
+        guess = state.theta + 0.1 * np.random.default_rng(1).standard_normal(sys.n_temp)
+        warm = heat_substep(*args, theta_start=guess)
+        assert not warm.fallback
+        assert np.abs(warm.theta - cold.theta).max() <= 1e-12 * np.abs(cold.theta).max()
+        hoisted = heat_substep(*args, constants=heat_constants(sys, state))
+        assert np.array_equal(hoisted.theta, cold.theta)
+
     @pytest.mark.parametrize("cells", [(200,), (200, 2), (200, 2, 2)])
     def test_fallback_runs_and_is_counted(self, cells):
         # dt·‖div‖∞ = 20 spreads the preconditioned spectrum over [1, 21]; 200
@@ -350,8 +400,9 @@ class TestHeat:
 
 class TestStep:
     def test_counts_heat_fallbacks(self, monkeypatch):
-        # A one-iteration CG cap makes every heat solve of the swirl run fall back.
-        monkeypatch.setattr(discretization, "_CG_MAX_ITERS", 1)
+        # A CG that gives up at once makes every heat solve of the swirl run fall
+        # back; a warm-started CG would converge within any small iteration cap.
+        monkeypatch.setattr(solver, "pcg", lambda *args: (None, 1))
         sys, cfg = swirl_problem()
         state = initialize(sys, cfg)
         cfg = replace(cfg, truncation=resolve_truncation(sys, cfg, state))
@@ -359,6 +410,28 @@ class TestStep:
         assert result.heat.fallback
         assert result.heat_fallbacks == result.iterations > 1
         assert result.heat_cg_iters == result.iterations
+
+    @pytest.mark.parametrize("problem", ["smooth_1d", "swirl_2d"])
+    def test_predictor_start_reaches_same_state(self, problem):
+        # From the predictor 2·xₙ − xₙ₋₁ or from xₙ, the loop stops within
+        # tolerance of one fixed point; with no previous state the start is xₙ.
+        if problem == "smooth_1d":
+            sys, cfg = make_smooth_problem(dt=1e-3, t_end=1.0)
+        else:
+            sys, cfg = swirl_problem()
+        state = initialize(sys, cfg)
+        cfg = replace(cfg, truncation=resolve_truncation(sys, cfg, state))
+        previous, state = state, step(sys, cfg, state).state
+        cold = step(sys, cfg, state)
+        warm = step(sys, cfg, state, previous)
+        assert warm.iterations <= cold.iterations
+        for name in ("v", "stress", "theta"):
+            a, b = getattr(warm.state, name), getattr(cold.state, name)
+            assert np.abs(a - b).max() <= 10 * cfg.picard_tol * max(np.abs(b).max(), 1.0)
+        plain = step(sys, cfg, state, None)
+        assert plain.iterations == cold.iterations
+        for name in ("u", "v", "stress", "theta"):
+            assert np.array_equal(getattr(plain.state, name), getattr(cold.state, name))
 
     def test_zero_data_fixed_point_in_one_iteration(self):
         sys, cfg = make_zero_problem()
@@ -491,6 +564,13 @@ class TestRun:
         for info in result.step_infos:
             tail = info.residual_history[-3:]
             assert all(b <= a * (1 + 1e-9) for a, b in zip(tail, tail[1:]))
+
+    def test_shipped_coupled_scenario_picard_count(self):
+        # 4 Picard iterations per step from xₙ; about 3 from the predictor.
+        result = run(*build_problem(load_config(shipped_config_path("smooth_coupled.cfg"))))
+        assert result.n_steps == 500
+        assert sum(info.iterations for info in result.step_infos) <= 1550
+        assert sum(info.heat_fallbacks for info in result.step_infos) == 0
 
     def test_divergence_sup_logged(self, smooth_run):
         _, _, result = smooth_run
