@@ -140,10 +140,9 @@ def load_config(path) -> RunConfig:
             return maximum
         return int(raw)
 
-    n_disp = _get(cp, "spaces", "n_disp_level", lambda r: level(r, max_disp),
-                  default=max_disp) if cp.has_section("spaces") else max_disp
+    n_disp = _get(cp, "spaces", "n_disp_level", lambda r: level(r, max_disp), default=max_disp)
     k_stress = _get(cp, "spaces", "k_stress_level", lambda r: level(r, max_stress),
-                    default=max_stress) if cp.has_section("spaces") else max_stress
+                    default=max_stress)
     if not 1 <= n_disp <= max_disp:
         raise ConfigError(f"[spaces] n_disp_level: must be in [1, {max_disp}], got {n_disp}")
     if not 1 <= k_stress <= max_stress:
@@ -187,13 +186,10 @@ def load_config(path) -> RunConfig:
 
     data = _parse_data(cp, dim)
 
-    out_dir = _get(cp, "output", "directory", str, default="out") \
-        if cp.has_section("output") else "out"
-    stride = _get(cp, "output", "snapshot_stride", int, default=0) \
-        if cp.has_section("output") else 0
-    ledger_name = _get(cp, "output", "ledger", str, default="ledger.csv") \
-        if cp.has_section("output") else "ledger.csv"
-    seed = _get(cp, "output", "seed", int, default=0) if cp.has_section("output") else 0
+    out_dir = _get(cp, "output", "directory", str, default="out")
+    stride = _get(cp, "output", "snapshot_stride", int, default=0)
+    ledger_name = _get(cp, "output", "ledger", str, default="ledger.csv")
+    seed = _get(cp, "output", "seed", int, default=0)
 
     return RunConfig(dim, extents, cells, n_disp, k_stress, lam, mu, flow_kind,
                      kappa0, kappa_min, dt, t_end, picard_tol, picard_max,

@@ -13,6 +13,13 @@ identities the scheme shadows:
 τ = ln θ is the nodal-log interpolant, so ∫|∇τ|² is exactly τᵀKτ.  All
 accumulated dissipation terms are monotone; violations are collected, not
 raised, so adversarial runs can be inspected.
+
+``LedgerBase`` owns the one accumulation path, shared by the Galerkin
+``BalanceLedger`` and the finite-difference oracle's ``FDLedger``: it opens
+the ledger with every ``ACCUMULATORS`` entry at zero, adds each step's
+increments, and integrates the θ floor.  A ledger subclass only computes a
+row's instantaneous integrals and the step's increments.  The energy
+functional (``energy_terms``, ``total_energy``) is defined here, once.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ import numpy as np
 from dataclasses import dataclass
 from typing import Optional
 
-from .constitutive import ElasticityTensor, TruncationLevel
+from .constitutive import ElasticityTensor
 from .discretization import GalerkinSystem
 
 LEDGER_COLUMNS = (
@@ -30,6 +37,12 @@ LEDGER_COLUMNS = (
     "inelastic_diss", "entropic_diss", "work", "source_trunc",
     "energy_residual", "dissipation_margin", "theta_min", "positivity_ratio",
 )
+
+# Integrals over [0, t] that only grow: dissipation and the dissipation source.
+MONOTONE_ACCUMULATORS = ("grad_tau_diss", "inelastic_diss", "entropic_diss",
+                         "source_trunc", "entropic_src_trunc")
+# Every running integral a step adds to; the applied work has either sign.
+ACCUMULATORS = MONOTONE_ACCUMULATORS + ("work",)
 
 # First-order scheme constant, calibrated once on the shipped smooth coupled
 # scenario (observed energy residual / dt ≈ 0.054 at t = 0.5) and frozen with
@@ -57,6 +70,33 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _energy(row: dict) -> float:
+    """E = kinetic + elastic + thermal, summed in that order."""
+    return row["kinetic"] + row["elastic"] + row["thermal"]
+
+
+def stress_quadratic_form(sys: GalerkinSystem, C: ElasticityTensor,
+                          coeffs: np.ndarray) -> np.ndarray:
+    """Cellwise vol·(ℂ⁻¹T̂):T̂; zero padding restricts ℂ⁻¹ to a partial cell."""
+    blocks = sys.stress_blocks(coeffs)
+    cinv = C.inverse_apply_mandel(blocks, sys.mesh.dim)
+    return np.einsum("ec,ec->e", cinv, blocks) * sys.mesh.cell_volume
+
+
+def energy_terms(sys: GalerkinSystem, C: ElasticityTensor, state) -> dict:
+    """Kinetic ½‖u_t‖², elastic ½∫ℂ⁻¹T:T and thermal ∫θ energy of a solver state."""
+    return {
+        "kinetic": 0.5 * float(state.v @ (sys.M_u @ state.v)),
+        "elastic": 0.5 * float(stress_quadratic_form(sys, C, state.stress).sum()),
+        "thermal": sys.integrate_nodal(state.theta),
+    }
+
+
+def total_energy(sys: GalerkinSystem, C: ElasticityTensor, state) -> float:
+    """½‖u_t‖² + ½∫ℂ⁻¹T:T + ∫θ."""
+    return _energy(energy_terms(sys, C, state))
+
+
 class LedgerBase:
     """Row bookkeeping and residual formulas shared by both solvers."""
 
@@ -64,6 +104,31 @@ class LedgerBase:
         self.dt = dt
         self.rows = []
         self.invariant_violations = []
+        self._theta0_min = None
+        self._div_integral = 0.0    # trapezoid ∫‖div u_t‖_∞ over the steps so far
+        self._prev_div_sup = 0.0
+
+    # -- accumulation -------------------------------------------------------
+
+    def _start(self, row: dict, div_sup: float) -> dict:
+        """Record the initial ``row``: accumulators at zero, θ floor = min θ₀."""
+        self._theta0_min = row["theta_min"]
+        self._prev_div_sup = div_sup
+        row.update(dict.fromkeys(ACCUMULATORS, 0.0), div_sup=div_sup,
+                   theta_floor=self._theta0_min)
+        return self.record_row(row)
+
+    def _advance(self, row: dict, increments: dict, div_sup: float) -> dict:
+        """Record ``row`` one step on: each accumulator grows by its increment,
+        and the floor min θ₀·exp(−∫‖div u_t‖_∞) takes the step's trapezoid."""
+        prev = self.rows[-1]
+        for key in ACCUMULATORS:
+            row[key] = prev[key] + increments[key]
+        self._div_integral += 0.5 * self.dt * (self._prev_div_sup + div_sup)
+        self._prev_div_sup = div_sup
+        row["div_sup"] = div_sup
+        row["theta_floor"] = self._theta0_min * float(np.exp(-self._div_integral))
+        return self.record_row(row)
 
     # -- row access ---------------------------------------------------------
 
@@ -85,10 +150,8 @@ class LedgerBase:
 
     def _residuals_for(self, row: dict) -> dict:
         first = self.rows[0]
-        e = row["kinetic"] + row["elastic"] + row["thermal"]
-        e0 = first["kinetic"] + first["elastic"] + first["thermal"]
-        energy_residual = abs((e - e0) - (row["work"] + row["source_trunc"]
-                                          - row["inelastic_diss"]))
+        energy_residual = abs((_energy(row) - _energy(first))
+                              - (row["work"] + row["source_trunc"] - row["inelastic_diss"]))
         lhs = (row["thermal"] - row["entropy"]) + row["kinetic"] + row["elastic"] \
             + row["grad_tau_diss"]
         rhs = row["work"] + (first["thermal"] - first["entropy"]) \
@@ -99,8 +162,7 @@ class LedgerBase:
     def record_row(self, row: dict) -> dict:
         if self.rows:
             prev = self.rows[-1]
-            for key in ("grad_tau_diss", "inelastic_diss", "entropic_diss",
-                        "source_trunc", "entropic_src_trunc"):
+            for key in MONOTONE_ACCUMULATORS:
                 if row[key] < prev[key] - 1e-12 * max(1.0, abs(prev[key])):
                     self.invariant_violations.append(
                         f"t={row['t']:g}: accumulator {key} decreased "
@@ -116,7 +178,7 @@ class LedgerBase:
 
     def energy_residual(self, t: float) -> float:
         """|ΔE − work − (clamped source − full dissipation)| at time t."""
-        return self._residuals_for(self.row_at(t))["energy_residual"]
+        return self.row_at(t)["energy_residual"]
 
     def truncation_deficit(self, t: float) -> float:
         """∫∫G:T − ∫∫clamp(G:T) ≥ 0; zero while the clamp is inactive."""
@@ -151,13 +213,11 @@ class LedgerBase:
 
     def uniform_bound_check(self) -> Verdict:
         """E(t) ≤ E(0) + work(t) + tol at every logged time."""
-        first = self.rows[0]
-        e0 = first["kinetic"] + first["elastic"] + first["thermal"]
+        e0 = _energy(self.rows[0])
         tol = scheme_tolerance(self.dt, scale=max(1.0, e0))
         worst = np.inf
         for r in self.rows:
-            e = r["kinetic"] + r["elastic"] + r["thermal"]
-            worst = min(worst, e0 + r["work"] + tol - e)
+            worst = min(worst, e0 + r["work"] + tol - _energy(r))
         return Verdict(worst >= 0.0, worst, tol, "uniform energy bound slack (min)")
 
     # -- serialization ----------------------------------------------------------
@@ -177,9 +237,7 @@ class LedgerBase:
         diss = self.dissipation_inequality_check()
         pos = self.positivity_bound_check()
         bound = self.uniform_bound_check()
-        energy_tol = scheme_tolerance(
-            self.dt, scale=max(1.0, self.rows[0]["kinetic"]
-                               + self.rows[0]["elastic"] + self.rows[0]["thermal"]))
+        energy_tol = scheme_tolerance(self.dt, scale=max(1.0, _energy(self.rows[0])))
         energy_ok = last["energy_residual"] <= energy_tol
         return {
             "t_final": last["t"],
@@ -240,98 +298,53 @@ def format_summary(s: dict) -> str:
 class BalanceLedger(LedgerBase):
     """Ledger bound to a Galerkin system; fed by solver.run per step."""
 
-    def __init__(self, sys: GalerkinSystem, elasticity: ElasticityTensor,
-                 truncation: TruncationLevel, dt: float):
+    def __init__(self, sys: GalerkinSystem, elasticity: ElasticityTensor, dt: float):
         super().__init__(dt)
         self.sys = sys
         self.elasticity = elasticity
-        self.truncation = truncation
-        self._theta0_min = None
-        self._div_integral = 0.0
-        self._prev_div_sup = 0.0
 
-    # -- instantaneous integrals -------------------------------------------------
-
-    def kinetic(self, state) -> float:
-        return 0.5 * float(state.v @ (self.sys.M_u @ state.v))
-
-    def elastic(self, state) -> float:
-        from .solver import stress_quadratic_form
-        return 0.5 * float(stress_quadratic_form(self.sys, self.elasticity,
-                                                 state.stress).sum())
-
-    def thermal(self, state) -> float:
-        return self.sys.integrate_nodal(state.theta)
-
-    def entropy(self, state) -> float:
-        return self.sys.integrate_nodal(np.log(state.theta))
-
-    def grad_tau_sq(self, state) -> float:
-        tau = np.log(state.theta)
-        return float(tau @ (self.sys.K_theta @ tau))
-
-    def div_u_integral(self, state) -> float:
+    def _base_row(self, state, tau: np.ndarray) -> dict:
+        row = {"t": state.t, **energy_terms(self.sys, self.elasticity, state)}
+        row["entropy"] = self.sys.integrate_nodal(tau)
+        row["theta_min"] = float(state.theta.min())
         # ∫ div u over the box is a pure boundary term of a zero-boundary
         # field: identically zero, kept to mirror the entropy structure.
-        return float(np.ones(self.sys.n_temp) @ (self.sys.D @ state.u))
-
-    def _base_row(self, state) -> dict:
-        return {
-            "t": state.t,
-            "kinetic": self.kinetic(state),
-            "elastic": self.elastic(state),
-            "thermal": self.thermal(state),
-            "entropy": self.entropy(state),
-            "theta_min": float(state.theta.min()),
-            "div_u_int": self.div_u_integral(state),
-        }
+        row["div_u_int"] = float(np.ones(self.sys.n_temp) @ (self.sys.D @ state.u))
+        return row
 
     def record_initial(self, state) -> dict:
-        row = self._base_row(state)
-        self._theta0_min = row["theta_min"]
-        self._prev_div_sup = self.sys.divergence_sup(state.v)
-        row.update(grad_tau_diss=0.0, inelastic_diss=0.0, entropic_diss=0.0,
-                   work=0.0, source_trunc=0.0, entropic_src_trunc=0.0,
-                   div_sup=self._prev_div_sup, theta_floor=self._theta0_min)
-        self._remember_centers(state)
-        return self.record_row(row)
+        tau = np.log(state.theta)
+        row = self._base_row(state, tau)
+        self._remember_centers(state, tau)
+        return self._start(row, self.sys.divergence_sup(state.v))
 
     def record_step(self, state, result) -> dict:
         """Accumulate one accepted step; ``result`` is a solver.StepResult."""
-        prev = self.rows[-1]
         dt = self.dt
         vol = self.sys.mesh.cell_volume
-
-        row = self._base_row(state)
         tau = np.log(state.theta)
-        row["grad_tau_diss"] = prev["grad_tau_diss"] + dt * float(tau @ (self.sys.K_theta @ tau))
+        row = self._base_row(state, tau)
 
         # Source accumulators re-use exactly what the final heat solve
         # received, so the clamp deficit vanishes identically whenever the
         # clamp is inactive and the energy residual measures scheme error only.
-        src_raw = result.heat.source_raw
-        src_trunc = result.heat.source_trunc
-        row["inelastic_diss"] = prev["inelastic_diss"] + dt * vol * float(src_raw.sum())
-        row["source_trunc"] = prev["source_trunc"] + dt * vol * float(src_trunc.sum())
-
         # Entropic weights use the same lagged (start-of-step) temperature as
         # the source itself: 1/θ for the full dissipation, e^{−τ} with the
         # nodal-log interpolant for the clamped entropy source.
-        row["entropic_diss"] = prev["entropic_diss"] + dt * vol * float(
-            np.sum(src_raw / self._theta_centers_prev))
-        row["entropic_src_trunc"] = prev["entropic_src_trunc"] + dt * vol * float(
-            np.sum(np.exp(-self._tau_centers_prev) * src_trunc))
+        src_raw = result.heat.source_raw
+        src_trunc = result.heat.source_trunc
+        increments = {
+            "grad_tau_diss": dt * float(tau @ (self.sys.K_theta @ tau)),
+            "inelastic_diss": dt * vol * float(src_raw.sum()),
+            "source_trunc": dt * vol * float(src_trunc.sum()),
+            "entropic_diss": dt * vol * float(np.sum(src_raw / self._theta_centers_prev)),
+            "entropic_src_trunc": dt * vol * float(
+                np.sum(np.exp(-self._tau_centers_prev) * src_trunc)),
+            "work": dt * float(result.f_load @ state.v),
+        }
+        self._remember_centers(state, tau)
+        return self._advance(row, increments, result.div_sup)
 
-        row["work"] = prev["work"] + dt * float(result.f_load @ state.v)
-
-        self._div_integral += 0.5 * dt * (self._prev_div_sup + result.div_sup)
-        self._prev_div_sup = result.div_sup
-        row["div_sup"] = result.div_sup
-        row["theta_floor"] = self._theta0_min * float(np.exp(-self._div_integral))
-
-        self._remember_centers(state)
-        return self.record_row(row)
-
-    def _remember_centers(self, state):
+    def _remember_centers(self, state, tau: np.ndarray):
         self._theta_centers_prev = self.sys.cell_center_values(state.theta)
-        self._tau_centers_prev = self.sys.cell_center_values(np.log(state.theta))
+        self._tau_centers_prev = self.sys.cell_center_values(tau)

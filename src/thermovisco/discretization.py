@@ -279,6 +279,10 @@ class GalerkinSystem:
         for a in range(dim):
             m1 = _axis_matrix(_m1(mesh.spacing[a]), mesh.cells[a])
             lam[a], V[a] = sla.eigh(_axis_matrix(_k1(mesh.spacing[a]), mesh.cells[a]), m1)
+            # K1·1 = 0 exactly, but eigh only resolves the constant mode's
+            # eigenvalue (the smallest) to about ε·λ_max, which swamps 1 on
+            # tiny cells; pinning it keeps constants fixed under the inverse.
+            lam[a][0] = 0.0
             mass_inv[a] = np.linalg.inv(m1[1:-1, 1:-1])
         self._heat_V = V
         self._heat_lam = (lam[2][:, None, None] + lam[1][:, None] + lam[0]).reshape(-1)
@@ -461,10 +465,6 @@ class GalerkinSystem:
         |corner_k|.
         """
         return np.append(v_coeffs, 0.0)[self._cell_dofs] @ self._corner_table
-
-    def divergence_gauss(self, v_coeffs: np.ndarray) -> np.ndarray:
-        """div u_t at the Gauss points of every cell, shape (n_cells, n_g)."""
-        return self.divergence_corners(v_coeffs) @ self._gauss_N.T
 
     def divergence_sup(self, v_coeffs: np.ndarray) -> float:
         """sup-norm of the piecewise-multilinear div u_t (attained at corners)."""

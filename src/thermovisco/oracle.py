@@ -157,13 +157,9 @@ class FDLedger(LedgerBase):
     def __init__(self, dt: float, C_scalar: float):
         super().__init__(dt)
         self.C = C_scalar
-        self._theta0_min = None
-        self._div_integral = 0.0
-        self._prev_sup = 0.0
 
-    def _base_row(self, grid: FDGrid) -> dict:
+    def _base_row(self, grid: FDGrid, tau: np.ndarray) -> dict:
         x = grid.x
-        tau = np.log(grid.theta)
         return {
             "t": grid.t,
             "kinetic": 0.5 * float(np.trapezoid(grid.v ** 2, x)),
@@ -174,44 +170,33 @@ class FDLedger(LedgerBase):
             "div_u_int": float(np.trapezoid(_gradient(grid.u, grid.h), x)),
         }
 
+    @staticmethod
+    def _div_sup(grid: FDGrid) -> float:
+        return float(np.abs(_gradient(grid.v, grid.h)).max())
+
     def record_initial(self, grid: FDGrid) -> dict:
-        row = self._base_row(grid)
-        self._theta0_min = row["theta_min"]
-        self._prev_sup = float(np.abs(_gradient(grid.v, grid.h)).max())
-        row.update(grad_tau_diss=0.0, inelastic_diss=0.0, entropic_diss=0.0,
-                   work=0.0, source_trunc=0.0, entropic_src_trunc=0.0,
-                   div_sup=self._prev_sup, theta_floor=self._theta0_min)
-        return self.record_row(row)
+        return self._start(self._base_row(grid, np.log(grid.theta)), self._div_sup(grid))
 
     def record_step(self, grid: FDGrid, G_scalar: Callable, f_sampler=None) -> dict:
-        prev = self.rows[-1]
         dt = self.dt
         x = grid.x
         tau = np.log(grid.theta)
-        taux = _gradient(tau, grid.h)
-        rate = np.asarray(G_scalar(grid.theta, grid.T), dtype=float)
-        src = rate * grid.T
-
-        row = self._base_row(grid)
-        row["grad_tau_diss"] = prev["grad_tau_diss"] + dt * float(np.trapezoid(taux ** 2, x))
+        src = np.asarray(G_scalar(grid.theta, grid.T), dtype=float) * grid.T
         inc = dt * float(np.trapezoid(src, x))
-        row["inelastic_diss"] = prev["inelastic_diss"] + inc
-        row["source_trunc"] = prev["source_trunc"] + inc          # oracle never clamps
         ent = dt * float(np.trapezoid(src / grid.theta, x))
-        row["entropic_diss"] = prev["entropic_diss"] + ent
-        row["entropic_src_trunc"] = prev["entropic_src_trunc"] + ent
+        work = 0.0
         if f_sampler is not None:
             fv = np.asarray(f_sampler(grid.t, x), dtype=float)
-            row["work"] = prev["work"] + dt * float(np.trapezoid(fv * grid.v, x))
-        else:
-            row["work"] = prev["work"]
-
-        sup = float(np.abs(_gradient(grid.v, grid.h)).max())
-        self._div_integral += 0.5 * dt * (self._prev_sup + sup)
-        self._prev_sup = sup
-        row["div_sup"] = sup
-        row["theta_floor"] = self._theta0_min * float(np.exp(-self._div_integral))
-        return self.record_row(row)
+            work = dt * float(np.trapezoid(fv * grid.v, x))
+        increments = {
+            "grad_tau_diss": dt * float(np.trapezoid(_gradient(tau, grid.h) ** 2, x)),
+            "inelastic_diss": inc,
+            "source_trunc": inc,            # oracle never clamps
+            "entropic_diss": ent,
+            "entropic_src_trunc": ent,
+            "work": work,
+        }
+        return self._advance(self._base_row(grid, tau), increments, self._div_sup(grid))
 
 
 def fd_run(grid: FDGrid, C_scalar: float, G_scalar: Callable, t_end: float,

@@ -30,6 +30,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence, Union
 
 from .constitutive import ElasticityTensor, FlowRule, TruncationLevel, truncate, verify_admissibility
+from .diagnostics import BalanceLedger, total_energy
 from .discretization import GalerkinSystem, pcg, project_displacement, project_stress
 
 
@@ -112,33 +113,9 @@ class SolverConfig:
             raise ValueError(f"truncation must be a TruncationLevel or 'auto', got {self.truncation!r}")
 
 
-@dataclass
-class DivergenceField:
-    """div(u_t) sampled where the heat solve needs it."""
-
-    gauss: np.ndarray   # (n_cells, n_gauss)
-    sup: float          # sup-norm over the domain
-
-
-def as_divergence_field(sys: GalerkinSystem, div) -> DivergenceField:
-    """Normalize None / scalar / callable(points) / DivergenceField inputs."""
-    if isinstance(div, DivergenceField):
-        return div
-    n_cells = sys.mesh.n_cells
-    n_g = sys._gauss_ref.shape[0]
-    if div is None:
-        return DivergenceField(np.zeros((n_cells, n_g)), 0.0)
-    if np.isscalar(div):
-        val = float(div)
-        return DivergenceField(np.full((n_cells, n_g), val), abs(val))
-    pts = sys._gauss_xy.reshape(-1, sys.mesh.dim)
-    vals = np.asarray(div(pts), dtype=float).reshape(n_cells, n_g)
-    return DivergenceField(vals, float(np.abs(vals).max()))
-
-
-def divergence_of(sys: GalerkinSystem, v: np.ndarray) -> DivergenceField:
-    corners = sys.divergence_corners(v)
-    return DivergenceField(corners @ sys._gauss_N.T, float(np.abs(corners).max()))
+def divergence_of(sys: GalerkinSystem, v: np.ndarray) -> np.ndarray:
+    """div u_t at the Gauss points of every cell, shape (n_cells, n_gauss)."""
+    return sys.divergence_corners(v) @ sys._gauss_N.T
 
 
 @dataclass
@@ -180,22 +157,6 @@ def initialize(sys: GalerkinSystem, cfg: SolverConfig) -> SimState:
         raise ValueError(f"initial temperature must be strictly positive everywhere, "
                          f"min = {theta.min():g}")
     return SimState(0.0, u, v, stress, theta)
-
-
-def total_energy(sys: GalerkinSystem, C: ElasticityTensor, state: SimState) -> float:
-    """½‖u_t‖² + ½∫ℂ⁻¹T:T + ∫θ."""
-    kinetic = 0.5 * float(state.v @ (sys.M_u @ state.v))
-    elastic = 0.5 * float(np.sum(stress_quadratic_form(sys, C, state.stress)))
-    thermal = sys.integrate_nodal(state.theta)
-    return kinetic + elastic + thermal
-
-
-def stress_quadratic_form(sys: GalerkinSystem, C: ElasticityTensor,
-                          coeffs: np.ndarray) -> np.ndarray:
-    """Cellwise vol·(ℂ⁻¹T̂):T̂; zero padding restricts ℂ⁻¹ to a partial cell."""
-    blocks = sys.stress_blocks(coeffs)
-    cinv = C.inverse_apply_mandel(blocks, sys.mesh.dim)
-    return np.einsum("ec,ec->e", cinv, blocks) * sys.mesh.cell_volume
 
 
 def resolve_truncation(sys: GalerkinSystem, cfg: SolverConfig,
@@ -309,7 +270,7 @@ def heat_constants(sys: GalerkinSystem, state: SimState) -> HeatConstants:
     return HeatConstants(sys.cell_center_values(state.theta), sys.M_theta @ state.theta)
 
 
-def heat_substep(sys: GalerkinSystem, state: SimState, div_v_field, G: FlowRule,
+def heat_substep(sys: GalerkinSystem, state: SimState, div_v, G: FlowRule,
                  truncation: TruncationLevel, dt: float,
                  stress: Optional[np.ndarray] = None,
                  theta_start: Optional[np.ndarray] = None,
@@ -320,11 +281,13 @@ def heat_substep(sys: GalerkinSystem, state: SimState, div_v_field, G: FlowRule,
 
     The source is evaluated at cell midpoints from the start-of-step
     temperature and the supplied stress iterate; homogeneous Neumann data is
-    built into the space (no constrained rows).  The system is solved by CG,
-    preconditioned with ``sys.heat_inverse(dt)``, the memoized exact inverse
-    of M + dt·K (SuperLU in 1D, per-axis in 2D/3D): with δ = dt·‖div u_t‖_∞
-    < 1, exact 2-point Gauss and M + dt·K ≥ M put the preconditioned spectrum
-    in [1 − δ, 1 + δ].  CG starts from ``theta_start``, by default θ_old;
+    built into the space (no constrained rows).  ``div_v`` is div u_t at the
+    Gauss points, as ``divergence_of`` returns it, or None or a scalar for a
+    constant div u_t.  The system is solved by CG, preconditioned with
+    ``sys.heat_inverse(dt)``, the memoized exact inverse of M + dt·K
+    (SuperLU in 1D, per-axis in 2D/3D): with δ = dt·‖div u_t‖_∞ < 1, exact
+    2-point Gauss and M + dt·K ≥ M put the preconditioned spectrum in
+    [1 − δ, 1 + δ].  CG starts from ``theta_start``, by default θ_old;
     inside the Picard loop it is the current θ iterate.  ``constants`` are
     the step's ``heat_constants(sys, state)``, computed here when not given.
     Should CG stall anyway, a direct solve runs and ``fallback`` is set.
@@ -333,12 +296,13 @@ def heat_substep(sys: GalerkinSystem, state: SimState, div_v_field, G: FlowRule,
     if constants is None:
         constants = heat_constants(sys, state)
     stress = state.stress if stress is None else stress
-    div = as_divergence_field(sys, div_v_field)
+    if div_v is None or np.isscalar(div_v):
+        div_v = np.full((sys.mesh.n_cells, sys._gauss_N.shape[0]), float(div_v or 0.0))
 
     src_raw = _cell_dissipation(sys, G, constants.theta_cells, stress)
     src = np.asarray(truncate(truncation, src_raw), dtype=float)
 
-    A = sys.heat_matrix(dt, div.gauss)
+    A = sys.heat_matrix(dt, div_v)
     rhs = constants.mass_old + dt * sys.heat_source_vector(src)
     theta_new, cg_iters = pcg(A, rhs, state.theta if theta_start is None else theta_start,
                               sys.heat_inverse(dt))
@@ -442,7 +406,7 @@ def step(sys: GalerkinSystem, cfg: SolverConfig, state: SimState,
 @dataclass
 class RunResult:
     state: SimState
-    ledger: object          # diagnostics.BalanceLedger
+    ledger: BalanceLedger
     n_steps: int
     step_infos: list
 
@@ -455,8 +419,6 @@ def run(sys: GalerkinSystem, cfg: SolverConfig, observers: Sequence[Callable] = 
     read-only state snapshot and the ledger row dict; they must not mutate.
     Step errors propagate annotated with the failing time.
     """
-    from .diagnostics import BalanceLedger
-
     if cfg.check_flow_rule:
         report = verify_admissibility(cfg.flow_rule, cfg.admissibility_samples,
                                       cfg.admissibility_seed)
@@ -468,7 +430,7 @@ def run(sys: GalerkinSystem, cfg: SolverConfig, observers: Sequence[Callable] = 
     cfg = replace(cfg, truncation=trunc)
 
     n_steps = max(1, int(round(cfg.t_end / cfg.dt)))
-    ledger = BalanceLedger(sys, cfg.elasticity, trunc, cfg.dt)
+    ledger = BalanceLedger(sys, cfg.elasticity, cfg.dt)
     ledger.record_initial(state)
 
     infos = []

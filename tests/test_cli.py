@@ -70,6 +70,9 @@ class TestConfigParsing:
         rc = load_config(write_cfg(tmp_path, MINIMAL))
         assert rc.dim == 1 and rc.cells == (8,)
         assert rc.n_disp_level == 7 and rc.k_stress_level == 8
+        # no [output] section: every output key takes its default
+        assert (rc.output_dir, rc.snapshot_stride, rc.ledger_filename, rc.seed) == \
+            ("out", 0, "ledger.csv", 0)
         sys, cfg = build_problem(rc)
         assert sys.n_disp == 7
         assert cfg.theta0 is not None

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from thermovisco import ElasticityTensor, FlowRule, TruncationLevel, build_mesh, build_spaces
-from thermovisco.diagnostics import C_SCHEME, LEDGER_COLUMNS, scheme_tolerance
+from thermovisco.diagnostics import ACCUMULATORS, C_SCHEME, LEDGER_COLUMNS, scheme_tolerance
+from thermovisco.oracle import fd_run, make_grid
 from thermovisco.solver import SimState, SolverConfig, heat_substep, run
 
 from conftest import make_smooth_problem
@@ -40,7 +41,7 @@ class TestEnergyBalance:
     def test_residual_two_ways_agree(self, smooth_run):
         # recompute the instantaneous terms from the final state directly
         sys, cfg, result = smooth_run
-        from thermovisco.solver import stress_quadratic_form
+        from thermovisco.diagnostics import stress_quadratic_form
         led = result.ledger
         last = led.rows[-1]
         state = result.state
@@ -213,6 +214,42 @@ class TestUniformBound:
     def test_smooth_scenario(self, smooth_run):
         _, _, result = smooth_run
         assert result.ledger.uniform_bound_check().passed
+
+
+@pytest.fixture(scope="module")
+def both_ledgers():
+    """Five steps of the smooth 1D scenario by the Galerkin solver and the oracle."""
+    dt, t_end = 1e-3, 5e-3
+    sys, cfg = make_smooth_problem(dt=dt, t_end=t_end)
+    grid = make_grid(sys.n_temp, 1.0, dt,
+                     u0=lambda x: 0.1 * np.sin(np.pi * x),
+                     T0=lambda x: 0.3 * np.cos(np.pi * x),
+                     theta0=lambda x: 1.0 + 0.2 * np.cos(np.pi * x))
+    _, fd = fd_run(grid, 1.0, FlowRule.mroz_saturating(1.0).scalar_eval, t_end,
+                   f_sampler=lambda t, x: 0.05 * np.cos(2 * t) * np.sin(np.pi * x))
+    return run(sys, cfg).ledger, fd
+
+
+class TestSharedLedgerPath:
+    def test_same_row_keys(self, both_ledgers):
+        galerkin, fd = both_ledgers
+        assert len(galerkin.rows) == len(fd.rows) == 6
+        for a, b in zip(galerkin.rows, fd.rows):
+            assert set(a) == set(b)
+
+    def test_accumulators_start_at_zero(self, both_ledgers):
+        for ledger in both_ledgers:
+            assert {key: ledger.rows[0][key] for key in ACCUMULATORS} == \
+                dict.fromkeys(ACCUMULATORS, 0.0)
+
+    def test_theta_floor_is_trapezoid_of_div_sup(self, both_ledgers):
+        for ledger in both_ledgers:
+            rows = ledger.rows
+            sup = np.array([r["div_sup"] for r in rows])
+            assert sup[1:].min() > 0.0
+            integral = np.cumsum(np.r_[0.0, 0.5 * ledger.dt * (sup[:-1] + sup[1:])])
+            floor = rows[0]["theta_min"] * np.exp(-integral)
+            assert np.allclose([r["theta_floor"] for r in rows], floor, rtol=1e-14, atol=0.0)
 
 
 class TestSerialization:

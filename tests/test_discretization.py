@@ -18,6 +18,7 @@ from thermovisco.discretization import (
     project_stress,
     strain,
 )
+from thermovisco.solver import divergence_of
 
 
 class TestBuildMesh:
@@ -242,7 +243,7 @@ class TestAssemblyOracle:
         for system, (w, v, g, _) in oracle_cases:
             vel = _random_velocity(system)
             A = np.einsum("q,q,qi,qj->ij", w, _oracle_divergence(system, g, vel), v, v)
-            got = system.advection_matrix(system.divergence_gauss(vel)).toarray()
+            got = system.advection_matrix(divergence_of(system, vel)).toarray()
             assert np.allclose(A, got, rtol=0.0, atol=1e-13)
 
     def test_divergence_gauss(self, oracle_cases):
@@ -253,7 +254,7 @@ class TestAssemblyOracle:
             pts = system._gauss_xy.reshape(-1, mesh.dim)
             cell_of = np.repeat(np.arange(mesh.n_cells), pts.shape[0] // mesh.n_cells)
             vals, grads = _hats(mesh.extents, mesh.cells, pts, cell_of)
-            div = system.divergence_gauss(vel).ravel()
+            div = divergence_of(system, vel).ravel()
             assert np.allclose(div, _oracle_divergence(system, grads, vel), rtol=0.0, atol=1e-12)
             w = mesh.cell_volume / (pts.shape[0] // mesh.n_cells)
             assert np.allclose(w * div @ vals, system.D @ vel, rtol=0.0, atol=1e-13)
@@ -296,6 +297,15 @@ class TestInverses:
             r = np.random.default_rng(system.n_temp).standard_normal(system.n_temp)
             ref = spla.spsolve((system.M_theta + dt * system.K_theta).tocsc(), r)
             assert _relative_error(system.heat_inverse(dt)(r), ref) <= 1e-12
+
+    @pytest.mark.parametrize("dim, cells", [(2, 4), (3, 3)])
+    @pytest.mark.parametrize("extent", [1.0, 1e-8])
+    def test_heat_inverse_keeps_constants(self, dim, cells, extent):
+        # K_θ·1 = 0, so (M_θ + dt·K_θ)⁻¹·M_θ·1 = 1 however stiff dt·K_θ is.
+        m = build_mesh(dim, [extent] * dim, [cells] * dim)
+        system = build_spaces(m, *max_levels(dim, m.cells))
+        ones = np.ones(system.n_temp)
+        assert np.abs(system.heat_inverse(1e-3)(system.M_theta @ ones) - 1.0).max() <= 1e-12
 
     def test_mass_u_inverse(self, oracle_cases):
         for system, _ in oracle_cases:

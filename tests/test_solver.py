@@ -9,7 +9,6 @@ from thermovisco import solver
 from thermovisco.config import build_problem, load_config, shipped_config_path
 from thermovisco.discretization import max_levels
 from thermovisco.solver import (
-    DivergenceField,
     PicardConvergenceError,
     PositivityError,
     SimState,
@@ -25,8 +24,8 @@ from thermovisco.solver import (
     run,
     step,
     stress_substep,
-    total_energy,
 )
+from thermovisco.diagnostics import total_energy
 
 from conftest import make_smooth_problem, make_zero_problem
 
@@ -240,7 +239,7 @@ def random_heat_case(cells, partial, delta, dt, signed=True, seed=0):
 
     Every axis has the spacing 1/cells[0]; ``partial`` drops the
     last displacement dof and the last two stress components.  Returns the
-    system, the state and the divergence field.
+    system, the state and the Gauss-point divergence.
     """
     dim = len(cells)
     mesh = build_mesh(dim, [c / cells[0] for c in cells], cells)
@@ -254,7 +253,7 @@ def random_heat_case(cells, partial, delta, dt, signed=True, seed=0):
                      rng.standard_normal(sys.k_stress), theta)
     div = rng.uniform(-1.0 if signed else 0.0, 1.0, (mesh.n_cells, sys._gauss_ref.shape[0]))
     div *= delta / dt / np.abs(div).max()
-    return sys, state, DivergenceField(div, float(np.abs(div).max()))
+    return sys, state, div
 
 
 def swirl_problem(dim=2):
@@ -269,7 +268,7 @@ def swirl_problem(dim=2):
 
 
 def direct_heat_solve(sys, state, div, out, dt):
-    A = sys.heat_matrix(dt, div.gauss)
+    A = sys.heat_matrix(dt, div)
     rhs = sys.M_theta @ state.theta + dt * sys.heat_source_vector(out.source_trunc)
     return spla.spsolve(A.tocsc(), rhs)
 
@@ -497,7 +496,7 @@ class TestStep:
         assert np.abs(cinv_rate + g - sys.B @ state.v).max() < 1e-8
 
         div = divergence_of(sys, state.v)
-        A = sys.M_theta + dt * sys.K_theta + dt * sys.advection_matrix(div.gauss)
+        A = sys.M_theta + dt * sys.K_theta + dt * sys.advection_matrix(div)
         src = truncate(cfg.truncation,
                        cfg.flow_rule.eval_mandel(sys.cell_center_values(old.theta),
                                                  state.stress[:, None], 1)[:, 0] * state.stress)
