@@ -4,21 +4,16 @@ from .constitutive import (
     ElasticityTensor,
     FlowRule,
     TruncationLevel,
-    elasticity_apply,
-    elasticity_inverse_apply,
-    flow_eval,
     truncate,
     verify_admissibility,
 )
 from .discretization import (
-    FieldCoefficients,
     GalerkinSystem,
     Mesh,
     build_mesh,
     build_spaces,
     project_displacement,
     project_stress,
-    strain,
 )
 from .solver import SimState, SolverConfig, initialize, run, step
 
@@ -26,19 +21,14 @@ __all__ = [
     "ElasticityTensor",
     "FlowRule",
     "TruncationLevel",
-    "elasticity_apply",
-    "elasticity_inverse_apply",
-    "flow_eval",
     "truncate",
     "verify_admissibility",
-    "FieldCoefficients",
     "GalerkinSystem",
     "Mesh",
     "build_mesh",
     "build_spaces",
     "project_displacement",
     "project_stress",
-    "strain",
     "SimState",
     "SolverConfig",
     "initialize",

@@ -11,15 +11,18 @@ error.  THERMOVISCO_OUTDIR overrides the configured output directory.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys as _sys
 import numpy as np
+from dataclasses import replace
 from pathlib import Path
 
-from .config import ConfigError, RunConfig, build_problem, load_config, make_flow_rule, shipped_config_path
+from .config import (ConfigError, RunConfig, _float, _int_list, _level, build_problem, check,
+                     load_config, make_flow_rule, shipped_config_path)
 from .constitutive import verify_admissibility
 from .diagnostics import format_summary
-from .discretization import eval_displacement, eval_stress, eval_temperature, max_levels
+from .discretization import eval_displacement, eval_stress, eval_temperature
 from .solver import StepFailureError, PicardConvergenceError, run as solver_run
 
 SNAPSHOT_SCHEMA = "thermovisco-snapshot-v1"
@@ -29,12 +32,9 @@ def _resolve_config(path_arg: str) -> Path:
     p = Path(path_arg)
     if p.exists():
         return p
-    try:
-        shipped = shipped_config_path(path_arg)
-        if shipped.exists():
-            return shipped
-    except Exception:
-        pass
+    shipped = shipped_config_path(path_arg)
+    if shipped.exists():
+        return shipped
     raise ConfigError(f"config file not found: {path_arg}")
 
 
@@ -105,7 +105,8 @@ def cmd_check_constitutive(args) -> int:
     return 0 if report.passed else 1
 
 
-def _parse_levels(arg: str):
+def _parse_levels(arg: str, rc: RunConfig) -> list:
+    """The runs of a ``--levels`` list: ``rc`` at each level, checked like a config."""
     levels = []
     for chunk in arg.split(";"):
         chunk = chunk.strip()
@@ -115,21 +116,19 @@ def _parse_levels(arg: str):
         if len(parts) != 4:
             raise ConfigError(f"level {chunk!r}: expected cells:n_disp:k_stress:dt")
         try:
-            cells = tuple(int(c) for c in parts[0].replace("x", ",").split(","))
-            n_disp = parts[1].strip()
-            k_stress = parts[2].strip()
-            dt = float(parts[3])
+            levels.append(check(replace(rc, cells=_int_list(parts[0]),
+                                        n_disp_level=_level(parts[1]),
+                                        k_stress_level=_level(parts[2]), dt=_float(parts[3]))))
         except ValueError as exc:
             raise ConfigError(f"level {chunk!r}: {exc}") from exc
-        levels.append((cells, n_disp, k_stress, dt))
     if len(levels) < 2:
         raise ConfigError("need at least two levels, coarse to fine")
     # coarse -> fine: cell counts non-decreasing, dt non-increasing
     for a, b in zip(levels, levels[1:]):
-        if int(np.prod(b[0])) < int(np.prod(a[0])) or b[3] > a[3] + 1e-15:
+        if math.prod(b.cells) < math.prod(a.cells) or b.dt > a.dt + 1e-15:
             raise ConfigError(
                 f"levels must be ordered coarse to fine (cells non-decreasing, "
-                f"dt non-increasing); got {a[0]}@dt={a[3]:g} before {b[0]}@dt={b[3]:g}")
+                f"dt non-increasing); got {a.cells}@dt={a.dt:g} before {b.cells}@dt={b.dt:g}")
     return levels
 
 
@@ -145,18 +144,11 @@ def _probe_points(dim, extents, per_axis=256):
 
 def cmd_convergence(args) -> int:
     rc = load_config(_resolve_config(args.config))
-    levels = _parse_levels(args.levels)
+    levels = _parse_levels(args.levels, rc)
     probes = _probe_points(rc.dim, rc.extents)
 
-    from dataclasses import replace as dc_replace
     fields, summaries = [], []
-    for (cells, n_disp, k_stress, dt) in levels:
-        if len(cells) == 1:
-            cells = cells * rc.dim
-        max_disp, max_stress = max_levels(rc.dim, cells)
-        nd = max_disp if n_disp == "full" else min(int(n_disp), max_disp)
-        ks = max_stress if k_stress == "full" else min(int(k_stress), max_stress)
-        level_rc = dc_replace(rc, cells=cells, n_disp_level=nd, k_stress_level=ks, dt=dt)
+    for level_rc in levels:
         sys_, cfg = build_problem(level_rc)
         result = solver_run(sys_, cfg, collect_infos=False)
         fields.append({

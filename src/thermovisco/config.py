@@ -1,25 +1,29 @@
-"""INI-style run configuration: parsing, validation and problem assembly.
+"""INI-style run configuration: parsing, checking and problem assembly.
 
 A config has sections [mesh], [spaces], [material], [time], [data] and
 [output]; see the shipped files under ``thermovisco/configs``.  The [data]
 section either names a preset or gives component expressions over x, y, z
-(and t for the forcing f).  Every numeric range is validated here so the
-command line can report field-level messages before anything runs.
+(and t for the forcing f).  This module only parses values.  Their ranges
+are the rules of the objects that own them (``mesh_shape``,
+``check_levels``, ``ElasticityTensor``, ``FlowRule``, ``check_time``);
+``check`` runs them all and names the section of a rule that fails, so the
+command line reports a config error before anything runs.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 from typing import Optional
 
 from .constitutive import ElasticityTensor, FlowRule, TruncationLevel
-from .discretization import build_mesh, build_spaces, max_levels
+from .discretization import build_mesh, build_spaces, check_levels, max_levels, mesh_shape
 from .expressions import ExpressionError, compile_expression, tensor_sampler, vector_sampler
-from .solver import SolverConfig
+from .solver import SolverConfig, check_time
 
 
 class ConfigError(ValueError):
@@ -31,7 +35,7 @@ class RunConfig:
     dim: int
     extents: tuple
     cells: tuple
-    n_disp_level: int           # resolved count ("full" already expanded)
+    n_disp_level: int           # a count, or "full" until ``check`` expands it
     k_stress_level: int
     lam: float
     mu: float
@@ -102,8 +106,13 @@ def _int_list(raw):
     return tuple(int(v) for v in raw.replace("x", ",").split(","))
 
 
+def _level(raw):
+    """A space level: "full" (expanded by ``check``) or a count."""
+    return "full" if raw.strip().lower() == "full" else int(raw)
+
+
 def load_config(path) -> RunConfig:
-    """Parse and validate an INI config file into a RunConfig."""
+    """Parse an INI config file into a RunConfig that has passed ``check``."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
@@ -118,63 +127,21 @@ def load_config(path) -> RunConfig:
             raise ConfigError(f"missing section [{section}]")
 
     dim = _get(cp, "mesh", "dim", int, required=True)
-    if dim not in (1, 2, 3):
-        raise ConfigError(f"[mesh] dim: must be 1, 2 or 3, got {dim}")
     extents = _get(cp, "mesh", "extents", _num_list, required=True)
     cells = _get(cp, "mesh", "cells", _int_list, required=True)
-    if len(extents) == 1:
-        extents = extents * dim
-    if len(cells) == 1:
-        cells = cells * dim
-    if len(extents) != dim or len(cells) != dim:
-        raise ConfigError(f"[mesh] extents/cells must have {dim} entries")
-    if any(L <= 0 for L in extents):
-        raise ConfigError(f"[mesh] extents: must be positive, got {extents}")
-    if any(c < 2 for c in cells):
-        raise ConfigError(f"[mesh] cells: need at least 2 per axis, got {cells}")
-
-    max_disp, max_stress = max_levels(dim, cells)
-
-    def level(raw, maximum):
-        if raw.strip().lower() == "full":
-            return maximum
-        return int(raw)
-
-    n_disp = _get(cp, "spaces", "n_disp_level", lambda r: level(r, max_disp), default=max_disp)
-    k_stress = _get(cp, "spaces", "k_stress_level", lambda r: level(r, max_stress),
-                    default=max_stress)
-    if not 1 <= n_disp <= max_disp:
-        raise ConfigError(f"[spaces] n_disp_level: must be in [1, {max_disp}], got {n_disp}")
-    if not 1 <= k_stress <= max_stress:
-        raise ConfigError(f"[spaces] k_stress_level: must be in [1, {max_stress}], got {k_stress}")
+    n_disp = _get(cp, "spaces", "n_disp_level", _level, default="full")
+    k_stress = _get(cp, "spaces", "k_stress_level", _level, default="full")
 
     lam = _get(cp, "material", "lambda", _float, default=0.0)
     mu = _get(cp, "material", "mu", _float, required=True)
-    if not (mu > 0 and 3 * lam + 2 * mu > 0):
-        raise ConfigError(f"[material] moduli: need mu > 0 and 3*lambda + 2*mu > 0, "
-                          f"got lambda={lam}, mu={mu}")
     flow_kind = _get(cp, "material", "flow_rule", str, default="linear").strip()
-    known = ("linear", "mroz_saturating", "temperature_weighted", "anti_monotone")
-    if flow_kind not in known:
-        raise ConfigError(f"[material] flow_rule: unknown kind {flow_kind!r} "
-                          f"(one of {known})")
     kappa0 = _get(cp, "material", "kappa0", _float, default=1.0)
-    if kappa0 < 0:
-        raise ConfigError(f"[material] kappa0: must be >= 0, got {kappa0}")
     kappa_min = _get(cp, "material", "kappa_min", _float, default=None)
 
     dt = _get(cp, "time", "dt", _float, required=True)
-    if dt <= 0:
-        raise ConfigError(f"[time] dt: must be positive, got {dt}")
     t_end = _get(cp, "time", "t_end", _float, required=True)
-    if t_end < dt:
-        raise ConfigError(f"[time] t_end: must be at least dt, got {t_end} < {dt}")
     picard_tol = _get(cp, "time", "picard_tol", _float, default=1e-10)
-    if picard_tol <= 0:
-        raise ConfigError(f"[time] picard_tol: must be positive, got {picard_tol}")
     picard_max = _get(cp, "time", "picard_max_iters", int, default=50)
-    if picard_max < 1:
-        raise ConfigError(f"[time] picard_max_iters: must be >= 1, got {picard_max}")
     trunc_raw = _get(cp, "time", "truncation", str, default="auto").strip()
     if trunc_raw.lower() == "auto":
         truncation = "auto"
@@ -184,16 +151,48 @@ def load_config(path) -> RunConfig:
         except ValueError as exc:
             raise ConfigError(f"[time] truncation: {exc}") from exc
 
-    data = _parse_data(cp, dim)
-
     out_dir = _get(cp, "output", "directory", str, default="out")
     stride = _get(cp, "output", "snapshot_stride", int, default=0)
     ledger_name = _get(cp, "output", "ledger", str, default="ledger.csv")
     seed = _get(cp, "output", "seed", int, default=0)
 
-    return RunConfig(dim, extents, cells, n_disp, k_stress, lam, mu, flow_kind,
-                     kappa0, kappa_min, dt, t_end, picard_tol, picard_max,
-                     truncation, data, out_dir, stride, ledger_name, seed)
+    rc = check(RunConfig(dim, extents, cells, n_disp, k_stress, lam, mu, flow_kind,
+                         kappa0, kappa_min, dt, t_end, picard_tol, picard_max,
+                         truncation, {}, out_dir, stride, ledger_name, seed))
+    # The data section is read last: its component counts need a checked dim.
+    return replace(rc, data=_parse_data(cp, rc.dim))
+
+
+@contextmanager
+def _section(name):
+    """Re-raise a rule's ValueError as a ConfigError naming the config section."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"[{name}] {exc}") from exc
+
+
+def check(rc: RunConfig) -> RunConfig:
+    """Run every range rule on ``rc``, each in the object that owns it.
+
+    Returns ``rc`` with ``extents``/``cells`` at ``dim`` entries and "full"
+    levels expanded to ``max_levels``.  A failed rule raises ConfigError
+    with the section it belongs to.
+    """
+    with _section("mesh"):
+        extents, cells = mesh_shape(rc.dim, rc.extents, rc.cells)
+    max_disp, max_stress = max_levels(rc.dim, cells)
+    rc = replace(rc, extents=extents, cells=cells,
+                 n_disp_level=max_disp if rc.n_disp_level == "full" else rc.n_disp_level,
+                 k_stress_level=max_stress if rc.k_stress_level == "full" else rc.k_stress_level)
+    with _section("spaces"):
+        check_levels(rc.dim, cells, rc.n_disp_level, rc.k_stress_level)
+    with _section("material"):
+        ElasticityTensor(rc.lam, rc.mu)
+        make_flow_rule(rc)
+    with _section("time"):
+        check_time(rc.dt, rc.t_end, rc.picard_tol, rc.picard_max_iters)
+    return rc
 
 
 def _parse_data(cp, dim) -> dict:
@@ -249,12 +248,13 @@ def make_flow_rule(rc: RunConfig) -> FlowRule:
         # Deliberately inadmissible rule, kept so the admissibility gate and
         # the dissipation verdict can be demonstrated to fail from a config.
         k = rc.kappa0 if rc.kappa0 > 0 else 1.0
-        return FlowRule.custom(lambda theta: -k, c_growth=k,
-                               kind="anti_monotone")
-    raise ConfigError(f"unknown flow rule kind {rc.flow_kind!r}")
+        return FlowRule("anti_monotone", rc.kappa0, kappa_max=k, c_growth=k,
+                        fn=lambda theta: -k)
+    raise ValueError(f"flow_rule: unknown kind {rc.flow_kind!r} (one of linear, "
+                     f"mroz_saturating, temperature_weighted, anti_monotone)")
 
 
-def build_problem(rc: RunConfig, check_flow_rule: bool = True):
+def build_problem(rc: RunConfig):
     """Materialize (GalerkinSystem, SolverConfig) from a parsed RunConfig."""
     mesh = build_mesh(rc.dim, rc.extents, rc.cells)
     sys = build_spaces(mesh, rc.n_disp_level, rc.k_stress_level)
@@ -271,7 +271,6 @@ def build_problem(rc: RunConfig, check_flow_rule: bool = True):
         u1=rc.data.get("u1"),
         stress0=rc.data.get("stress0"),
         theta0=rc.data["theta0"],
-        check_flow_rule=check_flow_rule,
         admissibility_seed=rc.seed,
     )
     return sys, cfg

@@ -127,14 +127,6 @@ class ElasticityTensor:
         return unit, c
 
 
-def elasticity_apply(C: ElasticityTensor, A: np.ndarray) -> np.ndarray:
-    return C.apply(A)
-
-
-def elasticity_inverse_apply(C: ElasticityTensor, A: np.ndarray) -> np.ndarray:
-    return C.inverse_apply(A)
-
-
 @dataclass(frozen=True)
 class FlowRule:
     """Inelastic flow rate G(θ, T) with machine-checkable admissibility.
@@ -163,10 +155,9 @@ class FlowRule:
     _BUILTIN = ("linear", "mroz_saturating", "temperature_weighted")
 
     def __post_init__(self):
-        if self.kind in self._BUILTIN:
-            if self.kappa0 < 0.0:
-                raise ValueError("rate coefficient kappa0 must be >= 0")
-        elif self.fn is None:
+        if self.kappa0 < 0.0:
+            raise ValueError(f"rate coefficient kappa0 must be >= 0, got {self.kappa0}")
+        if self.kind not in self._BUILTIN and self.fn is None:
             raise ValueError(f"custom flow rule kind {self.kind!r} needs an evaluation function")
 
     @classmethod
@@ -232,10 +223,6 @@ class FlowRule:
         T = np.atleast_1d(np.asarray(T, dtype=float))
         out = self.eval_mandel(theta, T[:, None], dim=1)[:, 0]
         return out if out.size > 1 else float(out[0])
-
-
-def flow_eval(G: FlowRule, theta: float, T: np.ndarray) -> np.ndarray:
-    return G.eval(theta, T)
 
 
 @dataclass(frozen=True)

@@ -264,9 +264,6 @@ class LedgerBase:
                            and not self.invariant_violations),
         }
 
-    def summary_text(self) -> str:
-        return format_summary(self.summary())
-
     def write_summary_json(self, path) -> dict:
         """Write ``summary()`` to ``path`` as JSON and return it."""
         summary = self.summary()

@@ -67,15 +67,17 @@ class Mesh:
 
 def _as_tuple(value, dim, name, cast):
     if np.isscalar(value):
-        value = (value,) * dim
+        value = (value,)
     value = tuple(cast(v) for v in value)
+    if len(value) == 1:
+        value *= dim
     if len(value) != dim:
         raise ValueError(f"{name} must have {dim} entries, got {len(value)}")
     return value
 
 
-def build_mesh(dim: int, extents, cells) -> Mesh:
-    """Uniform mesh with ``cells`` elements per axis on [0, extents]."""
+def mesh_shape(dim: int, extents, cells) -> tuple:
+    """Checked (extents, cells) of a ``dim``-D box, one entry repeated to ``dim``."""
     if dim not in (1, 2, 3):
         raise ValueError(f"dim must be 1, 2 or 3, got {dim}")
     extents = _as_tuple(extents, dim, "extents", float)
@@ -84,6 +86,12 @@ def build_mesh(dim: int, extents, cells) -> Mesh:
         raise ValueError(f"extents must be positive, got {extents}")
     if any(m < 2 for m in cells):
         raise ValueError(f"need at least 2 cells per axis, got {cells}")
+    return extents, cells
+
+
+def build_mesh(dim: int, extents, cells) -> Mesh:
+    """Uniform mesh with ``cells`` elements per axis on [0, extents]."""
+    extents, cells = mesh_shape(dim, extents, cells)
 
     npts = [m + 1 for m in cells]
     axes = [np.linspace(0.0, extents[a], npts[a]) for a in range(dim)]
@@ -98,18 +106,6 @@ def build_mesh(dim: int, extents, cells) -> Mesh:
 
     spacing = tuple(extents[a] / cells[a] for a in range(dim))
     return Mesh(dim, extents, cells, nodes, cell_nodes, spacing)
-
-
-@dataclass(frozen=True)
-class FieldCoefficients:
-    """Coefficient vector tagged with the space it expands."""
-
-    space: str  # displacement | stress | temperature
-    values: np.ndarray
-
-    def __post_init__(self):
-        if self.space not in ("displacement", "stress", "temperature"):
-            raise ValueError(f"unknown space tag {self.space!r}")
 
 
 # 1D closed-form element integrals on [0, h]:
@@ -187,6 +183,15 @@ def max_levels(dim: int, cells) -> tuple:
     return math.prod(c - 1 for c in cells) * dim, math.prod(cells) * sym_components(dim)
 
 
+def check_levels(dim: int, cells, n_disp: int, k_stress: int) -> None:
+    """Reject displacement and stress levels outside [1, ``max_levels``]."""
+    max_disp, max_stress = max_levels(dim, cells)
+    if not 1 <= n_disp <= max_disp:
+        raise ValueError(f"n_disp_level must be in [1, {max_disp}], got {n_disp}")
+    if not 1 <= k_stress <= max_stress:
+        raise ValueError(f"k_stress_level must be in [1, {max_stress}], got {k_stress}")
+
+
 class GalerkinSystem:
     """Assembled discrete spaces and coupling operators on one mesh.
 
@@ -235,12 +240,8 @@ class GalerkinSystem:
         self.mesh = mesh
         self.s_comp = sym_components(dim)
 
+        check_levels(dim, mesh.cells, n_disp, k_stress)
         interior = mesh.interior_nodes
-        max_disp, max_stress = max_levels(dim, mesh.cells)
-        if not 1 <= n_disp <= max_disp:
-            raise ValueError(f"n_disp level must be in [1, {max_disp}], got {n_disp}")
-        if not 1 <= k_stress <= max_stress:
-            raise ValueError(f"k_stress level must be in [1, {max_stress}], got {k_stress}")
         self.n_disp = n_disp
         self.k_stress = k_stress
         self.n_temp = mesh.n_nodes
@@ -296,6 +297,8 @@ class GalerkinSystem:
         mesh = self.mesh
         h = mesh.spacing
         n_loc = 2 ** dim
+        # Corner p of a cell sits at the bits of p along each axis (x-bit fastest).
+        self._bits = (np.arange(n_loc)[:, None] >> np.arange(dim)) & 1
 
         self._m_elem = _kron_axes([_m1(h[a]) for a in range(dim)])
         k_elem = np.zeros((n_loc, n_loc))
@@ -317,9 +320,8 @@ class GalerkinSystem:
         self._gauss_N = self._shape_values(pts)                   # (n_g, n_loc)
         self._adv_table = np.einsum("g,gp,gq->gpq", self._gauss_w, self._gauss_N,
                                     self._gauss_N).reshape(pts.shape[0], n_loc * n_loc)
-        # ∂N_p/∂x_d at the local corners k (x-bit fastest), rows (p, d).
-        corners = (np.arange(n_loc)[:, None] >> np.arange(dim)) & 1
-        self._corner_table = self._shape_gradients(corners.astype(float)).transpose(
+        # ∂N_p/∂x_d at the local corners k, rows (p, d).
+        self._corner_table = self._shape_gradients(self._bits.astype(float)).transpose(
             1, 2, 0).reshape(n_loc * dim, n_loc)
 
         cn = mesh.cell_nodes
@@ -336,33 +338,19 @@ class GalerkinSystem:
         for arr in (self._indices, self._indptr):  # shared by every operator on it
             arr.setflags(write=False)
 
+    def _shape_factors(self, xi):
+        """Per-axis factors ξ_a or 1 − ξ_a of every N_p at points xi, (m, n_loc, dim)."""
+        return np.where(self._bits, xi[:, None, :], 1.0 - xi[:, None, :])
+
     def _shape_values(self, xi):
-        dim = self.mesh.dim
-        n_loc = 2 ** dim
-        vals = np.ones((xi.shape[0], n_loc))
-        for p in range(n_loc):
-            for a in range(dim):
-                t = xi[:, a]
-                vals[:, p] *= t if (p >> a) & 1 else (1.0 - t)
-        return vals
+        return np.prod(self._shape_factors(xi), axis=-1)
 
     def _shape_gradients(self, xi):
-        """Physical gradients ∂N_p/∂x_a at reference points xi."""
-        dim = self.mesh.dim
-        h = self.mesh.spacing
-        n_loc = 2 ** dim
-        grads = np.zeros((xi.shape[0], n_loc, dim))
-        for p in range(n_loc):
-            for a in range(dim):
-                g = np.ones(xi.shape[0])
-                for b in range(dim):
-                    t = xi[:, b]
-                    if b == a:
-                        g *= (1.0 if (p >> b) & 1 else -1.0) / h[b]
-                    else:
-                        g *= t if (p >> b) & 1 else (1.0 - t)
-                grads[:, p, a] = g
-        return grads
+        """Physical gradients ∂N_p/∂x_a at points xi: axis a's factor becomes ±1/h_a."""
+        slopes = np.where(self._bits, 1.0, -1.0) / np.array(self.mesh.spacing)
+        factors = np.where(np.eye(self.mesh.dim, dtype=bool), slopes[:, None, :],
+                           self._shape_factors(xi)[:, :, None, :])
+        return np.prod(factors, axis=-1)
 
     # -- assembly -------------------------------------------------------------
 
@@ -521,16 +509,11 @@ class GalerkinSystem:
     def locate(self, pts: np.ndarray):
         """Cell index and reference coordinates of physical points."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        dim = self.mesh.dim
         h = np.array(self.mesh.spacing)
         idx = np.floor(pts / h).astype(np.int64)
         idx = np.clip(idx, 0, np.array(self.mesh.cells) - 1)
         ref = pts / h - idx
-        cell = idx[:, 0]
-        if dim >= 2:
-            cell = cell + self.mesh.cells[0] * idx[:, 1]
-        if dim == 3:
-            cell = cell + self.mesh.cells[0] * self.mesh.cells[1] * idx[:, 2]
+        cell = np.ravel_multi_index(idx.T, self.mesh.cells, order="F")  # x index fastest
         return cell, ref
 
 
@@ -539,17 +522,17 @@ def build_spaces(mesh: Mesh, n_disp_level: int, k_stress_level: int) -> Galerkin
     return GalerkinSystem(mesh, n_disp_level, k_stress_level)
 
 
-def project_displacement(sys: GalerkinSystem, sampler: Callable) -> FieldCoefficients:
+def project_displacement(sys: GalerkinSystem, sampler: Callable) -> np.ndarray:
     """L² projection onto the displacement space.
 
     ``sampler`` maps points (m, dim) to vectors (m, dim) and should vanish
     on the boundary.  The residual is orthogonal to every basis function.
     """
     b = sys.load_vector(lambda t, pts: sampler(pts), 0.0)
-    return FieldCoefficients("displacement", sys.solve_mass_u(b))
+    return sys.solve_mass_u(b)
 
 
-def project_stress(sys: GalerkinSystem, sampler: Callable) -> FieldCoefficients:
+def project_stress(sys: GalerkinSystem, sampler: Callable) -> np.ndarray:
     """L² projection onto the stress space: cell means of Mandel components.
 
     ``sampler`` maps points (m, dim) to symmetric matrices (m, dim, dim).
@@ -558,14 +541,7 @@ def project_stress(sys: GalerkinSystem, sampler: Callable) -> FieldCoefficients:
     mats = np.asarray(sampler(pts), dtype=float)
     mandel = to_mandel(mats).reshape(sys.mesh.n_cells, sys._gauss_ref.shape[0], sys.s_comp)
     means = np.einsum("g,egc->ec", sys._gauss_w, mandel) / sys.mesh.cell_volume
-    return FieldCoefficients("stress", sys.stress_coeffs(means))
-
-
-def strain(sys: GalerkinSystem, disp: FieldCoefficients) -> FieldCoefficients:
-    """Symmetric gradient expanded in the stress basis (in 1D: u_x)."""
-    if disp.space != "displacement":
-        raise ValueError(f"strain expects displacement coefficients, got {disp.space!r}")
-    return FieldCoefficients("stress", sys.B @ disp.values)
+    return sys.stress_coeffs(means)
 
 
 def eval_displacement(sys: GalerkinSystem, coeffs: np.ndarray, pts: np.ndarray) -> np.ndarray:

@@ -12,6 +12,8 @@ import ast
 import numpy as np
 from typing import Callable
 
+from .constitutive import _OFFDIAG
+
 
 class ExpressionError(ValueError):
     pass
@@ -106,7 +108,6 @@ def tensor_sampler(components, dim: int) -> Callable:
 
     1D: [xx]; 2D: [xx, yy, xy]; 3D: [xx, yy, zz, yz, xz, xy].
     """
-    from .constitutive import _OFFDIAG
     expected = dim + len(_OFFDIAG[dim])
     if len(components) != expected:
         raise ExpressionError(f"stress needs {expected} component expressions "

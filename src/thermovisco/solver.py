@@ -71,6 +71,22 @@ class SimState:
         return self
 
 
+# Random flow-rule samples that ``run`` checks for admissibility before stepping.
+_ADMISSIBILITY_SAMPLES = 2000
+
+
+def check_time(dt: float, t_end: float, picard_tol: float, picard_max_iters: int) -> None:
+    """Reject a time grid or Picard controls that cannot run."""
+    if not dt > 0.0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    if not t_end >= dt:
+        raise ValueError(f"t_end must be at least one step, got {t_end} < dt={dt}")
+    if not picard_tol > 0.0:
+        raise ValueError("picard_tol must be positive")
+    if picard_max_iters < 1:
+        raise ValueError("picard_max_iters must be >= 1")
+
+
 @dataclass
 class SolverConfig:
     """Time grid, material laws, data samplers and iteration controls.
@@ -95,18 +111,10 @@ class SolverConfig:
     stress0: Optional[Callable] = None
     theta0: Callable = None
     check_flow_rule: bool = True
-    admissibility_samples: int = 2000
     admissibility_seed: int = 0
 
     def __post_init__(self):
-        if not self.dt > 0.0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if not self.t_end >= self.dt:
-            raise ValueError(f"t_end must be at least one step, got {self.t_end} < dt={self.dt}")
-        if not self.picard_tol > 0.0:
-            raise ValueError("picard_tol must be positive")
-        if self.picard_max_iters < 1:
-            raise ValueError("picard_max_iters must be >= 1")
+        check_time(self.dt, self.t_end, self.picard_tol, self.picard_max_iters)
         if self.theta0 is None:
             raise ValueError("theta0 sampler is required")
         if isinstance(self.truncation, str) and self.truncation != "auto":
@@ -146,9 +154,9 @@ def initialize(sys: GalerkinSystem, cfg: SolverConfig) -> SimState:
     Displacement, velocity and stress are L² projections; the temperature
     is interpolated at the nodes and must be strictly positive there.
     """
-    u = project_displacement(sys, cfg.u0).values if cfg.u0 is not None else np.zeros(sys.n_disp)
-    v = project_displacement(sys, cfg.u1).values if cfg.u1 is not None else np.zeros(sys.n_disp)
-    stress = project_stress(sys, cfg.stress0).values if cfg.stress0 is not None \
+    u = project_displacement(sys, cfg.u0) if cfg.u0 is not None else np.zeros(sys.n_disp)
+    v = project_displacement(sys, cfg.u1) if cfg.u1 is not None else np.zeros(sys.n_disp)
+    stress = project_stress(sys, cfg.stress0) if cfg.stress0 is not None \
         else np.zeros(sys.k_stress)
     theta = np.asarray(cfg.theta0(sys.mesh.nodes), dtype=float)
     if theta.shape != (sys.n_temp,):
@@ -420,7 +428,7 @@ def run(sys: GalerkinSystem, cfg: SolverConfig, observers: Sequence[Callable] = 
     Step errors propagate annotated with the failing time.
     """
     if cfg.check_flow_rule:
-        report = verify_admissibility(cfg.flow_rule, cfg.admissibility_samples,
+        report = verify_admissibility(cfg.flow_rule, _ADMISSIBILITY_SAMPLES,
                                       cfg.admissibility_seed)
         if not report.passed:
             raise ValueError(f"flow rule failed admissibility checks:\n{report}")

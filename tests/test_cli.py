@@ -1,16 +1,19 @@
 import json
 import numpy as np
 import pytest
+from dataclasses import replace
 
 from thermovisco.cli import main, write_snapshot, SNAPSHOT_SCHEMA
 from thermovisco.config import (
     ConfigError,
     PRESETS,
     build_problem,
+    check,
     load_config,
     make_flow_rule,
     shipped_config_path,
 )
+from thermovisco.discretization import max_levels
 from thermovisco.expressions import ExpressionError, compile_expression, vector_sampler
 
 
@@ -106,6 +109,11 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="not found"):
             load_config("/nonexistent/path.cfg")
 
+    @pytest.mark.parametrize("name", ["nope.cfg", "../../x", "a\0b", "/abs/path.cfg"])
+    def test_missing_file_exit_two(self, capsys, name):
+        assert main(["run", name]) == 2
+        assert "config file not found" in capsys.readouterr().err
+
     def test_shipped_configs_parse(self):
         for name in ("zero.cfg", "smooth_coupled.cfg", "smooth_2d.cfg"):
             rc = load_config(shipped_config_path(name))
@@ -113,6 +121,21 @@ class TestConfigParsing:
 
     def test_presets_compile(self):
         assert set(PRESETS) >= {"zero", "smooth_coupled", "smooth_2d"}
+
+    def test_bad_dim_rejected_before_data(self, tmp_path):
+        # [data] sizes its components by dim, so dim must be checked first.
+        bad = MINIMAL.replace("dim = 1", "dim = 4").replace(
+            "preset = zero", "stress0 = " + "; ".join(["0"] * 10) + "\ntheta0 = 1")
+        with pytest.raises(ConfigError, match=r"\[mesh\] dim"):
+            load_config(write_cfg(tmp_path, bad))
+
+    def test_check_expands_full_and_repeats_cells(self, tmp_path):
+        rc = load_config(write_cfg(tmp_path, MINIMAL))
+        rc = check(replace(rc, dim=2, extents=(2.0,), cells=(4,),
+                           n_disp_level="full", k_stress_level=5))
+        assert rc.extents == (2.0, 2.0) and rc.cells == (4, 4)
+        assert rc.n_disp_level == max_levels(2, (4, 4))[0] == 18
+        assert rc.k_stress_level == 5
 
     def test_flow_rule_kinds(self, tmp_path):
         for kind in ("linear", "mroz_saturating", "temperature_weighted"):
@@ -200,6 +223,18 @@ class TestCmdRun:
         assert "[nodes]" in text and "[cells]" in text
 
 
+@pytest.mark.parametrize("command", ["run", "check-constitutive"])
+@pytest.mark.parametrize("material", [
+    "flow_rule = temperature_weighted\nkappa0 = 1\nkappa_min = 2",
+    "flow_rule = temperature_weighted\nkappa0 = 1\nkappa_min = -1",
+    "flow_rule = anti_monotone\nkappa0 = -1",
+], ids=["kappa_min=2", "kappa_min=-1", "anti_monotone-kappa0=-1"])
+def test_bad_flow_rule_exit_two(tmp_path, capsys, command, material):
+    body = MINIMAL.replace("flow_rule = linear\nkappa0 = 0.5", material)
+    assert main([command, str(write_cfg(tmp_path, body))]) == 2
+    assert "[material]" in capsys.readouterr().err
+
+
 class TestCmdCheckConstitutive:
     def test_linear_passes(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, MINIMAL)
@@ -246,6 +281,17 @@ class TestCmdConvergence:
                      "--levels", "40:full:full:1e-3;20:full:full:2e-3"])
         assert code == 2
         assert "coarse to fine" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("level, section", [
+        ("25:0:full:4e-3", "[spaces] n_disp_level"),
+        ("25:500:full:4e-3", "[spaces] n_disp_level"),   # rejected, not clamped to 24
+        ("25:full:full:0", "[time] dt"),
+        ("1:full:full:4e-3", "[mesh]"),
+    ])
+    def test_out_of_range_level_exit_two(self, tmp_path, capsys, level, section):
+        cfg = write_cfg(tmp_path, self.SMOOTH)
+        assert main(["convergence", str(cfg), "--levels", f"{level};50:full:full:2e-3"]) == 2
+        assert section in capsys.readouterr().err
 
     def test_single_level_rejected(self, tmp_path):
         cfg = write_cfg(tmp_path, self.SMOOTH)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from thermovisco import ElasticityTensor, FlowRule, TruncationLevel, build_mesh, build_spaces
-from thermovisco.diagnostics import ACCUMULATORS, C_SCHEME, LEDGER_COLUMNS, scheme_tolerance
+from thermovisco.diagnostics import (ACCUMULATORS, C_SCHEME, LEDGER_COLUMNS, format_summary,
+                                     scheme_tolerance)
 from thermovisco.oracle import fd_run, make_grid
 from thermovisco.solver import SimState, SolverConfig, heat_substep, run
 
@@ -274,5 +275,5 @@ class TestSerialization:
         assert set(s["verdicts"]) == {"energy_balance", "dissipation_inequality",
                                       "temperature_positivity", "uniform_bound",
                                       "accumulators_monotone"}
-        text = result.ledger.summary_text()
+        text = format_summary(result.ledger.summary())
         assert "[pass]" in text and "FAIL" not in text

@@ -6,7 +6,6 @@ import scipy.sparse.linalg as spla
 
 from thermovisco.constitutive import SQRT2, to_mandel
 from thermovisco.discretization import (
-    FieldCoefficients,
     GalerkinSystem,
     build_mesh,
     build_spaces,
@@ -16,7 +15,6 @@ from thermovisco.discretization import (
     max_levels,
     project_displacement,
     project_stress,
-    strain,
 )
 from thermovisco.solver import divergence_of
 
@@ -346,7 +344,7 @@ class TestProjections:
         sys = build_spaces(m, 3, 4)
         c = np.array([0.3, -0.2, 0.5])
         p = project_displacement(sys, lambda pts: eval_displacement(sys, c, pts))
-        assert np.abs(p.values - c).max() < 1e-12
+        assert np.abs(p - c).max() < 1e-12
 
     def test_quadratic_against_hand_solved_oracle(self):
         # u0 = x(1-x) on 4 cells, n = 3.  Expected coefficients from solving
@@ -373,7 +371,7 @@ class TestProjections:
         m = build_mesh(1, [1.0], [4])
         sys = build_spaces(m, 3, 4)
         p = project_displacement(sys, lambda pts: (pts[:, 0] * (1 - pts[:, 0]))[:, None])
-        assert np.allclose(p.values, expected, atol=1e-13)
+        assert np.allclose(p, expected, atol=1e-13)
 
     def test_error_non_increasing_in_level(self):
         m = build_mesh(1, [1.0], [8])
@@ -383,7 +381,7 @@ class TestProjections:
         for n in (2, 4, 7):
             sys = build_spaces(m, n, 1)
             p = project_displacement(sys, sampler)
-            diff = eval_displacement(sys, p.values, xs)[:, 0] - sampler(xs)[:, 0]
+            diff = eval_displacement(sys, p, xs)[:, 0] - sampler(xs)[:, 0]
             errs.append(np.sqrt(np.mean(diff ** 2)))
         assert errs[0] >= errs[1] >= errs[2]
 
@@ -395,21 +393,21 @@ class TestProjections:
         s3 = build_spaces(m, 3, 4)
         c = np.array([0.7, -0.4])
         p = project_displacement(s3, lambda pts: eval_displacement(s2, c, pts))
-        assert np.allclose(p.values[:2], c, atol=1e-12)
-        assert abs(p.values[2]) < 1e-12
+        assert np.allclose(p[:2], c, atol=1e-12)
+        assert abs(p[2]) < 1e-12
 
     def test_stress_zero_field(self):
         m = build_mesh(1, [1.0], [2])
         sys = build_spaces(m, 1, 2)
         p = project_stress(sys, lambda pts: np.zeros((pts.shape[0], 1, 1)))
-        assert np.allclose(p.values, 0.0)
+        assert np.allclose(p, 0.0)
 
     def test_stress_constant_exact(self):
         m = build_mesh(2, [1.0, 1.0], [2, 2])
         sys = build_spaces(m, 1, 12)
         A = np.array([[2.0, 0.5], [0.5, -1.0]])
         p = project_stress(sys, lambda pts: np.broadcast_to(A, (pts.shape[0], 2, 2)))
-        back = eval_stress(sys, p.values, m.cell_centers)
+        back = eval_stress(sys, p, m.cell_centers)
         expect = np.array([2.0, -1.0, SQRT2 * 0.5])
         assert np.allclose(back, expect, atol=1e-13)
 
@@ -418,7 +416,7 @@ class TestProjections:
         m = build_mesh(1, [1.0], [2])
         sys = build_spaces(m, 1, 2)
         p = project_stress(sys, lambda pts: pts[:, 0][:, None, None])
-        assert np.allclose(p.values, [0.25, 0.75], atol=1e-14)
+        assert np.allclose(p, [0.25, 0.75], atol=1e-14)
 
     def test_singular_gram_reported(self, monkeypatch):
         # a broken basis surfaces as a ValueError at construction time
@@ -434,22 +432,22 @@ class TestStrain:
     def test_zero(self):
         m = build_mesh(1, [1.0], [2])
         sys = build_spaces(m, 1, 2)
-        st = strain(sys, FieldCoefficients("displacement", np.zeros(1)))
-        assert np.allclose(st.values, 0.0)
+        st = sys.B @ np.zeros(1)
+        assert np.allclose(st, 0.0)
 
     def test_single_hat_slopes(self):
         # hat at x=0.5 on 2 cells: slopes +2 then -2
         m = build_mesh(1, [1.0], [2])
         sys = build_spaces(m, 1, 2)
-        st = strain(sys, FieldCoefficients("displacement", np.array([1.0])))
-        assert np.allclose(st.values, [2.0, -2.0], atol=1e-14)
+        st = sys.B @ np.array([1.0])
+        assert np.allclose(st, [2.0, -2.0], atol=1e-14)
 
     def test_2d_linear_field(self):
         # u = (x, -y) projected then strained: central cell ~ diag(1, -1)
         m = build_mesh(2, [1.0, 1.0], [16, 16])
         sys = build_spaces(m, m.interior_nodes.size * 2, m.n_cells * 3)
         p = project_displacement(sys, lambda pts: np.stack([pts[:, 0], -pts[:, 1]], axis=1))
-        st = strain(sys, p).values.reshape(m.n_cells, 3)
+        st = (sys.B @ p).reshape(m.n_cells, 3)
         central = np.argmin(np.abs(m.cell_centers - 0.5).sum(axis=1))
         assert np.allclose(st[central], [1.0, -1.0, 0.0], atol=1e-2)
 
@@ -459,16 +457,53 @@ class TestStrain:
         rng = np.random.default_rng(0)
         c1 = rng.standard_normal(sys.n_disp)
         c2 = rng.standard_normal(sys.n_disp)
-        lhs = strain(sys, FieldCoefficients("displacement", 2.0 * c1 - 3.0 * c2)).values
-        rhs = 2.0 * strain(sys, FieldCoefficients("displacement", c1)).values \
-            - 3.0 * strain(sys, FieldCoefficients("displacement", c2)).values
+        lhs = sys.B @ (2.0 * c1 - 3.0 * c2)
+        rhs = 2.0 * (sys.B @ c1) - 3.0 * (sys.B @ c2)
         assert np.allclose(lhs, rhs, atol=1e-14)
 
-    def test_tag_mismatch_rejected(self):
-        m = build_mesh(1, [1.0], [2])
-        sys = build_spaces(m, 1, 2)
-        with pytest.raises(ValueError):
-            strain(sys, FieldCoefficients("stress", np.zeros(2)))
+
+def _loop_shape_values(xi, dim):
+    """N_p(xi) one corner and axis at a time: the reference for the array form."""
+    vals = np.ones((xi.shape[0], 2 ** dim))
+    for p in range(2 ** dim):
+        for a in range(dim):
+            vals[:, p] *= xi[:, a] if (p >> a) & 1 else (1.0 - xi[:, a])
+    return vals
+
+
+def _loop_shape_gradients(xi, h):
+    dim = len(h)
+    grads = np.zeros((xi.shape[0], 2 ** dim, dim))
+    for p in range(2 ** dim):
+        for a in range(dim):
+            g = np.ones(xi.shape[0])
+            for b in range(dim):
+                if b == a:
+                    g *= (1.0 if (p >> b) & 1 else -1.0) / h[b]
+                else:
+                    g *= xi[:, b] if (p >> b) & 1 else (1.0 - xi[:, b])
+            grads[:, p, a] = g
+    return grads
+
+
+class TestShapeTables:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("scale", [1.0, 1e-8])
+    def test_bitwise_equal_to_loops(self, dim, scale):
+        m = build_mesh(dim, [scale * (1.0 + 0.3 * a) for a in range(dim)], [2, 3, 2][:dim])
+        sys = build_spaces(m, 1, 1)
+        corners = (np.arange(2 ** dim)[:, None] >> np.arange(dim)) & 1
+        xi = np.vstack([np.random.default_rng(dim).uniform(size=(20, dim)),
+                        np.full((1, dim), 0.5), corners.astype(float)])
+        assert np.array_equal(sys._shape_values(xi), _loop_shape_values(xi, dim))
+        assert np.array_equal(sys._shape_gradients(xi), _loop_shape_gradients(xi, m.spacing))
+
+    def test_locate_numbers_cells_x_fastest(self):
+        m = build_mesh(3, [1.0, 2.0, 0.5], [3, 4, 2])
+        sys = build_spaces(m, 1, 1)
+        cell, ref = sys.locate(m.cell_centers)
+        assert np.array_equal(cell, np.arange(m.n_cells))
+        assert np.allclose(ref, 0.5)
 
 
 class TestFieldEvaluation:
