@@ -30,10 +30,10 @@ SNAPSHOT_SCHEMA = "thermovisco-snapshot-v1"
 
 def _resolve_config(path_arg: str) -> Path:
     p = Path(path_arg)
-    if p.exists():
+    if p.is_file():
         return p
     shipped = shipped_config_path(path_arg)
-    if shipped.exists():
+    if shipped.is_file():
         return shipped
     raise ConfigError(f"config file not found: {path_arg}")
 

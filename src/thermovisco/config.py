@@ -114,7 +114,7 @@ def _level(raw):
 def load_config(path) -> RunConfig:
     """Parse an INI config file into a RunConfig that has passed ``check``."""
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:

@@ -200,13 +200,16 @@ class GalerkinSystem:
     Each node-block operator is one scatter of its per-cell blocks into that
     pattern; D and M_u reuse the scalar scatter per displacement component.
 
-    ``heat_inverse(dt)`` applies the inverse of the fixed part
-    M_theta + dt·K_theta, and ``solve_mass_u`` that of M_u.  In 1D both are
-    SuperLU solves: a dense per-axis inverse costs about as much per apply at
-    100 cells and 100 times more at 1000.  In 2D/3D both
-    operators are Kronecker sums and products of per-axis 1D matrices and are
-    inverted exactly one axis at a time, by the fast diagonalization method
-    (Lynch, Rice & Thomas 1964): with K1ₐVₐ = M1ₐVₐΛₐ and VₐᵀM1ₐVₐ = I,
+    In 1D every node-block operator is tridiagonal in node order: the whole
+    heat matrix comes as three bands from ``heat_bands``, solved directly by
+    the caller, and M_u, a prefix of the interior nodes, is factored once
+    here by LAPACK's symmetric positive definite tridiagonal ``dpttrf``.  In
+    2D/3D ``heat_inverse(dt)`` applies the inverse of the fixed part
+    M_theta + dt·K_theta, a preconditioner for the heat matrix, and
+    ``solve_mass_u`` that of M_u.  Both operators are Kronecker sums and
+    products of per-axis 1D matrices and are inverted exactly one axis at a
+    time, by the fast diagonalization method (Lynch, Rice & Thomas 1964):
+    with K1ₐVₐ = M1ₐVₐΛₐ and VₐᵀM1ₐVₐ = I,
     (M_theta + dt·K_theta)⁻¹ = (⊗Vₐ)·diag(1/(1 + dt·Σλ))·(⊗Vₐ)ᵀ, and at the
     full level M_u⁻¹ = (⊗ₐ M1ₐ[int, int]⁻¹) ⊗ I_d.  A partial level's M_u is
     a principal submatrix, solved by ``pcg`` preconditioned with the
@@ -230,9 +233,10 @@ class GalerkinSystem:
     S_T, D_T : csc_matrix — the transposes of S and D, views sharing their arrays
     stress_vol : (k_stress,) — L² norms² of the stress basis (cell volumes)
 
-    Instances are immutable after construction, apart from the memos of
-    ``stress_spectrum`` and ``heat_inverse`` (per dt: the LU factor in 1D,
-    only the diagonal 1/(1 + dt·Σλ) in 2D/3D), and safe to share read-only.
+    Instances are immutable after construction, apart from the per-dt memos
+    of ``stress_spectrum``, ``heat_bands`` (1D: the bands of
+    M_theta + dt·K_theta) and ``heat_inverse`` (2D/3D: only the diagonal
+    1/(1 + dt·Σλ)), and safe to share read-only.
     """
 
     def __init__(self, mesh: Mesh, n_disp: int, k_stress: int):
@@ -260,17 +264,21 @@ class GalerkinSystem:
         self.stress_comp = np.tile(np.arange(self.s_comp), mesh.n_cells)[:k_stress]
         self.stress_vol = np.full(k_stress, mesh.cell_volume)
         self._spectra = {}
-        self._heat_inv = {}
+        self._heat_memo = {}  # per dt: heat_bands' base bands (1D) or heat_inverse (2D/3D)
 
         self._build_reference(dim)
         self._assemble(mesh, dim)
         if dim == 1:
             # Factor eagerly so instances stay immutable (and shareable) after
-            # construction; a singular factorization means a broken basis.
-            try:
-                self._Mu_lu = spla.splu(self.M_u.tocsc())
-            except RuntimeError as exc:
-                raise ValueError(f"singular Gram matrix for displacement space: {exc}") from exc
+            # construction; a factor that is not positive definite means a
+            # broken basis.  The wrapper wants one off-diagonal entry even
+            # when M_u is 1x1.
+            off = np.zeros(max(n_disp - 1, 1))
+            off[:n_disp - 1] = self.M_u.diagonal(1)
+            *self._Mu_factor, info = sla.lapack.dpttrf(self.M_u.diagonal(), off)
+            if info > 0:
+                raise ValueError(f"singular Gram matrix for displacement space: "
+                                 f"leading minor {info} of M_u is not positive")
         else:
             self._build_axis_inverses(mesh, dim)
 
@@ -419,9 +427,9 @@ class GalerkinSystem:
         return self._spectra[C]
 
     def solve_mass_u(self, rhs: np.ndarray) -> np.ndarray:
-        """M_u⁻¹·rhs: by SuperLU in 1D, per axis at a full 2D/3D level, else by CG."""
+        """M_u⁻¹·rhs: from its tridiagonal factor in 1D, per axis at a full 2D/3D level, else by CG."""
         if self.mesh.dim == 1:
-            return self._Mu_lu.solve(rhs)
+            return sla.lapack.dpttrs(*self._Mu_factor, rhs)[0]
         if self.n_disp == self._n_disp_full:
             return _tensor_apply(rhs, *self._mass_inv)
         x, _ = pcg(self.M_u, rhs, np.zeros_like(rhs), self._restricted_mass_inverse)
@@ -469,20 +477,35 @@ class GalerkinSystem:
         A.data = self.M_theta.data + dt * self.K_theta.data + dt * A.data
         return A
 
+    def heat_bands(self, dt: float, div_gauss: np.ndarray) -> tuple:
+        """1D: the (lower, diagonal, upper) bands of M_θ + dt·K_θ + dt·A_adv(div_gauss).
+
+        Cell e couples nodes e and e + 1 only, so the matrix is tridiagonal in
+        node order.  The bands of M_θ + dt·K_θ are memoized per dt and built
+        at first use; each cell's 2x2 advection block adds to them.
+        """
+        if dt not in self._heat_memo:
+            block = self._m_elem + dt * self._k_elem
+            diag = np.zeros(self.n_temp)
+            diag[:-1] += block[0, 0]
+            diag[1:] += block[1, 1]
+            diag.setflags(write=False)
+            self._heat_memo[dt] = (block[1, 0], diag, block[0, 1])
+        lower, diag, upper = self._heat_memo[dt]
+        adv = dt * (div_gauss @ self._adv_table)  # rows: the flattened (p, q) block
+        diag = diag.copy()
+        diag[:-1] += adv[:, 0]
+        diag[1:] += adv[:, 3]
+        return lower + adv[:, 2], diag, upper + adv[:, 1]
+
     def heat_inverse(self, dt: float) -> Callable:
-        """r ↦ (M_θ + dt·K_θ)⁻¹·r, memoized per dt and built at first use."""
-        if dt not in self._heat_inv:
-            if self.mesh.dim == 1:
-                # The matrix is symmetric, so its CSR arrays read as CSC are the matrix.
-                base = sp.csc_matrix((self.M_theta.data + dt * self.K_theta.data,
-                                      self._indices, self._indptr), shape=self.M_theta.shape)
-                self._heat_inv[dt] = spla.splu(base).solve
-            else:
-                d = 1.0 / (1.0 + dt * self._heat_lam)
-                Vx, Vy, Vz = self._heat_V
-                self._heat_inv[dt] = lambda r: _tensor_apply(
-                    d * _tensor_apply(r, Vx.T, Vy.T, Vz.T), Vx, Vy, Vz)
-        return self._heat_inv[dt]
+        """2D/3D: r ↦ (M_θ + dt·K_θ)⁻¹·r, memoized per dt and built at first use."""
+        if dt not in self._heat_memo:
+            d = 1.0 / (1.0 + dt * self._heat_lam)
+            Vx, Vy, Vz = self._heat_V
+            self._heat_memo[dt] = lambda r: _tensor_apply(
+                d * _tensor_apply(r, Vx.T, Vy.T, Vz.T), Vx, Vy, Vz)
+        return self._heat_memo[dt]
 
     def heat_source_vector(self, cell_values: np.ndarray) -> np.ndarray:
         """∫ s φ_i for a cellwise-constant source, midpoint-consistent."""

@@ -4,19 +4,20 @@ One step advances, inside a Picard loop that mirrors the fixed-point
 construction of the continuous problem:
 
   1. implicit heat solve for θ, with the advection coefficient div(u_t) and
-     the clamped dissipation source frozen at the current mechanical iterate,
-     by conjugate gradients preconditioned with the exact inverse of
-     M_θ + dt·K_θ (one SuperLU factor per run in 1D, per-axis fast
-     diagonalization in 2D/3D, see ``GalerkinSystem``),
+     the clamped dissipation source frozen at the current mechanical iterate:
+     in 1D one direct tridiagonal solve (LAPACK ``gtsv``), in 2D/3D
+     conjugate gradients preconditioned with the exact inverse of
+     M_θ + dt·K_θ by per-axis fast diagonalization (see ``GalerkinSystem``),
   2. momentum update for the velocity with that θ,
   3. implicit update for the stress with the new strain rate, in closed form,
 
 iterated until the successive-iterate residual drops below ``picard_tol``.
-Every solve of the loop starts from the best iterate in hand: from the
-second step on, the loop starts from the linear predictor 2·xₙ − xₙ₋₁ of
-(u_t, stress, θ); each heat CG starts from the current θ iterate, and the
-``mroz_saturating`` Newton from the current stress iterate.  What the heat
-solves take from θ_old alone is computed once per step (``heat_constants``).
+Every solve of the loop starts from the best iterate in hand: the loop
+starts from the quadratic predictor 3·(xₙ − xₙ₋₁) + xₙ₋₂ of (u_t, stress, θ)
+from the third step on (the linear 2·xₙ − xₙ₋₁ in the second); each heat CG
+starts from the current θ iterate, and the ``mroz_saturating`` Newton from
+the current stress iterate.  What the heat solves take from θ_old alone is
+computed once per step (``heat_constants``).
 The scheme is first order in time.  For a monotone flow rule the stress
 update is solvable for every dt; only heat positivity or Picard divergence
 can reject a step.
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence, Union
 
@@ -131,7 +133,7 @@ class HeatResult:
     theta: np.ndarray
     source_raw: np.ndarray      # cellwise G(θ_old, T):T before clamping
     source_trunc: np.ndarray    # cellwise clamped source fed to the solve
-    cg_iters: int               # preconditioned CG iterations
+    cg_iters: int               # preconditioned CG iterations (0 in 1D: direct solve)
     fallback: bool              # CG gave up and a direct solve ran instead
 
 
@@ -291,15 +293,20 @@ def heat_substep(sys: GalerkinSystem, state: SimState, div_v, G: FlowRule,
     temperature and the supplied stress iterate; homogeneous Neumann data is
     built into the space (no constrained rows).  ``div_v`` is div u_t at the
     Gauss points, as ``divergence_of`` returns it, or None or a scalar for a
-    constant div u_t.  The system is solved by CG, preconditioned with
-    ``sys.heat_inverse(dt)``, the memoized exact inverse of M + dt·K
-    (SuperLU in 1D, per-axis in 2D/3D): with δ = dt·‖div u_t‖_∞ < 1, exact
-    2-point Gauss and M + dt·K ≥ M put the preconditioned spectrum in
-    [1 − δ, 1 + δ].  CG starts from ``theta_start``, by default θ_old;
-    inside the Picard loop it is the current θ iterate.  ``constants`` are
-    the step's ``heat_constants(sys, state)``, computed here when not given.
-    Should CG stall anyway, a direct solve runs and ``fallback`` is set.
-    Raises PositivityError if any dof of the solution is nonpositive.
+    constant div u_t.  ``constants`` are the step's
+    ``heat_constants(sys, state)``, computed here when not given.
+
+    In 1D the matrix is tridiagonal (``sys.heat_bands``) and is solved
+    directly by LAPACK ``gtsv``, Gaussian elimination with partial pivoting,
+    for any δ = dt·‖div u_t‖_∞; ``theta_start`` is unused and the result
+    reports 0 CG iterations.  In 2D/3D the system is solved by CG,
+    preconditioned with ``sys.heat_inverse(dt)``, the memoized exact
+    per-axis inverse of M + dt·K: with δ < 1, exact 2-point Gauss and
+    M + dt·K ≥ M put the preconditioned spectrum in [1 − δ, 1 + δ].  CG
+    starts from ``theta_start``, by default θ_old; inside the Picard loop it
+    is the current θ iterate.  Should CG stall, a direct solve runs and
+    ``fallback`` is set.  Raises StepFailureError if the matrix is singular,
+    and PositivityError if any dof of the solution is nonpositive.
     """
     if constants is None:
         constants = heat_constants(sys, state)
@@ -310,16 +317,23 @@ def heat_substep(sys: GalerkinSystem, state: SimState, div_v, G: FlowRule,
     src_raw = _cell_dissipation(sys, G, constants.theta_cells, stress)
     src = np.asarray(truncate(truncation, src_raw), dtype=float)
 
-    A = sys.heat_matrix(dt, div_v)
     rhs = constants.mass_old + dt * sys.heat_source_vector(src)
-    theta_new, cg_iters = pcg(A, rhs, state.theta if theta_start is None else theta_start,
-                              sys.heat_inverse(dt))
-    fallback = theta_new is None
-    if fallback:
-        try:
-            theta_new = spla.spsolve(A.tocsc(), rhs)
-        except RuntimeError as exc:
-            raise StepFailureError(f"heat solve failed: {exc}") from exc
+    if sys.mesh.dim == 1:
+        *_, theta_new, info = lapack.dgtsv(*sys.heat_bands(dt, div_v), rhs)
+        if info > 0:
+            raise StepFailureError(f"heat solve failed: pivot {info} of the tridiagonal "
+                                   f"heat matrix is exactly zero")
+        cg_iters, fallback = 0, False
+    else:
+        A = sys.heat_matrix(dt, div_v)
+        theta_new, cg_iters = pcg(A, rhs, state.theta if theta_start is None else theta_start,
+                                  sys.heat_inverse(dt))
+        fallback = theta_new is None
+        if fallback:
+            try:
+                theta_new = spla.spsolve(A.tocsc(), rhs)
+            except RuntimeError as exc:
+                raise StepFailureError(f"heat solve failed: {exc}") from exc
     if not np.all(np.isfinite(theta_new)):
         raise StepFailureError("heat solve produced non-finite values")
     if theta_new.min() <= 0.0:
@@ -349,7 +363,8 @@ def _field_residual(new: np.ndarray, prev: np.ndarray) -> float:
 
 
 def step(sys: GalerkinSystem, cfg: SolverConfig, state: SimState,
-         previous: Optional[SimState] = None) -> StepResult:
+         previous: Optional[SimState] = None,
+         before: Optional[SimState] = None) -> StepResult:
     """One Picard-coupled implicit step of size dt.
 
     The (u, stress) iterate is frozen, the heat equation solved for θ, then
@@ -357,9 +372,12 @@ def step(sys: GalerkinSystem, cfg: SolverConfig, state: SimState,
     successive-iterate residual (max over θ, u_t, stress, relative) is below
     ``picard_tol``.  Finally u advances with the converged velocity.
 
-    The loop starts from ``state``, or, given the state ``previous`` one dt
-    earlier, from the linear predictor 2·state − previous of (u_t, stress, θ).
-    The start moves only where the loop begins, not its fixed point.
+    The loop starts from ``state``; given the state ``previous`` one dt
+    earlier, from the linear predictor 2·state − previous of (u_t, stress, θ);
+    given also the state ``before`` two dt earlier, from the quadratic
+    predictor 3·(state − previous) + before, which is exact for fields
+    quadratic in time.  The start moves only where the loop begins, not its
+    fixed point.
     """
     if isinstance(cfg.truncation, str):
         raise ValueError("step needs a resolved TruncationLevel; use run() or "
@@ -372,9 +390,13 @@ def step(sys: GalerkinSystem, cfg: SolverConfig, state: SimState,
 
     if previous is None:
         v_i, T_i, th_i = state.v, state.stress, state.theta
-    else:
+    elif before is None:
         v_i, T_i, th_i = (2.0 * state.v - previous.v, 2.0 * state.stress - previous.stress,
                           2.0 * state.theta - previous.theta)
+    else:
+        v_i, T_i, th_i = (3.0 * (state.v - previous.v) + before.v,
+                          3.0 * (state.stress - previous.stress) + before.stress,
+                          3.0 * (state.theta - previous.theta) + before.theta)
     history = []
     heat = None
     inner_total = cg_total = fallbacks = 0
@@ -442,10 +464,10 @@ def run(sys: GalerkinSystem, cfg: SolverConfig, observers: Sequence[Callable] = 
     ledger.record_initial(state)
 
     infos = []
-    previous = None
+    previous = before = None
     for i in range(1, n_steps + 1):
         try:
-            result = step(sys, cfg, state, previous)
+            result = step(sys, cfg, state, previous, before)
         except PicardConvergenceError as exc:
             raise PicardConvergenceError(
                 f"step {i} (t={state.t + cfg.dt:g}) failed: {exc}",
@@ -453,7 +475,7 @@ def run(sys: GalerkinSystem, cfg: SolverConfig, observers: Sequence[Callable] = 
         except StepFailureError as exc:
             raise type(exc)(f"step {i} (t={state.t + cfg.dt:g}) failed: {exc}") \
                 from exc
-        previous, state = state, result.state
+        before, previous, state = previous, state, result.state
         row = ledger.record_step(state, result)
         if collect_infos:
             infos.append(result)

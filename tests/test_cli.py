@@ -114,6 +114,13 @@ class TestConfigParsing:
         assert main(["run", name]) == 2
         assert "config file not found" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["", "."])
+    def test_directory_is_not_a_config_file(self, capsys, monkeypatch, tmp_path, name):
+        # "" is the current directory, and "." also names the shipped config directory.
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", name]) == 2
+        assert "config file not found" in capsys.readouterr().err
+
     def test_shipped_configs_parse(self):
         for name in ("zero.cfg", "smooth_coupled.cfg", "smooth_2d.cfg"):
             rc = load_config(shipped_config_path(name))

@@ -134,6 +134,15 @@ class TestBuildSpaces:
             assert np.array_equal(A.indices, sys.M_theta.indices)
         assert np.abs(H.toarray() - expected.toarray()).max() <= 1e-15
 
+    def test_heat_bands_are_the_1d_heat_matrix(self):
+        m = build_mesh(1, [1.3], [7])
+        sys = build_spaces(m, 6, 7)
+        div = np.random.default_rng(3).standard_normal((m.n_cells, 2))
+        for dt in (0.3, 0.01, 0.3):  # the per-dt memo is reused, never changed
+            lower, diag, upper = sys.heat_bands(dt, div)
+            banded = np.diag(lower, -1) + np.diag(diag) + np.diag(upper, 1)
+            assert np.abs(banded - sys.heat_matrix(dt, div).toarray()).max() <= 1e-15
+
     def test_displacement_basis_vanishes_on_boundary(self):
         m = build_mesh(2, [1.0, 1.0], [4, 4])
         sys = build_spaces(m, m.interior_nodes.size * 2, 1)
@@ -286,12 +295,13 @@ def _relative_error(x, ref):
 
 
 class TestInverses:
-    """The heat and displacement-mass inverses (SuperLU in 1D, per axis in
-    2D/3D) against a sparse direct solve, at full and partial levels."""
+    """The heat (2D/3D, per axis) and displacement-mass (tridiagonal factor in
+    1D, per axis in 2D/3D) inverses against a sparse direct solve, at full and
+    partial levels."""
 
     @pytest.mark.parametrize("dt", [1e-4, 1e-3, 1e-1, 10.0])
     def test_heat_inverse(self, oracle_cases, dt):
-        for system, _ in oracle_cases:
+        for system in [case for case, _ in oracle_cases if case.mesh.dim > 1]:
             r = np.random.default_rng(system.n_temp).standard_normal(system.n_temp)
             ref = spla.spsolve((system.M_theta + dt * system.K_theta).tocsc(), r)
             assert _relative_error(system.heat_inverse(dt)(r), ref) <= 1e-12
@@ -420,10 +430,10 @@ class TestProjections:
 
     def test_singular_gram_reported(self, monkeypatch):
         # a broken basis surfaces as a ValueError at construction time
-        def boom(*args, **kwargs):
-            raise RuntimeError("factor is exactly singular")
+        def not_positive_definite(d, e):
+            return d, e, 2
 
-        monkeypatch.setattr("thermovisco.discretization.spla.splu", boom)
+        monkeypatch.setattr("thermovisco.discretization.sla.lapack.dpttrf", not_positive_definite)
         with pytest.raises(ValueError, match="singular Gram"):
             build_spaces(build_mesh(1, [1.0], [4]), 3, 4)
 

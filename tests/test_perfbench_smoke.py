@@ -1,6 +1,7 @@
-"""The benchmark harness runs end to end: one second of the 3D workload at
-seed 0 must come out correct, which includes its final-field drift against
-the stored reference."""
+"""The benchmark harness runs end to end: one second of the 1D and of the 3D
+workload at seed 0 must come out correct, which includes their final-field
+drift against the stored reference and, in 1D, the finite-difference oracle
+gap."""
 
 import json
 import subprocess
@@ -10,9 +11,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_box_3d_run_is_correct():
+def check_run_is_correct(workload):
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "box_3d", "--seed", "0",
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "0",
          "--seconds", "1", "--trace", "0"],
         cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
@@ -20,3 +21,11 @@ def test_box_3d_run_is_correct():
     assert result["correct"] is True
     assert result["failed"] == 0
     assert result["attempted"] >= 1
+
+
+def test_coupled_1d_run_is_correct():
+    check_run_is_correct("coupled_1d")
+
+
+def test_box_3d_run_is_correct():
+    check_run_is_correct("box_3d")

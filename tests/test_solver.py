@@ -334,9 +334,34 @@ class TestHeat:
             heat_substep(sys, state, -2.0, FlowRule.linear(1.0),
                          TruncationLevel(1.0), dt=1.0)
 
+    @pytest.mark.parametrize("partial", [False, True])
+    @pytest.mark.parametrize("n_cells, dt, delta, signed", [
+        *((9, 0.01, delta, signed) for delta in (0.0, 0.5, 0.9) for signed in (True, False)),
+        (200, 1e-4, 20.0, False),
+        (50, 0.1, 20.0, True),
+    ])
+    def test_direct_1d_solve_matches_spsolve(self, n_cells, dt, delta, signed, partial):
+        # The tridiagonal solve pivots, so it needs no bound on dt·‖div‖∞ = delta;
+        # the last two cases are diffusion-dominated enough to keep θ positive.
+        sys, state, div = random_heat_case((n_cells,), partial, delta, dt, signed=signed)
+        out = heat_substep(sys, state, div, FlowRule.linear(1.0), TruncationLevel(10.0), dt)
+        assert out.cg_iters == 0 and not out.fallback
+        ref = direct_heat_solve(sys, state, div, out, dt)
+        assert np.abs(out.theta - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_singular_1d_heat_matrix_fails_the_step(self, monkeypatch):
+        # All-zero bands give gtsv a zero pivot at once.
+        sys = small_system()
+        zero = lambda dt, div: (np.zeros(sys.n_temp - 1), np.zeros(sys.n_temp),
+                                np.zeros(sys.n_temp - 1))
+        monkeypatch.setattr(sys, "heat_bands", zero)
+        with pytest.raises(StepFailureError, match="heat solve failed"):
+            heat_substep(sys, quiet_state(sys), None, FlowRule.linear(1.0),
+                         TruncationLevel(1.0), dt=0.01)
+
     @pytest.mark.parametrize("delta", [0.0, 0.5, 0.9])
     @pytest.mark.parametrize("partial", [False, True])
-    @pytest.mark.parametrize("cells", [(9,), (5, 7), (4, 3, 5)])
+    @pytest.mark.parametrize("cells", [(5, 7), (4, 3, 5)], ids=["cells1", "cells2"])
     def test_pcg_matches_direct_solve(self, cells, partial, delta):
         # dt·‖div‖∞ < 1 bounds the preconditioned spectrum in [1 − δ, 1 + δ].
         dt = 0.01
@@ -363,7 +388,7 @@ class TestHeat:
         hoisted = heat_substep(*args, constants=heat_constants(sys, state))
         assert np.array_equal(hoisted.theta, cold.theta)
 
-    @pytest.mark.parametrize("cells", [(200,), (200, 2), (200, 2, 2)])
+    @pytest.mark.parametrize("cells", [(200, 2), (200, 2, 2)], ids=["cells1", "cells2"])
     def test_fallback_runs_and_is_counted(self, cells):
         # dt·‖div‖∞ = 20 spreads the preconditioned spectrum over [1, 21]; 200
         # cells along x leave far more mass-dominated modes than the CG cap.
@@ -375,9 +400,10 @@ class TestHeat:
         ref = direct_heat_solve(sys, state, div, out, dt)
         assert np.array_equal(out.theta, ref)
 
-    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_no_factorization_in_2d_3d(self, monkeypatch, dim):
-        # Both inverses are per-axis in 2D/3D: no sparse factor is ever made.
+        # No sparse factor is ever made: 1D solves are tridiagonal LAPACK calls,
+        # and both 2D/3D inverses are per-axis.
         calls = {"splu": 0, "spsolve": 0, "factorized": 0}
 
         def counted(name):
@@ -393,8 +419,9 @@ class TestHeat:
         result = run(*swirl_problem(dim))
         assert result.n_steps == 5
         assert calls == {"splu": 0, "spsolve": 0, "factorized": 0}
-        assert all(info.heat_cg_iters >= info.iterations and info.heat_fallbacks == 0
-                   for info in result.step_infos)
+        for info in result.step_infos:
+            assert info.heat_fallbacks == 0
+            assert info.heat_cg_iters == 0 if dim == 1 else info.heat_cg_iters >= info.iterations
 
 
 class TestStep:
@@ -412,25 +439,58 @@ class TestStep:
 
     @pytest.mark.parametrize("problem", ["smooth_1d", "swirl_2d"])
     def test_predictor_start_reaches_same_state(self, problem):
-        # From the predictor 2·xₙ − xₙ₋₁ or from xₙ, the loop stops within
-        # tolerance of one fixed point; with no previous state the start is xₙ.
+        # From the quadratic predictor 3·(xₙ − xₙ₋₁) + xₙ₋₂, the linear one
+        # 2·xₙ − xₙ₋₁ or from xₙ, the loop stops within tolerance of one fixed
+        # point; without ``before`` the start is linear, without ``previous`` xₙ.
         if problem == "smooth_1d":
             sys, cfg = make_smooth_problem(dt=1e-3, t_end=1.0)
         else:
             sys, cfg = swirl_problem()
-        state = initialize(sys, cfg)
-        cfg = replace(cfg, truncation=resolve_truncation(sys, cfg, state))
-        previous, state = state, step(sys, cfg, state).state
+        before = initialize(sys, cfg)
+        cfg = replace(cfg, truncation=resolve_truncation(sys, cfg, before))
+        previous = step(sys, cfg, before).state
+        state = step(sys, cfg, previous, before).state
         cold = step(sys, cfg, state)
-        warm = step(sys, cfg, state, previous)
-        assert warm.iterations <= cold.iterations
-        for name in ("v", "stress", "theta"):
-            a, b = getattr(warm.state, name), getattr(cold.state, name)
-            assert np.abs(a - b).max() <= 10 * cfg.picard_tol * max(np.abs(b).max(), 1.0)
-        plain = step(sys, cfg, state, None)
-        assert plain.iterations == cold.iterations
-        for name in ("u", "v", "stress", "theta"):
-            assert np.array_equal(getattr(plain.state, name), getattr(cold.state, name))
+        linear = step(sys, cfg, state, previous)
+        quadratic = step(sys, cfg, state, previous, before)
+        assert quadratic.iterations <= linear.iterations <= cold.iterations
+        for warm in (linear, quadratic):
+            for name in ("v", "stress", "theta"):
+                a, b = getattr(warm.state, name), getattr(cold.state, name)
+                assert np.abs(a - b).max() <= 10 * cfg.picard_tol * max(np.abs(b).max(), 1.0)
+        for plain, same in ((step(sys, cfg, state, None), cold),
+                            (step(sys, cfg, state, previous, None), linear)):
+            assert plain.iterations == same.iterations
+            for name in ("u", "v", "stress", "theta"):
+                assert np.array_equal(getattr(plain.state, name), getattr(same.state, name))
+
+    def test_loop_starts_from_the_predictor(self, monkeypatch):
+        # The first heat solve sees the predicted u_t (through div u_t), stress
+        # and θ: xₙ, 2·xₙ − xₙ₋₁ or 3·(xₙ − xₙ₋₁) + xₙ₋₂ by the states given.
+        class FirstHeatSolve(Exception):
+            pass
+
+        def capture(sys_, state_, div, *args, stress, theta_start, constants):
+            raise FirstHeatSolve(div, stress, theta_start)
+
+        sys, cfg = swirl_problem()
+        cfg = replace(cfg, truncation=TruncationLevel(1.0))
+        rng = np.random.default_rng(4)
+        state, previous, before = (
+            SimState(0.0, np.zeros(sys.n_disp), rng.standard_normal(sys.n_disp),
+                     rng.standard_normal(sys.k_stress), 1.0 + rng.random(sys.n_temp))
+            for _ in range(3))
+        monkeypatch.setattr(solver, "heat_substep", capture)
+        for given, start in (((), lambda x, x1, x2: x),
+                             ((previous,), lambda x, x1, x2: 2.0 * x - x1),
+                             ((previous, before), lambda x, x1, x2: 3.0 * (x - x1) + x2)):
+            with pytest.raises(FirstHeatSolve) as seen:
+                step(sys, cfg, state, *given)
+            div, stress, theta = seen.value.args
+            v = start(state.v, previous.v, before.v)
+            assert np.array_equal(div, divergence_of(sys, v))
+            assert np.array_equal(stress, start(state.stress, previous.stress, before.stress))
+            assert np.array_equal(theta, start(state.theta, previous.theta, before.theta))
 
     def test_zero_data_fixed_point_in_one_iteration(self):
         sys, cfg = make_zero_problem()
@@ -565,10 +625,11 @@ class TestRun:
             assert all(b <= a * (1 + 1e-9) for a, b in zip(tail, tail[1:]))
 
     def test_shipped_coupled_scenario_picard_count(self):
-        # 4 Picard iterations per step from xₙ; about 3 from the predictor.
+        # 4 Picard iterations per step from xₙ; about 3 from the linear
+        # predictor and about 2.2 from the quadratic one.
         result = run(*build_problem(load_config(shipped_config_path("smooth_coupled.cfg"))))
         assert result.n_steps == 500
-        assert sum(info.iterations for info in result.step_infos) <= 1550
+        assert sum(info.iterations for info in result.step_infos) <= 1150
         assert sum(info.heat_fallbacks for info in result.step_infos) == 0
 
     def test_divergence_sup_logged(self, smooth_run):
