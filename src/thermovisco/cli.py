@@ -6,6 +6,13 @@
 
 Exit codes: 0 all verdicts pass, 1 runtime or verdict failure, 2 config
 error.  THERMOVISCO_OUTDIR overrides the configured output directory.
+
+``run`` formats its in-run snapshots (``snapshot_stride``) in the background,
+one at a time, in a forked child, so the solve goes on while a snapshot is
+written; every snapshot is complete on disk when ``run`` returns, whatever
+the outcome.  When the final state is the last stride snapshot,
+``snapshot_final.txt`` is a copy of that file; otherwise it is written in the
+foreground.
 """
 
 from __future__ import annotations
@@ -13,7 +20,10 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import shutil
 import sys as _sys
+import threading
+import warnings
 import numpy as np
 from dataclasses import replace
 from pathlib import Path
@@ -38,13 +48,6 @@ def _resolve_config(path_arg: str) -> Path:
     raise ConfigError(f"config file not found: {path_arg}")
 
 
-def _output_dir(rc: RunConfig) -> Path:
-    out = os.environ.get("THERMOVISCO_OUTDIR", rc.output_dir)
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
 def write_snapshot(path, sys_, state) -> None:
     """Flat, diffable text snapshot: nodal fields then cellwise stress."""
     mesh = sys_.mesh
@@ -65,33 +68,126 @@ def write_snapshot(path, sys_, state) -> None:
         fh.writelines(" ".join(map(repr, row)) + "\n" for row in cells.tolist())
 
 
+class SnapshotError(Exception):
+    """A snapshot file could not be written."""
+
+
+def _write_in_child(path, sys_, state):
+    """The whole life of a forked snapshot child; never returns.
+
+    It must not unwind into the parent's stack (which would go on solving),
+    run the parent's atexit handlers or flush the stdio buffers it inherited,
+    so every outcome, interrupts included, ends in ``os._exit``.
+    """
+    code = 1
+    try:
+        write_snapshot(path, sys_, state)
+        code = 0
+    except BaseException as exc:
+        try:
+            reason = str(exc).replace("\n", " ")
+            os.write(2, f"error: writing {path} failed: {reason}\n".encode())
+        except BaseException:
+            pass
+    finally:
+        os._exit(code)
+
+
+class SnapshotWriter:
+    """Writes snapshots off the solve's critical path, at most one at a time.
+
+    ``write`` waits for the previous snapshot, then forks a child that runs
+    ``write_snapshot`` while the caller goes on; the child's copy of the
+    state cannot change under it.  It forks only where ``os.fork`` exists and
+    no other Python thread runs: forking with other threads alive risks
+    deadlocks (a lock held by another thread stays held in the child), and
+    CPython 3.12+ warns about it.  Elsewhere it writes in the foreground.
+    The owner must call ``join`` on every path before it returns.
+    """
+
+    def __init__(self):
+        self._pid = None
+        self._last = None       # (path, state) of the last snapshot handed over
+
+    def write(self, path, sys_, state) -> None:
+        self._join_checked()
+        self._last = (path, state)
+        if not hasattr(os, "fork") or threading.active_count() != 1:
+            self._write_here(path, sys_, state)
+            return
+        with warnings.catch_warnings():
+            # CPython 3.12+ also counts native threads, such as an idle BLAS
+            # pool, whose own fork handlers make it safe; an error filter would
+            # raise that warning after the child exists, leaving it unjoined.
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+        if pid == 0:
+            _write_in_child(path, sys_, state)
+        self._pid = pid
+
+    def finish(self, path, sys_, state) -> None:
+        """Write the final snapshot: a copy of the last one if it holds ``state``."""
+        self._join_checked()
+        if self._last is not None and self._last[1] is state:
+            try:
+                shutil.copyfile(self._last[0], path)
+            except OSError as exc:
+                raise SnapshotError(f"writing {path} failed: {exc}") from exc
+        else:
+            self._write_here(path, sys_, state)
+
+    def join(self) -> bool:
+        """Wait for the snapshot in flight, if any; False if its child failed."""
+        if self._pid is None:
+            return True
+        pid, self._pid = self._pid, None
+        return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+
+    def _join_checked(self) -> None:
+        if not self.join():
+            raise SnapshotError(f"writing {self._last[0]} failed in the snapshot writer")
+
+    @staticmethod
+    def _write_here(path, sys_, state) -> None:
+        try:
+            write_snapshot(path, sys_, state)
+        except OSError as exc:
+            raise SnapshotError(f"writing {path} failed: {exc}") from exc
+
+
 def cmd_run(args) -> int:
     rc = load_config(_resolve_config(args.config))
     sys_, cfg = build_problem(rc)
-    out = _output_dir(rc)
-
+    out = Path(os.environ.get("THERMOVISCO_OUTDIR", rc.output_dir))
+    writer = SnapshotWriter()
     observers = []
     if rc.snapshot_stride > 0:
         def snap(i, t, state, row, _sys=sys_, _out=out, _stride=rc.snapshot_stride):
             if i % _stride == 0:
-                write_snapshot(_out / f"snapshot_{i:06d}.txt", _sys, state)
+                writer.write(_out / f"snapshot_{i:06d}.txt", _sys, state)
         observers.append(snap)
 
     try:
+        out.mkdir(parents=True, exist_ok=True)
         result = solver_run(sys_, cfg, observers=observers, collect_infos=False)
+        ledger = result.ledger
+        ledger.to_csv(out / rc.ledger_filename)
+        writer.finish(out / "snapshot_final.txt", sys_, result.state)
+        summary = ledger.write_summary_json(out / "summary.json")
     except PicardConvergenceError as exc:
         print(f"error: {exc}", file=_sys.stderr)
         print(f"residual history: {['%.3e' % r for r in exc.residual_history]}",
               file=_sys.stderr)
         return 1
-    except (StepFailureError, ValueError) as exc:
+    except (StepFailureError, ValueError, SnapshotError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 1
+    except OSError as exc:
+        print(f"error: cannot use output directory {out}: {exc}", file=_sys.stderr)
+        return 1
+    finally:
+        writer.join()
 
-    ledger = result.ledger
-    ledger.to_csv(out / rc.ledger_filename)
-    write_snapshot(out / "snapshot_final.txt", sys_, result.state)
-    summary = ledger.write_summary_json(out / "summary.json")
     print(format_summary(summary))
     print(f"wrote {out / rc.ledger_filename}, snapshot_final.txt, summary.json")
     return 0 if summary["passed"] else 1
@@ -148,9 +244,15 @@ def cmd_convergence(args) -> int:
     probes = _probe_points(rc.dim, rc.extents)
 
     fields, summaries = [], []
-    for level_rc in levels:
+    for k, level_rc in enumerate(levels):
         sys_, cfg = build_problem(level_rc)
-        result = solver_run(sys_, cfg, collect_infos=False)
+        try:
+            result = solver_run(sys_, cfg, collect_infos=False)
+        except (StepFailureError, ValueError) as exc:
+            cells = "x".join(map(str, level_rc.cells))
+            print(f"error: level {k} ({cells} cells, dt={level_rc.dt:g}) failed: {exc}",
+                  file=_sys.stderr)
+            return 1
         fields.append({
             "u": eval_displacement(sys_, result.state.u, probes),
             "stress": eval_stress(sys_, result.state.stress, probes),

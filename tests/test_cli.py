@@ -1,8 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+import threading
 import numpy as np
 import pytest
 from dataclasses import replace
+from pathlib import Path
 
+import thermovisco
+from thermovisco import cli, solver
 from thermovisco.cli import main, write_snapshot, SNAPSHOT_SCHEMA
 from thermovisco.config import (
     ConfigError,
@@ -219,6 +226,27 @@ class TestCmdRun:
         assert "lost positivity" in err and "reduce dt" in err
         assert f"dt·max(1/h²) = {ratio:.3g}" in err
 
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+    def test_unusable_output_dir_exit_one(self, tmp_path, monkeypatch, capsys, under):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        out = blocker / "sub" if under else blocker
+        monkeypatch.setenv("THERMOVISCO_OUTDIR", str(out))
+        monkeypatch.setattr(cli, "solver_run", lambda *a, **k: pytest.fail("solve started"))
+        assert main(["run", str(shipped_config_path("zero.cfg"))]) == 1
+        err = capsys.readouterr().err
+        assert f"error: cannot use output directory {out}: " in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("name", ["ledger.csv", "summary.json"])
+    def test_unwritable_output_file_exit_one(self, tmp_path, monkeypatch, capsys, name):
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        monkeypatch.setenv("THERMOVISCO_OUTDIR", str(out))
+        assert main(["run", str(shipped_config_path("zero.cfg"))]) == 1
+        err = capsys.readouterr().err
+        assert f"error: cannot use output directory {out}: " in err and name in err
+
     def test_snapshot_stride(self, tmp_path, monkeypatch):
         monkeypatch.setenv("THERMOVISCO_OUTDIR", str(tmp_path / "snap"))
         body = MINIMAL + "\n[output]\nsnapshot_stride = 2\n"
@@ -300,6 +328,14 @@ class TestCmdConvergence:
         assert main(["convergence", str(cfg), "--levels", f"{level};50:full:full:2e-3"]) == 2
         assert section in capsys.readouterr().err
 
+    def test_failing_level_exit_one(self, capsys):
+        # dt = 1e-2 keeps positivity on 25 cells and loses it on 50.
+        assert main(["convergence", "smooth_coupled.cfg",
+                     "--levels", "25:full:full:1e-2;50:full:full:1e-2"]) == 1
+        err = capsys.readouterr().err
+        assert "error: level 1 (50 cells, dt=0.01) failed: step 1" in err
+        assert "lost positivity" in err
+
     def test_single_level_rejected(self, tmp_path):
         cfg = write_cfg(tmp_path, self.SMOOTH)
         assert main(["convergence", str(cfg), "--levels", "10:full:full:1e-3"]) == 2
@@ -313,6 +349,154 @@ class TestDeterminism:
             assert main(["run", str(shipped_config_path("zero.cfg"))]) == 0
             outs.append((tmp_path / d / "ledger.csv").read_bytes())
         assert outs[0] == outs[1]
+
+
+SMOOTH_2D_STRIDE_2 = (shipped_config_path("smooth_2d.cfg").read_text()
+                     .replace("cells = 12, 12", "cells = 6, 6")
+                     .replace("t_end = 0.05", "t_end = 6e-3")
+                     + "snapshot_stride = 2\n")
+
+
+@pytest.fixture
+def fork_pids(monkeypatch):
+    """The pids of the children ``os.fork`` makes; each is checked to be reaped
+    before the next one is made."""
+    pids = []
+    real_fork = os.fork
+
+    def recording_fork():
+        assert_reaped(pids)
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
+
+
+def assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="snapshots are written in the foreground")
+class TestBackgroundSnapshots:
+    def run(self, tmp_path, monkeypatch, name, body=SMOOTH_2D_STRIDE_2):
+        out = tmp_path / name
+        monkeypatch.setenv("THERMOVISCO_OUTDIR", str(out))
+        return main(["run", str(write_cfg(tmp_path, body))]), out
+
+    def test_byte_identical_to_foreground(self, tmp_path, monkeypatch, fork_pids):
+        code, back = self.run(tmp_path, monkeypatch, "back")
+        assert code == 0 and len(fork_pids) == 3
+        monkeypatch.delattr(os, "fork")
+        code, fore = self.run(tmp_path, monkeypatch, "fore")
+        assert code == 0 and len(fork_pids) == 3
+        names = sorted(p.name for p in back.glob("snapshot_*.txt"))
+        assert names == sorted(p.name for p in fore.glob("snapshot_*.txt"))
+        assert names == ["snapshot_000002.txt", "snapshot_000004.txt",
+                         "snapshot_000006.txt", "snapshot_final.txt"]
+        for name in [*names, "ledger.csv"]:
+            assert (back / name).read_bytes() == (fore / name).read_bytes(), name
+
+    @pytest.mark.parametrize("stride, snaps, written_here", [
+        (2, ["snapshot_000002.txt", "snapshot_000004.txt", "snapshot_000006.txt"], []),
+        (4, ["snapshot_000004.txt"], ["snapshot_final.txt"]),
+    ], ids=["stride-divides", "stride-does-not-divide"])
+    def test_final_snapshot(self, tmp_path, monkeypatch, fork_pids, stride, snaps,
+                            written_here):
+        # A call made in a forked child does not reach the parent's list.
+        calls, real_write = [], cli.write_snapshot
+
+        def counted_write(path, *args):
+            calls.append(Path(path).name)
+            real_write(path, *args)
+        monkeypatch.setattr(cli, "write_snapshot", counted_write)
+        body = SMOOTH_2D_STRIDE_2.replace("snapshot_stride = 2", f"snapshot_stride = {stride}")
+        code, out = self.run(tmp_path, monkeypatch, "out", body)
+        assert code == 0
+        assert sorted(p.name for p in out.glob("snapshot_0*.txt")) == snaps
+        assert len(fork_pids) == len(snaps)
+        assert calls == written_here
+        final = (out / "snapshot_final.txt").read_text()
+        last = (out / snaps[-1]).read_text()
+        assert (final == last) == (not written_here)
+        assert final.startswith(f"# schema: {SNAPSHOT_SCHEMA}")
+
+    @pytest.mark.parametrize("fail_at", [None, 3], ids=["success", "step-failure"])
+    def test_no_child_left(self, tmp_path, monkeypatch, capsys, fork_pids, fail_at):
+        real_step, calls = solver.step, []
+
+        def step(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == fail_at:   # the snapshot of step 2 is still being written
+                raise solver.StepFailureError("injected")
+            return real_step(*args, **kwargs)
+        monkeypatch.setattr(solver, "step", step)
+        code, out = self.run(tmp_path, monkeypatch, "out")
+        assert fork_pids
+        assert_reaped(fork_pids)
+        if fail_at is None:
+            assert code == 0
+            return
+        assert code == 1
+        assert "step 3 (t=0.003) failed: injected" in capsys.readouterr().err
+        assert [p.name for p in out.glob("snapshot_*.txt")] == ["snapshot_000002.txt"]
+        lines = (out / "snapshot_000002.txt").read_text().split("\n")
+        assert len(lines) == 3 + 1 + 7 * 7 + 1 + 6 * 6 + 1 and lines[-1] == ""
+
+    @pytest.mark.parametrize("forked", [True, False], ids=["forked", "foreground"])
+    def test_writer_failure_exit_one(self, tmp_path, monkeypatch, capfd, fork_pids, forked):
+        if not forked:
+            monkeypatch.delattr(os, "fork")
+        blocked = tmp_path / "out" / "snapshot_000002.txt"
+        blocked.mkdir(parents=True)
+        code, _ = self.run(tmp_path, monkeypatch, "out")
+        assert code == 1
+        err = capfd.readouterr().err
+        assert f"error: writing {blocked} failed" in err
+        # The writer, child or not, names the reason on one line of its own.
+        assert f"error: writing {blocked} failed: [Errno 21] Is a directory" in err
+        assert "Traceback" not in err
+        assert len(fork_pids) == (1 if forked else 0)
+        assert_reaped(fork_pids)
+
+    def test_foreground_while_threads_run(self, tmp_path, monkeypatch, fork_pids):
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait, args=(60,))
+        thread.start()
+        try:
+            code, out = self.run(tmp_path, monkeypatch, "out")
+        finally:
+            release.set()
+            thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert code == 0 and fork_pids == []
+        assert len(list(out.glob("snapshot_*.txt"))) == 4
+
+    def test_child_runs_no_atexit_and_flushes_no_stdio(self, tmp_path):
+        cfg = write_cfg(tmp_path, SMOOTH_2D_STRIDE_2)
+        # stdout is a pipe, so the first line is still in the buffer at each fork.
+        script = f"""
+import atexit, os, sys
+from thermovisco.cli import main
+forks, real_fork = [], os.fork
+os.fork = lambda: forks.append(None) or real_fork()
+atexit.register(lambda: print("atexit ran"))
+print("buffered before the run")
+code = main(["run", {str(cfg)!r}])
+print("forks", len(forks))
+sys.exit(code)
+"""
+        src = str(Path(thermovisco.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src, "THERMOVISCO_OUTDIR": str(tmp_path / "out")}
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.count("buffered before the run") == 1
+        assert proc.stdout.count("atexit ran") == 1
+        assert "forks 3" in proc.stdout
 
 
 class TestSnapshotWriter:

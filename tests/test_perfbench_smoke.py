@@ -1,7 +1,7 @@
-"""The benchmark harness runs end to end: one second of the 1D and of the 3D
-workload at seed 0 must come out correct, which includes their final-field
-drift against the stored reference and, in 1D, the finite-difference oracle
-gap."""
+"""The benchmark harness runs end to end: one second of each workload at seed
+0 must come out correct, which includes its final-field drift against the
+stored reference and, in 1D, the finite-difference oracle gap.  heat_2d is the
+workload that writes snapshots during the run, in forked children."""
 
 import json
 import subprocess
@@ -25,6 +25,10 @@ def check_run_is_correct(workload):
 
 def test_coupled_1d_run_is_correct():
     check_run_is_correct("coupled_1d")
+
+
+def test_heat_2d_run_is_correct():
+    check_run_is_correct("heat_2d")
 
 
 def test_box_3d_run_is_correct():
