@@ -280,6 +280,13 @@ def cmd_convergence(args) -> int:
     return 0 if decreasing else 1
 
 
+def positive_int(raw: str) -> int:
+    value = int(raw)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="thermovisco",
@@ -293,7 +300,7 @@ def main(argv=None) -> int:
     p_chk = sub.add_parser("check-constitutive",
                            help="randomized admissibility checks of the flow rule")
     p_chk.add_argument("config")
-    p_chk.add_argument("--samples", type=int, default=10_000)
+    p_chk.add_argument("--samples", type=positive_int, default=10_000)
     p_chk.add_argument("--seed", type=int, default=0)
     p_chk.set_defaults(func=cmd_check_constitutive)
 

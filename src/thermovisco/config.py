@@ -192,6 +192,8 @@ def check(rc: RunConfig) -> RunConfig:
         make_flow_rule(rc)
     with _section("time"):
         check_time(rc.dt, rc.t_end, rc.picard_tol, rc.picard_max_iters)
+    if rc.snapshot_stride < 0:
+        raise ConfigError("[output] snapshot_stride must be >= 0")
     return rc
 
 
@@ -248,8 +250,7 @@ def make_flow_rule(rc: RunConfig) -> FlowRule:
         # Deliberately inadmissible rule, kept so the admissibility gate and
         # the dissipation verdict can be demonstrated to fail from a config.
         k = rc.kappa0 if rc.kappa0 > 0 else 1.0
-        return FlowRule("anti_monotone", rc.kappa0, kappa_max=k, c_growth=k,
-                        fn=lambda theta: -k)
+        return FlowRule("anti_monotone", rc.kappa0, c_growth=k, fn=lambda theta: -k)
     raise ValueError(f"flow_rule: unknown kind {rc.flow_kind!r} (one of linear, "
                      f"mroz_saturating, temperature_weighted, anti_monotone)")
 

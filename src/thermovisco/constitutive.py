@@ -139,7 +139,7 @@ class FlowRule:
       mroz_saturating       g = κ₀ / (1 + |T|)      (bounded response)
       temperature_weighted  g = κ(θ) = clamp(κ₀/(1 + max(θ,0)), κ_min, κ₀)
 
-    The temperature factor is clamped into [κ_min, κ_max] so the growth
+    The temperature factor is clamped into [κ_min, κ₀] so the growth
     constant stays finite for every real θ.  User rules go through
     ``FlowRule.custom`` as a θ-only radial factor; run
     ``verify_admissibility`` on them before use in the time stepper.
@@ -148,7 +148,6 @@ class FlowRule:
     kind: str
     kappa0: float = 1.0
     kappa_min: float = 0.0
-    kappa_max: float = 1.0
     c_growth: float = 1.0
     fn: Optional[Callable[[np.ndarray], np.ndarray]] = field(default=None, compare=False)
 
@@ -162,11 +161,11 @@ class FlowRule:
 
     @classmethod
     def linear(cls, kappa0: float = 1.0) -> "FlowRule":
-        return cls("linear", kappa0, kappa_min=kappa0, kappa_max=kappa0, c_growth=kappa0)
+        return cls("linear", kappa0, kappa_min=kappa0, c_growth=kappa0)
 
     @classmethod
     def mroz_saturating(cls, kappa0: float = 1.0) -> "FlowRule":
-        return cls("mroz_saturating", kappa0, kappa_min=kappa0, kappa_max=kappa0, c_growth=kappa0)
+        return cls("mroz_saturating", kappa0, kappa_min=kappa0, c_growth=kappa0)
 
     @classmethod
     def temperature_weighted(cls, kappa0: float = 1.0, kappa_min: Optional[float] = None) -> "FlowRule":
@@ -174,8 +173,7 @@ class FlowRule:
             kappa_min = 1e-6 * kappa0
         if not 0.0 <= kappa_min <= kappa0:
             raise ValueError("need 0 <= kappa_min <= kappa0")
-        return cls("temperature_weighted", kappa0, kappa_min=kappa_min, kappa_max=kappa0,
-                   c_growth=kappa0)
+        return cls("temperature_weighted", kappa0, kappa_min=kappa_min, c_growth=kappa0)
 
     @classmethod
     def custom(cls, fn: Callable[[np.ndarray], np.ndarray], c_growth: float,
@@ -186,7 +184,7 @@ class FlowRule:
         or a scalar.  The rule is monotone and dissipative iff g ≥ 0;
         ``c_growth`` is the declared bound on |g|.
         """
-        return cls(kind, kappa0=0.0, kappa_min=0.0, kappa_max=c_growth, c_growth=c_growth, fn=fn)
+        return cls(kind, kappa0=0.0, kappa_min=0.0, c_growth=c_growth, fn=fn)
 
     def kappa(self, theta):
         """Temperature factor κ(θ); defined for every real θ."""
@@ -195,7 +193,7 @@ class FlowRule:
             return np.broadcast_to(np.asarray(self.fn(theta), dtype=float), theta.shape)
         if self.kind == "temperature_weighted":
             raw = self.kappa0 / (1.0 + np.maximum(theta, 0.0))
-            return np.clip(raw, self.kappa_min, self.kappa_max)
+            return np.clip(raw, self.kappa_min, self.kappa0)
         return np.full_like(theta, self.kappa0)
 
     def _radial_factor(self, theta, norm):

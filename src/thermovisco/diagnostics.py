@@ -27,7 +27,6 @@ from __future__ import annotations
 import json
 import numpy as np
 from dataclasses import dataclass
-from typing import Optional
 
 from .constitutive import ElasticityTensor
 from .discretization import GalerkinSystem
@@ -59,11 +58,6 @@ class Verdict:
     passed: bool
     value: float
     tol: float
-    detail: str = ""
-
-    def __str__(self):
-        status = "pass" if self.passed else "FAIL"
-        return f"[{status}] {self.detail} (value={self.value:.6g}, tol={self.tol:.3g})"
 
 
 def _fmt(x: float) -> str:
@@ -194,22 +188,18 @@ class LedgerBase:
         lhs = (row["entropy"] + row["div_u_int"]) - (first["entropy"] + first["div_u_int"])
         return abs(lhs - row["entropic_src_trunc"] - row["grad_tau_diss"])
 
-    def dissipation_inequality_check(self, t: Optional[float] = None) -> Verdict:
-        """Margin of the combined energy/entropy inequality; must be ≥ −tol."""
-        rows = self.rows if t is None else [self.row_at(t)]
+    def dissipation_inequality_check(self) -> Verdict:
+        """Worst margin of the combined energy/entropy inequality; must be ≥ −tol."""
         tol = scheme_tolerance(self.dt)
-        worst = min(r["dissipation_margin"] for r in rows)
-        return Verdict(worst >= -tol, worst, tol,
-                       "dissipation margin (min over logged times)" if t is None
-                       else f"dissipation margin at t={t:g}")
+        worst = min(r["dissipation_margin"] for r in self.rows)
+        return Verdict(worst >= -tol, worst, tol)
 
     def positivity_bound_check(self) -> Verdict:
         """worst θ_min(t) / (min θ₀ · exp(−∫‖div u_t‖_∞)) over the run."""
         if not self.rows:
             raise ValueError("empty state history")
         worst = min(r["positivity_ratio"] for r in self.rows)
-        return Verdict(worst >= 0.95, worst, 0.95,
-                       "temperature vs exponential lower bound (worst ratio)")
+        return Verdict(worst >= 0.95, worst, 0.95)
 
     def uniform_bound_check(self) -> Verdict:
         """E(t) ≤ E(0) + work(t) + tol at every logged time."""
@@ -218,7 +208,7 @@ class LedgerBase:
         worst = np.inf
         for r in self.rows:
             worst = min(worst, e0 + r["work"] + tol - _energy(r))
-        return Verdict(worst >= 0.0, worst, tol, "uniform energy bound slack (min)")
+        return Verdict(worst >= 0.0, worst, tol)
 
     # -- serialization ----------------------------------------------------------
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import numpy as np
+from functools import cached_property
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
@@ -40,7 +41,7 @@ class Mesh:
     def n_cells(self) -> int:
         return self.cell_nodes.shape[0]
 
-    @property
+    @cached_property
     def cell_volume(self) -> float:
         return float(np.prod(self.spacing))
 
@@ -195,20 +196,22 @@ def check_levels(dim: int, cells, n_disp: int, k_stress: int) -> None:
 class GalerkinSystem:
     """Assembled discrete spaces and coupling operators on one mesh.
 
-    M_theta, K_theta and every ``advection_matrix`` share one CSR pattern, that
-    of the node pairs sharing a cell, so ``heat_matrix`` sums ``.data`` vectors.
-    Each node-block operator is one scatter of its per-cell blocks into that
-    pattern; D and M_u reuse the scalar scatter per displacement component.
+    Each node-block operator is one scatter of its per-cell blocks into one
+    CSR pattern, that of the node pairs sharing a cell; D and M_u reuse the
+    scalar scatter per displacement component.  The heat matrix
+    M_theta + dt·K_theta + dt·A_adv(div u_t) has one definition in every
+    dimension, its per-cell ``heat_blocks``: ``heat_matrix`` scatters them,
+    and in 1D ``heat_bands`` reads them as three bands.
 
-    In 1D every node-block operator is tridiagonal in node order: the whole
-    heat matrix comes as three bands from ``heat_bands``, solved directly by
-    the caller, and M_u, a prefix of the interior nodes, is factored once
-    here by LAPACK's symmetric positive definite tridiagonal ``dpttrf``.  In
-    2D/3D ``heat_inverse(dt)`` applies the inverse of the fixed part
-    M_theta + dt·K_theta, a preconditioner for the heat matrix, and
-    ``solve_mass_u`` that of M_u.  Both operators are Kronecker sums and
-    products of per-axis 1D matrices and are inverted exactly one axis at a
-    time, by the fast diagonalization method (Lynch, Rice & Thomas 1964):
+    In 1D every node-block operator is tridiagonal in node order: the caller
+    solves the heat matrix directly from its bands, and M_u, a prefix of the
+    interior nodes, is factored once here by LAPACK's symmetric positive
+    definite tridiagonal ``dpttrf``.  In 2D/3D ``heat_inverse(dt)`` applies
+    the inverse of the fixed part M_theta + dt·K_theta, a preconditioner for
+    the heat matrix, and ``solve_mass_u`` that of M_u.  Both operators are
+    Kronecker sums and products of per-axis 1D matrices and are inverted
+    exactly one axis at a time, by the fast diagonalization method (Lynch,
+    Rice & Thomas 1964):
     with K1ₐVₐ = M1ₐVₐΛₐ and VₐᵀM1ₐVₐ = I,
     (M_theta + dt·K_theta)⁻¹ = (⊗Vₐ)·diag(1/(1 + dt·Σλ))·(⊗Vₐ)ᵀ, and at the
     full level M_u⁻¹ = (⊗ₐ M1ₐ[int, int]⁻¹) ⊗ I_d.  A partial level's M_u is
@@ -216,27 +219,26 @@ class GalerkinSystem:
     full-level inverse restricted to the prefix.
 
     Every linear map the Picard loop applies is set up once here, so each
-    iteration does one small dense product per map plus its scatter:
+    iteration does one small dense product per map:
     ``advection_matrix`` multiplies the Gauss values of div u_t by a fixed
     (n_g, n_loc²) table of w_g·N_gp·N_gq, ``divergence_corners`` gathers the
     velocities of every cell through one precomputed dof map and multiplies
     them by a fixed table of shape-function gradients at the corners, and the
-    momentum right-hand side reads the stored transposes S_T and D_T.
+    momentum right-hand side reads the stored transposes B_T and D_T.
 
     Attributes
     ----------
     M_u : csr_matrix (n_disp, n_disp) — displacement mass matrix
     M_theta, K_theta : csr_matrix (n_temp, n_temp) — temperature mass/stiffness
     B : csr_matrix (k_stress, n_disp) — L² projection of ε(u) onto the
-        stress basis (cellwise Mandel components of the cell-mean strain)
+        stress basis (cellwise Mandel components of the cell-mean strain);
+        the coupling ∫ ψ_a : ε(φ_j) is ``mesh.cell_volume``·B
     D : csr_matrix (n_temp, n_disp) — divergence coupling ∫ N_i div φ_j
-    S_T, D_T : csc_matrix — the transposes of S and D, views sharing their arrays
-    stress_vol : (k_stress,) — L² norms² of the stress basis (cell volumes)
+    B_T, D_T : csc_matrix — the transposes of B and D, views sharing their arrays
 
-    Instances are immutable after construction, apart from the per-dt memos
-    of ``stress_spectrum``, ``heat_bands`` (1D: the bands of
-    M_theta + dt·K_theta) and ``heat_inverse`` (2D/3D: only the diagonal
-    1/(1 + dt·Σλ)), and safe to share read-only.
+    Instances are immutable after construction, apart from the memos of
+    ``stress_spectrum`` and ``heat_inverse`` (2D/3D, per dt: only the
+    diagonal 1/(1 + dt·Σλ)), and safe to share read-only.
     """
 
     def __init__(self, mesh: Mesh, n_disp: int, k_stress: int):
@@ -262,9 +264,8 @@ class GalerkinSystem:
         # Stress dof a <-> (cell, Mandel component), cell-major order.
         self.stress_cell = np.repeat(np.arange(mesh.n_cells), self.s_comp)[:k_stress]
         self.stress_comp = np.tile(np.arange(self.s_comp), mesh.n_cells)[:k_stress]
-        self.stress_vol = np.full(k_stress, mesh.cell_volume)
         self._spectra = {}
-        self._heat_memo = {}  # per dt: heat_bands' base bands (1D) or heat_inverse (2D/3D)
+        self._heat_inverses = {}  # per dt: the 2D/3D heat_inverse closure
 
         self._build_reference(dim)
         self._assemble(mesh, dim)
@@ -399,9 +400,7 @@ class GalerkinSystem:
                             (mesh.cell_nodes[:, p] * dim + c).ravel())),
                           shape=(mesh.n_cells * self.s_comp, n * dim))
         self.B = B[:self.k_stress][:, vec]
-        # ∫ ψ_a : ε(φ_j) = vol * B[a, j] (midpoint is exact here).
-        self.S = sp.diags(self.stress_vol) @ self.B
-        self.S_T, self.D_T = self.S.T, self.D.T
+        self.B_T, self.D_T = self.B.T, self.D.T
 
     # -- solves and field plumbing ---------------------------------------------
 
@@ -466,46 +465,39 @@ class GalerkinSystem:
         """sup-norm of the piecewise-multilinear div u_t (attained at corners)."""
         return float(np.abs(self.divergence_corners(v_coeffs)).max())
 
-    def advection_matrix(self, div_gauss: np.ndarray) -> sp.csr_matrix:
-        """Assemble ∫ div(u_t) N_i N_j with 2-pt Gauss from per-cell values."""
+    def advection_matrix(self, div_gauss: np.ndarray) -> np.ndarray:
+        """Per-cell blocks of ∫ div(u_t) N_p N_q by 2-pt Gauss, (n_cells, n_loc, n_loc)."""
         n_loc = self._gauss_N.shape[1]
-        return self._scatter((div_gauss @ self._adv_table).reshape(-1, n_loc, n_loc))
+        return (div_gauss @ self._adv_table).reshape(-1, n_loc, n_loc)
+
+    def heat_blocks(self, dt: float, div_gauss: np.ndarray) -> np.ndarray:
+        """Per-cell blocks of M_θ + dt·K_θ + dt·A_adv(div_gauss), the heat matrix."""
+        return self._m_elem + dt * self._k_elem + dt * self.advection_matrix(div_gauss)
 
     def heat_matrix(self, dt: float, div_gauss: np.ndarray) -> sp.csr_matrix:
-        """M_θ + dt·K_θ + dt·A_adv(div_gauss), summed as data vectors on the shared pattern."""
-        A = self.advection_matrix(div_gauss)
-        A.data = self.M_theta.data + dt * self.K_theta.data + dt * A.data
-        return A
+        """The ``heat_blocks`` scattered into the node-pair pattern."""
+        return self._scatter(self.heat_blocks(dt, div_gauss))
 
     def heat_bands(self, dt: float, div_gauss: np.ndarray) -> tuple:
-        """1D: the (lower, diagonal, upper) bands of M_θ + dt·K_θ + dt·A_adv(div_gauss).
+        """1D: the (lower, diagonal, upper) bands of the heat matrix.
 
         Cell e couples nodes e and e + 1 only, so the matrix is tridiagonal in
-        node order.  The bands of M_θ + dt·K_θ are memoized per dt and built
-        at first use; each cell's 2x2 advection block adds to them.
+        node order, with the ``heat_blocks`` of the cells as its 2x2 pieces.
         """
-        if dt not in self._heat_memo:
-            block = self._m_elem + dt * self._k_elem
-            diag = np.zeros(self.n_temp)
-            diag[:-1] += block[0, 0]
-            diag[1:] += block[1, 1]
-            diag.setflags(write=False)
-            self._heat_memo[dt] = (block[1, 0], diag, block[0, 1])
-        lower, diag, upper = self._heat_memo[dt]
-        adv = dt * (div_gauss @ self._adv_table)  # rows: the flattened (p, q) block
-        diag = diag.copy()
-        diag[:-1] += adv[:, 0]
-        diag[1:] += adv[:, 3]
-        return lower + adv[:, 2], diag, upper + adv[:, 1]
+        blocks = self.heat_blocks(dt, div_gauss)
+        diag = np.zeros(self.n_temp)
+        diag[:-1] += blocks[:, 0, 0]
+        diag[1:] += blocks[:, 1, 1]
+        return blocks[:, 1, 0], diag, blocks[:, 0, 1]
 
     def heat_inverse(self, dt: float) -> Callable:
         """2D/3D: r ↦ (M_θ + dt·K_θ)⁻¹·r, memoized per dt and built at first use."""
-        if dt not in self._heat_memo:
+        if dt not in self._heat_inverses:
             d = 1.0 / (1.0 + dt * self._heat_lam)
             Vx, Vy, Vz = self._heat_V
-            self._heat_memo[dt] = lambda r: _tensor_apply(
+            self._heat_inverses[dt] = lambda r: _tensor_apply(
                 d * _tensor_apply(r, Vx.T, Vy.T, Vz.T), Vx, Vy, Vz)
-        return self._heat_memo[dt]
+        return self._heat_inverses[dt]
 
     def heat_source_vector(self, cell_values: np.ndarray) -> np.ndarray:
         """∫ s φ_i for a cellwise-constant source, midpoint-consistent."""

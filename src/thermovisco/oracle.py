@@ -45,10 +45,6 @@ class FDGrid:
     def x(self) -> np.ndarray:
         return self.h * np.arange(self.N)
 
-    @property
-    def length(self) -> float:
-        return self.h * (self.N - 1)
-
     def copy(self) -> "FDGrid":
         return replace(self, u=self.u.copy(), v=self.v.copy(),
                        T=self.T.copy(), theta=self.theta.copy())

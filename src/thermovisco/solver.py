@@ -179,8 +179,8 @@ def resolve_truncation(sys: GalerkinSystem, cfg: SolverConfig,
 
 def momentum_substep(sys: GalerkinSystem, state: SimState, theta: np.ndarray,
                      stress: np.ndarray, f_load: np.ndarray, dt: float) -> np.ndarray:
-    """Exact linear solve of M_u (v_new − v_old)/dt = −Sᵀ·T + Dᵀ·θ + load."""
-    rhs = -(sys.S_T @ stress) + sys.D_T @ theta + f_load
+    """Exact linear solve of M_u (v_new − v_old)/dt = Dᵀ·θ + load − vol·Bᵀ·T."""
+    rhs = sys.D_T @ theta + f_load - sys.mesh.cell_volume * (sys.B_T @ stress)
     return state.v + dt * sys.solve_mass_u(rhs)
 
 
@@ -468,13 +468,9 @@ def run(sys: GalerkinSystem, cfg: SolverConfig, observers: Sequence[Callable] = 
     for i in range(1, n_steps + 1):
         try:
             result = step(sys, cfg, state, previous, before)
-        except PicardConvergenceError as exc:
-            raise PicardConvergenceError(
-                f"step {i} (t={state.t + cfg.dt:g}) failed: {exc}",
-                exc.residual_history) from exc
         except StepFailureError as exc:
-            raise type(exc)(f"step {i} (t={state.t + cfg.dt:g}) failed: {exc}") \
-                from exc
+            exc.args = (f"step {i} (t={state.t + cfg.dt:g}) failed: {exc}",)
+            raise
         before, previous, state = previous, state, result.state
         row = ledger.record_step(state, result)
         if collect_infos:

@@ -74,6 +74,20 @@ class TestExpressions:
         with pytest.raises(ExpressionError):
             compile_expression("open('x')")
 
+    def test_unary_minus(self):
+        f = compile_expression("1.0 - -0.5*x")
+        assert np.allclose(f(np.array([[0.0], [1.0]])), [1.0, 1.5])
+
+    @pytest.mark.parametrize("src, message", [
+        ("1 if x else 2", "IfExp"),
+        ("sin(x=1)", "keyword"),
+        ("'1'", "not a number"),
+        ("x.real", "Attribute"),
+    ], ids=["if", "keyword", "string", "attribute"])
+    def test_rejects_syntax_outside_grammar(self, src, message):
+        with pytest.raises(ExpressionError, match=message):
+            compile_expression(src)
+
 
 class TestConfigParsing:
     def test_minimal_round_trip(self, tmp_path):
@@ -150,6 +164,36 @@ class TestConfigParsing:
         assert rc.extents == (2.0, 2.0) and rc.cells == (4, 4)
         assert rc.n_disp_level == max_levels(2, (4, 4))[0] == 18
         assert rc.k_stress_level == 5
+
+    @pytest.mark.parametrize("data, message", [
+        ("u0 = 0; 0\ntheta0 = 1", "u0: need 1 components, got 2"),
+        ("f = 0; 0; 0\ntheta0 = 1", "f: need 1 components, got 3"),
+        ("u0 = 0", "theta0: required"),
+        ("theta0 = 1 + log(x)", "bad expression"),
+    ], ids=["u0-components", "f-components", "no-theta0", "bad-expression"])
+    def test_bad_data_exit_two(self, tmp_path, capsys, data, message):
+        body = MINIMAL.replace("preset = zero", data)
+        assert main(["run", str(write_cfg(tmp_path, body))]) == 2
+        assert f"[data] {message}" in capsys.readouterr().err
+
+    def test_missing_required_key(self, tmp_path):
+        with pytest.raises(ConfigError, match=r"\[mesh\] dim: missing required field"):
+            load_config(write_cfg(tmp_path, MINIMAL.replace("dim = 1\n", "")))
+
+    def test_unknown_flow_rule_exit_two(self, tmp_path, capsys):
+        body = MINIMAL.replace("flow_rule = linear", "flow_rule = plastic")
+        assert main(["run", str(write_cfg(tmp_path, body))]) == 2
+        assert "[material] flow_rule: unknown kind 'plastic'" in capsys.readouterr().err
+
+    def test_unreadable_config_exit_two(self, tmp_path, capsys):
+        body = MINIMAL + "\n[mesh]\ndim = 2\n"
+        assert main(["run", str(write_cfg(tmp_path, body))]) == 2
+        assert "cannot parse" in capsys.readouterr().err
+
+    def test_negative_snapshot_stride_exit_two(self, tmp_path, capsys):
+        body = MINIMAL + "\n[output]\nsnapshot_stride = -3\n"
+        assert main(["run", str(write_cfg(tmp_path, body))]) == 2
+        assert "[output] snapshot_stride must be >= 0" in capsys.readouterr().err
 
     def test_flow_rule_kinds(self, tmp_path):
         for kind in ("linear", "mroz_saturating", "temperature_weighted"):
@@ -281,6 +325,14 @@ class TestCmdCheckConstitutive:
                                                   "flow_rule = mroz_saturating"))
         assert main(["check-constitutive", str(cfg), "--samples", "2000"]) == 0
 
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_non_positive_samples_exit_two(self, capsys, samples):
+        with pytest.raises(SystemExit) as exit_:
+            main(["check-constitutive", "smooth_coupled.cfg", "--samples", samples])
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert f"--samples: must be >= 1, got {samples}" in err and "usage:" in err
+
     def test_anti_monotone_fails(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, MINIMAL.replace("flow_rule = linear",
                                                   "flow_rule = anti_monotone"))
@@ -335,6 +387,20 @@ class TestCmdConvergence:
         err = capsys.readouterr().err
         assert "error: level 1 (50 cells, dt=0.01) failed: step 1" in err
         assert "lost positivity" in err
+
+    @pytest.mark.parametrize("dim, levels", [
+        (2, "4:full:full:2e-3;8:full:full:1e-3"),
+        (3, "2:full:full:2e-3;4:full:full:1e-3"),
+    ])
+    def test_multi_dimensional_levels(self, tmp_path, capsys, dim, levels):
+        body = self.SMOOTH.replace("dim = 1", f"dim = {dim}").replace(
+            "t_end = 0.1", "t_end = 4e-3").replace("u0 = 0.1*sin(pi*x)",
+                                                   "u0 = 0.1*sin(pi*x)*sin(pi*y)")
+        body = body.replace("stress0 = 0.3*cos(pi*x)\n", "")
+        assert main(["convergence", str(write_cfg(tmp_path, body)), "--levels", levels]) == 0
+        pair = capsys.readouterr().out.splitlines()[1].split()
+        assert pair[0] == "0->" and pair[1] == "1"
+        assert all(0.0 < float(d) < 1.0 for d in pair[2:])
 
     def test_single_level_rejected(self, tmp_path):
         cfg = write_cfg(tmp_path, self.SMOOTH)

@@ -187,7 +187,7 @@ class TestAdmissibility:
         assert rep.worst_monotonicity >= -1e-12
         assert rep.worst_dissipation >= -1e-12
         assert rep.max_at_zero <= 1e-14
-        # empirical C_G approaches kappa_max for the linear rule
+        # empirical C_G approaches kappa0 for the linear rule
         assert 0.9 * 2.0 <= rep.empirical_growth <= 2.0 * (1 + 1e-9)
 
     def test_mroz_passes(self):

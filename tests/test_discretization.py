@@ -128,8 +128,9 @@ class TestBuildSpaces:
         div = np.random.default_rng(2).standard_normal((m.n_cells, 8))
         dt = 0.3
         H = sys.heat_matrix(dt, div)
-        expected = sys.M_theta + dt * sys.K_theta + dt * sys.advection_matrix(div)
-        for A in (H, sys.K_theta, sys.advection_matrix(div)):
+        advection = sys._scatter(sys.advection_matrix(div))
+        expected = sys.M_theta + dt * sys.K_theta + dt * advection
+        for A in (H, sys.K_theta, advection):
             assert np.array_equal(A.indptr, sys.M_theta.indptr)
             assert np.array_equal(A.indices, sys.M_theta.indices)
         assert np.abs(H.toarray() - expected.toarray()).max() <= 1e-15
@@ -138,7 +139,7 @@ class TestBuildSpaces:
         m = build_mesh(1, [1.3], [7])
         sys = build_spaces(m, 6, 7)
         div = np.random.default_rng(3).standard_normal((m.n_cells, 2))
-        for dt in (0.3, 0.01, 0.3):  # the per-dt memo is reused, never changed
+        for dt in (0.3, 0.01, 0.3):  # a repeated dt gives the same bands
             lower, diag, upper = sys.heat_bands(dt, div)
             banded = np.diag(lower, -1) + np.diag(diag) + np.diag(upper, 1)
             assert np.abs(banded - sys.heat_matrix(dt, div).toarray()).max() <= 1e-15
@@ -250,7 +251,7 @@ class TestAssemblyOracle:
         for system, (w, v, g, _) in oracle_cases:
             vel = _random_velocity(system)
             A = np.einsum("q,q,qi,qj->ij", w, _oracle_divergence(system, g, vel), v, v)
-            got = system.advection_matrix(divergence_of(system, vel)).toarray()
+            got = system._scatter(system.advection_matrix(divergence_of(system, vel))).toarray()
             assert np.allclose(A, got, rtol=0.0, atol=1e-13)
 
     def test_divergence_gauss(self, oracle_cases):

@@ -7,9 +7,10 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from thermovisco import ElasticityTensor, FlowRule, build_mesh, build_spaces
-from thermovisco.discretization import GalerkinSystem
+from thermovisco.discretization import GalerkinSystem, max_levels
 from thermovisco.solver import SolverConfig, StepResult, initialize, resolve_truncation, step
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -32,10 +33,10 @@ def test_step_result_reports_inner_iterations():
     assert "stress_inner_iters" in StepResult.__dataclass_fields__
 
 
-def test_one_advection_matrix_per_picard_iteration(monkeypatch):
+def assert_one_advection_matrix_per_picard_iteration(monkeypatch, dim, cells):
     # discretization.advection_calls counts the heat systems assembled.
-    mesh = build_mesh(2, [1.0, 1.0], [4, 4])
-    sys = build_spaces(mesh, mesh.interior_nodes.size * 2, mesh.n_cells * 3)
+    mesh = build_mesh(dim, [1.0] * dim, [cells] * dim)
+    sys = build_spaces(mesh, *max_levels(dim, mesh.cells))
     cfg = SolverConfig(
         dt=1e-2, t_end=1e-2, elasticity=ElasticityTensor(1.0, 1.0), flow_rule=FlowRule.linear(1.0),
         u1=lambda pts: np.sin(np.pi * pts) * np.sin(np.pi * pts[:, ::-1]),
@@ -49,3 +50,12 @@ def test_one_advection_matrix_per_picard_iteration(monkeypatch):
     result = step(sys, cfg, state)
     assert result.iterations > 1
     assert len(calls) == result.iterations
+
+
+def test_one_advection_matrix_per_picard_iteration(monkeypatch):
+    assert_one_advection_matrix_per_picard_iteration(monkeypatch, 2, 4)
+
+
+@pytest.mark.parametrize("dim, cells", [(1, 8), (3, 3)])
+def test_one_advection_matrix_per_picard_iteration_in(monkeypatch, dim, cells):
+    assert_one_advection_matrix_per_picard_iteration(monkeypatch, dim, cells)

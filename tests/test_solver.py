@@ -545,7 +545,7 @@ class TestStep:
             state = result.state
         dt = cfg.dt
 
-        mom = sys.M_u @ (state.v - old.v) / dt + sys.S.T @ state.stress \
+        mom = sys.M_u @ (state.v - old.v) / dt + sys.mesh.cell_volume * sys.B.T @ state.stress \
             - sys.D.T @ state.theta - result.f_load
         assert np.abs(mom).max() < 1e-8
 
@@ -556,7 +556,7 @@ class TestStep:
         assert np.abs(cinv_rate + g - sys.B @ state.v).max() < 1e-8
 
         div = divergence_of(sys, state.v)
-        A = sys.M_theta + dt * sys.K_theta + dt * sys.advection_matrix(div)
+        A = sys.M_theta + dt * sys.K_theta + dt * sys._scatter(sys.advection_matrix(div))
         src = truncate(cfg.truncation,
                        cfg.flow_rule.eval_mandel(sys.cell_center_values(old.theta),
                                                  state.stress[:, None], 1)[:, 0] * state.stress)
