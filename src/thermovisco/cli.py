@@ -25,7 +25,7 @@ import sys as _sys
 import threading
 import warnings
 import numpy as np
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from .config import (ConfigError, RunConfig, _float, _int_list, _level, build_problem, check,
@@ -173,7 +173,8 @@ def cmd_run(args) -> int:
         ledger = result.ledger
         ledger.to_csv(out / rc.ledger_filename)
         writer.finish(out / "snapshot_final.txt", sys_, result.state)
-        summary = ledger.write_summary_json(out / "summary.json")
+        summary = ledger.write_summary_json(out / "summary.json",
+                                            solver_stats=asdict(result.stats))
     except PicardConvergenceError as exc:
         print(f"error: {exc}", file=_sys.stderr)
         print(f"residual history: {['%.3e' % r for r in exc.residual_history]}",

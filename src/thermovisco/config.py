@@ -20,7 +20,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Optional
 
-from .constitutive import ElasticityTensor, FlowRule, TruncationLevel
+from .constitutive import ElasticityTensor, FlowRule, TruncationLevel, sym_components
 from .discretization import build_mesh, build_spaces, check_levels, max_levels, mesh_shape
 from .expressions import ExpressionError, compile_expression, tensor_sampler, vector_sampler
 from .solver import SolverConfig, check_time
@@ -210,30 +210,25 @@ def _parse_data(cp, dim) -> dict:
         merged.update(raw)  # explicit keys override the preset
         raw = merged
 
-    def comps(value):
-        return [c.strip() for c in value.split(";")]
+    def comps(key, count, broadcast=False):
+        parts = [part.strip() for part in raw[key].split(";")]
+        if broadcast and len(parts) == 1:
+            parts = parts * count
+        if len(parts) != count:
+            raise ConfigError(f"[data] {key}: need {count} components, got {len(parts)}")
+        return parts
 
     try:
         for key in ("u0", "u1"):
             if key in raw:
-                c = comps(raw[key])
-                if len(c) == 1:
-                    c = c * dim
-                if len(c) != dim:
-                    raise ConfigError(f"[data] {key}: need {dim} components, got {len(c)}")
-                fields[key] = vector_sampler(c)
+                fields[key] = vector_sampler(comps(key, dim, broadcast=True))
         if "stress0" in raw:
-            fields["stress0"] = tensor_sampler(comps(raw["stress0"]), dim)
+            fields["stress0"] = tensor_sampler(comps("stress0", sym_components(dim)), dim)
         if "theta0" not in raw:
             raise ConfigError("[data] theta0: required (strictly positive expression)")
         fields["theta0"] = compile_expression(raw["theta0"])
         if "f" in raw:
-            c = comps(raw["f"])
-            if len(c) == 1:
-                c = c * dim
-            if len(c) != dim:
-                raise ConfigError(f"[data] f: need {dim} components, got {len(c)}")
-            fields["forcing"] = vector_sampler(c, with_time=True)
+            fields["forcing"] = vector_sampler(comps("f", dim, broadcast=True), with_time=True)
     except ExpressionError as exc:
         raise ConfigError(f"[data] bad expression: {exc}") from exc
     return fields

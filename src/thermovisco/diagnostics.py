@@ -254,9 +254,9 @@ class LedgerBase:
                            and not self.invariant_violations),
         }
 
-    def write_summary_json(self, path) -> dict:
-        """Write ``summary()`` to ``path`` as JSON and return it."""
-        summary = self.summary()
+    def write_summary_json(self, path, **blocks) -> dict:
+        """Write ``summary()``, with ``blocks`` added as keys, to ``path`` as JSON and return it."""
+        summary = {**self.summary(), **blocks}
         with open(path, "w") as fh:
             json.dump(summary, fh, indent=2, sort_keys=True)
             fh.write("\n")

@@ -12,12 +12,14 @@ construction of the continuous problem:
   3. implicit update for the stress with the new strain rate, in closed form,
 
 iterated until the successive-iterate residual drops below ``picard_tol``.
-Every solve of the loop starts from the best iterate in hand: the loop
-starts from the quadratic predictor 3·(xₙ − xₙ₋₁) + xₙ₋₂ of (u_t, stress, θ)
-from the third step on (the linear 2·xₙ − xₙ₋₁ in the second); each heat CG
-starts from the current θ iterate, and the ``mroz_saturating`` Newton from
-the current stress iterate.  What the heat solves take from θ_old alone is
-computed once per step (``heat_constants``).
+Every solve of the loop starts from the best iterate in hand.  The loop
+starts from the order-k extrapolation Σⱼ₌₀..ₖ ∇ʲxₙ of the accepted states
+x = (u_t, stress, θ), read off a table of backward differences that ``run``
+keeps (``StartHistory``); k is chosen per step, as the predictors of implicit
+ODE codes are, from the error each order would have made on the step just
+taken.  Each heat CG starts from the current θ iterate, and the
+``mroz_saturating`` Newton from the current stress iterate.  What the heat
+solves take from θ_old alone is computed once per step (``heat_constants``).
 The scheme is first order in time.  For a monotone flow rule the stress
 update is solvable for every dt; only heat positivity or Picard divergence
 can reject a step.
@@ -363,8 +365,7 @@ def _field_residual(new: np.ndarray, prev: np.ndarray) -> float:
 
 
 def step(sys: GalerkinSystem, cfg: SolverConfig, state: SimState,
-         previous: Optional[SimState] = None,
-         before: Optional[SimState] = None) -> StepResult:
+         start: Optional[tuple] = None) -> StepResult:
     """One Picard-coupled implicit step of size dt.
 
     The (u, stress) iterate is frozen, the heat equation solved for θ, then
@@ -372,12 +373,9 @@ def step(sys: GalerkinSystem, cfg: SolverConfig, state: SimState,
     successive-iterate residual (max over θ, u_t, stress, relative) is below
     ``picard_tol``.  Finally u advances with the converged velocity.
 
-    The loop starts from ``state``; given the state ``previous`` one dt
-    earlier, from the linear predictor 2·state − previous of (u_t, stress, θ);
-    given also the state ``before`` two dt earlier, from the quadratic
-    predictor 3·(state − previous) + before, which is exact for fields
-    quadratic in time.  The start moves only where the loop begins, not its
-    fixed point.
+    The loop starts from ``start``, a (u_t, stress, θ) triple, by default
+    ``state``'s own; ``run`` passes ``StartHistory.start()``.  The start moves
+    only where the loop begins, not its fixed point.
     """
     if isinstance(cfg.truncation, str):
         raise ValueError("step needs a resolved TruncationLevel; use run() or "
@@ -388,15 +386,7 @@ def step(sys: GalerkinSystem, cfg: SolverConfig, state: SimState,
         else np.zeros(sys.n_disp)
     constants = heat_constants(sys, state)
 
-    if previous is None:
-        v_i, T_i, th_i = state.v, state.stress, state.theta
-    elif before is None:
-        v_i, T_i, th_i = (2.0 * state.v - previous.v, 2.0 * state.stress - previous.stress,
-                          2.0 * state.theta - previous.theta)
-    else:
-        v_i, T_i, th_i = (3.0 * (state.v - previous.v) + before.v,
-                          3.0 * (state.stress - previous.stress) + before.stress,
-                          3.0 * (state.theta - previous.theta) + before.theta)
+    v_i, T_i, th_i = (state.v, state.stress, state.theta) if start is None else start
     history = []
     heat = None
     inner_total = cg_total = fallbacks = 0
@@ -433,12 +423,104 @@ def step(sys: GalerkinSystem, cfg: SolverConfig, state: SimState,
                       cg_total, fallbacks)
 
 
+# Highest order of the Picard start.  Seed-0 heat_2d takes 98, 73 and 76
+# Picard iterations with caps of 6, 8 and 10.
+MAX_START_ORDER = 8
+
+
+class StartHistory:
+    """Backward differences of the accepted states, and the order of the next start.
+
+    Row j of ``rows`` is ∇ʲxₙ, j = 0 … MAX_START_ORDER + 1, of the concatenated
+    x = (u_t, stress, θ) of the last accepted state xₙ; fewer rows exist while
+    fewer states have been pushed.  ``push`` updates them in place by
+    ∇ʲ⁺¹xₙ₊₁ = ∇ʲxₙ₊₁ − ∇ʲxₙ, exactly as ``np.diff`` of the stored states would.
+
+    The order-k start is Σⱼ₌₀..ₖ ∇ʲxₙ (k = 0, 1, 2: xₙ, 2xₙ − xₙ₋₁ and
+    3(xₙ − xₙ₋₁) + xₙ₋₂).  Made one step earlier, it would have missed xₙ by
+    exactly ∇ᵏ⁺¹xₙ, so the candidate order is the k with the least
+    max|∇ᵏ⁺¹xₙ|.  The order rises by at most one per step, and only while the
+    last step took at most two Picard iterations or no more than the step
+    before; otherwise it falls back to at most 2, since a slowly contracting
+    Picard mode left in the accepted states is amplified by high orders.
+    """
+
+    def __init__(self, state: SimState):
+        self._splits = (state.v.size, state.v.size + state.stress.size)
+        self._table = np.zeros((MAX_START_ORDER + 2, self._splits[1] + state.theta.size))
+        self._index = list(range(MAX_START_ORDER + 2))  # table row of ∇ʲxₙ, free rows last
+        self._count = 0
+        self._iterations = 0
+        self.order = 0
+        self.push(state, 0)
+
+    @property
+    def rows(self) -> list:
+        return [self._table[i] for i in self._index[:self._count]]
+
+    def push(self, state: SimState, iterations: int) -> None:
+        """Take the accepted ``state``, reached in ``iterations`` Picard iterations."""
+        # The last row is free, or holds the top difference, which no new row needs.
+        new = self._index.pop()
+        np.concatenate((state.v, state.stress, state.theta), out=self._table[new])
+        depth = min(self._count, MAX_START_ORDER + 1)
+        for j in range(depth):
+            old = self._index[j]
+            np.subtract(self._table[new], self._table[old], out=self._table[old])
+            self._index[j], new = new, old
+        self._index.insert(depth, new)
+        self._count = depth + 1
+
+        # max|∇ᵏ⁺¹xₙ| for k = 0 … count − 2, from two reductions over the table.
+        peak = np.maximum(self._table.max(axis=1), -self._table.min(axis=1))
+        errors = peak[self._index[1:self._count]]
+        candidate = int(np.argmin(errors)) if errors.size else 0
+        self.order = min(candidate, self.order + 1)
+        if iterations > max(2, self._iterations):
+            self.order = min(self.order, 2)
+        self._iterations = iterations
+
+    def start(self) -> tuple:
+        """The order-``order`` start, as the (u_t, stress, θ) triple ``step`` takes."""
+        x = self._table[self._index[0]].copy()
+        for i in self._index[1:self.order + 1]:
+            x += self._table[i]
+        a, b = self._splits
+        return x[:a], x[a:b], x[b:]
+
+
+@dataclass
+class SolverStats:
+    """Integer counts of what the solver did in a run; no timings, so deterministic."""
+
+    picard_iters: int = 0
+    picard_iters_max: int = 0
+    steps_by_picard_iters: list = field(default_factory=list)  # entry i: steps that took i
+    steps_by_start_order: list = field(default_factory=lambda: [0] * (MAX_START_ORDER + 1))
+    heat_cg_iters: int = 0
+    heat_fallbacks: int = 0
+    stress_newton_iters: int = 0
+
+    def record(self, result: StepResult, order: int) -> None:
+        """Count one step, started from the order-``order`` extrapolation."""
+        n = result.iterations
+        self.picard_iters += n
+        self.picard_iters_max = max(self.picard_iters_max, n)
+        self.steps_by_picard_iters += [0] * (n + 1 - len(self.steps_by_picard_iters))
+        self.steps_by_picard_iters[n] += 1
+        self.steps_by_start_order[order] += 1
+        self.heat_cg_iters += result.heat_cg_iters
+        self.heat_fallbacks += result.heat_fallbacks
+        self.stress_newton_iters += result.stress_inner_iters
+
+
 @dataclass
 class RunResult:
     state: SimState
     ledger: BalanceLedger
     n_steps: int
     step_infos: list
+    stats: SolverStats
 
 
 def run(sys: GalerkinSystem, cfg: SolverConfig, observers: Sequence[Callable] = (),
@@ -464,17 +546,21 @@ def run(sys: GalerkinSystem, cfg: SolverConfig, observers: Sequence[Callable] = 
     ledger.record_initial(state)
 
     infos = []
-    previous = before = None
+    stats = SolverStats()
+    history = StartHistory(state)
     for i in range(1, n_steps + 1):
+        order = history.order
         try:
-            result = step(sys, cfg, state, previous, before)
+            result = step(sys, cfg, state, history.start())
         except StepFailureError as exc:
             exc.args = (f"step {i} (t={state.t + cfg.dt:g}) failed: {exc}",)
             raise
-        before, previous, state = previous, state, result.state
+        state = result.state
+        history.push(state, result.iterations)
+        stats.record(result, order)
         row = ledger.record_step(state, result)
         if collect_infos:
             infos.append(result)
         for obs in observers:
             obs(i, state.t, state, dict(row))
-    return RunResult(state, ledger, n_steps, infos)
+    return RunResult(state, ledger, n_steps, infos, stats)

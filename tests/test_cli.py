@@ -50,6 +50,32 @@ preset = zero
 """
 
 
+SMOOTH_1D = """
+[mesh]
+dim = 1
+extents = 1.0
+cells = 20
+
+[material]
+mu = 0.5
+flow_rule = mroz_saturating
+kappa0 = 1.0
+
+[time]
+dt = 1e-3
+t_end = 0.05
+
+[data]
+u0 = 0.1*sin(pi*x)
+stress0 = 0.3*cos(pi*x)
+theta0 = 1.0 + 0.2*cos(pi*x)
+f = 0.05*cos(2*t)*sin(pi*x)
+
+[output]
+directory = {outdir}
+"""
+
+
 class TestExpressions:
     def test_basic_evaluation(self):
         f = compile_expression("1 + 0.5*cos(pi*x)")
@@ -168,13 +194,22 @@ class TestConfigParsing:
     @pytest.mark.parametrize("data, message", [
         ("u0 = 0; 0\ntheta0 = 1", "u0: need 1 components, got 2"),
         ("f = 0; 0; 0\ntheta0 = 1", "f: need 1 components, got 3"),
+        ("stress0 = 0; 0\ntheta0 = 1", "stress0: need 1 components, got 2"),
         ("u0 = 0", "theta0: required"),
         ("theta0 = 1 + log(x)", "bad expression"),
-    ], ids=["u0-components", "f-components", "no-theta0", "bad-expression"])
+    ], ids=["u0-components", "f-components", "stress0-components", "no-theta0",
+            "bad-expression"])
     def test_bad_data_exit_two(self, tmp_path, capsys, data, message):
         body = MINIMAL.replace("preset = zero", data)
         assert main(["run", str(write_cfg(tmp_path, body))]) == 2
         assert f"[data] {message}" in capsys.readouterr().err
+
+    def test_stress0_components_named_like_u0(self, tmp_path, capsys):
+        body = MINIMAL.replace("dim = 1", "dim = 2").replace(
+            "preset = zero", "stress0 = 0.3*cos(pi*x)\ntheta0 = 1")
+        assert main(["run", str(write_cfg(tmp_path, body))]) == 2
+        assert capsys.readouterr().err == \
+            "config error: [data] stress0: need 3 components, got 1\n"
 
     def test_missing_required_key(self, tmp_path):
         with pytest.raises(ConfigError, match=r"\[mesh\] dim: missing required field"):
@@ -220,6 +255,43 @@ class TestCmdRun:
         assert all(abs(r["dissipation_margin"]) <= 1e-12 for r in rows)
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert summary["passed"]
+
+    def test_summary_reports_solver_stats(self, tmp_path):
+        # The counts of an in-process run with every step's result kept, and
+        # byte-identical from run to run.
+        body = SMOOTH_1D.replace("{outdir}", str(tmp_path / "out"))
+        path = write_cfg(tmp_path, body)
+        assert main(["run", str(path)]) == 0
+        first = (tmp_path / "out" / "summary.json").read_text()
+        stats = json.loads(first)["solver_stats"]
+        infos = solver.run(*build_problem(load_config(path))).step_infos
+        iterations = [info.iterations for info in infos]
+        assert stats == {
+            "picard_iters": sum(iterations),
+            "picard_iters_max": max(iterations),
+            "steps_by_picard_iters": np.bincount(iterations).tolist(),
+            "steps_by_start_order": stats["steps_by_start_order"],
+            "heat_cg_iters": 0,
+            "heat_fallbacks": 0,
+            "stress_newton_iters": sum(info.stress_inner_iters for info in infos),
+        }
+        orders = stats["steps_by_start_order"]
+        assert len(orders) == solver.MAX_START_ORDER + 1 and sum(orders) == len(infos) == 50
+        assert orders[0] >= 1 and sum(orders[3:]) > 0
+        assert stats["stress_newton_iters"] > stats["picard_iters"]
+        assert main(["run", str(path)]) == 0
+        assert (tmp_path / "out" / "summary.json").read_text() == first
+
+    def test_summary_reports_2d_heat_solves(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("THERMOVISCO_OUTDIR", str(tmp_path / "out"))
+        path = write_cfg(tmp_path, SMOOTH_1D.replace("dim = 1", "dim = 2").replace(
+            "cells = 20", "cells = 6").replace("t_end = 0.05", "t_end = 0.01").replace(
+            "u0 = 0.1*sin(pi*x)", "u0 = 0.1*sin(pi*x)*sin(pi*y)").replace(
+            "stress0 = 0.3*cos(pi*x)", "stress0 = 0.3*cos(pi*x); 0; 0"))
+        assert main(["run", str(path)]) == 0
+        stats = json.loads((tmp_path / "out" / "summary.json").read_text())["solver_stats"]
+        assert stats["heat_cg_iters"] >= stats["picard_iters"] > 0
+        assert stats["heat_fallbacks"] == 0
 
     def test_malformed_config_exit_two(self, tmp_path, capsys):
         bad = write_cfg(tmp_path, MINIMAL.replace("dt = 1e-3", "dt = -1"))

@@ -1,3 +1,7 @@
+import importlib.util
+from pathlib import Path
+from sys import modules
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
@@ -9,10 +13,12 @@ from thermovisco import solver
 from thermovisco.config import build_problem, load_config, shipped_config_path
 from thermovisco.discretization import max_levels
 from thermovisco.solver import (
+    MAX_START_ORDER,
     PicardConvergenceError,
     PositivityError,
     SimState,
     SolverConfig,
+    StartHistory,
     StepFailureError,
     _saturating_factor,
     divergence_of,
@@ -30,6 +36,7 @@ from thermovisco.diagnostics import total_energy
 from conftest import make_smooth_problem, make_zero_problem
 
 C_HALF = ElasticityTensor(0.0, 0.5)  # identity action on symmetric matrices
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 
 def small_system(cells=8):
@@ -439,34 +446,44 @@ class TestStep:
 
     @pytest.mark.parametrize("problem", ["smooth_1d", "swirl_2d"])
     def test_predictor_start_reaches_same_state(self, problem):
-        # From the quadratic predictor 3·(xₙ − xₙ₋₁) + xₙ₋₂, the linear one
-        # 2·xₙ − xₙ₋₁ or from xₙ, the loop stops within tolerance of one fixed
-        # point; without ``before`` the start is linear, without ``previous`` xₙ.
+        # After ten steps the start order is above 2.  From xₙ (no start), from
+        # every order up to the chosen one, the loop stops within tolerance of
+        # one fixed point, and no order up to 2 takes more iterations than a
+        # lower one nor the chosen order more than order 2.
         if problem == "smooth_1d":
             sys, cfg = make_smooth_problem(dt=1e-3, t_end=1.0)
         else:
             sys, cfg = swirl_problem()
-        before = initialize(sys, cfg)
-        cfg = replace(cfg, truncation=resolve_truncation(sys, cfg, before))
-        previous = step(sys, cfg, before).state
-        state = step(sys, cfg, previous, before).state
+        state = initialize(sys, cfg)
+        cfg = replace(cfg, truncation=resolve_truncation(sys, cfg, state))
+        history = StartHistory(state)
+        for _ in range(10):
+            result = step(sys, cfg, state, history.start())
+            state = result.state
+            history.push(state, result.iterations)
+        chosen = history.order
+        assert chosen >= 3
         cold = step(sys, cfg, state)
-        linear = step(sys, cfg, state, previous)
-        quadratic = step(sys, cfg, state, previous, before)
-        assert quadratic.iterations <= linear.iterations <= cold.iterations
-        for warm in (linear, quadratic):
+        warm = {}
+        for k in range(chosen + 1):
+            history.order = k
+            warm[k] = step(sys, cfg, state, history.start())
+        assert warm[chosen].iterations <= warm[2].iterations <= warm[1].iterations \
+            <= warm[0].iterations == cold.iterations
+        assert warm[chosen].iterations < cold.iterations
+        for result in warm.values():
             for name in ("v", "stress", "theta"):
-                a, b = getattr(warm.state, name), getattr(cold.state, name)
+                a, b = getattr(result.state, name), getattr(cold.state, name)
                 assert np.abs(a - b).max() <= 10 * cfg.picard_tol * max(np.abs(b).max(), 1.0)
-        for plain, same in ((step(sys, cfg, state, None), cold),
-                            (step(sys, cfg, state, previous, None), linear)):
-            assert plain.iterations == same.iterations
-            for name in ("u", "v", "stress", "theta"):
-                assert np.array_equal(getattr(plain.state, name), getattr(same.state, name))
+        plain = step(sys, cfg, state, None)
+        assert plain.iterations == cold.iterations
+        for name in ("u", "v", "stress", "theta"):
+            assert np.array_equal(getattr(plain.state, name), getattr(cold.state, name))
+            assert np.array_equal(getattr(warm[0].state, name), getattr(cold.state, name))
 
     def test_loop_starts_from_the_predictor(self, monkeypatch):
-        # The first heat solve sees the predicted u_t (through div u_t), stress
-        # and θ: xₙ, 2·xₙ − xₙ₋₁ or 3·(xₙ − xₙ₋₁) + xₙ₋₂ by the states given.
+        # The first heat solve sees the given start's u_t (through div u_t),
+        # stress and θ, and without a start those of the state.
         class FirstHeatSolve(Exception):
             pass
 
@@ -476,21 +493,18 @@ class TestStep:
         sys, cfg = swirl_problem()
         cfg = replace(cfg, truncation=TruncationLevel(1.0))
         rng = np.random.default_rng(4)
-        state, previous, before = (
+        state, start = (
             SimState(0.0, np.zeros(sys.n_disp), rng.standard_normal(sys.n_disp),
                      rng.standard_normal(sys.k_stress), 1.0 + rng.random(sys.n_temp))
-            for _ in range(3))
+            for _ in range(2))
         monkeypatch.setattr(solver, "heat_substep", capture)
-        for given, start in (((), lambda x, x1, x2: x),
-                             ((previous,), lambda x, x1, x2: 2.0 * x - x1),
-                             ((previous, before), lambda x, x1, x2: 3.0 * (x - x1) + x2)):
+        for given, seen_state in (((), state), (((start.v, start.stress, start.theta),), start)):
             with pytest.raises(FirstHeatSolve) as seen:
                 step(sys, cfg, state, *given)
             div, stress, theta = seen.value.args
-            v = start(state.v, previous.v, before.v)
-            assert np.array_equal(div, divergence_of(sys, v))
-            assert np.array_equal(stress, start(state.stress, previous.stress, before.stress))
-            assert np.array_equal(theta, start(state.theta, previous.theta, before.theta))
+            assert np.array_equal(div, divergence_of(sys, seen_state.v))
+            assert np.array_equal(stress, seen_state.stress)
+            assert np.array_equal(theta, seen_state.theta)
 
     def test_zero_data_fixed_point_in_one_iteration(self):
         sys, cfg = make_zero_problem()
@@ -587,6 +601,181 @@ class TestStep:
         assert 1.6 <= d12 / d23 <= 2.4
 
 
+def random_states(sys, count, seed):
+    rng = np.random.default_rng(seed)
+    return [SimState(0.01 * n, np.zeros(sys.n_disp), rng.standard_normal(sys.n_disp),
+                     rng.standard_normal(sys.k_stress), 1.0 + rng.random(sys.n_temp))
+            for n in range(count)]
+
+
+def concatenated(state):
+    return np.concatenate((state.v, state.stress, state.theta))
+
+
+def sin400_problem():
+    """``smooth_coupled`` with a forcing too rough for high start orders."""
+    sys, cfg = make_smooth_problem(t_end=0.08)
+    return sys, replace(cfg, forcing=lambda t, pts: (0.5 * np.sin(400 * t)
+                                                     * np.sin(np.pi * pts[:, 0]))[:, None])
+
+
+def spy_on_run(monkeypatch, sys, cfg):
+    """Run, recording per step the start order, the accepted state before the
+    step, what its first heat solve saw, and the step's Picard iterations."""
+    steps = []
+    real_step, real_heat, real_start = solver.step, solver.heat_substep, StartHistory.start
+
+    def start(self):
+        steps.append({"order": self.order})
+        return real_start(self)
+
+    def spy_step(sys_, cfg_, state, start=None):
+        steps[-1]["before"] = state
+        result = real_step(sys_, cfg_, state, start)
+        steps[-1]["iterations"] = result.iterations
+        return result
+
+    def spy_heat(sys_, state, div, *args, stress, theta_start, constants):
+        if "seen" not in steps[-1]:
+            steps[-1]["seen"] = (div, stress, theta_start)
+        return real_heat(sys_, state, div, *args, stress=stress, theta_start=theta_start,
+                         constants=constants)
+
+    monkeypatch.setattr(StartHistory, "start", start)
+    monkeypatch.setattr(solver, "step", spy_step)
+    monkeypatch.setattr(solver, "heat_substep", spy_heat)
+    return run(sys, cfg), steps
+
+
+class TestStartHistory:
+    def test_rows_are_np_diff_of_the_accepted_states(self):
+        sys = small_system()
+        states = random_states(sys, MAX_START_ORDER + 5, seed=7)
+        history = StartHistory(states[0])
+        for n in range(1, len(states) + 1):
+            if n > 1:
+                history.push(states[n - 1], 3)
+            stored = np.array([concatenated(s) for s in states[:n]])
+            assert len(history.rows) == min(n, MAX_START_ORDER + 2)
+            for j, row in enumerate(history.rows):
+                assert np.array_equal(row, np.diff(stored, n=j, axis=0)[-1])
+
+    def test_low_orders_are_the_classic_starts(self):
+        sys = small_system()
+        before, previous, state = random_states(sys, 3, seed=8)
+        history = StartHistory(before)
+        history.push(previous, 3)
+        history.push(state, 3)
+        x, x1, x2 = (concatenated(s) for s in (state, previous, before))
+        for order, expected in ((0, x), (1, 2.0 * x - x1), (2, 3.0 * (x - x1) + x2)):
+            history.order = order
+            np.testing.assert_allclose(np.concatenate(history.start()), expected,
+                                       rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("problem", ["smooth_1d", "swirl_2d"])
+    def test_first_heat_solve_sees_the_chosen_order(self, monkeypatch, problem):
+        # Σⱼ₌₀..ₖ ∇ʲxₙ, with ∇ʲxₙ from np.diff of the accepted states.
+        if problem == "smooth_1d":
+            sys, cfg = make_smooth_problem(t_end=0.03)
+        else:
+            sys, cfg = swirl_problem()
+            cfg = replace(cfg, t_end=0.02)
+        result, steps = spy_on_run(monkeypatch, sys, cfg)
+        stored = []
+        for info in steps:
+            stored.append(concatenated(info["before"]))
+            k = info["order"]
+            start = sum(np.diff(np.array(stored), n=j, axis=0)[-1] for j in range(k + 1))
+            v, stress, theta = np.split(start, np.cumsum([sys.n_disp, sys.k_stress]))
+            div, seen_stress, seen_theta = info["seen"]
+            assert np.array_equal(div, divergence_of(sys, v))
+            assert np.array_equal(seen_stress, stress)
+            assert np.array_equal(seen_theta, theta)
+        assert max(info["order"] for info in steps) >= 3
+        assert result.stats.steps_by_start_order == np.bincount(
+            [info["order"] for info in steps], minlength=MAX_START_ORDER + 1).tolist()
+
+    @pytest.mark.parametrize("problem", ["smooth_1d", "sin400_1d"])
+    def test_order_rises_by_one_and_falls_back_after_a_dearer_step(self, monkeypatch, problem):
+        sys, cfg = make_smooth_problem(t_end=0.08) if problem == "smooth_1d" else sin400_problem()
+        _, steps = spy_on_run(monkeypatch, sys, cfg)
+        orders = [info["order"] for info in steps]
+        iterations = [info["iterations"] for info in steps]
+        assert orders[0] == 0
+        fallbacks = 0
+        for n in range(1, len(steps)):
+            assert orders[n] <= orders[n - 1] + 1
+            if n >= 2 and iterations[n - 1] > max(iterations[n - 2], 2):
+                assert orders[n] <= 2
+                fallbacks += 1
+        assert max(orders) >= 3
+        if problem == "sin400_1d":
+            assert fallbacks > 0
+
+    def test_order_follows_the_least_error_one_step_at_a_time(self):
+        # ∇ᵏ⁺¹xₙ is the miss of the order-k start made one step earlier.  For
+        # xₙ = 2ⁿ it shrinks with k, so the order climbs by one per step to the
+        # cap; a dearer step than the one before sends it back to 2.  For
+        # n plus a wobble ±1e-3 the least miss is at k = 1.
+        sys = small_system(2)
+        ones = SimState(0.0, *(np.ones(n) for n in (sys.n_disp, sys.n_disp, sys.k_stress,
+                                                    sys.n_temp)))
+
+        def at(x):
+            return SimState(0.0, ones.u, x * ones.v, x * ones.stress, x * ones.theta)
+
+        history = StartHistory(at(1.0))
+        orders = []
+        for n in range(1, 14):
+            history.push(at(2.0 ** n), 1)
+            orders.append(history.order)
+        assert orders == [0, 1, 2, 3, 4, 5, 6, 7, 8, 8, 8, 8, 8]
+        history.push(at(2.0 ** 14), 2)
+        assert history.order == 8
+        history.push(at(2.0 ** 15), 4)
+        assert history.order == 2
+        history.push(at(2.0 ** 16), 4)
+        assert history.order == 3
+
+        history = StartHistory(at(1.0))
+        for n in range(1, 14):
+            history.push(at(n + 1e-3 * (-1) ** n), 1)
+        assert history.order == 1
+
+
+def load_bench_workloads(monkeypatch):
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    # Its dataclass looks its own module up by name.
+    monkeypatch.setitem(modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestPicardBudgets:
+    """Seed-0 Picard iteration budgets: the guard that the start stays good."""
+
+    @pytest.mark.parametrize("name, budget", [("coupled_1d", 560), ("heat_2d", 80),
+                                              ("box_3d", 58)])
+    def test_bench_workload_picard_budget(self, monkeypatch, tmp_path, name, budget):
+        workloads = load_bench_workloads(monkeypatch)
+        path = workloads.write_config(workloads.WORKLOADS[name], 0, tmp_path / "w.cfg",
+                                      tmp_path / "out")
+        result = run(*build_problem(load_config(path)), collect_infos=False)
+        assert result.stats.picard_iters <= budget
+        assert result.stats.heat_fallbacks == 0
+
+    def test_coupled_scenario_near_the_stress_lag_limit(self):
+        # dt·√12·c/h = 0.87: the slowly contracting stress-lag mode sits in the
+        # accepted states, and the order rule must keep it from growing.  The
+        # quadratic start took 728 Picard iterations; allow 25% more.
+        rc = replace(load_config(shipped_config_path("smooth_coupled.cfg")), dt=2.5e-3)
+        result = run(*build_problem(rc), collect_infos=False)
+        assert result.n_steps == 200
+        assert all(result.ledger.summary()["verdicts"].values())
+        assert result.stats.picard_iters <= 910
+
+
 class TestRun:
     def test_exact_step_count_and_time(self):
         sys, cfg = make_zero_problem(dt=0.01, t_end=0.03)
@@ -625,11 +814,11 @@ class TestRun:
             assert all(b <= a * (1 + 1e-9) for a, b in zip(tail, tail[1:]))
 
     def test_shipped_coupled_scenario_picard_count(self):
-        # 4 Picard iterations per step from xₙ; about 3 from the linear
-        # predictor and about 2.2 from the quadratic one.
+        # 4 Picard iterations per step from xₙ, about 2.2 from the quadratic
+        # start and about 1.04 from the variable-order one.
         result = run(*build_problem(load_config(shipped_config_path("smooth_coupled.cfg"))))
         assert result.n_steps == 500
-        assert sum(info.iterations for info in result.step_infos) <= 1150
+        assert sum(info.iterations for info in result.step_infos) <= 600
         assert sum(info.heat_fallbacks for info in result.step_infos) == 0
 
     def test_divergence_sup_logged(self, smooth_run):
