@@ -33,7 +33,7 @@ from .config import (ConfigError, RunConfig, _float, _int_list, _level, build_pr
 from .constitutive import verify_admissibility
 from .diagnostics import format_summary
 from .discretization import eval_displacement, eval_stress, eval_temperature
-from .solver import StepFailureError, PicardConvergenceError, run as solver_run
+from .solver import StepFailureError, run as solver_run
 
 SNAPSHOT_SCHEMA = "thermovisco-snapshot-v1"
 
@@ -169,17 +169,12 @@ def cmd_run(args) -> int:
 
     try:
         out.mkdir(parents=True, exist_ok=True)
-        result = solver_run(sys_, cfg, observers=observers, collect_infos=False)
+        result = solver_run(sys_, cfg, observers=observers)
         ledger = result.ledger
         ledger.to_csv(out / rc.ledger_filename)
         writer.finish(out / "snapshot_final.txt", sys_, result.state)
         summary = ledger.write_summary_json(out / "summary.json",
                                             solver_stats=asdict(result.stats))
-    except PicardConvergenceError as exc:
-        print(f"error: {exc}", file=_sys.stderr)
-        print(f"residual history: {['%.3e' % r for r in exc.residual_history]}",
-              file=_sys.stderr)
-        return 1
     except (StepFailureError, ValueError, SnapshotError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 1
@@ -248,7 +243,7 @@ def cmd_convergence(args) -> int:
     for k, level_rc in enumerate(levels):
         sys_, cfg = build_problem(level_rc)
         try:
-            result = solver_run(sys_, cfg, collect_infos=False)
+            result = solver_run(sys_, cfg)
         except (StepFailureError, ValueError) as exc:
             cells = "x".join(map(str, level_rc.cells))
             print(f"error: level {k} ({cells} cells, dt={level_rc.dt:g}) failed: {exc}",

@@ -51,7 +51,6 @@ class RunConfig:
     output_dir: str
     snapshot_stride: int
     ledger_filename: str
-    seed: int
 
 
 PRESETS = {
@@ -154,11 +153,10 @@ def load_config(path) -> RunConfig:
     out_dir = _get(cp, "output", "directory", str, default="out")
     stride = _get(cp, "output", "snapshot_stride", int, default=0)
     ledger_name = _get(cp, "output", "ledger", str, default="ledger.csv")
-    seed = _get(cp, "output", "seed", int, default=0)
 
     rc = check(RunConfig(dim, extents, cells, n_disp, k_stress, lam, mu, flow_kind,
                          kappa0, kappa_min, dt, t_end, picard_tol, picard_max,
-                         truncation, {}, out_dir, stride, ledger_name, seed))
+                         truncation, {}, out_dir, stride, ledger_name))
     # The data section is read last: its component counts need a checked dim.
     return replace(rc, data=_parse_data(cp, rc.dim))
 
@@ -267,6 +265,5 @@ def build_problem(rc: RunConfig):
         u1=rc.data.get("u1"),
         stress0=rc.data.get("stress0"),
         theta0=rc.data["theta0"],
-        admissibility_seed=rc.seed,
     )
     return sys, cfg

@@ -176,15 +176,14 @@ class FlowRule:
         return cls("temperature_weighted", kappa0, kappa_min=kappa_min, c_growth=kappa0)
 
     @classmethod
-    def custom(cls, fn: Callable[[np.ndarray], np.ndarray], c_growth: float,
-               kind: str = "custom") -> "FlowRule":
+    def custom(cls, fn: Callable[[np.ndarray], np.ndarray], c_growth: float) -> "FlowRule":
         """Wrap the user rule G(θ, T) = fn(θ)·T, radial with a θ-only factor.
 
         ``fn`` maps an array of temperatures to g(θ), an array of that shape
         or a scalar.  The rule is monotone and dissipative iff g ≥ 0;
         ``c_growth`` is the declared bound on |g|.
         """
-        return cls(kind, kappa0=0.0, kappa_min=0.0, c_growth=c_growth, fn=fn)
+        return cls("custom", kappa0=0.0, kappa_min=0.0, c_growth=c_growth, fn=fn)
 
     def kappa(self, theta):
         """Temperature factor κ(θ); defined for every real θ."""
@@ -297,8 +296,12 @@ def _random_symmetric(rng, count, dim=3):
     return unit * mag[:, None]
 
 
-def verify_admissibility(G: FlowRule, sample_count: int = 10_000, rng_seed: int = 0,
-                         tol: float = 1e-10) -> AdmissibilityReport:
+# Slack that the monotonicity and dissipation inner products may fall below 0.
+ADMISSIBILITY_TOL = 1e-10
+
+
+def verify_admissibility(G: FlowRule, sample_count: int = 10_000,
+                         rng_seed: int = 0) -> AdmissibilityReport:
     """Randomized test of monotonicity, growth, dissipativity and G(θ,0)=0.
 
     Temperatures are drawn over a wide range including negative values;
@@ -333,5 +336,5 @@ def verify_admissibility(G: FlowRule, sample_count: int = 10_000, rng_seed: int 
         max_at_zero=float(np.linalg.norm(g0, axis=1).max()),
         empirical_growth=float(growth.max()),
         declared_growth=G.c_growth,
-        tol=tol,
+        tol=ADMISSIBILITY_TOL,
     )

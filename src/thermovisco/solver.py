@@ -85,6 +85,8 @@ def check_time(dt: float, t_end: float, picard_tol: float, picard_max_iters: int
         raise ValueError(f"dt must be positive, got {dt}")
     if not t_end >= dt:
         raise ValueError(f"t_end must be at least one step, got {t_end} < dt={dt}")
+    if abs(t_end - round(t_end / dt) * dt) > 1e-9 * t_end:
+        raise ValueError(f"t_end must be a whole number of steps, got t_end/dt = {t_end / dt:.6g}")
     if not picard_tol > 0.0:
         raise ValueError("picard_tol must be positive")
     if picard_max_iters < 1:
@@ -100,6 +102,8 @@ class SolverConfig:
     and must be strictly positive; ``forcing`` maps (t, points) -> (m,d).
     ``truncation`` is a TruncationLevel, or "auto" to pick a height of
     10 · (initial total energy) / |Ω| that stays inactive in benign runs.
+    ``run`` checks ``flow_rule`` for admissibility before every run; there
+    is no switch to skip that check.
     """
 
     dt: float
@@ -114,8 +118,6 @@ class SolverConfig:
     u1: Optional[Callable] = None
     stress0: Optional[Callable] = None
     theta0: Callable = None
-    check_flow_rule: bool = True
-    admissibility_seed: int = 0
 
     def __post_init__(self):
         check_time(self.dt, self.t_end, self.picard_tol, self.picard_max_iters)
@@ -519,33 +521,31 @@ class RunResult:
     state: SimState
     ledger: BalanceLedger
     n_steps: int
-    step_infos: list
     stats: SolverStats
 
 
-def run(sys: GalerkinSystem, cfg: SolverConfig, observers: Sequence[Callable] = (),
-        collect_infos: bool = True) -> RunResult:
+def run(sys: GalerkinSystem, cfg: SolverConfig, observers: Sequence[Callable] = ()) -> RunResult:
     """March to t_end, recording balances and invoking observers per step.
 
-    Observers are called as ``observer(step_index, t, state, row)`` with a
-    read-only state snapshot and the ledger row dict; they must not mutate.
-    Step errors propagate annotated with the failing time.
+    First the flow rule must pass ``verify_admissibility`` on
+    ``_ADMISSIBILITY_SAMPLES`` samples of seed 0, or ValueError is raised
+    before any step.  Observers are called as ``observer(step_index, t,
+    state, row)`` with a read-only state snapshot and the ledger row dict;
+    they must not mutate.  Step errors propagate annotated with the failing
+    time.  Per-step results are not kept: ``stats`` holds their counts.
     """
-    if cfg.check_flow_rule:
-        report = verify_admissibility(cfg.flow_rule, _ADMISSIBILITY_SAMPLES,
-                                      cfg.admissibility_seed)
-        if not report.passed:
-            raise ValueError(f"flow rule failed admissibility checks:\n{report}")
+    report = verify_admissibility(cfg.flow_rule, _ADMISSIBILITY_SAMPLES)
+    if not report.passed:
+        raise ValueError(f"flow rule failed admissibility checks:\n{report}")
 
     state = initialize(sys, cfg).freeze()
     trunc = resolve_truncation(sys, cfg, state)
     cfg = replace(cfg, truncation=trunc)
 
-    n_steps = max(1, int(round(cfg.t_end / cfg.dt)))
+    n_steps = round(cfg.t_end / cfg.dt)
     ledger = BalanceLedger(sys, cfg.elasticity, cfg.dt)
     ledger.record_initial(state)
 
-    infos = []
     stats = SolverStats()
     history = StartHistory(state)
     for i in range(1, n_steps + 1):
@@ -559,8 +559,6 @@ def run(sys: GalerkinSystem, cfg: SolverConfig, observers: Sequence[Callable] = 
         history.push(state, result.iterations)
         stats.record(result, order)
         row = ledger.record_step(state, result)
-        if collect_infos:
-            infos.append(result)
         for obs in observers:
             obs(i, state.t, state, dict(row))
-    return RunResult(state, ledger, n_steps, infos, stats)
+    return RunResult(state, ledger, n_steps, stats)

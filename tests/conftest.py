@@ -1,8 +1,27 @@
 import numpy as np
 import pytest
 
-from thermovisco import ElasticityTensor, FlowRule, build_mesh, build_spaces
+from thermovisco import ElasticityTensor, FlowRule, build_mesh, build_spaces, solver
 from thermovisco.solver import SolverConfig, run
+
+
+def run_recording_steps(sys, cfg):
+    """``solver.run``, and the StepResult of every step it took, in order.
+
+    ``solver.step`` is wrapped at its module global for the length of the run.
+    """
+    steps = []
+    step = solver.step
+
+    def recorded(*args, **kwargs):
+        steps.append(step(*args, **kwargs))
+        return steps[-1]
+
+    solver.step = recorded
+    try:
+        return run(sys, cfg), steps
+    finally:
+        solver.step = step
 
 
 def make_smooth_problem(cells=100, dt=1e-3, t_end=0.5, kappa0=1.0, with_forcing=True):

@@ -22,6 +22,8 @@ from thermovisco.discretization import (
 from thermovisco.oracle import fd_run, make_grid
 from thermovisco.solver import SimState, SolverConfig, heat_substep, run
 
+from conftest import run_recording_steps
+
 SHIPPED = ("zero.cfg", "smooth_coupled.cfg", "smooth_2d.cfg")
 
 
@@ -30,7 +32,7 @@ def shipped_runs():
     out = {}
     for name in SHIPPED:
         sys_, cfg = build_problem(load_config(shipped_config_path(name)))
-        out[name] = (sys_, cfg, run(sys_, cfg))
+        out[name] = (sys_, cfg, *run_recording_steps(sys_, cfg))
     return out
 
 
@@ -88,7 +90,7 @@ def test_criterion_01_constitutive_admissibility(announce):
 def test_criterion_02_zero_data_fixed_point(announce):
     t0 = time.perf_counter()
     sys_, cfg = build_problem(load_config(shipped_config_path("zero.cfg")))
-    result = run(sys_, cfg, collect_infos=False)
+    result = run(sys_, cfg)
     elapsed = time.perf_counter() - t0
     led = result.ledger
     assert result.n_steps == 100
@@ -106,9 +108,9 @@ def test_criterion_02_zero_data_fixed_point(announce):
 def test_criterion_03_energy_balance_first_order(announce):
     t0 = time.perf_counter()
     sys_, cfg = smooth_problem(100, 1e-3)
-    full = run(sys_, cfg, collect_infos=False)
+    full = run(sys_, cfg)
     sys2, cfg2 = smooth_problem(100, 5e-4)
-    half = run(sys2, cfg2, collect_infos=False)
+    half = run(sys2, cfg2)
     elapsed = time.perf_counter() - t0
 
     led = full.ledger
@@ -127,16 +129,16 @@ def test_criterion_03_energy_balance_first_order(announce):
 
 def test_criterion_04_dissipation_inequality(shipped_runs, announce):
     details = []
-    for name, (sys_, cfg, result) in shipped_runs.items():
+    for name, (sys_, cfg, result, steps) in shipped_runs.items():
         verdict = result.ledger.dissipation_inequality_check()
         tol = max(1e-10, C_SCHEME * cfg.dt)
         assert verdict.value >= -tol, f"{name}: margin {verdict.value}"
         details.append(f"{name} margin>= {verdict.value:.2e}")
         # accepted steps show a monotone fixed-point residual tail
-        for info in result.step_infos:
+        for info in steps:
             tail = info.residual_history[-3:]
             assert all(b <= a * (1 + 1e-9) for a, b in zip(tail, tail[1:]))
-    _, _, smooth = shipped_runs["smooth_coupled.cfg"]
+    _, _, smooth, _ = shipped_runs["smooth_coupled.cfg"]
     last = smooth.ledger.rows[-1]
     gap = abs(last["dissipation_margin"] - last["entropic_diss"]) / last["entropic_diss"]
     assert gap <= 0.10
@@ -145,7 +147,7 @@ def test_criterion_04_dissipation_inequality(shipped_runs, announce):
 
 def test_criterion_05_temperature_positivity(shipped_runs, announce):
     ratios = {}
-    for name, (sys_, cfg, result) in shipped_runs.items():
+    for name, (sys_, cfg, result, _) in shipped_runs.items():
         verdict = result.ledger.positivity_bound_check()
         assert verdict.value >= 0.95, f"{name}: ratio {verdict.value}"
         ratios[name] = verdict.value
@@ -173,7 +175,7 @@ def test_criterion_06_oracle_equivalence(announce):
 
     def compare(cells, dt):
         sys_, cfg = smooth_problem(cells, dt)
-        galerkin = run(sys_, cfg, collect_infos=False)
+        galerkin = run(sys_, cfg)
         grid, _ = fd_matching_smooth(cells + 1, dt)
         x = grid.x
         u_g = eval_displacement(sys_, galerkin.state.u, x[:, None])[:, 0]
@@ -240,9 +242,8 @@ def test_criterion_07_manufactured_solutions(announce):
                        flow_rule=FlowRule.linear(0.0),
                        u0=lambda pts: (A * np.sin(np.pi * pts[:, 0]))[:, None],
                        stress0=lambda pts: (C * A * np.pi * np.cos(np.pi * pts[:, 0]))[:, None, None],
-                       theta0=lambda pts: np.full(pts.shape[0], 1e-4),
-                       check_flow_rule=False)
-    result = run(sys_, cfg, collect_infos=False)
+                       theta0=lambda pts: np.full(pts.shape[0], 1e-4))
+    result = run(sys_, cfg)
     xs = np.linspace(0, 1, 401)
     u_g = eval_displacement(sys_, result.state.u, xs[:, None])[:, 0]
     g_wave = rel_l2(u_g, A * np.sin(np.pi * xs) * np.cos(np.pi), xs)
@@ -262,12 +263,12 @@ def test_criterion_08_truncation_semantics(announce):
                        truncation=TruncationLevel(height),
                        stress0=lambda pts: (0.5 + 0.3 * np.cos(np.pi * pts[:, 0]))[:, None, None],
                        theta0=lambda pts: np.ones(pts.shape[0]))
-    result = run(sys_, cfg)
+    result, steps = run_recording_steps(sys_, cfg)
     last = result.ledger.rows[-1]
-    assert max(i.heat.source_raw.max() for i in result.step_infos) > height
+    assert max(i.heat.source_raw.max() for i in steps) > height
     assert last["source_trunc"] < last["inelastic_diss"]
-    lo = min(i.heat.source_trunc.min() for i in result.step_infos)
-    hi = max(i.heat.source_trunc.max() for i in result.step_infos)
+    lo = min(i.heat.source_trunc.min() for i in steps)
+    hi = max(i.heat.source_trunc.max() for i in steps)
     assert lo >= 0.0 and hi <= height + 1e-15
     announce(True, f"clamped accumulator {last['source_trunc']:.3e} < full "
                    f"{last['inelastic_diss']:.3e}; sources in [{lo:.3g}, {hi:.3g}]")

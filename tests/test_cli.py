@@ -23,6 +23,8 @@ from thermovisco.config import (
 from thermovisco.discretization import max_levels
 from thermovisco.expressions import ExpressionError, compile_expression, vector_sampler
 
+from conftest import run_recording_steps
+
 
 def write_cfg(tmp_path, body, name="case.cfg"):
     p = tmp_path / name
@@ -121,8 +123,8 @@ class TestConfigParsing:
         assert rc.dim == 1 and rc.cells == (8,)
         assert rc.n_disp_level == 7 and rc.k_stress_level == 8
         # no [output] section: every output key takes its default
-        assert (rc.output_dir, rc.snapshot_stride, rc.ledger_filename, rc.seed) == \
-            ("out", 0, "ledger.csv", 0)
+        assert (rc.output_dir, rc.snapshot_stride, rc.ledger_filename) == \
+            ("out", 0, "ledger.csv")
         sys, cfg = build_problem(rc)
         assert sys.n_disp == 7
         assert cfg.theta0 is not None
@@ -230,6 +232,14 @@ class TestConfigParsing:
         assert main(["run", str(write_cfg(tmp_path, body))]) == 2
         assert "[output] snapshot_stride must be >= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("t_end", ["0.0015", "0.0025"])
+    def test_t_end_between_steps_exit_two(self, tmp_path, capsys, t_end):
+        # round(t_end/dt) steps would end past (0.0015) or short of (0.0025) t_end.
+        body = shipped_config_path("smooth_coupled.cfg").read_text().replace(
+            "t_end = 0.5", f"t_end = {t_end}")
+        assert main(["run", str(write_cfg(tmp_path, body))]) == 2
+        assert "[time] t_end must be a whole number of steps" in capsys.readouterr().err
+
     def test_flow_rule_kinds(self, tmp_path):
         for kind in ("linear", "mroz_saturating", "temperature_weighted"):
             rc = load_config(write_cfg(tmp_path, MINIMAL.replace(
@@ -257,14 +267,14 @@ class TestCmdRun:
         assert summary["passed"]
 
     def test_summary_reports_solver_stats(self, tmp_path):
-        # The counts of an in-process run with every step's result kept, and
+        # The counts of an in-process run with every step's result recorded, and
         # byte-identical from run to run.
         body = SMOOTH_1D.replace("{outdir}", str(tmp_path / "out"))
         path = write_cfg(tmp_path, body)
         assert main(["run", str(path)]) == 0
         first = (tmp_path / "out" / "summary.json").read_text()
         stats = json.loads(first)["solver_stats"]
-        infos = solver.run(*build_problem(load_config(path))).step_infos
+        _, infos = run_recording_steps(*build_problem(load_config(path)))
         iterations = [info.iterations for info in infos]
         assert stats == {
             "picard_iters": sum(iterations),
@@ -325,6 +335,7 @@ class TestCmdRun:
         assert main(["run", str(cfg)]) == 1
         err = capsys.readouterr().err
         assert "residual history" in err and "t=" in err
+        assert err.count("residual history") == 1
 
     @pytest.mark.parametrize("dim, cells", [(1, 16), (2, 4), (3, 3)])
     def test_tiny_extents_report_stiffness_ratio(self, tmp_path, monkeypatch, capsys,
@@ -445,6 +456,7 @@ class TestCmdConvergence:
         ("25:0:full:4e-3", "[spaces] n_disp_level"),
         ("25:500:full:4e-3", "[spaces] n_disp_level"),   # rejected, not clamped to 24
         ("25:full:full:0", "[time] dt"),
+        ("25:full:full:3e-3", "[time] t_end must be a whole number of steps"),
         ("1:full:full:4e-3", "[mesh]"),
     ])
     def test_out_of_range_level_exit_two(self, tmp_path, capsys, level, section):

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from thermovisco import ElasticityTensor, FlowRule, TruncationLevel, build_mesh, build_spaces
+from thermovisco import (ElasticityTensor, FlowRule, TruncationLevel, build_mesh, build_spaces,
+                         solver, verify_admissibility)
 from thermovisco.diagnostics import (ACCUMULATORS, C_SCHEME, LEDGER_COLUMNS, format_summary,
                                      scheme_tolerance)
 from thermovisco.oracle import fd_run, make_grid
 from thermovisco.solver import SimState, SolverConfig, heat_substep, run
 
-from conftest import make_smooth_problem
+from conftest import make_smooth_problem, run_recording_steps
 
 
 class TestZeroScenario:
@@ -71,26 +72,26 @@ def clamped_run():
                        truncation=TruncationLevel(0.05),
                        stress0=lambda pts: (0.5 + 0.3 * np.cos(np.pi * pts[:, 0]))[:, None, None],
                        theta0=lambda pts: np.ones(pts.shape[0]))
-    return sys, cfg, run(sys, cfg)
+    return (sys, cfg, *run_recording_steps(sys, cfg))
 
 
 class TestTruncationSemantics:
     def test_truncated_accumulator_strictly_smaller(self, clamped_run):
-        _, _, result = clamped_run
+        _, _, result, _ = clamped_run
         last = result.ledger.rows[-1]
         assert last["source_trunc"] < last["inelastic_diss"]
         assert result.ledger.truncation_deficit(result.state.t) > 0.0
 
     def test_source_values_within_clamp(self, clamped_run):
-        _, cfg, result = clamped_run
+        _, cfg, _, steps = clamped_run
         n = cfg.truncation.n
-        for info in result.step_infos:
+        for info in steps:
             assert info.heat.source_trunc.min() >= 0.0
             assert info.heat.source_trunc.max() <= n + 1e-15
             assert info.heat.source_raw.max() > n  # the clamp is genuinely active
 
     def test_margin_still_nonnegative(self, clamped_run):
-        _, _, result = clamped_run
+        _, _, result, _ = clamped_run
         assert result.ledger.dissipation_inequality_check().passed
 
     def test_inactive_clamp_gives_identical_accumulators(self, smooth_run):
@@ -154,13 +155,16 @@ class TestDissipationInequality:
         last = result.ledger.rows[-1]
         assert last["dissipation_margin"] == pytest.approx(last["entropic_diss"], rel=0.10)
 
-    def test_adversarial_rule_fails_verdict(self):
+    def test_adversarial_rule_fails_verdict(self, monkeypatch):
+        # The admissibility gate would stop this rule before the ledger sees it.
+        monkeypatch.setattr(solver, "verify_admissibility",
+                            lambda rule, samples: verify_admissibility(FlowRule.linear(), samples))
         mesh = build_mesh(1, [1.0], [20])
         sys = build_spaces(mesh, mesh.interior_nodes.size, mesh.n_cells)
         bad = FlowRule.custom(lambda theta: -1.0, c_growth=1.0)
         cfg = SolverConfig(dt=1e-3, t_end=0.05,
                            elasticity=ElasticityTensor(0.0, 0.5),
-                           flow_rule=bad, check_flow_rule=False,
+                           flow_rule=bad,
                            stress0=lambda pts: (0.3 * np.cos(np.pi * pts[:, 0]))[:, None, None],
                            theta0=lambda pts: np.ones(pts.shape[0]))
         result = run(sys, cfg)

@@ -33,7 +33,7 @@ from thermovisco.solver import (
 )
 from thermovisco.diagnostics import total_energy
 
-from conftest import make_smooth_problem, make_zero_problem
+from conftest import make_smooth_problem, make_zero_problem, run_recording_steps
 
 C_HALF = ElasticityTensor(0.0, 0.5)  # identity action on symmetric matrices
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
@@ -193,7 +193,6 @@ class TestStress:
     def test_stiff_flow_rule_completes_step(self, kappa0):
         # dt·2μ·κ₀ from 0.9 to 10: a damped fixed-point map does not contract here
         sys, cfg = make_smooth_problem(dt=1e-3, t_end=1e-3, kappa0=kappa0)
-        cfg = replace(cfg, check_flow_rule=False)
         state = initialize(sys, cfg)
         cfg = replace(cfg, truncation=resolve_truncation(sys, cfg, state))
         result = step(sys, cfg, state)
@@ -423,10 +422,10 @@ class TestHeat:
 
         for name in calls:
             monkeypatch.setattr(spla, name, counted(name))
-        result = run(*swirl_problem(dim))
+        result, steps = run_recording_steps(*swirl_problem(dim))
         assert result.n_steps == 5
         assert calls == {"splu": 0, "spsolve": 0, "factorized": 0}
-        for info in result.step_infos:
+        for info in steps:
             assert info.heat_fallbacks == 0
             assert info.heat_cg_iters == 0 if dim == 1 else info.heat_cg_iters >= info.iterations
 
@@ -528,8 +527,7 @@ class TestStep:
         cfg = SolverConfig(dt=dt, t_end=dt, elasticity=C_HALF,
                            flow_rule=FlowRule.linear(0.0),
                            stress0=lambda pts: (0.3 * np.cos(np.pi * pts[:, 0]))[:, None, None],
-                           theta0=lambda pts: np.ones(pts.shape[0]),
-                           check_flow_rule=False)
+                           theta0=lambda pts: np.ones(pts.shape[0]))
         state = initialize(sys, cfg)
         cfg = replace(cfg, truncation=resolve_truncation(sys, cfg, state))
 
@@ -550,7 +548,6 @@ class TestStep:
         # order-insensitivity at convergence: the accepted state solves the
         # three discrete equations simultaneously, not just in sweep order
         sys, cfg = make_smooth_problem(cells=50, dt=1e-3, t_end=1.0)
-        cfg = replace(cfg, check_flow_rule=False)
         state = initialize(sys, cfg)
         cfg = replace(cfg, truncation=resolve_truncation(sys, cfg, state))
         for _ in range(3):
@@ -579,7 +576,7 @@ class TestStep:
 
     def test_picard_nonconvergence_reports_history(self):
         sys, cfg = make_smooth_problem(cells=20, dt=1e-3, t_end=1e-3)
-        cfg = replace(cfg, picard_max_iters=1, check_flow_rule=False)
+        cfg = replace(cfg, picard_max_iters=1)
         state = initialize(sys, cfg)
         cfg = replace(cfg, truncation=resolve_truncation(sys, cfg, state))
         with pytest.raises(PicardConvergenceError) as err:
@@ -761,7 +758,7 @@ class TestPicardBudgets:
         workloads = load_bench_workloads(monkeypatch)
         path = workloads.write_config(workloads.WORKLOADS[name], 0, tmp_path / "w.cfg",
                                       tmp_path / "out")
-        result = run(*build_problem(load_config(path)), collect_infos=False)
+        result = run(*build_problem(load_config(path)))
         assert result.stats.picard_iters <= budget
         assert result.stats.heat_fallbacks == 0
 
@@ -770,7 +767,7 @@ class TestPicardBudgets:
         # accepted states, and the order rule must keep it from growing.  The
         # quadratic start took 728 Picard iterations; allow 25% more.
         rc = replace(load_config(shipped_config_path("smooth_coupled.cfg")), dt=2.5e-3)
-        result = run(*build_problem(rc), collect_infos=False)
+        result = run(*build_problem(rc))
         assert result.n_steps == 200
         assert all(result.ledger.summary()["verdicts"].values())
         assert result.stats.picard_iters <= 910
@@ -800,6 +797,13 @@ class TestRun:
         run(sys, cfg, observers=[observer])
         assert [s[0] for s in seen] == [1, 2]
 
+    def test_no_switches_to_skip_the_gate_or_keep_step_results(self):
+        sys, cfg = make_zero_problem()
+        with pytest.raises(TypeError):
+            SolverConfig(dt=cfg.dt, t_end=cfg.t_end, theta0=cfg.theta0, check_flow_rule=False)
+        with pytest.raises(TypeError):
+            run(sys, cfg, collect_infos=False)
+
     def test_admissibility_gate_rejects_bad_rule(self):
         sys, cfg = make_zero_problem()
         bad = FlowRule.custom(lambda theta: -1.0, c_growth=1.0)
@@ -807,10 +811,17 @@ class TestRun:
         with pytest.raises(ValueError, match="admissibility"):
             run(sys, cfg)
 
-    def test_picard_residuals_monotone_tail(self, smooth_run):
-        _, _, result = smooth_run
-        for info in result.step_infos:
-            tail = info.residual_history[-3:]
+    def test_picard_residuals_monotone_tail(self):
+        # Cold steps (no extrapolated start) of the smooth scenario: each takes
+        # enough Picard iterations to leave a residual tail to compare.
+        sys, cfg = make_smooth_problem()
+        state = initialize(sys, cfg)
+        cfg = replace(cfg, truncation=resolve_truncation(sys, cfg, state))
+        for _ in range(10):
+            result = step(sys, cfg, state)
+            state = result.state
+            assert result.iterations >= 3
+            tail = result.residual_history[-3:]
             assert all(b <= a * (1 + 1e-9) for a, b in zip(tail, tail[1:]))
 
     def test_shipped_coupled_scenario_picard_count(self):
@@ -818,12 +829,12 @@ class TestRun:
         # start and about 1.04 from the variable-order one.
         result = run(*build_problem(load_config(shipped_config_path("smooth_coupled.cfg"))))
         assert result.n_steps == 500
-        assert sum(info.iterations for info in result.step_infos) <= 600
-        assert sum(info.heat_fallbacks for info in result.step_infos) == 0
+        assert result.stats.picard_iters <= 600
+        assert result.stats.heat_fallbacks == 0
 
-    def test_divergence_sup_logged(self, smooth_run):
-        _, _, result = smooth_run
-        assert all(np.isfinite(info.div_sup) for info in result.step_infos)
+    def test_divergence_sup_logged(self):
+        _, steps = run_recording_steps(*make_smooth_problem())
+        assert all(np.isfinite(info.div_sup) for info in steps)
 
     def test_near_conservation_when_decoupled(self):
         # G ≡ 0, f ≡ 0, θ₀ constant: elastic + kinetic energy drifts by
@@ -835,8 +846,7 @@ class TestRun:
                            flow_rule=FlowRule.linear(0.0),
                            u0=lambda pts: (0.1 * np.sin(np.pi * pts[:, 0]))[:, None],
                            stress0=lambda pts: (0.1 * np.pi * np.cos(np.pi * pts[:, 0]))[:, None, None],
-                           theta0=lambda pts: np.full(pts.shape[0], 1e-4),
-                           check_flow_rule=False)
+                           theta0=lambda pts: np.full(pts.shape[0], 1e-4))
         result = run(sys, cfg)
         rows = result.ledger.rows
         e0 = rows[0]["kinetic"] + rows[0]["elastic"]
