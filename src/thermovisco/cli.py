@@ -7,12 +7,10 @@
 Exit codes: 0 all verdicts pass, 1 runtime or verdict failure, 2 config
 error.  THERMOVISCO_OUTDIR overrides the configured output directory.
 
-``run`` formats its in-run snapshots (``snapshot_stride``) in the background,
-one at a time, in a forked child, so the solve goes on while a snapshot is
-written; every snapshot is complete on disk when ``run`` returns, whatever
-the outcome.  When the final state is the last stride snapshot,
-``snapshot_final.txt`` is a copy of that file; otherwise it is written in the
-foreground.
+``run`` writes the final state as ``snapshot_final.txt``, a diffable text
+table, and every ``snapshot_stride`` steps the state as
+``snapshot_<step>.npz``, its raw arrays exact to the bit.  Each snapshot is
+written by ``write_snapshot`` before the solve goes on.
 """
 
 from __future__ import annotations
@@ -20,10 +18,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
-import shutil
 import sys as _sys
-import threading
-import warnings
 import numpy as np
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -36,6 +31,7 @@ from .discretization import eval_displacement, eval_stress, eval_temperature
 from .solver import StepFailureError, run as solver_run
 
 SNAPSHOT_SCHEMA = "thermovisco-snapshot-v1"
+STATE_SCHEMA = "thermovisco-state-v1"
 
 
 def _resolve_config(path_arg: str) -> Path:
@@ -48,123 +44,53 @@ def _resolve_config(path_arg: str) -> Path:
     raise ConfigError(f"config file not found: {path_arg}")
 
 
-def write_snapshot(path, sys_, state) -> None:
-    """Flat, diffable text snapshot: nodal fields then cellwise stress."""
-    mesh = sys_.mesh
-    nodes = np.hstack([mesh.nodes, sys_.nodal_displacement(state.u),
-                       sys_.nodal_displacement(state.v), state.theta[:, None]])
-    cells = np.hstack([mesh.cell_centers, sys_.stress_blocks(state.stress)])
-    axes = "xyz"[:mesh.dim]
-    with open(path, "w") as fh:
-        fh.write(f"# schema: {SNAPSHOT_SCHEMA}\n")
-        fh.write(f"# t: {state.t!r}\n")
-        fh.write(f"# dim: {mesh.dim}  cells: {','.join(map(str, mesh.cells))}\n")
-        cols = [*axes, *(f"u_{a}" for a in axes), *(f"v_{a}" for a in axes), "theta"]
-        fh.write("[nodes] " + " ".join(cols) + "\n")
-        # .tolist() yields Python floats, whose repr is the shortest round-trip form.
-        fh.writelines(" ".join(map(repr, row)) + "\n" for row in nodes.tolist())
-        fh.write("[cells] " + " ".join([*(f"c_{a}" for a in axes),
-                                        *(f"stress_{k}" for k in range(sys_.s_comp))]) + "\n")
-        fh.writelines(" ".join(map(repr, row)) + "\n" for row in cells.tolist())
-
-
 class SnapshotError(Exception):
     """A snapshot file could not be written."""
 
 
-def _write_in_child(path, sys_, state):
-    """The whole life of a forked snapshot child; never returns.
+def write_snapshot(path, sys_, state) -> None:
+    """Write ``state`` to ``path`` in the format its suffix names.
 
-    It must not unwind into the parent's stack (which would go on solving),
-    run the parent's atexit handlers or flush the stdio buffers it inherited,
-    so every outcome, interrupts included, ends in ``os._exit``.
+    ``.npz``: the coefficient vectors ``u``, ``v``, ``stress`` and ``theta``
+    with ``t``, ``schema`` (STATE_SCHEMA), ``dim`` and ``cells``, as plain
+    arrays that ``np.load(path, allow_pickle=False)`` reads back exactly.
+    Any other suffix: a flat, diffable text table of the nodal fields, then
+    the cellwise stress.  An OSError becomes a SnapshotError naming ``path``.
     """
-    code = 1
+    mesh = sys_.mesh
     try:
-        write_snapshot(path, sys_, state)
-        code = 0
-    except BaseException as exc:
-        try:
-            reason = str(exc).replace("\n", " ")
-            os.write(2, f"error: writing {path} failed: {reason}\n".encode())
-        except BaseException:
-            pass
-    finally:
-        os._exit(code)
-
-
-class SnapshotWriter:
-    """Writes snapshots off the solve's critical path, at most one at a time.
-
-    ``write`` waits for the previous snapshot, then forks a child that runs
-    ``write_snapshot`` while the caller goes on; the child's copy of the
-    state cannot change under it.  It forks only where ``os.fork`` exists and
-    no other Python thread runs: forking with other threads alive risks
-    deadlocks (a lock held by another thread stays held in the child), and
-    CPython 3.12+ warns about it.  Elsewhere it writes in the foreground.
-    The owner must call ``join`` on every path before it returns.
-    """
-
-    def __init__(self):
-        self._pid = None
-        self._last = None       # (path, state) of the last snapshot handed over
-
-    def write(self, path, sys_, state) -> None:
-        self._join_checked()
-        self._last = (path, state)
-        if not hasattr(os, "fork") or threading.active_count() != 1:
-            self._write_here(path, sys_, state)
+        if Path(path).suffix == ".npz":
+            np.savez(path, schema=STATE_SCHEMA, dim=mesh.dim, cells=mesh.cells, t=state.t,
+                     u=state.u, v=state.v, stress=state.stress, theta=state.theta)
             return
-        with warnings.catch_warnings():
-            # CPython 3.12+ also counts native threads, such as an idle BLAS
-            # pool, whose own fork handlers make it safe; an error filter would
-            # raise that warning after the child exists, leaving it unjoined.
-            warnings.simplefilter("ignore", DeprecationWarning)
-            pid = os.fork()
-        if pid == 0:
-            _write_in_child(path, sys_, state)
-        self._pid = pid
-
-    def finish(self, path, sys_, state) -> None:
-        """Write the final snapshot: a copy of the last one if it holds ``state``."""
-        self._join_checked()
-        if self._last is not None and self._last[1] is state:
-            try:
-                shutil.copyfile(self._last[0], path)
-            except OSError as exc:
-                raise SnapshotError(f"writing {path} failed: {exc}") from exc
-        else:
-            self._write_here(path, sys_, state)
-
-    def join(self) -> bool:
-        """Wait for the snapshot in flight, if any; False if its child failed."""
-        if self._pid is None:
-            return True
-        pid, self._pid = self._pid, None
-        return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
-
-    def _join_checked(self) -> None:
-        if not self.join():
-            raise SnapshotError(f"writing {self._last[0]} failed in the snapshot writer")
-
-    @staticmethod
-    def _write_here(path, sys_, state) -> None:
-        try:
-            write_snapshot(path, sys_, state)
-        except OSError as exc:
-            raise SnapshotError(f"writing {path} failed: {exc}") from exc
+        nodes = np.hstack([mesh.nodes, sys_.nodal_displacement(state.u),
+                           sys_.nodal_displacement(state.v), state.theta[:, None]])
+        cells = np.hstack([mesh.cell_centers, sys_.stress_blocks(state.stress)])
+        axes = "xyz"[:mesh.dim]
+        with open(path, "w") as fh:
+            fh.write(f"# schema: {SNAPSHOT_SCHEMA}\n")
+            fh.write(f"# t: {state.t!r}\n")
+            fh.write(f"# dim: {mesh.dim}  cells: {','.join(map(str, mesh.cells))}\n")
+            cols = [*axes, *(f"u_{a}" for a in axes), *(f"v_{a}" for a in axes), "theta"]
+            fh.write("[nodes] " + " ".join(cols) + "\n")
+            # .tolist() yields Python floats, whose repr is the shortest round-trip form.
+            fh.writelines(" ".join(map(repr, row)) + "\n" for row in nodes.tolist())
+            fh.write("[cells] " + " ".join([*(f"c_{a}" for a in axes),
+                                            *(f"stress_{k}" for k in range(sys_.s_comp))]) + "\n")
+            fh.writelines(" ".join(map(repr, row)) + "\n" for row in cells.tolist())
+    except OSError as exc:
+        raise SnapshotError(f"writing {path} failed: {exc}") from exc
 
 
 def cmd_run(args) -> int:
     rc = load_config(_resolve_config(args.config))
     sys_, cfg = build_problem(rc)
     out = Path(os.environ.get("THERMOVISCO_OUTDIR", rc.output_dir))
-    writer = SnapshotWriter()
     observers = []
     if rc.snapshot_stride > 0:
-        def snap(i, t, state, row, _sys=sys_, _out=out, _stride=rc.snapshot_stride):
-            if i % _stride == 0:
-                writer.write(_out / f"snapshot_{i:06d}.txt", _sys, state)
+        def snap(i, t, state, row):
+            if i % rc.snapshot_stride == 0:
+                write_snapshot(out / f"snapshot_{i:06d}.npz", sys_, state)
         observers.append(snap)
 
     try:
@@ -172,7 +98,7 @@ def cmd_run(args) -> int:
         result = solver_run(sys_, cfg, observers=observers)
         ledger = result.ledger
         ledger.to_csv(out / rc.ledger_filename)
-        writer.finish(out / "snapshot_final.txt", sys_, result.state)
+        write_snapshot(out / "snapshot_final.txt", sys_, result.state)
         summary = ledger.write_summary_json(out / "summary.json",
                                             solver_stats=asdict(result.stats))
     except (StepFailureError, ValueError, SnapshotError) as exc:
@@ -181,8 +107,6 @@ def cmd_run(args) -> int:
     except OSError as exc:
         print(f"error: cannot use output directory {out}: {exc}", file=_sys.stderr)
         return 1
-    finally:
-        writer.join()
 
     print(format_summary(summary))
     print(f"wrote {out / rc.ledger_filename}, snapshot_final.txt, summary.json")

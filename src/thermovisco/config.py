@@ -7,7 +7,8 @@ section either names a preset or gives component expressions over x, y, z
 are the rules of the objects that own them (``mesh_shape``,
 ``check_levels``, ``ElasticityTensor``, ``FlowRule``, ``check_time``);
 ``check`` runs them all and names the section of a rule that fails, so the
-command line reports a config error before anything runs.
+command line reports a config error before anything runs.  A section or key
+that nothing reads, such as a misspelt one, is a config error too.
 """
 
 from __future__ import annotations
@@ -78,7 +79,26 @@ def shipped_config_path(name: str) -> Path:
         return Path(p)
 
 
+class _ConfigFile(configparser.ConfigParser):
+    """A parsed config that records each (section, key) read from it by ``_get``."""
+
+    def __init__(self):
+        super().__init__(inline_comment_prefixes=("#", ";"))
+        self.asked = set()
+
+    def reject_unread(self):
+        """Raise ConfigError naming a section or key that nothing read."""
+        read_sections = {section for section, _ in self.asked}
+        for section in self.sections():
+            if section not in read_sections:
+                raise ConfigError(f"[{section}]: unknown section")
+            for key in self.options(section):
+                if (section, key) not in self.asked:
+                    raise ConfigError(f"[{section}] {key}: unknown key")
+
+
 def _get(cp, section, key, cast, default=None, required=False):
+    cp.asked.add((section, key))
     if not cp.has_option(section, key):
         if required:
             raise ConfigError(f"[{section}] {key}: missing required field")
@@ -115,11 +135,14 @@ def load_config(path) -> RunConfig:
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    cp = _ConfigFile()
     try:
         cp.read(path)
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
+    # [DEFAULT] keys would show up in every section.
+    for key in cp.defaults():
+        raise ConfigError(f"[{cp.default_section}] {key}: unknown key")
 
     for section in ("mesh", "material", "time", "data"):
         if not cp.has_section(section):
@@ -158,7 +181,9 @@ def load_config(path) -> RunConfig:
                          kappa0, kappa_min, dt, t_end, picard_tol, picard_max,
                          truncation, {}, out_dir, stride, ledger_name))
     # The data section is read last: its component counts need a checked dim.
-    return replace(rc, data=_parse_data(cp, rc.dim))
+    rc = replace(rc, data=_parse_data(cp, rc.dim))
+    cp.reject_unread()
+    return rc
 
 
 @contextmanager
@@ -197,19 +222,17 @@ def check(rc: RunConfig) -> RunConfig:
 
 def _parse_data(cp, dim) -> dict:
     fields = {}
-    raw = dict(cp.items("data"))
-    preset = raw.pop("preset", None)
-    if preset is not None:
-        preset = preset.strip()
-        if preset not in PRESETS:
-            raise ConfigError(f"[data] preset: unknown preset {preset!r} "
-                              f"(one of {sorted(PRESETS)})")
-        merged = dict(PRESETS[preset])
-        merged.update(raw)  # explicit keys override the preset
-        raw = merged
+    preset = _get(cp, "data", "preset", str.strip)
+    if preset is not None and preset not in PRESETS:
+        raise ConfigError(f"[data] preset: unknown preset {preset!r} "
+                          f"(one of {sorted(PRESETS)})")
+    defaults = PRESETS.get(preset, {})  # explicit keys override the preset
+
+    def text(key):
+        return _get(cp, "data", key, str, default=defaults.get(key))
 
     def comps(key, count, broadcast=False):
-        parts = [part.strip() for part in raw[key].split(";")]
+        parts = [part.strip() for part in text(key).split(";")]
         if broadcast and len(parts) == 1:
             parts = parts * count
         if len(parts) != count:
@@ -218,14 +241,14 @@ def _parse_data(cp, dim) -> dict:
 
     try:
         for key in ("u0", "u1"):
-            if key in raw:
+            if text(key) is not None:
                 fields[key] = vector_sampler(comps(key, dim, broadcast=True))
-        if "stress0" in raw:
+        if text("stress0") is not None:
             fields["stress0"] = tensor_sampler(comps("stress0", sym_components(dim)), dim)
-        if "theta0" not in raw:
+        if text("theta0") is None:
             raise ConfigError("[data] theta0: required (strictly positive expression)")
-        fields["theta0"] = compile_expression(raw["theta0"])
-        if "f" in raw:
+        fields["theta0"] = compile_expression(text("theta0"))
+        if text("f") is not None:
             fields["forcing"] = vector_sampler(comps("f", dim, broadcast=True), with_time=True)
     except ExpressionError as exc:
         raise ConfigError(f"[data] bad expression: {exc}") from exc

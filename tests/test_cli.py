@@ -1,16 +1,13 @@
+import importlib.util
 import json
-import os
-import subprocess
 import sys
-import threading
 import numpy as np
 import pytest
 from dataclasses import replace
 from pathlib import Path
 
-import thermovisco
 from thermovisco import cli, solver
-from thermovisco.cli import main, write_snapshot, SNAPSHOT_SCHEMA
+from thermovisco.cli import main, write_snapshot, SNAPSHOT_SCHEMA, STATE_SCHEMA
 from thermovisco.config import (
     ConfigError,
     PRESETS,
@@ -240,6 +237,38 @@ class TestConfigParsing:
         assert main(["run", str(write_cfg(tmp_path, body))]) == 2
         assert "[time] t_end must be a whole number of steps" in capsys.readouterr().err
 
+    def test_misspelt_key_exit_two(self, tmp_path, monkeypatch, capsys):
+        # Without the check this runs with the default picard_tol of 1e-10.
+        monkeypatch.setenv("THERMOVISCO_OUTDIR", str(tmp_path / "out"))
+        body = shipped_config_path("smooth_coupled.cfg").read_text().replace(
+            "picard_tol = 1e-10", "picard_tolerance = 1e-3")
+        assert main(["run", str(write_cfg(tmp_path, body))]) == 2
+        assert capsys.readouterr().err == "config error: [time] picard_tolerance: unknown key\n"
+
+    @pytest.mark.parametrize("body, message", [
+        (MINIMAL + "\n[output]\nseed = 3\n", "[output] seed: unknown key"),
+        (MINIMAL + "g = 1\n", "[data] g: unknown key"),
+        (MINIMAL + "\n[solver]\n", "[solver]: unknown section"),
+        ("[DEFAULT]\ndt = 1e-3\n" + MINIMAL, "[DEFAULT] dt: unknown key"),
+    ], ids=["key", "data-key", "section", "default-section"])
+    def test_unknown_key_or_section_exit_two(self, tmp_path, capsys, body, message):
+        assert main(["run", str(write_cfg(tmp_path, body))]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
+    def test_shipped_and_benchmark_configs_have_known_keys(self, tmp_path, monkeypatch):
+        # A key renamed in the program fails here, not first in the benchmark.
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_workloads", Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)  # @dataclass looks it up
+        spec.loader.exec_module(workloads)
+        paths = sorted(shipped_config_path("zero.cfg").parent.glob("*.cfg"))
+        paths += [workloads.write_config(w, seed, tmp_path / f"{w.name}_{seed}.cfg", tmp_path)
+                  for w in workloads.WORKLOADS.values() for seed in (0, 1)]
+        assert len(paths) == 3 + 2 * 3
+        for path in paths:
+            load_config(path)
+
     def test_flow_rule_kinds(self, tmp_path):
         for kind in ("linear", "mroz_saturating", "temperature_weighted"):
             rc = load_config(write_cfg(tmp_path, MINIMAL.replace(
@@ -378,8 +407,8 @@ class TestCmdRun:
         monkeypatch.setenv("THERMOVISCO_OUTDIR", str(tmp_path / "snap"))
         body = MINIMAL + "\n[output]\nsnapshot_stride = 2\n"
         assert main(["run", str(write_cfg(tmp_path, body))]) == 0
-        snaps = sorted(p.name for p in (tmp_path / "snap").glob("snapshot_0*.txt"))
-        assert snaps == ["snapshot_000002.txt", "snapshot_000004.txt"]
+        snaps = sorted(p.name for p in (tmp_path / "snap").glob("snapshot_0*"))
+        assert snaps == ["snapshot_000002.npz", "snapshot_000004.npz"]
         text = (tmp_path / "snap" / "snapshot_final.txt").read_text()
         assert text.startswith(f"# schema: {SNAPSHOT_SCHEMA}")
         assert "[nodes]" in text and "[cells]" in text
@@ -507,56 +536,60 @@ SMOOTH_2D_STRIDE_2 = (shipped_config_path("smooth_2d.cfg").read_text()
                      + "snapshot_stride = 2\n")
 
 
-@pytest.fixture
-def fork_pids(monkeypatch):
-    """The pids of the children ``os.fork`` makes; each is checked to be reaped
-    before the next one is made."""
-    pids = []
-    real_fork = os.fork
+def record_observed_states(monkeypatch):
+    """The states ``cmd_run``'s observers see, by step index."""
+    seen, real_run = {}, cli.solver_run
 
-    def recording_fork():
-        assert_reaped(pids)
-        pid = real_fork()
-        if pid:
-            pids.append(pid)
-        return pid
-    monkeypatch.setattr(os, "fork", recording_fork)
-    return pids
+    def recording_run(sys_, cfg, observers=()):
+        return real_run(sys_, cfg, observers=[*observers,
+                                              lambda i, t, state, row: seen.setdefault(i, state)])
+    monkeypatch.setattr(cli, "solver_run", recording_run)
+    return seen
 
 
-def assert_reaped(pids):
-    for pid in pids:
-        with pytest.raises(ChildProcessError):
-            os.waitpid(pid, os.WNOHANG)
+def assert_exact_state_file(path, sys_, state):
+    with np.load(path, allow_pickle=False) as data:
+        arrays = {key: data[key] for key in data.files}   # an object array would raise here
+    assert set(arrays) == {"schema", "dim", "cells", "t", "u", "v", "stress", "theta"}
+    assert arrays["schema"].item() == STATE_SCHEMA
+    assert arrays["dim"].item() == sys_.mesh.dim
+    assert arrays["cells"].tolist() == list(sys_.mesh.cells)
+    for key in ("t", "u", "v", "stress", "theta"):
+        expected = np.asarray(getattr(state, key))
+        assert arrays[key].dtype == expected.dtype and arrays[key].shape == expected.shape, key
+        assert arrays[key].tobytes() == expected.tobytes(), key
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="snapshots are written in the foreground")
 class TestBackgroundSnapshots:
+    """In-run snapshots (``snapshot_stride``): exact ``.npz`` states, written
+    before the solve goes on."""
+
     def run(self, tmp_path, monkeypatch, name, body=SMOOTH_2D_STRIDE_2):
         out = tmp_path / name
         monkeypatch.setenv("THERMOVISCO_OUTDIR", str(out))
         return main(["run", str(write_cfg(tmp_path, body))]), out
 
-    def test_byte_identical_to_foreground(self, tmp_path, monkeypatch, fork_pids):
-        code, back = self.run(tmp_path, monkeypatch, "back")
-        assert code == 0 and len(fork_pids) == 3
-        monkeypatch.delattr(os, "fork")
-        code, fore = self.run(tmp_path, monkeypatch, "fore")
-        assert code == 0 and len(fork_pids) == 3
-        names = sorted(p.name for p in back.glob("snapshot_*.txt"))
-        assert names == sorted(p.name for p in fore.glob("snapshot_*.txt"))
-        assert names == ["snapshot_000002.txt", "snapshot_000004.txt",
-                         "snapshot_000006.txt", "snapshot_final.txt"]
-        for name in [*names, "ledger.csv"]:
-            assert (back / name).read_bytes() == (fore / name).read_bytes(), name
+    @pytest.mark.parametrize("dim, cells", [(1, 8), (2, 4), (3, 3)])
+    def test_npz_holds_the_observed_state_exactly(self, tmp_path, monkeypatch, dim, cells):
+        body = MINIMAL.replace("dim = 1", f"dim = {dim}").replace(
+            "cells = 8", f"cells = {cells}").replace(
+            "preset = zero", "u0 = 0.1*sin(pi*x)\ntheta0 = 1 + 0.2*cos(pi*x)")
+        seen = record_observed_states(monkeypatch)
+        code, out = self.run(tmp_path, monkeypatch, "out",
+                             body + "\n[output]\nsnapshot_stride = 2\n")
+        assert code == 0
+        assert sorted(p.name for p in out.glob("snapshot_0*")) == \
+            ["snapshot_000002.npz", "snapshot_000004.npz"]
+        sys_, _ = build_problem(load_config(tmp_path / "case.cfg"))
+        for i in (2, 4):
+            assert np.any(seen[i].stress != 0.0)
+            assert_exact_state_file(out / f"snapshot_{i:06d}.npz", sys_, seen[i])
 
-    @pytest.mark.parametrize("stride, snaps, written_here", [
-        (2, ["snapshot_000002.txt", "snapshot_000004.txt", "snapshot_000006.txt"], []),
-        (4, ["snapshot_000004.txt"], ["snapshot_final.txt"]),
+    @pytest.mark.parametrize("stride, snaps", [
+        (2, ["snapshot_000002.npz", "snapshot_000004.npz", "snapshot_000006.npz"]),
+        (4, ["snapshot_000004.npz"]),
     ], ids=["stride-divides", "stride-does-not-divide"])
-    def test_final_snapshot(self, tmp_path, monkeypatch, fork_pids, stride, snaps,
-                            written_here):
-        # A call made in a forked child does not reach the parent's list.
+    def test_final_snapshot(self, tmp_path, monkeypatch, stride, snaps):
         calls, real_write = [], cli.write_snapshot
 
         def counted_write(path, *args):
@@ -566,87 +599,36 @@ class TestBackgroundSnapshots:
         body = SMOOTH_2D_STRIDE_2.replace("snapshot_stride = 2", f"snapshot_stride = {stride}")
         code, out = self.run(tmp_path, monkeypatch, "out", body)
         assert code == 0
-        assert sorted(p.name for p in out.glob("snapshot_0*.txt")) == snaps
-        assert len(fork_pids) == len(snaps)
-        assert calls == written_here
-        final = (out / "snapshot_final.txt").read_text()
-        last = (out / snaps[-1]).read_text()
-        assert (final == last) == (not written_here)
-        assert final.startswith(f"# schema: {SNAPSHOT_SCHEMA}")
+        assert sorted(p.name for p in out.glob("snapshot_0*")) == snaps
+        # Every snapshot goes through write_snapshot; the final one is always text.
+        assert calls == [*snaps, "snapshot_final.txt"]
+        assert (out / "snapshot_final.txt").read_text().startswith(f"# schema: {SNAPSHOT_SCHEMA}")
 
-    @pytest.mark.parametrize("fail_at", [None, 3], ids=["success", "step-failure"])
-    def test_no_child_left(self, tmp_path, monkeypatch, capsys, fork_pids, fail_at):
+    def test_step_failure_leaves_complete_snapshot(self, tmp_path, monkeypatch, capsys):
         real_step, calls = solver.step, []
 
         def step(*args, **kwargs):
             calls.append(None)
-            if len(calls) == fail_at:   # the snapshot of step 2 is still being written
+            if len(calls) == 3:
                 raise solver.StepFailureError("injected")
             return real_step(*args, **kwargs)
         monkeypatch.setattr(solver, "step", step)
+        seen = record_observed_states(monkeypatch)
         code, out = self.run(tmp_path, monkeypatch, "out")
-        assert fork_pids
-        assert_reaped(fork_pids)
-        if fail_at is None:
-            assert code == 0
-            return
         assert code == 1
         assert "step 3 (t=0.003) failed: injected" in capsys.readouterr().err
-        assert [p.name for p in out.glob("snapshot_*.txt")] == ["snapshot_000002.txt"]
-        lines = (out / "snapshot_000002.txt").read_text().split("\n")
-        assert len(lines) == 3 + 1 + 7 * 7 + 1 + 6 * 6 + 1 and lines[-1] == ""
+        assert [p.name for p in out.glob("snapshot_*")] == ["snapshot_000002.npz"]
+        sys_, _ = build_problem(load_config(tmp_path / "case.cfg"))
+        assert_exact_state_file(out / "snapshot_000002.npz", sys_, seen[2])
 
-    @pytest.mark.parametrize("forked", [True, False], ids=["forked", "foreground"])
-    def test_writer_failure_exit_one(self, tmp_path, monkeypatch, capfd, fork_pids, forked):
-        if not forked:
-            monkeypatch.delattr(os, "fork")
-        blocked = tmp_path / "out" / "snapshot_000002.txt"
+    def test_snapshot_in_the_way_exit_one(self, tmp_path, monkeypatch, capsys):
+        blocked = tmp_path / "out" / "snapshot_000002.npz"
         blocked.mkdir(parents=True)
         code, _ = self.run(tmp_path, monkeypatch, "out")
         assert code == 1
-        err = capfd.readouterr().err
-        assert f"error: writing {blocked} failed" in err
-        # The writer, child or not, names the reason on one line of its own.
-        assert f"error: writing {blocked} failed: [Errno 21] Is a directory" in err
-        assert "Traceback" not in err
-        assert len(fork_pids) == (1 if forked else 0)
-        assert_reaped(fork_pids)
-
-    def test_foreground_while_threads_run(self, tmp_path, monkeypatch, fork_pids):
-        release = threading.Event()
-        thread = threading.Thread(target=release.wait, args=(60,))
-        thread.start()
-        try:
-            code, out = self.run(tmp_path, monkeypatch, "out")
-        finally:
-            release.set()
-            thread.join(timeout=60)
-        assert not thread.is_alive()
-        assert code == 0 and fork_pids == []
-        assert len(list(out.glob("snapshot_*.txt"))) == 4
-
-    def test_child_runs_no_atexit_and_flushes_no_stdio(self, tmp_path):
-        cfg = write_cfg(tmp_path, SMOOTH_2D_STRIDE_2)
-        # stdout is a pipe, so the first line is still in the buffer at each fork.
-        script = f"""
-import atexit, os, sys
-from thermovisco.cli import main
-forks, real_fork = [], os.fork
-os.fork = lambda: forks.append(None) or real_fork()
-atexit.register(lambda: print("atexit ran"))
-print("buffered before the run")
-code = main(["run", {str(cfg)!r}])
-print("forks", len(forks))
-sys.exit(code)
-"""
-        src = str(Path(thermovisco.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": src, "THERMOVISCO_OUTDIR": str(tmp_path / "out")}
-        proc = subprocess.run([sys.executable, "-c", script], env=env,
-                              capture_output=True, text=True, timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.count("buffered before the run") == 1
-        assert proc.stdout.count("atexit ran") == 1
-        assert "forks 3" in proc.stdout
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: writing {blocked} failed: [Errno 21] Is a directory")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
 
 class TestSnapshotWriter:

@@ -1,7 +1,8 @@
 """The benchmark harness runs end to end: one second of each workload at seed
 0 must come out correct, which includes its final-field drift against the
 stored reference and, in 1D, the finite-difference oracle gap.  heat_2d is the
-workload that writes snapshots during the run, in forked children."""
+workload that writes snapshots during the run (as .npz files, in the
+foreground)."""
 
 import json
 import subprocess
