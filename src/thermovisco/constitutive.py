@@ -103,7 +103,7 @@ class ElasticityTensor:
 
     def inverse_apply_mandel(self, v: np.ndarray, dim: int) -> np.ndarray:
         v = np.asarray(v, dtype=float)
-        tr = v[..., :dim].sum(axis=-1)
+        tr = v[..., :dim] @ np.ones(dim)
         c = self.lam / (dim * self.lam + 2.0 * self.mu)
         out = v.copy()
         out[..., :dim] -= c * tr[..., None]
@@ -205,7 +205,8 @@ class FlowRule:
         """Vectorized G on Mandel vectors: theta (n,), V (n, s) -> (n, s)."""
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
         V = np.atleast_2d(np.asarray(V, dtype=float))
-        return self._radial_factor(theta, np.linalg.norm(V, axis=-1))[:, None] * V
+        norm = np.sqrt(np.einsum("ec,ec->e", V, V))
+        return self._radial_factor(theta, norm)[:, None] * V
 
     def eval(self, theta: float, T: np.ndarray) -> np.ndarray:
         """G(θ, T) for a single symmetric matrix T."""

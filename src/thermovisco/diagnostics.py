@@ -5,8 +5,9 @@ identities the scheme shadows:
 
   energy       E(t) = ½∫|u_t|² + ½∫ℂ⁻¹T:T + ∫θ changes only through the
                applied work and the clamp deficit of the dissipation source;
-  entropy      ∫(ln θ + div u) gains the entropic source e^{−τ}·clamp(G:T)
-               plus the gradient term ∫|∇ ln θ|²;
+  entropy      ∫ln θ gains the entropic source e^{−τ}·clamp(G:T) plus the
+               gradient term ∫|∇ ln θ|² (∫div u of the zero-boundary u
+               vanishes identically, so it is not booked);
   dissipation  the combined inequality whose nonnegative margin equals the
                discarded entropic dissipation ∫∫G:T/θ up to O(dt).
 
@@ -185,8 +186,8 @@ class LedgerBase:
         first = self.rows[0]
         if row["theta_min"] <= 0.0 or first["theta_min"] <= 0.0:
             raise ValueError("entropy residual undefined: nonpositive temperature")
-        lhs = (row["entropy"] + row["div_u_int"]) - (first["entropy"] + first["div_u_int"])
-        return abs(lhs - row["entropic_src_trunc"] - row["grad_tau_diss"])
+        return abs(row["entropy"] - first["entropy"]
+                   - row["entropic_src_trunc"] - row["grad_tau_diss"])
 
     def dissipation_inequality_check(self) -> Verdict:
         """Worst margin of the combined energy/entropy inequality; must be ≥ −tol."""
@@ -294,15 +295,12 @@ class BalanceLedger(LedgerBase):
         row = {"t": state.t, **energy_terms(self.sys, self.elasticity, state)}
         row["entropy"] = self.sys.integrate_nodal(tau)
         row["theta_min"] = float(state.theta.min())
-        # ∫ div u over the box is a pure boundary term of a zero-boundary
-        # field: identically zero, kept to mirror the entropy structure.
-        row["div_u_int"] = float(np.ones(self.sys.n_temp) @ (self.sys.D @ state.u))
         return row
 
     def record_initial(self, state) -> dict:
         tau = np.log(state.theta)
         row = self._base_row(state, tau)
-        self._remember_centers(state, tau)
+        self._remember_centers(self.sys.cell_center_values(state.theta), tau)
         return self._start(row, self.sys.divergence_sup(state.v))
 
     def record_step(self, state, result) -> dict:
@@ -329,9 +327,9 @@ class BalanceLedger(LedgerBase):
                 np.sum(np.exp(-self._tau_centers_prev) * src_trunc)),
             "work": dt * float(result.f_load @ state.v),
         }
-        self._remember_centers(state, tau)
+        self._remember_centers(result.theta_cells, tau)
         return self._advance(row, increments, result.div_sup)
 
-    def _remember_centers(self, state, tau: np.ndarray):
-        self._theta_centers_prev = self.sys.cell_center_values(state.theta)
+    def _remember_centers(self, theta_cells: np.ndarray, tau: np.ndarray):
+        self._theta_centers_prev = theta_cells
         self._tau_centers_prev = self.sys.cell_center_values(tau)

@@ -1,4 +1,4 @@
-"""Box meshes, Galerkin spaces and the assembled coupling operators.
+"""Box meshes, Galerkin spaces and the coupling operators, assembled or applied per cell.
 
 Displacement lives in the span of the first ``n_disp`` vector hat functions
 on interior nodes (zero on the boundary), stress in the span of the first
@@ -154,13 +154,14 @@ _CG_RTOL = 1e-14
 _CG_MAX_ITERS = 50
 
 
-def pcg(A, b: np.ndarray, x0: np.ndarray, precond: Callable):
-    """Solve A·x = b by CG from x0, preconditioned with ``precond(r)``.
+def pcg(apply: Callable, b: np.ndarray, x0: np.ndarray, precond: Callable):
+    """Solve A·x = b by CG from x0, with A given as ``apply(x)`` = A·x and
+    preconditioned with ``precond(r)``.
 
     Returns (x, iterations), with x None if CG gave up.
     """
     x = x0.copy()
-    r = b - A @ x
+    r = b - apply(x)
     stop = _CG_RTOL ** 2 * (b @ b)
     p, rz = np.zeros_like(b), 1.0
     for it in range(_CG_MAX_ITERS):
@@ -169,7 +170,7 @@ def pcg(A, b: np.ndarray, x0: np.ndarray, precond: Callable):
         z = precond(r)
         rz, rz_old = r @ z, rz
         p = z + (rz / rz_old) * p
-        Ap = A @ p
+        Ap = apply(p)
         pAp = p @ Ap
         if not pAp > 0.0:
             return None, it + 1
@@ -200,8 +201,10 @@ class GalerkinSystem:
     CSR pattern, that of the node pairs sharing a cell; D and M_u reuse the
     scalar scatter per displacement component.  The heat matrix
     M_theta + dt·K_theta + dt·A_adv(div u_t) has one definition in every
-    dimension, its per-cell ``heat_blocks``: ``heat_matrix`` scatters them,
-    and in 1D ``heat_bands`` reads them as three bands.
+    dimension, its per-cell blocks M_e + dt·K_e + dt·Nᵀ·diag(w·div)·N: in 1D
+    ``heat_bands`` reads them as three bands, and in 2D/3D ``heat_operator``
+    applies them cell by cell without assembling the matrix; ``heat_matrix``
+    scatters them into CSR only for the direct solve CG falls back to.
 
     In 1D every node-block operator is tridiagonal in node order: the caller
     solves the heat matrix directly from its bands, and M_u, a prefix of the
@@ -218,12 +221,16 @@ class GalerkinSystem:
     a principal submatrix, solved by ``pcg`` preconditioned with the
     full-level inverse restricted to the prefix.
 
-    Every linear map the Picard loop applies is set up once here, so each
-    iteration does one small dense product per map:
-    ``advection_matrix`` multiplies the Gauss values of div u_t by a fixed
-    (n_g, n_loc²) table of w_g·N_gp·N_gq, ``divergence_corners`` gathers the
-    velocities of every cell through one precomputed dof map and multiplies
-    them by a fixed table of shape-function gradients at the corners, and the
+    Every map the Picard loop applies is set up once here, so an iteration
+    builds no matrix: a fixed sparse gather takes nodal values to the corners
+    of every cell and its stored transpose sums corner values back into the
+    nodes (the ``heat_operator`` apply), a corner-mean map gives the cell
+    centre values, and its transpose scaled by the cell volume the heat
+    source vector.  ``advection_matrix`` only weights the Gauss values of
+    div u_t by w_g, ``divergence_corners`` gathers the velocities of every
+    cell through one precomputed dof map and multiplies them by a fixed table
+    of shape-function gradients at the corners, ``load_vector`` takes a fixed
+    table of w_g·N_gp, ``integrate_nodal`` a stored 1ᵀM_theta, and the
     momentum right-hand side reads the stored transposes B_T and D_T.
 
     Attributes
@@ -282,6 +289,7 @@ class GalerkinSystem:
                                  f"leading minor {info} of M_u is not positive")
         else:
             self._build_axis_inverses(mesh, dim)
+        self._build_cell_maps(mesh)
 
     def _build_axis_inverses(self, mesh, dim):
         """Per-axis factors of the 2D/3D inverses; 2D gets a trivial z axis."""
@@ -327,8 +335,11 @@ class GalerkinSystem:
         self._gauss_ref = pts
         self._gauss_w = np.full(pts.shape[0], mesh.cell_volume / pts.shape[0])
         self._gauss_N = self._shape_values(pts)                   # (n_g, n_loc)
-        self._adv_table = np.einsum("g,gp,gq->gpq", self._gauss_w, self._gauss_N,
+        # N_gp·N_gq per Gauss point g: the advection weights times it are the
+        # per-cell advection blocks.
+        self._adv_table = np.einsum("gp,gq->gpq", self._gauss_N,
                                     self._gauss_N).reshape(pts.shape[0], n_loc * n_loc)
+        self._load_table = (self._gauss_w[:, None] * self._gauss_N).T  # w_g·N_gp, (n_loc, n_g)
         # ∂N_p/∂x_d at the local corners k, rows (p, d).
         self._corner_table = self._shape_gradients(self._bits.astype(float)).transpose(
             1, 2, 0).reshape(n_loc * dim, n_loc)
@@ -346,6 +357,37 @@ class GalerkinSystem:
         self._indices, self._indptr = pattern.indices, pattern.indptr
         for arr in (self._indices, self._indptr):  # shared by every operator on it
             arr.setflags(write=False)
+
+    def _build_cell_maps(self, mesh):
+        """Fixed sparse maps between the nodes and the (cell, corner) slots.
+
+        Slot e·n_loc + p is corner p of cell e.  ``_gather`` reads the nodal
+        value of every slot, and ``_gather_T`` sums slot values into the
+        nodes; ``_center_map`` averages the corners of every cell, and
+        ``_source_map`` spreads vol/n_loc of a cell value to each corner.
+        All are built directly in CSR, and last, once assembly has freed its
+        temporaries, so that they do not raise the peak memory of set-up.
+        """
+        n, n_loc = mesh.n_nodes, 2 ** mesh.dim
+        # CSR's own index type, so that maps on the same indices share them.
+        corners = mesh.cell_nodes.ravel().astype(np.int32)
+        # Every node's slots, cells ascending: a node sums its cells in that order.
+        slots = np.argsort(corners, kind="stable").astype(np.int32)
+        by_node = np.concatenate(([0], np.cumsum(np.bincount(corners, minlength=n)))).astype(np.int32)
+        ones = np.ones(corners.size)
+        shape = (corners.size, n)
+        self._gather = sp.csr_matrix((ones, corners, np.arange(corners.size + 1)), shape=shape)
+        self._gather_T = sp.csr_matrix((ones, slots, by_node), shape=shape[::-1])
+        self._center_map = sp.csr_matrix((ones / n_loc, corners, np.arange(0, corners.size + 1, n_loc)),
+                                         shape=(mesh.n_cells, n))
+        self._source_map = sp.csr_matrix((ones * (mesh.cell_volume / n_loc), slots // n_loc, by_node),
+                                         shape=(n, mesh.n_cells))
+        # 1ᵀM_θ = ∫N_i, the source vector of a unit source.
+        self._integral_weights = self.heat_source_vector(np.ones(mesh.n_cells))
+        # The flat (cell, corner, component) entries that hold a displacement
+        # dof, and those dofs: where ``load_vector`` sums its cell integrals.
+        self._load_slots = np.flatnonzero(self._cell_dofs.ravel() >= 0)
+        self._load_dofs = self._cell_dofs.ravel()[self._load_slots]
 
     def _shape_factors(self, xi):
         """Per-axis factors ξ_a or 1 − ξ_a of every N_p at points xi, (m, n_loc, dim)."""
@@ -431,7 +473,7 @@ class GalerkinSystem:
             return sla.lapack.dpttrs(*self._Mu_factor, rhs)[0]
         if self.n_disp == self._n_disp_full:
             return _tensor_apply(rhs, *self._mass_inv)
-        x, _ = pcg(self.M_u, rhs, np.zeros_like(rhs), self._restricted_mass_inverse)
+        x, _ = pcg(self.M_u.dot, rhs, np.zeros_like(rhs), self._restricted_mass_inverse)
         return spla.spsolve(self.M_u.tocsc(), rhs) if x is None else x
 
     def _restricted_mass_inverse(self, r: np.ndarray) -> np.ndarray:
@@ -448,7 +490,7 @@ class GalerkinSystem:
 
     def cell_center_values(self, nodal: np.ndarray) -> np.ndarray:
         """Q1 interpolant at cell centers = mean of the corner values."""
-        return nodal[self.mesh.cell_nodes].mean(axis=1)
+        return self._center_map @ nodal
 
     def divergence_corners(self, v_coeffs: np.ndarray) -> np.ndarray:
         """div u_t at the corners of every cell, shape (n_cells, n_loc), x-bit fastest.
@@ -466,16 +508,38 @@ class GalerkinSystem:
         return float(np.abs(self.divergence_corners(v_coeffs)).max())
 
     def advection_matrix(self, div_gauss: np.ndarray) -> np.ndarray:
-        """Per-cell blocks of ∫ div(u_t) N_p N_q by 2-pt Gauss, (n_cells, n_loc, n_loc)."""
-        n_loc = self._gauss_N.shape[1]
-        return (div_gauss @ self._adv_table).reshape(-1, n_loc, n_loc)
+        """A_adv(div u_t) = ∫ div(u_t) N_p N_q by 2-pt Gauss, as its Gauss weights.
+
+        Returns w_g·div_g per cell, (n_cells, n_g): the cell block of A_adv is
+        Nᵀ·diag(w·div)·N with N the (n_g, n_loc) ``_gauss_N``.
+        """
+        return div_gauss * self._gauss_w
 
     def heat_blocks(self, dt: float, div_gauss: np.ndarray) -> np.ndarray:
         """Per-cell blocks of M_θ + dt·K_θ + dt·A_adv(div_gauss), the heat matrix."""
-        return self._m_elem + dt * self._k_elem + dt * self.advection_matrix(div_gauss)
+        n_loc = self._gauss_N.shape[1]
+        advection = (self.advection_matrix(div_gauss) @ self._adv_table).reshape(-1, n_loc, n_loc)
+        return self._m_elem + dt * self._k_elem + dt * advection
+
+    def heat_operator(self, dt: float, div_gauss: np.ndarray) -> Callable:
+        """x ↦ ``heat_matrix(dt, div_gauss)``·x, applied without assembling the matrix.
+
+        Each apply gathers x to the cell corners, applies the fixed block
+        M_e + dt·K_e of every cell there, adds the advection taken through
+        the Gauss points (N·x weighted by dt·w·div, then Nᵀ), and sums the
+        corners back into the nodes.
+        """
+        fixed = self._m_elem + dt * self._k_elem
+        weights = dt * self.advection_matrix(div_gauss)
+        N = self._gauss_N
+
+        def apply(x):
+            corners = (self._gather @ x).reshape(weights.shape[0], -1)
+            return self._gather_T @ (corners @ fixed + ((corners @ N.T) * weights) @ N).ravel()
+        return apply
 
     def heat_matrix(self, dt: float, div_gauss: np.ndarray) -> sp.csr_matrix:
-        """The ``heat_blocks`` scattered into the node-pair pattern."""
+        """The ``heat_blocks`` scattered into the node-pair pattern, assembled anew per call."""
         return self._scatter(self.heat_blocks(dt, div_gauss))
 
     def heat_bands(self, dt: float, div_gauss: np.ndarray) -> tuple:
@@ -501,9 +565,7 @@ class GalerkinSystem:
 
     def heat_source_vector(self, cell_values: np.ndarray) -> np.ndarray:
         """∫ s φ_i for a cellwise-constant source, midpoint-consistent."""
-        weights = cell_values * self.mesh.cell_volume / (2 ** self.mesh.dim)
-        return np.bincount(self.mesh.cell_nodes.ravel(),
-                           weights=np.repeat(weights, 2 ** self.mesh.dim), minlength=self.n_temp)
+        return self._source_map @ cell_values
 
     def load_vector(self, f: Callable, t: float) -> np.ndarray:
         """∫ f(t)·φ_j with 2-pt Gauss per cell; f maps (t, pts) -> (m, dim)."""
@@ -512,14 +574,13 @@ class GalerkinSystem:
                                                         self._gauss_ref.shape[0],
                                                         self.mesh.dim)
         # contribution to dof (node p, comp c): Σ_g w_g f_c(x_g) N_p(x_g)
-        contrib = np.einsum("g,egd,gp->epd", self._gauss_w, fv, self._gauss_N)
-        mask = self._cell_dofs >= 0
-        return np.bincount(self._cell_dofs[mask],
-                           weights=contrib.reshape(mask.shape)[mask], minlength=self.n_disp)
+        contrib = self._load_table @ fv
+        return np.bincount(self._load_dofs, weights=contrib.ravel()[self._load_slots],
+                           minlength=self.n_disp)
 
     def integrate_nodal(self, nodal_values: np.ndarray) -> float:
         """∫ of the Q1 interpolant with the given nodal values."""
-        return float((self.M_theta @ nodal_values).sum())
+        return float(self._integral_weights @ nodal_values)
 
     def locate(self, pts: np.ndarray):
         """Cell index and reference coordinates of physical points."""

@@ -163,7 +163,6 @@ class FDLedger(LedgerBase):
             "thermal": float(np.trapezoid(grid.theta, x)),
             "entropy": float(np.trapezoid(tau, x)),
             "theta_min": float(grid.theta.min()),
-            "div_u_int": float(np.trapezoid(_gradient(grid.u, grid.h), x)),
         }
 
     @staticmethod

@@ -6,8 +6,9 @@ construction of the continuous problem:
   1. implicit heat solve for θ, with the advection coefficient div(u_t) and
      the clamped dissipation source frozen at the current mechanical iterate:
      in 1D one direct tridiagonal solve (LAPACK ``gtsv``), in 2D/3D
-     conjugate gradients preconditioned with the exact inverse of
-     M_θ + dt·K_θ by per-axis fast diagonalization (see ``GalerkinSystem``),
+     conjugate gradients on the unassembled heat operator, preconditioned
+     with the exact inverse of M_θ + dt·K_θ by per-axis fast
+     diagonalization (see ``GalerkinSystem``),
   2. momentum update for the velocity with that θ,
   3. implicit update for the stress with the new strain rate, in closed form,
 
@@ -152,6 +153,7 @@ class StepResult:
     stress_inner_iters: int
     heat_cg_iters: int          # summed over the step's Picard iterations
     heat_fallbacks: int
+    theta_cells: np.ndarray     # the new θ at the cell centres, as the stress update took it
 
 
 def initialize(sys: GalerkinSystem, cfg: SolverConfig) -> SimState:
@@ -194,28 +196,31 @@ _FACTOR_RTOL = 1e-8
 _FACTOR_MAX_ITERS = 100
 
 
-def _saturating_factor(kappa: np.ndarray, r2: np.ndarray, dtc: np.ndarray,
-                       g_start: np.ndarray):
+def _saturating_factor(kappa: np.ndarray, r2, dtc, g_start: np.ndarray):
     """Per-cell root g of g·(1 + |T(g)|) = κ, the ``mroz_saturating`` factor.
 
-    |T(g)|² = Σ_k r2_k/(1 + g·dtc_k)² over the eigenspaces k, so the left side
-    strictly increases in g, with its root in [κ/(1 + |R|), κ].  Bracketed
-    Newton from ``g_start`` clipped to that bracket, bisecting when a step
-    leaves the bracket.
+    |T(g)|² = Σ_k r2_k/(1 + g·dtc_k)² over the eigenspaces k = 0, 1, so the
+    left side strictly increases in g, with its root in [κ/(1 + |R|), κ].
+    ``r2`` and ``dtc`` are each a pair of per-cell arrays, one per eigenspace.
+    Bracketed Newton from ``g_start`` clipped to that bracket, bisecting when
+    a step leaves the bracket.
     """
-    lo = kappa / (1.0 + np.sqrt(r2.sum(axis=1)))
+    (r0, r1), (c0, c1) = r2, dtc
+    lo = kappa / (1.0 + np.sqrt(r0 + r1))
     hi = kappa.copy()
     g = np.minimum(np.maximum(g_start, lo), hi)
     for iters in range(1, _FACTOR_MAX_ITERS + 1):
-        u = 1.0 / (1.0 + g[:, None] * dtc)
-        w = r2 * u * u
-        norm = np.sqrt(w.sum(axis=1))
+        u0 = 1.0 / (1.0 + g * c0)
+        u1 = 1.0 / (1.0 + g * c1)
+        w0 = r0 * u0 * u0
+        w1 = r1 * u1 * u1
+        norm = np.sqrt(w0 + w1)
         f = g + g * norm - kappa
         below = f < 0.0
         np.copyto(lo, g, where=below)
         np.copyto(hi, g, where=~below)
         # d(g·|T|)/dg = Σ r2·u³/|T|, which is at most |T| and 0 where T vanishes.
-        slope = 1.0 + (w * u).sum(axis=1) / np.maximum(norm, 1e-300)
+        slope = 1.0 + (w0 * u0 + w1 * u1) / np.maximum(norm, 1e-300)
         g_new = g - f / slope
         np.copyto(g_new, 0.5 * (lo + hi), where=(g_new < lo) | (g_new > hi))
         done = (abs(g_new - g) <= _FACTOR_RTOL * g_new).all()
@@ -246,17 +251,16 @@ def stress_substep(sys: GalerkinSystem, C: ElasticityTensor, G: FlowRule,
     old = sys.stress_blocks(stress_old)
     rate = sys.stress_blocks(strain_rate)
     # ℂ_P·ε = c_dev·ε + (c_vol − c_dev)·(n·ε)·n; absent components stay 0.
-    R = old + dt * (c[:, 1:] * rate + ((c[:, 0] - c[:, 1]) * (rate * n).sum(axis=1))[:, None] * n)
-    a = (R * n).sum(axis=1)
+    R = old + dt * (c[:, 1:] * rate
+                    + ((c[:, 0] - c[:, 1]) * np.einsum("ec,ec->e", rate, n))[:, None] * n)
+    a = np.einsum("ec,ec->e", R, n)
     D = R - a[:, None] * n
     kappa = np.asarray(G.kappa(theta_cells), dtype=float)
     if G.kind == "mroz_saturating":
-        r2 = np.empty_like(c)
-        r2[:, 0] = a * a
-        r2[:, 1] = (D * D).sum(axis=1)
         start = old if stress_start is None else sys.stress_blocks(stress_start)
-        g, iters = _saturating_factor(kappa, r2, dt * c,
-                                      kappa / (1.0 + np.sqrt((start * start).sum(axis=1))))
+        g, iters = _saturating_factor(
+            kappa, (a * a, np.einsum("ec,ec->e", D, D)), (dt * c[:, 0], dt * c[:, 1]),
+            kappa / (1.0 + np.sqrt(np.einsum("ec,ec->e", start, start))))
     else:
         g, iters = kappa, 1
     den = 1.0 + dt * g[:, None] * c
@@ -303,14 +307,16 @@ def heat_substep(sys: GalerkinSystem, state: SimState, div_v, G: FlowRule,
     In 1D the matrix is tridiagonal (``sys.heat_bands``) and is solved
     directly by LAPACK ``gtsv``, Gaussian elimination with partial pivoting,
     for any δ = dt·‖div u_t‖_∞; ``theta_start`` is unused and the result
-    reports 0 CG iterations.  In 2D/3D the system is solved by CG,
-    preconditioned with ``sys.heat_inverse(dt)``, the memoized exact
-    per-axis inverse of M + dt·K: with δ < 1, exact 2-point Gauss and
+    reports 0 CG iterations.  In 2D/3D the system is solved by CG on
+    ``sys.heat_operator``, which applies the matrix cell by cell without
+    assembling it, preconditioned with ``sys.heat_inverse(dt)``, the memoized
+    exact per-axis inverse of M + dt·K: with δ < 1, exact 2-point Gauss and
     M + dt·K ≥ M put the preconditioned spectrum in [1 − δ, 1 + δ].  CG
     starts from ``theta_start``, by default θ_old; inside the Picard loop it
-    is the current θ iterate.  Should CG stall, a direct solve runs and
-    ``fallback`` is set.  Raises StepFailureError if the matrix is singular,
-    and PositivityError if any dof of the solution is nonpositive.
+    is the current θ iterate.  Should CG stall, the matrix is assembled
+    (``sys.heat_matrix``), a direct solve runs and ``fallback`` is set.
+    Raises StepFailureError if the matrix is singular, and PositivityError if
+    any dof of the solution is nonpositive.
     """
     if constants is None:
         constants = heat_constants(sys, state)
@@ -329,13 +335,13 @@ def heat_substep(sys: GalerkinSystem, state: SimState, div_v, G: FlowRule,
                                    f"heat matrix is exactly zero")
         cg_iters, fallback = 0, False
     else:
-        A = sys.heat_matrix(dt, div_v)
-        theta_new, cg_iters = pcg(A, rhs, state.theta if theta_start is None else theta_start,
+        theta_new, cg_iters = pcg(sys.heat_operator(dt, div_v), rhs,
+                                  state.theta if theta_start is None else theta_start,
                                   sys.heat_inverse(dt))
         fallback = theta_new is None
         if fallback:
             try:
-                theta_new = spla.spsolve(A.tocsc(), rhs)
+                theta_new = spla.spsolve(sys.heat_matrix(dt, div_v).tocsc(), rhs)
             except RuntimeError as exc:
                 raise StepFailureError(f"heat solve failed: {exc}") from exc
     if not np.all(np.isfinite(theta_new)):
@@ -401,9 +407,9 @@ def step(sys: GalerkinSystem, cfg: SolverConfig, state: SimState,
         th_new = heat.theta
         v_new = momentum_substep(sys, state, th_new, T_i, f_load, dt)
         strain_rate = sys.B @ v_new
-        T_new, inner = stress_substep(
-            sys, cfg.elasticity, cfg.flow_rule, sys.cell_center_values(th_new),
-            state.stress, strain_rate, dt, stress_start=T_i)
+        th_cells = sys.cell_center_values(th_new)
+        T_new, inner = stress_substep(sys, cfg.elasticity, cfg.flow_rule, th_cells,
+                                      state.stress, strain_rate, dt, stress_start=T_i)
         inner_total += inner
         res = max(_field_residual(th_new, th_i),
                   _field_residual(v_new, v_i),
@@ -422,7 +428,7 @@ def step(sys: GalerkinSystem, cfg: SolverConfig, state: SimState,
     new_state = SimState(t_new, u_new, v_i, T_i, th_i).freeze()
     return StepResult(new_state, len(history), history,
                       sys.divergence_sup(v_i), heat, f_load, inner_total,
-                      cg_total, fallbacks)
+                      cg_total, fallbacks, th_cells)
 
 
 # Highest order of the Picard start.  Seed-0 heat_2d takes 98, 73 and 76

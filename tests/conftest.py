@@ -24,6 +24,13 @@ def run_recording_steps(sys, cfg):
         solver.step = step
 
 
+def assembled_advection(sys, div):
+    """A_adv(div) as a CSR matrix: the per-cell blocks Σ_g (w·div)_g·N_gp·N_gq,
+    from ``advection_matrix``'s Gauss weights, scattered into the node pattern."""
+    N = sys._gauss_N
+    return sys._scatter(np.einsum("eg,gp,gq->epq", sys.advection_matrix(div), N, N))
+
+
 def make_smooth_problem(cells=100, dt=1e-3, t_end=0.5, kappa0=1.0, with_forcing=True):
     """The shipped smooth coupled 1D scenario (C = λ + 2μ = 1)."""
     mesh = build_mesh(1, [1.0], [cells])

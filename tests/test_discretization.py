@@ -18,6 +18,8 @@ from thermovisco.discretization import (
 )
 from thermovisco.solver import divergence_of
 
+from conftest import assembled_advection
+
 
 class TestBuildMesh:
     def test_1d_interval(self):
@@ -128,7 +130,7 @@ class TestBuildSpaces:
         div = np.random.default_rng(2).standard_normal((m.n_cells, 8))
         dt = 0.3
         H = sys.heat_matrix(dt, div)
-        advection = sys._scatter(sys.advection_matrix(div))
+        advection = assembled_advection(sys, div)
         expected = sys.M_theta + dt * sys.K_theta + dt * advection
         for A in (H, sys.K_theta, advection):
             assert np.array_equal(A.indptr, sys.M_theta.indptr)
@@ -251,7 +253,7 @@ class TestAssemblyOracle:
         for system, (w, v, g, _) in oracle_cases:
             vel = _random_velocity(system)
             A = np.einsum("q,q,qi,qj->ij", w, _oracle_divergence(system, g, vel), v, v)
-            got = system._scatter(system.advection_matrix(divergence_of(system, vel))).toarray()
+            got = assembled_advection(system, divergence_of(system, vel)).toarray()
             assert np.allclose(A, got, rtol=0.0, atol=1e-13)
 
     def test_divergence_gauss(self, oracle_cases):
@@ -347,6 +349,62 @@ class TestInverses:
             x = system.solve_mass_u(r)
             assert 1 <= len(applies) <= 10
             assert np.abs(system.M_u @ x - r).max() <= 1e-13 * np.abs(r).max()
+
+
+def _levels(m, partial):
+    """Full levels, or the last displacement dof and two stress components dropped."""
+    n_disp, k_stress = max_levels(m.dim, m.cells)
+    return (n_disp - 1, k_stress - 2) if partial else (n_disp, k_stress)
+
+
+class TestCellOperators:
+    """The maps applied cell by cell against the assembled matrix and the
+    indexed formulas they replace, in 1D/2D/3D at full and partial levels."""
+
+    @pytest.mark.parametrize("signed", [True, False], ids=["signed", "nonnegative"])
+    @pytest.mark.parametrize("partial", [False, True], ids=["full", "partial"])
+    @pytest.mark.parametrize("cells", [(5, 7), (4, 3, 5)], ids=["2d", "3d"])
+    def test_heat_operator_applies_the_heat_matrix(self, cells, partial, signed):
+        dim = len(cells)
+        m = build_mesh(dim, [0.5 + 0.3 * a for a in range(dim)], cells)
+        system = build_spaces(m, *_levels(m, partial))
+        rng = np.random.default_rng(dim + 2 * partial)
+        div = rng.uniform(-1.0 if signed else 0.0, 1.0, (m.n_cells, system._gauss_N.shape[0]))
+        for dt in (1e-3, 0.3):
+            apply, H = system.heat_operator(dt, div / dt), system.heat_matrix(dt, div / dt)
+            for _ in range(3):
+                x = rng.standard_normal(system.n_temp)
+                assert _relative_error(apply(x), H @ x) <= 1e-14
+
+    @pytest.mark.parametrize("partial", [False, True], ids=["full", "partial"])
+    @pytest.mark.parametrize("cells", [(7,), (5, 7), (4, 3, 5)], ids=["1d", "2d", "3d"])
+    def test_cell_maps_match_the_indexed_formulas(self, cells, partial):
+        dim = len(cells)
+        m = build_mesh(dim, [0.5 + 0.3 * a for a in range(dim)], cells)
+        system = build_spaces(m, *_levels(m, partial))
+        rng = np.random.default_rng(dim)
+        n_loc = 2 ** dim
+        tol = 4 * np.finfo(float).eps
+
+        nodal = rng.standard_normal(system.n_temp)
+        mean = nodal[m.cell_nodes].mean(axis=1)
+        assert _relative_error(system.cell_center_values(nodal), mean) <= tol
+
+        cell_values = rng.standard_normal(m.n_cells)
+        spread = np.repeat(cell_values * m.cell_volume / n_loc, n_loc)
+        source = np.bincount(m.cell_nodes.ravel(), weights=spread, minlength=system.n_temp)
+        assert _relative_error(system.heat_source_vector(cell_values), source) <= tol
+
+        assert system.integrate_nodal(nodal) == pytest.approx(
+            (system.M_theta @ nodal).sum(), rel=0.0, abs=tol * np.abs(nodal).sum() * m.volume)
+
+        f = lambda t, pts: np.cos(t + pts * np.arange(1, dim + 1))
+        fv = f(0.2, system._gauss_xy.reshape(-1, dim)).reshape(m.n_cells, -1, dim)
+        contrib = np.einsum("g,egd,gp->epd", system._gauss_w, fv, system._gauss_N)
+        present = system._cell_dofs >= 0
+        load = np.bincount(system._cell_dofs[present], weights=contrib.reshape(present.shape)[present],
+                           minlength=system.n_disp)
+        assert _relative_error(system.load_vector(f, 0.2), load) <= tol
 
 
 class TestProjections:

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from thermovisco import ElasticityTensor, FlowRule, build_mesh, build_spaces
+from thermovisco import ElasticityTensor, FlowRule, build_mesh, build_spaces, solver
 from thermovisco.discretization import GalerkinSystem, max_levels
 from thermovisco.solver import SolverConfig, StepResult, initialize, resolve_truncation, step
 
@@ -33,8 +33,9 @@ def test_step_result_reports_inner_iterations():
     assert "stress_inner_iters" in StepResult.__dataclass_fields__
 
 
-def assert_one_advection_matrix_per_picard_iteration(monkeypatch, dim, cells):
-    # discretization.advection_calls counts the heat systems assembled.
+def step_counting_heat_systems(monkeypatch, dim, cells):
+    """One step of a swirling run; returns it with the ``advection_matrix``
+    and ``heat_matrix`` calls it made."""
     mesh = build_mesh(dim, [1.0] * dim, [cells] * dim)
     sys = build_spaces(mesh, *max_levels(dim, mesh.cells))
     cfg = SolverConfig(
@@ -43,13 +44,24 @@ def assert_one_advection_matrix_per_picard_iteration(monkeypatch, dim, cells):
         theta0=lambda pts: 1.0 + 0.1 * pts[:, 0])
     state = initialize(sys, cfg)
     cfg = replace(cfg, truncation=resolve_truncation(sys, cfg, state))
-    calls = []
+    calls, builds = [], []
     assemble = GalerkinSystem.advection_matrix
     monkeypatch.setattr(GalerkinSystem, "advection_matrix",
                         lambda self, div: calls.append(div) or assemble(self, div))
-    result = step(sys, cfg, state)
+    heat_matrix = GalerkinSystem.heat_matrix
+    monkeypatch.setattr(GalerkinSystem, "heat_matrix",
+                        lambda self, dt, div: builds.append(div) or heat_matrix(self, dt, div))
+    return step(sys, cfg, state), calls, builds
+
+
+def assert_one_advection_matrix_per_picard_iteration(monkeypatch, dim, cells):
+    # discretization.advection_calls counts the heat systems formed, and no
+    # step assembles a CSR heat matrix unless CG falls back to a direct solve.
+    result, calls, builds = step_counting_heat_systems(monkeypatch, dim, cells)
     assert result.iterations > 1
     assert len(calls) == result.iterations
+    assert result.heat_fallbacks == 0
+    assert builds == []
 
 
 def test_one_advection_matrix_per_picard_iteration(monkeypatch):
@@ -59,3 +71,11 @@ def test_one_advection_matrix_per_picard_iteration(monkeypatch):
 @pytest.mark.parametrize("dim, cells", [(1, 8), (3, 3)])
 def test_one_advection_matrix_per_picard_iteration_in(monkeypatch, dim, cells):
     assert_one_advection_matrix_per_picard_iteration(monkeypatch, dim, cells)
+
+
+@pytest.mark.parametrize("dim, cells", [(2, 4), (3, 3)])
+def test_only_a_heat_fallback_assembles_the_heat_matrix(monkeypatch, dim, cells):
+    monkeypatch.setattr(solver, "pcg", lambda *args: (None, 1))
+    result, _, builds = step_counting_heat_systems(monkeypatch, dim, cells)
+    assert result.iterations > 1
+    assert len(builds) == result.heat_fallbacks == result.iterations

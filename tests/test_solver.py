@@ -33,7 +33,7 @@ from thermovisco.solver import (
 )
 from thermovisco.diagnostics import total_energy
 
-from conftest import make_smooth_problem, make_zero_problem, run_recording_steps
+from conftest import assembled_advection, make_smooth_problem, make_zero_problem, run_recording_steps
 
 C_HALF = ElasticityTensor(0.0, 0.5)  # identity action on symmetric matrices
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
@@ -235,8 +235,8 @@ class TestStress:
         r2 = rng.uniform(0.0, 4.0, (50, 2))
         dtc = rng.uniform(0.1, 5.0, (50, 2))
         lo, hi = kappa / (1.0 + np.sqrt(r2.sum(axis=1))), kappa
-        g, iters = _saturating_factor(kappa, r2, dtc, outside * kappa)
-        g_end, iters_end = _saturating_factor(kappa, r2, dtc, hi if outside > 1.0 else lo)
+        g, iters = _saturating_factor(kappa, r2.T, dtc.T, outside * kappa)
+        g_end, iters_end = _saturating_factor(kappa, r2.T, dtc.T, hi if outside > 1.0 else lo)
         assert np.array_equal(g, g_end) and iters == iters_end
 
 
@@ -443,6 +443,15 @@ class TestStep:
         assert result.heat_fallbacks == result.iterations > 1
         assert result.heat_cg_iters == result.iterations
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_reports_the_new_theta_at_the_cell_centres(self, dim):
+        # The ledger books the next step's entropic weights from these values.
+        sys, cfg = swirl_problem(dim)
+        state = initialize(sys, cfg)
+        cfg = replace(cfg, truncation=resolve_truncation(sys, cfg, state))
+        result = step(sys, cfg, state)
+        assert np.array_equal(result.theta_cells, sys.cell_center_values(result.state.theta))
+
     @pytest.mark.parametrize("problem", ["smooth_1d", "swirl_2d"])
     def test_predictor_start_reaches_same_state(self, problem):
         # After ten steps the start order is above 2.  From xₙ (no start), from
@@ -567,7 +576,7 @@ class TestStep:
         assert np.abs(cinv_rate + g - sys.B @ state.v).max() < 1e-8
 
         div = divergence_of(sys, state.v)
-        A = sys.M_theta + dt * sys.K_theta + dt * sys._scatter(sys.advection_matrix(div))
+        A = sys.M_theta + dt * sys.K_theta + dt * assembled_advection(sys, div)
         src = truncate(cfg.truncation,
                        cfg.flow_rule.eval_mandel(sys.cell_center_values(old.theta),
                                                  state.stress[:, None], 1)[:, 0] * state.stress)
