@@ -101,14 +101,6 @@ class ElasticityTensor:
         c = self.lam / (dim * self.lam + 2.0 * self.mu)
         return (np.eye(m.size) - c * np.outer(m, m)) / (2.0 * self.mu)
 
-    def inverse_apply_mandel(self, v: np.ndarray, dim: int) -> np.ndarray:
-        v = np.asarray(v, dtype=float)
-        tr = v[..., :dim] @ np.ones(dim)
-        c = self.lam / (dim * self.lam + 2.0 * self.mu)
-        out = v.copy()
-        out[..., :dim] -= c * tr[..., None]
-        return out / (2.0 * self.mu)
-
     def restricted_spectrum(self, present: np.ndarray, dim: int):
         """Eigenspaces of ℂ_P = (Pℂ⁻¹P)⁻¹, P the first ``present[e]`` Mandel components.
 
@@ -195,11 +187,12 @@ class FlowRule:
             return np.clip(raw, self.kappa_min, self.kappa0)
         return np.full_like(theta, self.kappa0)
 
+    def factor(self, kappa, norm):
+        """The radial factor g from the temperature factor κ(θ) and the norm |T|."""
+        return kappa / (1.0 + norm) if self.kind == "mroz_saturating" else kappa
+
     def _radial_factor(self, theta, norm):
-        g = self.kappa(theta)
-        if self.kind == "mroz_saturating":
-            g = g / (1.0 + norm)
-        return g
+        return self.factor(self.kappa(theta), norm)
 
     def eval_mandel(self, theta: np.ndarray, V: np.ndarray, dim: int = 3) -> np.ndarray:
         """Vectorized G on Mandel vectors: theta (n,), V (n, s) -> (n, s)."""
@@ -236,7 +229,7 @@ class TruncationLevel:
 
 def truncate(level: TruncationLevel, r):
     """min{n, max{r, −n}}: identity on [−n, n], clamped outside."""
-    return np.clip(r, -level.n, level.n)
+    return np.minimum(np.maximum(r, -level.n), level.n)
 
 
 @dataclass

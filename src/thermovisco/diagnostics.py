@@ -26,6 +26,7 @@ functional (``energy_terms``, ``total_energy``) is defined here, once.
 from __future__ import annotations
 
 import json
+import math
 import numpy as np
 from dataclasses import dataclass
 
@@ -72,10 +73,14 @@ def _energy(row: dict) -> float:
 
 def stress_quadratic_form(sys: GalerkinSystem, C: ElasticityTensor,
                           coeffs: np.ndarray) -> np.ndarray:
-    """Cellwise vol·(ℂ⁻¹T̂):T̂; zero padding restricts ℂ⁻¹ to a partial cell."""
+    """Cellwise vol·(ℂ⁻¹T̂):T̂ = vol·(|T̂|² − c·(tr T̂)²)/(2μ), c = λ/(dλ + 2μ), the
+    closed form of isotropic ℂ⁻¹; zero padding restricts ℂ⁻¹ to a partial cell."""
+    dim = sys.mesh.dim
     blocks = sys.stress_blocks(coeffs)
-    cinv = C.inverse_apply_mandel(blocks, sys.mesh.dim)
-    return np.einsum("ec,ec->e", cinv, blocks) * sys.mesh.cell_volume
+    trace = blocks[:, :dim].sum(axis=1)
+    c = C.lam / (dim * C.lam + 2.0 * C.mu)
+    return (np.einsum("ec,ec->e", blocks, blocks) - c * trace * trace) \
+        * (sys.mesh.cell_volume / (2.0 * C.mu))
 
 
 def energy_terms(sys: GalerkinSystem, C: ElasticityTensor, state) -> dict:
@@ -122,7 +127,7 @@ class LedgerBase:
         self._div_integral += 0.5 * self.dt * (self._prev_div_sup + div_sup)
         self._prev_div_sup = div_sup
         row["div_sup"] = div_sup
-        row["theta_floor"] = self._theta0_min * float(np.exp(-self._div_integral))
+        row["theta_floor"] = self._theta0_min * math.exp(-self._div_integral)
         return self.record_row(row)
 
     # -- row access ---------------------------------------------------------
@@ -322,14 +327,14 @@ class BalanceLedger(LedgerBase):
             "grad_tau_diss": dt * float(tau @ (self.sys.K_theta @ tau)),
             "inelastic_diss": dt * vol * float(src_raw.sum()),
             "source_trunc": dt * vol * float(src_trunc.sum()),
-            "entropic_diss": dt * vol * float(np.sum(src_raw / self._theta_centers_prev)),
-            "entropic_src_trunc": dt * vol * float(
-                np.sum(np.exp(-self._tau_centers_prev) * src_trunc)),
+            "entropic_diss": dt * vol * float(src_raw @ self._inv_theta_prev),
+            "entropic_src_trunc": dt * vol * float(src_trunc @ self._exp_neg_tau_prev),
             "work": dt * float(result.f_load @ state.v),
         }
         self._remember_centers(result.theta_cells, tau)
         return self._advance(row, increments, result.div_sup)
 
     def _remember_centers(self, theta_cells: np.ndarray, tau: np.ndarray):
-        self._theta_centers_prev = theta_cells
-        self._tau_centers_prev = self.sys.cell_center_values(tau)
+        """The next step's entropic weights 1/θ and e^{−τ} at the cell centres."""
+        self._inv_theta_prev = 1.0 / theta_cells
+        self._exp_neg_tau_prev = np.exp(-self.sys.cell_center_values(tau))

@@ -244,8 +244,9 @@ class GalerkinSystem:
     B_T, D_T : csc_matrix — the transposes of B and D, views sharing their arrays
 
     Instances are immutable after construction, apart from the memos of
-    ``stress_spectrum`` and ``heat_inverse`` (2D/3D, per dt: only the
-    diagonal 1/(1 + dt·Σλ)), and safe to share read-only.
+    ``stress_spectrum`` and, per dt, of ``heat_bands`` (1D: the block
+    M_e + dt·K_e) and ``heat_inverse`` (2D/3D: only the diagonal
+    1/(1 + dt·Σλ)), and safe to share read-only.
     """
 
     def __init__(self, mesh: Mesh, n_disp: int, k_stress: int):
@@ -272,7 +273,7 @@ class GalerkinSystem:
         self.stress_cell = np.repeat(np.arange(mesh.n_cells), self.s_comp)[:k_stress]
         self.stress_comp = np.tile(np.arange(self.s_comp), mesh.n_cells)[:k_stress]
         self._spectra = {}
-        self._heat_inverses = {}  # per dt: the 2D/3D heat_inverse closure
+        self._heat_fixed = {}  # per dt: the 1D block M_e + dt·K_e, or the 2D/3D heat_inverse
 
         self._build_reference(dim)
         self._assemble(mesh, dim)
@@ -447,14 +448,19 @@ class GalerkinSystem:
     # -- solves and field plumbing ---------------------------------------------
 
     def stress_blocks(self, coeffs: np.ndarray) -> np.ndarray:
-        """Stress coefficients as Mandel vectors (n_cells, s), zero where absent."""
-        blocks = np.zeros((self.mesh.n_cells, self.s_comp))
-        blocks.reshape(-1)[:self.k_stress] = coeffs  # dof a is flat entry a
+        """Stress coefficients as Mandel vectors (n_cells, s): dof a is flat entry a,
+        so a view of ``coeffs`` at the full level, else zero-padded."""
+        shape = (self.mesh.n_cells, self.s_comp)
+        if coeffs.size == shape[0] * shape[1]:
+            return coeffs.reshape(shape)
+        blocks = np.zeros(shape)
+        blocks.reshape(-1)[:self.k_stress] = coeffs
         return blocks
 
     def stress_coeffs(self, blocks: np.ndarray) -> np.ndarray:
-        """Inverse of ``stress_blocks``: the coefficients of the present components."""
-        return blocks.reshape(-1)[:self.k_stress].copy()
+        """Inverse of ``stress_blocks``: at the full level a view of ``blocks``, else a copy."""
+        flat = blocks.reshape(-1)
+        return flat if flat.size == self.k_stress else flat[:self.k_stress].copy()
 
     def stress_spectrum(self, C) -> tuple:
         """``C.restricted_spectrum`` per cell in the ``stress_blocks`` layout, memoized."""
@@ -501,7 +507,7 @@ class GalerkinSystem:
         point is Σ_k N_k·corner_k, and its sup over the cell is the largest
         |corner_k|.
         """
-        return np.append(v_coeffs, 0.0)[self._cell_dofs] @ self._corner_table
+        return np.concatenate((v_coeffs, [0.0]))[self._cell_dofs] @ self._corner_table
 
     def divergence_sup(self, v_coeffs: np.ndarray) -> float:
         """sup-norm of the piecewise-multilinear div u_t (attained at corners)."""
@@ -546,22 +552,24 @@ class GalerkinSystem:
         """1D: the (lower, diagonal, upper) bands of the heat matrix.
 
         Cell e couples nodes e and e + 1 only, so the matrix is tridiagonal in
-        node order, with the ``heat_blocks`` of the cells as its 2x2 pieces.
+        node order, with the ``heat_blocks`` of the cells as its 2x2 pieces;
+        their fixed part M_e + dt·K_e is memoized per dt, built at first use.
         """
-        blocks = self.heat_blocks(dt, div_gauss)
-        diag = np.zeros(self.n_temp)
-        diag[:-1] += blocks[:, 0, 0]
-        diag[1:] += blocks[:, 1, 1]
-        return blocks[:, 1, 0], diag, blocks[:, 0, 1]
+        if dt not in self._heat_fixed:
+            self._heat_fixed[dt] = (self._m_elem + dt * self._k_elem).reshape(-1)
+        blocks = self._heat_fixed[dt] + dt * (self.advection_matrix(div_gauss) @ self._adv_table)
+        diag = np.concatenate((blocks[:, 0], [0.0]))
+        diag[1:] += blocks[:, 3]
+        return blocks[:, 2], diag, blocks[:, 1]
 
     def heat_inverse(self, dt: float) -> Callable:
         """2D/3D: r ↦ (M_θ + dt·K_θ)⁻¹·r, memoized per dt and built at first use."""
-        if dt not in self._heat_inverses:
+        if dt not in self._heat_fixed:
             d = 1.0 / (1.0 + dt * self._heat_lam)
             Vx, Vy, Vz = self._heat_V
-            self._heat_inverses[dt] = lambda r: _tensor_apply(
+            self._heat_fixed[dt] = lambda r: _tensor_apply(
                 d * _tensor_apply(r, Vx.T, Vy.T, Vz.T), Vx, Vy, Vz)
-        return self._heat_inverses[dt]
+        return self._heat_fixed[dt]
 
     def heat_source_vector(self, cell_values: np.ndarray) -> np.ndarray:
         """∫ s φ_i for a cellwise-constant source, midpoint-consistent."""

@@ -29,6 +29,8 @@ _FUNCS = {
 }
 
 _CONSTS = {"pi": np.pi, "e": np.e}
+# Every evaluation copies this namespace, so no call keeps the points it saw.
+_NAMESPACE = {"__builtins__": {}, **_FUNCS, **_CONSTS}
 
 _ALLOWED_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
 _ALLOWED_UNARY = (ast.UAdd, ast.USub)
@@ -72,18 +74,18 @@ def compile_expression(src: str, *, with_time: bool = False) -> Callable:
         raise ExpressionError(f"cannot parse {src!r}: {exc}") from exc
     _validate(tree, names)
     code = compile(tree, f"<expr {src!r}>", "eval")
+    axes = [(name, a) for a, name in enumerate("xyz") if name in code.co_names]
 
     def evaluate(pts: np.ndarray, t: float = 0.0) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        env = dict(_FUNCS)
-        env.update(_CONSTS)
-        env["x"] = pts[:, 0]
-        env["y"] = pts[:, 1] if pts.shape[1] > 1 else np.zeros(pts.shape[0])
-        env["z"] = pts[:, 2] if pts.shape[1] > 2 else np.zeros(pts.shape[0])
-        if with_time:
-            env["t"] = t
-        out = eval(code, {"__builtins__": {}}, env)
-        return np.broadcast_to(np.asarray(out, dtype=float), (pts.shape[0],)).copy()
+        env = dict(_NAMESPACE, t=t)
+        for name, a in axes:
+            env[name] = pts[:, a] if a < pts.shape[1] else np.zeros(pts.shape[0])
+        out = eval(code, env)
+        if np.ndim(out) == 0:
+            return np.full(pts.shape[0], float(out))
+        # A bare coordinate is a view of ``pts``; every other result is fresh.
+        return out.copy() if out.base is not None else out
 
     if with_time:
         return lambda t, pts: evaluate(pts, t)
@@ -93,14 +95,14 @@ def compile_expression(src: str, *, with_time: bool = False) -> Callable:
 def vector_sampler(components, *, with_time: bool = False) -> Callable:
     """Stack per-component expressions into a (m, len(components)) sampler."""
     fns = [compile_expression(c, with_time=with_time) for c in components]
-    if with_time:
-        def sample_t(t, pts):
-            return np.stack([f(t, pts) for f in fns], axis=1)
-        return sample_t
 
-    def sample(pts):
-        return np.stack([f(pts) for f in fns], axis=1)
-    return sample
+    def sample(pts, *t):
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        out = np.empty((pts.shape[0], len(fns)))
+        for j, f in enumerate(fns):
+            out[:, j] = f(*t, pts)
+        return out
+    return (lambda t, pts: sample(pts, t)) if with_time else sample
 
 
 def tensor_sampler(components, dim: int) -> Callable:

@@ -19,8 +19,10 @@ x = (u_t, stress, θ), read off a table of backward differences that ``run``
 keeps (``StartHistory``); k is chosen per step, as the predictors of implicit
 ODE codes are, from the error each order would have made on the step just
 taken.  Each heat CG starts from the current θ iterate, and the
-``mroz_saturating`` Newton from the current stress iterate.  What the heat
-solves take from θ_old alone is computed once per step (``heat_constants``).
+``mroz_saturating`` Newton from the current stress iterate.  What every
+Picard iteration of a step shares is computed once per step
+(``step_constants``): the heat solve's M_θ·θ_old and κ(θ_old), and the stress
+update's split of T_old along the eigenspaces of ℂ.
 The scheme is first order in time.  For a monotone flow rule the stress
 update is solvable for every dt; only heat positivity or Picard divergence
 can reject a step.
@@ -234,12 +236,16 @@ def _saturating_factor(kappa: np.ndarray, r2, dtc, g_start: np.ndarray):
 def stress_substep(sys: GalerkinSystem, C: ElasticityTensor, G: FlowRule,
                    theta_cells: np.ndarray, stress_old: np.ndarray,
                    strain_rate: np.ndarray, dt: float,
-                   stress_start: Optional[np.ndarray] = None):
+                   stress_start: Optional[np.ndarray] = None,
+                   constants: Optional[StepConstants] = None):
     """Implicit stress update ℂ⁻¹(T_new − T_old)/dt + G(θ, T_new) = ε(u_t), per cell.
 
     Every rule is radial, G = g·T, so on a cell's components P this reads
     (I + dt·g·ℂ_P)·T_new = R := T_old + dt·ℂ_P·ε.  Split R = a·n + D along the
     eigenspaces of ℂ_P; then T_new = a·n/(1 + dt·g·c_vol) + D/(1 + dt·g·c_dev).
+    ℂ_P acts on each eigenspace by its eigenvalue, so the split of R is that
+    of T_old, from ``constants`` (the step's ``step_constants``, computed
+    here when not given), plus dt·c times that of ε.
     The ``mroz_saturating`` g = κ(θ)/(1 + |T_new|) is found by Newton from
     κ(θ)/(1 + |T_start|), where ``stress_start`` (default T_old) is the best
     guess of T_new in hand; inside the Picard loop it is the previous
@@ -247,23 +253,22 @@ def stress_substep(sys: GalerkinSystem, C: ElasticityTensor, G: FlowRule,
     StepFailureError if 1 + dt·g·c ≤ 0 (an anti-monotone g < 0), where no
     solution exists.
     """
-    n, c = sys.stress_spectrum(C)
-    old = sys.stress_blocks(stress_old)
+    n, _ = sys.stress_spectrum(C)
+    a_old, D_old, dtc = _stress_split(sys, C, stress_old, dt) if constants is None \
+        else (constants.a_old, constants.D_old, constants.dtc)
     rate = sys.stress_blocks(strain_rate)
-    # ℂ_P·ε = c_dev·ε + (c_vol − c_dev)·(n·ε)·n; absent components stay 0.
-    R = old + dt * (c[:, 1:] * rate
-                    + ((c[:, 0] - c[:, 1]) * np.einsum("ec,ec->e", rate, n))[:, None] * n)
-    a = np.einsum("ec,ec->e", R, n)
-    D = R - a[:, None] * n
+    a_rate = np.einsum("ec,ec->e", rate, n)
+    a = a_old + dtc[:, 0] * a_rate
+    D = D_old + dtc[:, 1:] * (rate - a_rate[:, None] * n)
     kappa = np.asarray(G.kappa(theta_cells), dtype=float)
     if G.kind == "mroz_saturating":
-        start = old if stress_start is None else sys.stress_blocks(stress_start)
+        start = sys.stress_blocks(stress_old if stress_start is None else stress_start)
         g, iters = _saturating_factor(
-            kappa, (a * a, np.einsum("ec,ec->e", D, D)), (dt * c[:, 0], dt * c[:, 1]),
-            kappa / (1.0 + np.sqrt(np.einsum("ec,ec->e", start, start))))
+            kappa, (a * a, np.einsum("ec,ec->e", D, D)), dtc.T,
+            G.factor(kappa, np.sqrt(np.einsum("ec,ec->e", start, start))))
     else:
         g, iters = kappa, 1
-    den = 1.0 + dt * g[:, None] * c
+    den = 1.0 + g[:, None] * dtc
     if not den.min() > 0.0:
         e = int(np.argmin(den.min(axis=1)))
         raise StepFailureError(f"stress update has no solution in cell {e}: 1 + dt·g·c = "
@@ -272,37 +277,53 @@ def stress_substep(sys: GalerkinSystem, C: ElasticityTensor, G: FlowRule,
     return sys.stress_coeffs(T), iters
 
 
+def _stress_split(sys: GalerkinSystem, C: ElasticityTensor, stress: np.ndarray, dt: float):
+    """Per cell a = T·n and D = T − a·n, n the unit vector of ℂ_P's volumetric eigenspace, and dt·c."""
+    n, c = sys.stress_spectrum(C)
+    blocks = sys.stress_blocks(stress)
+    a = np.einsum("ec,ec->e", blocks, n)
+    return a, blocks - a[:, None] * n, dt * c
+
+
 @dataclass
-class HeatConstants:
-    """What every heat solve of one step takes from θ_old alone."""
+class StepConstants:
+    """What every Picard iteration of one step takes from the start-of-step state alone."""
 
-    theta_cells: np.ndarray     # θ_old at the cell centres, where the source is evaluated
-    mass_old: np.ndarray        # M_θ·θ_old
+    mass_old: np.ndarray            # M_θ·θ_old
+    kappa_old: np.ndarray           # κ(θ_old) at the cell centres, where the source is evaluated
+    a_old: Optional[np.ndarray]     # T_old's split along ℂ's eigenspaces (``_stress_split``)
+    D_old: Optional[np.ndarray]
+    dtc: Optional[np.ndarray]       # dt·c, ℂ's eigenvalues (volumetric, deviatoric) per cell
 
 
-def heat_constants(sys: GalerkinSystem, state: SimState) -> HeatConstants:
-    """Check θ_old > 0 and compute the step's ``HeatConstants``."""
-    if not np.all(state.theta > 0.0):
+def step_constants(sys: GalerkinSystem, state: SimState, G: FlowRule,
+                   C: Optional[ElasticityTensor] = None, dt: float = 0.0) -> StepConstants:
+    """Check θ_old > 0 and compute the step's ``StepConstants``; the stress
+    split only with ``C``, as a heat solve alone needs none of it."""
+    if not state.theta.min() > 0.0:
         raise PositivityError(f"start-of-step temperature not positive "
                               f"(min = {state.theta.min():g})")
-    return HeatConstants(sys.cell_center_values(state.theta), sys.M_theta @ state.theta)
+    kappa = np.asarray(G.kappa(sys.cell_center_values(state.theta)), dtype=float)
+    split = (None,) * 3 if C is None else _stress_split(sys, C, state.stress, dt)
+    return StepConstants(sys.M_theta @ state.theta, kappa, *split)
 
 
 def heat_substep(sys: GalerkinSystem, state: SimState, div_v, G: FlowRule,
                  truncation: TruncationLevel, dt: float,
                  stress: Optional[np.ndarray] = None,
                  theta_start: Optional[np.ndarray] = None,
-                 constants: Optional[HeatConstants] = None) -> HeatResult:
+                 constants: Optional[StepConstants] = None) -> HeatResult:
     """Implicit Euler heat solve with clamped dissipation source.
 
     (M + dt·K + dt·A_adv(div u_t))·θ_new = M·θ_old + dt·∫clamp(G(θ_old,T):T)φ
 
     The source is evaluated at cell midpoints from the start-of-step
-    temperature and the supplied stress iterate; homogeneous Neumann data is
-    built into the space (no constrained rows).  ``div_v`` is div u_t at the
-    Gauss points, as ``divergence_of`` returns it, or None or a scalar for a
-    constant div u_t.  ``constants`` are the step's
-    ``heat_constants(sys, state)``, computed here when not given.
+    temperature and the supplied stress iterate, as g·|T|² with g the radial
+    factor of κ(θ_old); homogeneous Neumann data is built into the space (no
+    constrained rows).  ``div_v`` is div u_t at the Gauss points, as
+    ``divergence_of`` returns it, or None or a scalar for a constant div u_t.
+    ``constants`` are the step's ``step_constants``, computed here when not
+    given.
 
     In 1D the matrix is tridiagonal (``sys.heat_bands``) and is solved
     directly by LAPACK ``gtsv``, Gaussian elimination with partial pivoting,
@@ -319,12 +340,14 @@ def heat_substep(sys: GalerkinSystem, state: SimState, div_v, G: FlowRule,
     any dof of the solution is nonpositive.
     """
     if constants is None:
-        constants = heat_constants(sys, state)
-    stress = state.stress if stress is None else stress
+        constants = step_constants(sys, state, G)
+    blocks = sys.stress_blocks(state.stress if stress is None else stress)
     if div_v is None or np.isscalar(div_v):
         div_v = np.full((sys.mesh.n_cells, sys._gauss_N.shape[0]), float(div_v or 0.0))
 
-    src_raw = _cell_dissipation(sys, G, constants.theta_cells, stress)
+    # G(θ_old, T):T = g·|T|² per cell, zero where no stress dofs live.
+    norm2 = np.einsum("ec,ec->e", blocks, blocks)
+    src_raw = G.factor(constants.kappa_old, np.sqrt(norm2)) * norm2
     src = np.asarray(truncate(truncation, src_raw), dtype=float)
 
     rhs = constants.mass_old + dt * sys.heat_source_vector(src)
@@ -344,32 +367,18 @@ def heat_substep(sys: GalerkinSystem, state: SimState, div_v, G: FlowRule,
                 theta_new = spla.spsolve(sys.heat_matrix(dt, div_v).tocsc(), rhs)
             except RuntimeError as exc:
                 raise StepFailureError(f"heat solve failed: {exc}") from exc
-    if not np.all(np.isfinite(theta_new)):
-        raise StepFailureError("heat solve produced non-finite values")
-    if theta_new.min() <= 0.0:
+    low = theta_new.min()
+    if not (low > 0.0 and theta_new.max() < np.inf):  # false on a NaN too
+        if not np.all(np.isfinite(theta_new)):
+            raise StepFailureError("heat solve produced non-finite values")
         stiffness = dt * max(1.0 / h ** 2 for h in sys.mesh.spacing)
         raise PositivityError(
-            f"temperature solve lost positivity (min dof = {theta_new.min():.6g}); "
+            f"temperature solve lost positivity (min dof = {low:.6g}); "
             f"the maximum-principle lower bound min(θ₀)·exp(−∫‖div u_t‖_∞) requires "
             f"a nonnegative source and a resolvable step — reduce dt or check the flow rule; "
             f"dt·max(1/h²) = {stiffness:.3g}, so rounding in dt·K_θ is about "
             f"{np.finfo(float).eps * stiffness:.2g} of M_θ")
     return HeatResult(theta_new, src_raw, src, cg_iters, fallback)
-
-
-def _cell_dissipation(sys: GalerkinSystem, G: FlowRule, theta_cells: np.ndarray,
-                      stress: np.ndarray) -> np.ndarray:
-    """Midpoint values of G(θ,T):T per cell (zero where no stress dofs live)."""
-    blocks = sys.stress_blocks(stress)
-    return np.einsum("ec,ec->e", G.eval_mandel(theta_cells, blocks, sys.mesh.dim), blocks)
-
-
-def _field_residual(new: np.ndarray, prev: np.ndarray) -> float:
-    # Relative with a unit floor so roundoff on (near-)zero fields counts as
-    # converged instead of bouncing the loop on noise.
-    diff = float(np.abs(new - prev).max(initial=0.0))
-    scale = max(float(np.abs(new).max(initial=0.0)), 1.0)
-    return diff / scale
 
 
 def step(sys: GalerkinSystem, cfg: SolverConfig, state: SimState,
@@ -392,9 +401,12 @@ def step(sys: GalerkinSystem, cfg: SolverConfig, state: SimState,
     t_new = state.t + dt
     f_load = sys.load_vector(cfg.forcing, t_new) if cfg.forcing is not None \
         else np.zeros(sys.n_disp)
-    constants = heat_constants(sys, state)
+    constants = step_constants(sys, state, cfg.flow_rule, cfg.elasticity, dt)
 
     v_i, T_i, th_i = (state.v, state.stress, state.theta) if start is None else start
+    # The fields' first entries in x = (u_t, stress, θ), and the iterate as x.
+    fields = np.array([0, v_i.size, v_i.size + T_i.size])
+    x_i = np.concatenate((v_i, T_i, th_i))
     history = []
     heat = None
     inner_total = cg_total = fallbacks = 0
@@ -409,13 +421,16 @@ def step(sys: GalerkinSystem, cfg: SolverConfig, state: SimState,
         strain_rate = sys.B @ v_new
         th_cells = sys.cell_center_values(th_new)
         T_new, inner = stress_substep(sys, cfg.elasticity, cfg.flow_rule, th_cells,
-                                      state.stress, strain_rate, dt, stress_start=T_i)
+                                      state.stress, strain_rate, dt, stress_start=T_i,
+                                      constants=constants)
         inner_total += inner
-        res = max(_field_residual(th_new, th_i),
-                  _field_residual(v_new, v_i),
-                  _field_residual(T_new, T_i))
+        # Per field max|new − prev| / max(max|new|, 1): the unit floor lets
+        # roundoff on (near-)zero fields count as converged.
+        x_new = np.concatenate((v_new, T_new, th_new))
+        res = float((np.maximum.reduceat(np.abs(x_new - x_i), fields)
+                     / np.maximum(np.maximum.reduceat(np.abs(x_new), fields), 1.0)).max())
         history.append(res)
-        v_i, T_i, th_i = v_new, T_new, th_new
+        v_i, T_i, th_i, x_i = v_new, T_new, th_new, x_new
         if res < cfg.picard_tol:
             break
     else:

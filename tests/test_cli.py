@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import sys
+import weakref
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -18,7 +19,7 @@ from thermovisco.config import (
     shipped_config_path,
 )
 from thermovisco.discretization import max_levels
-from thermovisco.expressions import ExpressionError, compile_expression, vector_sampler
+from thermovisco.expressions import _CONSTS, _FUNCS, ExpressionError, compile_expression, vector_sampler
 
 from conftest import run_recording_steps
 
@@ -112,6 +113,50 @@ class TestExpressions:
     def test_rejects_syntax_outside_grammar(self, src, message):
         with pytest.raises(ExpressionError, match=message):
             compile_expression(src)
+
+
+def old_evaluate(src, pts, t=None):
+    """The evaluator as it was: every coordinate bound, the result broadcast and copied."""
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    env = {**_FUNCS, **_CONSTS, "x": pts[:, 0],
+           "y": pts[:, 1] if pts.shape[1] > 1 else np.zeros(pts.shape[0]),
+           "z": pts[:, 2] if pts.shape[1] > 2 else np.zeros(pts.shape[0])}
+    if t is not None:
+        env["t"] = t
+    out = eval(compile(src, "<expr>", "eval"), {"__builtins__": {}}, env)
+    return np.broadcast_to(np.asarray(out, dtype=float), (pts.shape[0],)).copy()
+
+
+class TestLeanExpressions:
+    @pytest.mark.parametrize("src, dim, t", [
+        ("x", 1, None), ("0.5", 1, None), ("y", 1, None), ("sin(pi*x)*t", 1, 0.3),
+        ("exp(-x*y) + z**2", 3, None)])
+    def test_bitwise_equal_to_the_old_evaluator(self, src, dim, t):
+        pts = np.random.default_rng(dim).random((11, dim))
+        f = compile_expression(src, with_time=t is not None)
+        out = f(pts) if t is None else f(t, pts)
+        ref = old_evaluate(src, pts, t)
+        assert out.dtype == ref.dtype and out.shape == ref.shape
+        assert out.tobytes() == ref.tobytes()
+
+    def test_vector_field_bitwise_equal_to_the_old_stack(self):
+        components = ["x*y", "cos(2*t)*z", "1"]
+        pts = np.random.default_rng(3).random((9, 3))
+        out = vector_sampler(components, with_time=True)(0.7, pts)
+        ref = np.stack([old_evaluate(c, pts, 0.7) for c in components], axis=1)
+        assert out.shape == ref.shape and out.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("src", ["x", "0.5", "y", "sin(pi*x)"])
+    def test_keeps_no_reference_to_the_points(self, src):
+        f = compile_expression(src)
+        pts = np.linspace(0.0, 1.0, 5)[:, None]
+        count = sys.getrefcount(pts)
+        out = f(pts)
+        assert sys.getrefcount(pts) == count and not np.shares_memory(out, pts)
+        gone = weakref.ref(pts)
+        del pts
+        assert gone() is None
+        out[0] = -1.0  # the result is the caller's own array
 
 
 class TestConfigParsing:

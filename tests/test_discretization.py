@@ -16,7 +16,7 @@ from thermovisco.discretization import (
     project_displacement,
     project_stress,
 )
-from thermovisco.solver import divergence_of
+from thermovisco.solver import SimState, divergence_of
 
 from conftest import assembled_advection
 
@@ -405,6 +405,46 @@ class TestCellOperators:
         load = np.bincount(system._cell_dofs[present], weights=contrib.reshape(present.shape)[present],
                            minlength=system.n_disp)
         assert _relative_error(system.load_vector(f, 0.2), load) <= tol
+
+
+class TestStressLayout:
+    """Stress coefficients against their per-cell Mandel blocks."""
+
+    @pytest.mark.parametrize("partial", [False, True], ids=["full", "partial"])
+    @pytest.mark.parametrize("cells", [(7,), (5, 7), (4, 3, 5)], ids=["1d", "2d", "3d"])
+    def test_blocks_round_trip_bitwise(self, cells, partial):
+        dim = len(cells)
+        m = build_mesh(dim, [1.0] * dim, cells)
+        system = build_spaces(m, *_levels(m, partial))
+        coeffs = np.random.default_rng(dim).standard_normal(system.k_stress)
+        back = system.stress_coeffs(system.stress_blocks(coeffs))
+        assert back.shape == coeffs.shape and back.tobytes() == coeffs.tobytes()
+
+    @pytest.mark.parametrize("cells", [(7,), (5, 7), (4, 3, 5)], ids=["1d", "2d", "3d"])
+    def test_full_level_blocks_of_a_frozen_state_are_a_read_only_view(self, cells):
+        dim = len(cells)
+        m = build_mesh(dim, [1.0] * dim, cells)
+        system = build_spaces(m, *_levels(m, False))
+        rng = np.random.default_rng(dim)
+        state = SimState(0.0, np.zeros(system.n_disp), np.zeros(system.n_disp),
+                         rng.standard_normal(system.k_stress), np.ones(system.n_temp)).freeze()
+        blocks = system.stress_blocks(state.stress)
+        assert blocks.shape == (m.n_cells, system.s_comp)
+        assert np.shares_memory(blocks, state.stress)
+        with pytest.raises(ValueError, match="read-only"):
+            blocks[0, 0] = 1.0
+
+    @pytest.mark.parametrize("cells", [(7,), (5, 7), (4, 3, 5)], ids=["1d", "2d", "3d"])
+    def test_partial_level_blocks_are_a_zero_padded_copy(self, cells):
+        dim = len(cells)
+        m = build_mesh(dim, [1.0] * dim, cells)
+        system = build_spaces(m, *_levels(m, True))
+        coeffs = np.random.default_rng(dim).standard_normal(system.k_stress)
+        blocks = system.stress_blocks(coeffs)
+        assert not np.shares_memory(blocks, coeffs)
+        flat = blocks.reshape(-1)
+        assert np.array_equal(flat[:system.k_stress], coeffs)
+        assert np.all(flat[system.k_stress:] == 0.0) and flat.size - system.k_stress == 2
 
 
 class TestProjections:

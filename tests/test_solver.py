@@ -22,7 +22,7 @@ from thermovisco.solver import (
     StepFailureError,
     _saturating_factor,
     divergence_of,
-    heat_constants,
+    step_constants,
     heat_substep,
     initialize,
     momentum_substep,
@@ -227,6 +227,44 @@ class TestStress:
         same, _ = stress_substep(sys, C, rule, theta, T_old, E, 0.25, stress_start=T_old)
         assert np.array_equal(same, cold)
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("partial", [False, True], ids=["full", "partial"])
+    @pytest.mark.parametrize("rule", [FlowRule.linear(20.0), FlowRule.mroz_saturating(20.0),
+                                      FlowRule.temperature_weighted(20.0)],
+                             ids=lambda r: r.kind)
+    def test_split_update_matches_the_split_of_R(self, dim, partial, rule):
+        # Adding dt·c times the split of ε to the split of T_old is the split of
+        # R = T_old + dt·ℂ_P·ε, to rounding, with or without the step's constants.
+        mesh = build_mesh(dim, [1.0] * dim, [3] * dim)
+        n_disp, k = max_levels(dim, mesh.cells)
+        k -= 2 if partial else 0
+        sys = build_spaces(mesh, n_disp, k)
+        C, dt = ElasticityTensor(1.0, 0.7), 0.25
+        rng = np.random.default_rng(dim)
+        T_old, E = rng.standard_normal(k), 5.0 * rng.standard_normal(k)
+        theta = rng.uniform(0.5, 2.0, mesh.n_cells)
+
+        n, c = sys.stress_spectrum(C)
+        old, rate = sys.stress_blocks(T_old), sys.stress_blocks(E)
+        R = old + dt * (c[:, 1:] * rate
+                        + ((c[:, 0] - c[:, 1]) * np.einsum("ec,ec->e", rate, n))[:, None] * n)
+        a = np.einsum("ec,ec->e", R, n)
+        D = R - a[:, None] * n
+        kappa = rule.kappa(theta)
+        g = kappa
+        if rule.kind == "mroz_saturating":
+            g, _ = _saturating_factor(kappa, (a * a, np.einsum("ec,ec->e", D, D)),
+                                      (dt * c[:, 0], dt * c[:, 1]),
+                                      kappa / (1.0 + np.sqrt(np.einsum("ec,ec->e", old, old))))
+        den = 1.0 + dt * g[:, None] * c
+        ref = sys.stress_coeffs((a / den[:, 0])[:, None] * n + D / den[:, 1:])
+
+        state = SimState(0.0, np.zeros(n_disp), np.zeros(n_disp), T_old, np.ones(sys.n_temp))
+        constants = step_constants(sys, state, rule, C, dt)
+        for given in (None, constants):
+            T_new, _ = stress_substep(sys, C, rule, theta, T_old, E, dt, constants=given)
+            assert np.abs(T_new - ref).max() <= 1e-14 * np.abs(ref).max()
+
     @pytest.mark.parametrize("outside", [-1.0, 0.0, 1e6])
     def test_saturating_start_is_clipped_to_bracket(self, outside):
         # A start outside [κ/(1 + |R|), κ] runs exactly as one at the nearer end.
@@ -332,6 +370,47 @@ class TestHeat:
         assert np.allclose(out.source_raw, 7.0, atol=1e-12)
         assert np.allclose(out.source_trunc, 5.0, atol=1e-12)
 
+    @pytest.mark.parametrize("partial", [False, True], ids=["full", "partial"])
+    @pytest.mark.parametrize("cells", [(9,), (5, 7), (4, 3, 5)], ids=["1d", "2d", "3d"])
+    @pytest.mark.parametrize("rule", [
+        FlowRule.linear(2.0), FlowRule.mroz_saturating(2.0), FlowRule.temperature_weighted(2.0),
+        FlowRule.custom(lambda theta: 1.0 / (1.0 + theta ** 2), c_growth=1.0)],
+        ids=lambda r: r.kind)
+    def test_source_is_g_times_the_squared_norm(self, cells, partial, rule):
+        # g·|T|² from the step's κ(θ_old) is G(θ_old, T):T to rounding.
+        dt = 0.01
+        sys, state, div = random_heat_case(cells, partial, 0.0, dt)
+        stress = 3.0 * np.random.default_rng(2).standard_normal(sys.k_stress)
+        out = heat_substep(sys, state, div, rule, TruncationLevel(1e6), dt, stress=stress)
+        blocks = sys.stress_blocks(stress)
+        ref = np.einsum("ec,ec->e", rule.eval_mandel(sys.cell_center_values(state.theta),
+                                                     blocks, sys.mesh.dim), blocks)
+        assert np.all(np.abs(out.source_raw - ref) <= 1e-14 * np.abs(ref))
+
+    @pytest.mark.parametrize("value, error", [
+        (np.nan, "non-finite"), (np.inf, "non-finite"), (-np.inf, "non-finite"), (0.0, "positivity")])
+    @pytest.mark.parametrize("cells", [(9,), (5, 7)], ids=["1d-gtsv", "2d-pcg"])
+    def test_bad_solution_fails_the_step(self, monkeypatch, cells, value, error):
+        # One bad dof in an otherwise positive solution: a NaN or an infinity is a
+        # failed solve, and a zero dof lost positivity.
+        def bad(b):
+            x = np.ones_like(b)
+            x[3] = value
+            return x
+        if len(cells) == 1:
+            monkeypatch.setattr(solver.lapack, "dgtsv", lambda dl, d, du, b: (dl, d, du, bad(b), 0))
+        else:
+            monkeypatch.setattr(solver, "pcg", lambda apply, b, x0, precond: (bad(b), 1))
+        sys, state, div = random_heat_case(cells, False, 0.5, 0.01)
+        with pytest.raises(StepFailureError) as err:
+            heat_substep(sys, state, div, FlowRule.linear(1.0), TruncationLevel(10.0), 0.01)
+        if error == "non-finite":
+            assert type(err.value) is StepFailureError
+            assert str(err.value) == "heat solve produced non-finite values"
+        else:
+            assert type(err.value) is PositivityError
+            assert "min dof = 0" in str(err.value)
+
     def test_positivity_error_raised(self):
         # violent expansion at huge dt drives θ through zero
         sys = small_system()
@@ -391,7 +470,7 @@ class TestHeat:
         warm = heat_substep(*args, theta_start=guess)
         assert not warm.fallback
         assert np.abs(warm.theta - cold.theta).max() <= 1e-12 * np.abs(cold.theta).max()
-        hoisted = heat_substep(*args, constants=heat_constants(sys, state))
+        hoisted = heat_substep(*args, constants=step_constants(sys, state, FlowRule.linear(1.0)))
         assert np.array_equal(hoisted.theta, cold.theta)
 
     @pytest.mark.parametrize("cells", [(200, 2), (200, 2, 2)], ids=["cells1", "cells2"])
@@ -442,6 +521,23 @@ class TestStep:
         assert result.heat.fallback
         assert result.heat_fallbacks == result.iterations > 1
         assert result.heat_cg_iters == result.iterations
+
+    def test_takes_kappa_of_the_old_theta_once_per_step(self, monkeypatch):
+        # The heat source's κ(θ_old) is a step constant; each stress update
+        # takes κ of its own new θ.
+        sys, cfg = swirl_problem()
+        cfg = replace(cfg, flow_rule=FlowRule.temperature_weighted(1.0))
+        state = initialize(sys, cfg)
+        cfg = replace(cfg, truncation=resolve_truncation(sys, cfg, state))
+        calls = []
+        kappa = FlowRule.kappa
+        monkeypatch.setattr(FlowRule, "kappa",
+                            lambda self, theta: calls.append(np.copy(theta)) or kappa(self, theta))
+        result = step(sys, cfg, state)
+        old = sys.cell_center_values(state.theta)
+        assert result.iterations > 1
+        assert len(calls) == 1 + result.iterations
+        assert sum(np.array_equal(c, old) for c in calls) == 1
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_reports_the_new_theta_at_the_cell_centres(self, dim):
@@ -570,8 +666,8 @@ class TestStep:
         assert np.abs(mom).max() < 1e-8
 
         th_c = sys.cell_center_values(state.theta)
-        cinv_rate = cfg.elasticity.inverse_apply_mandel(
-            (state.stress - old.stress)[:, None], 1)[:, 0] / dt
+        cinv_rate = ((state.stress - old.stress)[:, None]
+                     @ cfg.elasticity.inverse_mandel_matrix(1))[:, 0] / dt
         g = cfg.flow_rule.eval_mandel(th_c, state.stress[:, None], 1)[:, 0]
         assert np.abs(cinv_rate + g - sys.B @ state.v).max() < 1e-8
 
