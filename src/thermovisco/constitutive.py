@@ -191,28 +191,25 @@ class FlowRule:
         """The radial factor g from the temperature factor κ(θ) and the norm |T|."""
         return kappa / (1.0 + norm) if self.kind == "mroz_saturating" else kappa
 
-    def _radial_factor(self, theta, norm):
-        return self.factor(self.kappa(theta), norm)
-
-    def eval_mandel(self, theta: np.ndarray, V: np.ndarray, dim: int = 3) -> np.ndarray:
+    def eval_mandel(self, theta: np.ndarray, V: np.ndarray) -> np.ndarray:
         """Vectorized G on Mandel vectors: theta (n,), V (n, s) -> (n, s)."""
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
         V = np.atleast_2d(np.asarray(V, dtype=float))
         norm = np.sqrt(np.einsum("ec,ec->e", V, V))
-        return self._radial_factor(theta, norm)[:, None] * V
+        return self.factor(self.kappa(theta), norm)[:, None] * V
 
     def eval(self, theta: float, T: np.ndarray) -> np.ndarray:
         """G(θ, T) for a single symmetric matrix T."""
         T = _check_symmetric(T)
         v = to_mandel(T)
-        out = self.eval_mandel(np.array([theta]), v[None, :], dim=T.shape[0])
+        out = self.eval_mandel(np.array([theta]), v[None, :])
         return from_mandel(out[0], T.shape[0])
 
     def scalar_eval(self, theta, T):
         """1D reduction: scalar stress in, scalar rate out (arrays ok)."""
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
         T = np.atleast_1d(np.asarray(T, dtype=float))
-        out = self.eval_mandel(theta, T[:, None], dim=1)[:, 0]
+        out = self.eval_mandel(theta, T[:, None])[:, 0]
         return out if out.size > 1 else float(out[0])
 
 
@@ -313,9 +310,9 @@ def verify_admissibility(G: FlowRule, sample_count: int = 10_000,
     eta1 = _random_symmetric(rng, sample_count, dim)
     eta2 = _random_symmetric(rng, sample_count, dim)
 
-    g1 = G.eval_mandel(thetas, eta1, dim)
-    g2 = G.eval_mandel(thetas, eta2, dim)
-    g0 = G.eval_mandel(thetas, np.zeros_like(eta1), dim)
+    g1 = G.eval_mandel(thetas, eta1)
+    g2 = G.eval_mandel(thetas, eta2)
+    g0 = G.eval_mandel(thetas, np.zeros_like(eta1))
 
     mono = np.einsum("ij,ij->i", g1 - g2, eta1 - eta2)
     diss = np.einsum("ij,ij->i", g1, eta1)

@@ -197,14 +197,15 @@ def check_levels(dim: int, cells, n_disp: int, k_stress: int) -> None:
 class GalerkinSystem:
     """Assembled discrete spaces and coupling operators on one mesh.
 
-    Each node-block operator is one scatter of its per-cell blocks into one
-    CSR pattern, that of the node pairs sharing a cell; D and M_u reuse the
-    scalar scatter per displacement component.  The heat matrix
+    Each node operator is one sparse product: ``_gather_T``, the map that
+    sums cell corners into the nodes, times the per-cell blocks laid out one
+    row per corner; D's blocks carry one column per displacement component,
+    and M_u is M_theta once per component.  The heat matrix
     M_theta + dt·K_theta + dt·A_adv(div u_t) has one definition in every
     dimension, its per-cell blocks M_e + dt·K_e + dt·Nᵀ·diag(w·div)·N: in 1D
     ``heat_bands`` reads them as three bands, and in 2D/3D ``heat_operator``
     applies them cell by cell without assembling the matrix; ``heat_matrix``
-    scatters them into CSR only for the direct solve CG falls back to.
+    sums them into CSR only for the direct solve CG falls back to.
 
     In 1D every node-block operator is tridiagonal in node order: the caller
     solves the heat matrix directly from its bands, and M_u, a prefix of the
@@ -275,6 +276,7 @@ class GalerkinSystem:
         self._spectra = {}
         self._heat_fixed = {}  # per dt: the 1D block M_e + dt·K_e, or the 2D/3D heat_inverse
 
+        self._build_cell_maps(mesh)
         self._build_reference(dim)
         self._assemble(mesh, dim)
         if dim == 1:
@@ -290,7 +292,6 @@ class GalerkinSystem:
                                  f"leading minor {info} of M_u is not positive")
         else:
             self._build_axis_inverses(mesh, dim)
-        self._build_cell_maps(mesh)
 
     def _build_axis_inverses(self, mesh, dim):
         """Per-axis factors of the 2D/3D inverses; 2D gets a trivial z axis."""
@@ -348,16 +349,6 @@ class GalerkinSystem:
         cn = mesh.cell_nodes
         self._gauss_xy = (mesh.nodes[cn[:, 0]][:, None, :]
                           + self._gauss_ref[None, :, :] * np.array(h))  # (n_cells, n_g, dim)
-        # The node-pair pattern, and the slot in its .data of each entry of
-        # the flattened per-cell (n_loc x n_loc) blocks.
-        n = mesh.n_nodes
-        keys, self._slot = np.unique((cn[:, :, None] * n + cn[:, None, :]).ravel(),
-                                     return_inverse=True)
-        pattern = sp.csr_matrix((np.zeros(keys.size), keys % n,
-                                 np.searchsorted(keys // n, np.arange(n + 1))), shape=(n, n))
-        self._indices, self._indptr = pattern.indices, pattern.indptr
-        for arr in (self._indices, self._indptr):  # shared by every operator on it
-            arr.setflags(write=False)
 
     def _build_cell_maps(self, mesh):
         """Fixed sparse maps between the nodes and the (cell, corner) slots.
@@ -366,8 +357,8 @@ class GalerkinSystem:
         value of every slot, and ``_gather_T`` sums slot values into the
         nodes; ``_center_map`` averages the corners of every cell, and
         ``_source_map`` spreads vol/n_loc of a cell value to each corner.
-        All are built directly in CSR, and last, once assembly has freed its
-        temporaries, so that they do not raise the peak memory of set-up.
+        All are built directly in CSR, and ``_scatter`` assembles every node
+        operator through ``_gather_T``.
         """
         n, n_loc = mesh.n_nodes, 2 ** mesh.dim
         # CSR's own index type, so that maps on the same indices share them.
@@ -406,11 +397,22 @@ class GalerkinSystem:
 
     # -- assembly -------------------------------------------------------------
 
-    def _scatter(self, blocks) -> sp.csr_matrix:
-        """Sum per-cell (n_loc, n_loc) blocks, or one block for every cell, into the pattern."""
-        blocks = np.broadcast_to(blocks, (self.mesh.n_cells,) + np.shape(blocks)[-2:])
-        data = np.bincount(self._slot, weights=blocks.ravel(), minlength=self._indices.size)
-        return sp.csr_matrix((data, self._indices, self._indptr), shape=(self.n_temp, self.n_temp))
+    def _scatter(self, blocks, k=1) -> sp.csr_matrix:
+        """Sum per-cell blocks (n_loc, n_loc[, k]), or one block for every cell, into an
+        (n_nodes, n_nodes·k) CSR, entry (p, q[, c]) of cell e at row ``cell_nodes[e, p]``
+        and column ``cell_nodes[e, q]``·k + c: ``_gather_T`` sums into the nodes a
+        per-slot CSR whose row (e, p) holds block row p of cell e."""
+        cn = self.mesh.cell_nodes
+        shape = cn.shape + (cn.shape[1], k)  # (cell, p, q, c)
+        data = np.broadcast_to(np.reshape(blocks, (-1,) + shape[1:]), shape)
+        # CSR's own index type, so that scipy keeps the columns rather than a copy.
+        cols = np.broadcast_to((cn * k).astype(np.int32)[:, None, :, None]
+                               + np.arange(k, dtype=np.int32), shape)
+        indptr = np.arange(0, data.size + 1, shape[2] * k, dtype=np.int32)
+        out = self._gather_T @ sp.csr_matrix((data.ravel(), cols.ravel(), indptr),
+                                             shape=(cn.size, self.n_temp * k))
+        out.sort_indices()  # so that a product with it sums every row in column order
+        return out
 
     def _assemble(self, mesh, dim):
         self.M_theta = self._scatter(self._m_elem)
@@ -424,13 +426,8 @@ class GalerkinSystem:
         # Displacement mass: the scalar mass once per component.
         self.M_u = sp.kron(self.M_theta, sp.eye(dim), format="csr")[vec][:, vec]
 
-        # Divergence coupling D[i, (m, c)] = ∫ N_i ∂N_m/∂x_c: one scatter per
-        # component c, interleaved into vector columns m·dim + c.
-        n = self.n_temp
-        data = np.stack([self._scatter(self._d_elem[c]).data for c in range(dim)], axis=1)
-        cols = self._indices[:, None] * dim + np.arange(dim)
-        self.D = sp.csr_matrix((data.ravel(), cols.ravel(), self._indptr * dim),
-                               shape=(n, n * dim))[:, vec]
+        # Divergence coupling D[i, (m, c)] = ∫ N_i ∂N_m/∂x_c, in vector columns m·dim + c.
+        self.D = self._scatter(np.stack(self._d_elem, -1), dim)[:, vec]
 
         # Strain projection B: Mandel components of the cell-mean of ε(N_p e_c)
         # = sym(e_c ⊗ ∇N_p(center)), one constant block per cell; zeros not stored.
@@ -441,7 +438,7 @@ class GalerkinSystem:
         B = sp.csr_matrix((np.tile(block[p, c, comp], mesh.n_cells),
                            ((cells * self.s_comp + comp).ravel(),
                             (mesh.cell_nodes[:, p] * dim + c).ravel())),
-                          shape=(mesh.n_cells * self.s_comp, n * dim))
+                          shape=(mesh.n_cells * self.s_comp, self.n_temp * dim))
         self.B = B[:self.k_stress][:, vec]
         self.B_T, self.D_T = self.B.T, self.D.T
 
@@ -545,7 +542,7 @@ class GalerkinSystem:
         return apply
 
     def heat_matrix(self, dt: float, div_gauss: np.ndarray) -> sp.csr_matrix:
-        """The ``heat_blocks`` scattered into the node-pair pattern, assembled anew per call."""
+        """The ``heat_blocks`` summed into a CSR matrix, assembled anew per call."""
         return self._scatter(self.heat_blocks(dt, div_gauss))
 
     def heat_bands(self, dt: float, div_gauss: np.ndarray) -> tuple:

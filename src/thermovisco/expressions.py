@@ -81,9 +81,13 @@ def compile_expression(src: str, *, with_time: bool = False) -> Callable:
         env = dict(_NAMESPACE, t=t)
         for name, a in axes:
             env[name] = pts[:, a] if a < pts.shape[1] else np.zeros(pts.shape[0])
-        out = eval(code, env)
-        if np.ndim(out) == 0:
-            return np.full(pts.shape[0], float(out))
+        # Python scalars raise where arrays give inf or nan: 1/0, 10.0**400, (-1)**0.5.
+        try:
+            out = eval(code, env)
+            if np.ndim(out) == 0:
+                return np.full(pts.shape[0], float(out))
+        except (ArithmeticError, TypeError) as exc:
+            raise ExpressionError(f"evaluating {src!r} failed: {exc}") from exc
         # A bare coordinate is a view of ``pts``; every other result is fresh.
         return out.copy() if out.base is not None else out
 

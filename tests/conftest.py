@@ -26,7 +26,7 @@ def run_recording_steps(sys, cfg):
 
 def assembled_advection(sys, div):
     """A_adv(div) as a CSR matrix: the per-cell blocks Σ_g (w·div)_g·N_gp·N_gq,
-    from ``advection_matrix``'s Gauss weights, scattered into the node pattern."""
+    from ``advection_matrix``'s Gauss weights, summed into the nodes by ``_scatter``."""
     N = sys._gauss_N
     return sys._scatter(np.einsum("eg,gp,gq->epq", sys.advection_matrix(div), N, N))
 

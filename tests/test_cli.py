@@ -321,6 +321,13 @@ class TestConfigParsing:
             assert make_flow_rule(rc).kind == kind
 
 
+# Data whose evaluation raises on Python scalars: at t = 0, or (the forcing)
+# at step 2, where t - 0.002 is exactly zero.
+RAISING_EXPRESSIONS = ["theta0 = 1/0", "theta0 = 1 + (-1)**0.5", "theta0 = 1 + 10.0**400",
+                       "theta0 = 1\nf = 1/(t - 0.002)"]
+RAISING_IDS = ["zero-division", "complex", "overflow", "forcing-at-step-2"]
+
+
 class TestCmdRun:
     def test_zero_config_exit_zero(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("THERMOVISCO_OUTDIR", str(tmp_path / "out"))
@@ -410,6 +417,14 @@ class TestCmdRun:
         err = capsys.readouterr().err
         assert "residual history" in err and "t=" in err
         assert err.count("residual history") == 1
+
+    @pytest.mark.parametrize("data", RAISING_EXPRESSIONS, ids=RAISING_IDS)
+    def test_expression_that_raises_exit_one(self, tmp_path, monkeypatch, capsys, data):
+        monkeypatch.setenv("THERMOVISCO_OUTDIR", str(tmp_path / "out"))
+        assert main(["run", str(write_cfg(tmp_path, MINIMAL.replace("preset = zero", data)))]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: evaluating {data.split(' = ')[-1]!r} failed: ")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("dim, cells", [(1, 16), (2, 4), (3, 3)])
     def test_tiny_extents_report_stiffness_ratio(self, tmp_path, monkeypatch, capsys,
@@ -559,6 +574,14 @@ class TestCmdConvergence:
         pair = capsys.readouterr().out.splitlines()[1].split()
         assert pair[0] == "0->" and pair[1] == "1"
         assert all(0.0 < float(d) < 1.0 for d in pair[2:])
+
+    @pytest.mark.parametrize("data", RAISING_EXPRESSIONS, ids=RAISING_IDS)
+    def test_expression_that_raises_exit_one(self, tmp_path, capsys, data):
+        cfg = write_cfg(tmp_path, MINIMAL.replace("preset = zero", data))
+        assert main(["convergence", str(cfg), "--levels", "4:full:full:1e-3;8:full:full:1e-3"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: level 0 (4 cells, dt=0.001) failed: evaluating ")
+        assert err.count("\n") == 1
 
     def test_single_level_rejected(self, tmp_path):
         cfg = write_cfg(tmp_path, self.SMOOTH)

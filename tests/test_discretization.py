@@ -146,6 +146,20 @@ class TestBuildSpaces:
             banded = np.diag(lower, -1) + np.diag(diag) + np.diag(upper, 1)
             assert np.abs(banded - sys.heat_matrix(dt, div).toarray()).max() <= 1e-15
 
+    @pytest.mark.parametrize("dim, cells", [(2, [6, 5]), (3, [4, 3, 3])])
+    def test_holds_no_table_per_cell_block_entry(self, dim, cells):
+        # Node operators are summed through the (cell, corner) maps, so no
+        # integer array with one entry per entry of every n_loc x n_loc cell
+        # block outlives set-up.
+        m = build_mesh(dim, [1.0] * dim, cells)
+        sys = build_spaces(m, *max_levels(dim, m.cells))
+        held = []
+        for value in vars(sys).values():
+            held += [value] if isinstance(value, np.ndarray) else [
+                getattr(value, attr) for attr in ("indices", "indptr") if hasattr(value, attr)]
+        sizes = [a.size for a in held if np.issubdtype(a.dtype, np.integer)]
+        assert len(sizes) >= 10 and m.n_cells * 4 ** dim not in sizes
+
     def test_displacement_basis_vanishes_on_boundary(self):
         m = build_mesh(2, [1.0, 1.0], [4, 4])
         sys = build_spaces(m, m.interior_nodes.size * 2, 1)

@@ -138,7 +138,7 @@ class TestStress:
         rule = FlowRule.mroz_saturating(1.0)
         T_old = np.full(sys.k_stress, 0.5)
         theta = np.full(sys.mesh.n_cells, 1.3)
-        E = rule.eval_mandel(theta, T_old[:, None], 1)[:, 0]
+        E = rule.eval_mandel(theta, T_old[:, None])[:, 0]
         T_new, iters = stress_substep(sys, C_HALF, rule, theta, T_old, E, 0.05)
         assert np.allclose(T_new, T_old, atol=1e-12)
         assert iters <= 2
@@ -183,7 +183,7 @@ class TestStress:
                 continue
             P = sys.stress_comp[dofs]
             t = T_new[dofs]
-            G = rule.eval_mandel(theta[e:e + 1], np.pad(t, (0, s - t.size))[None, :], dim)[0]
+            G = rule.eval_mandel(theta[e:e + 1], np.pad(t, (0, s - t.size))[None, :])[0]
             g = G[:t.size] @ t / (t @ t)  # radial: G = g·T
             A = cinv[np.ix_(P, P)]
             dense = np.linalg.solve(A + dt * g * np.eye(P.size), A @ T_old[dofs] + dt * E[dofs])
@@ -384,7 +384,7 @@ class TestHeat:
         out = heat_substep(sys, state, div, rule, TruncationLevel(1e6), dt, stress=stress)
         blocks = sys.stress_blocks(stress)
         ref = np.einsum("ec,ec->e", rule.eval_mandel(sys.cell_center_values(state.theta),
-                                                     blocks, sys.mesh.dim), blocks)
+                                                     blocks), blocks)
         assert np.all(np.abs(out.source_raw - ref) <= 1e-14 * np.abs(ref))
 
     @pytest.mark.parametrize("value, error", [
@@ -668,14 +668,14 @@ class TestStep:
         th_c = sys.cell_center_values(state.theta)
         cinv_rate = ((state.stress - old.stress)[:, None]
                      @ cfg.elasticity.inverse_mandel_matrix(1))[:, 0] / dt
-        g = cfg.flow_rule.eval_mandel(th_c, state.stress[:, None], 1)[:, 0]
+        g = cfg.flow_rule.eval_mandel(th_c, state.stress[:, None])[:, 0]
         assert np.abs(cinv_rate + g - sys.B @ state.v).max() < 1e-8
 
         div = divergence_of(sys, state.v)
         A = sys.M_theta + dt * sys.K_theta + dt * assembled_advection(sys, div)
         src = truncate(cfg.truncation,
                        cfg.flow_rule.eval_mandel(sys.cell_center_values(old.theta),
-                                                 state.stress[:, None], 1)[:, 0] * state.stress)
+                                                 state.stress[:, None])[:, 0] * state.stress)
         heat_res = A @ state.theta - sys.M_theta @ old.theta - dt * sys.heat_source_vector(src)
         assert np.abs(heat_res).max() < 1e-8
 
