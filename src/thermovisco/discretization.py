@@ -244,10 +244,8 @@ class GalerkinSystem:
     D : csr_matrix (n_temp, n_disp) — divergence coupling ∫ N_i div φ_j
     B_T, D_T : csc_matrix — the transposes of B and D, views sharing their arrays
 
-    Instances are immutable after construction, apart from the memos of
-    ``stress_spectrum`` and, per dt, of ``heat_bands`` (1D: the block
-    M_e + dt·K_e) and ``heat_inverse`` (2D/3D: only the diagonal
-    1/(1 + dt·Σλ)), and safe to share read-only.
+    Instances are immutable after construction, apart from the memo of
+    ``stress_spectrum``, and safe to share read-only.
     """
 
     def __init__(self, mesh: Mesh, n_disp: int, k_stress: int):
@@ -274,7 +272,6 @@ class GalerkinSystem:
         self.stress_cell = np.repeat(np.arange(mesh.n_cells), self.s_comp)[:k_stress]
         self.stress_comp = np.tile(np.arange(self.s_comp), mesh.n_cells)[:k_stress]
         self._spectra = {}
-        self._heat_fixed = {}  # per dt: the 1D block M_e + dt·K_e, or the 2D/3D heat_inverse
 
         self._build_cell_maps(mesh)
         self._build_reference(dim)
@@ -549,24 +546,19 @@ class GalerkinSystem:
         """1D: the (lower, diagonal, upper) bands of the heat matrix.
 
         Cell e couples nodes e and e + 1 only, so the matrix is tridiagonal in
-        node order, with the ``heat_blocks`` of the cells as its 2x2 pieces;
-        their fixed part M_e + dt·K_e is memoized per dt, built at first use.
+        node order, with the ``heat_blocks`` of the cells as its 2x2 pieces.
         """
-        if dt not in self._heat_fixed:
-            self._heat_fixed[dt] = (self._m_elem + dt * self._k_elem).reshape(-1)
-        blocks = self._heat_fixed[dt] + dt * (self.advection_matrix(div_gauss) @ self._adv_table)
+        blocks = ((self._m_elem + dt * self._k_elem).reshape(-1)
+                  + dt * (self.advection_matrix(div_gauss) @ self._adv_table))
         diag = np.concatenate((blocks[:, 0], [0.0]))
         diag[1:] += blocks[:, 3]
         return blocks[:, 2], diag, blocks[:, 1]
 
     def heat_inverse(self, dt: float) -> Callable:
-        """2D/3D: r ↦ (M_θ + dt·K_θ)⁻¹·r, memoized per dt and built at first use."""
-        if dt not in self._heat_fixed:
-            d = 1.0 / (1.0 + dt * self._heat_lam)
-            Vx, Vy, Vz = self._heat_V
-            self._heat_fixed[dt] = lambda r: _tensor_apply(
-                d * _tensor_apply(r, Vx.T, Vy.T, Vz.T), Vx, Vy, Vz)
-        return self._heat_fixed[dt]
+        """2D/3D: r ↦ (M_θ + dt·K_θ)⁻¹·r, built anew per call (once per heat solve)."""
+        d = 1.0 / (1.0 + dt * self._heat_lam)
+        Vx, Vy, Vz = self._heat_V
+        return lambda r: _tensor_apply(d * _tensor_apply(r, Vx.T, Vy.T, Vz.T), Vx, Vy, Vz)
 
     def heat_source_vector(self, cell_values: np.ndarray) -> np.ndarray:
         """∫ s φ_i for a cellwise-constant source, midpoint-consistent."""

@@ -88,6 +88,8 @@ def compile_expression(src: str, *, with_time: bool = False) -> Callable:
                 return np.full(pts.shape[0], float(out))
         except (ArithmeticError, TypeError) as exc:
             raise ExpressionError(f"evaluating {src!r} failed: {exc}") from exc
+        if np.iscomplexobj(out):  # (-1)**0.5*x: an array takes the complex value silently
+            raise ExpressionError(f"evaluating {src!r} failed: the value is complex")
         # A bare coordinate is a view of ``pts``; every other result is fresh.
         return out.copy() if out.base is not None else out
 

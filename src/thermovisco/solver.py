@@ -22,7 +22,9 @@ taken.  Each heat CG starts from the current θ iterate, and the
 ``mroz_saturating`` Newton from the current stress iterate.  What every
 Picard iteration of a step shares is computed once per step
 (``step_constants``): the heat solve's M_θ·θ_old and κ(θ_old), and the stress
-update's split of T_old along the eigenspaces of ℂ.
+update's split of T_old along the eigenspaces of ℂ.  That is the only place
+the start-of-step state enters the loop: each substep takes these constants
+and its iterates from ``step`` and has no default for any of them.
 The scheme is first order in time.  For a monotone flow rule the stress
 update is solvable for every dt; only heat positivity or Picard divergence
 can reject a step.
@@ -39,6 +41,7 @@ from typing import Callable, Optional, Sequence, Union
 from .constitutive import ElasticityTensor, FlowRule, TruncationLevel, truncate, verify_admissibility
 from .diagnostics import BalanceLedger, total_energy
 from .discretization import GalerkinSystem, pcg, project_displacement, project_stress
+from .expressions import ExpressionError
 
 
 class StepFailureError(RuntimeError):
@@ -233,36 +236,55 @@ def _saturating_factor(kappa: np.ndarray, r2, dtc, g_start: np.ndarray):
                            f"{_FACTOR_MAX_ITERS} Newton iterations")
 
 
+@dataclass
+class StepConstants:
+    """What every Picard iteration of one step takes from the start-of-step state alone."""
+
+    mass_old: np.ndarray    # M_θ·θ_old
+    kappa_old: np.ndarray   # κ(θ_old) at the cell centres, where the source is evaluated
+    a_old: np.ndarray       # per cell a = T_old·n, n the unit vector of ℂ_P's volumetric eigenspace
+    D_old: np.ndarray       # per cell T_old − a·n
+    dtc: np.ndarray         # dt·c, ℂ's eigenvalues (volumetric, deviatoric) per cell
+
+
+def step_constants(sys: GalerkinSystem, state: SimState, G: FlowRule,
+                   C: ElasticityTensor, dt: float) -> StepConstants:
+    """Check θ_old > 0 and compute the step's ``StepConstants``."""
+    if not state.theta.min() > 0.0:
+        raise PositivityError(f"start-of-step temperature not positive "
+                              f"(min = {state.theta.min():g})")
+    kappa = np.asarray(G.kappa(sys.cell_center_values(state.theta)), dtype=float)
+    n, c = sys.stress_spectrum(C)
+    blocks = sys.stress_blocks(state.stress)
+    a = np.einsum("ec,ec->e", blocks, n)
+    return StepConstants(sys.M_theta @ state.theta, kappa, a, blocks - a[:, None] * n, dt * c)
+
+
 def stress_substep(sys: GalerkinSystem, C: ElasticityTensor, G: FlowRule,
-                   theta_cells: np.ndarray, stress_old: np.ndarray,
-                   strain_rate: np.ndarray, dt: float,
-                   stress_start: Optional[np.ndarray] = None,
-                   constants: Optional[StepConstants] = None):
+                   theta_cells: np.ndarray, strain_rate: np.ndarray,
+                   stress_start: np.ndarray, constants: StepConstants):
     """Implicit stress update ℂ⁻¹(T_new − T_old)/dt + G(θ, T_new) = ε(u_t), per cell.
 
     Every rule is radial, G = g·T, so on a cell's components P this reads
     (I + dt·g·ℂ_P)·T_new = R := T_old + dt·ℂ_P·ε.  Split R = a·n + D along the
     eigenspaces of ℂ_P; then T_new = a·n/(1 + dt·g·c_vol) + D/(1 + dt·g·c_dev).
     ℂ_P acts on each eigenspace by its eigenvalue, so the split of R is that
-    of T_old, from ``constants`` (the step's ``step_constants``, computed
-    here when not given), plus dt·c times that of ε.
+    of T_old, from the step's ``constants``, plus dt·c times that of ε.
     The ``mroz_saturating`` g = κ(θ)/(1 + |T_new|) is found by Newton from
-    κ(θ)/(1 + |T_start|), where ``stress_start`` (default T_old) is the best
-    guess of T_new in hand; inside the Picard loop it is the previous
-    iterate.  Returns (coefficients, Newton iterations or 1).  Raises
-    StepFailureError if 1 + dt·g·c ≤ 0 (an anti-monotone g < 0), where no
-    solution exists.
+    κ(θ)/(1 + |T_start|), where ``stress_start`` is the best guess of T_new
+    in hand: inside the Picard loop, the previous iterate.  Returns
+    (coefficients, Newton iterations or 1).  Raises StepFailureError if
+    1 + dt·g·c ≤ 0 (an anti-monotone g < 0), where no solution exists.
     """
     n, _ = sys.stress_spectrum(C)
-    a_old, D_old, dtc = _stress_split(sys, C, stress_old, dt) if constants is None \
-        else (constants.a_old, constants.D_old, constants.dtc)
+    dtc = constants.dtc
     rate = sys.stress_blocks(strain_rate)
     a_rate = np.einsum("ec,ec->e", rate, n)
-    a = a_old + dtc[:, 0] * a_rate
-    D = D_old + dtc[:, 1:] * (rate - a_rate[:, None] * n)
+    a = constants.a_old + dtc[:, 0] * a_rate
+    D = constants.D_old + dtc[:, 1:] * (rate - a_rate[:, None] * n)
     kappa = np.asarray(G.kappa(theta_cells), dtype=float)
     if G.kind == "mroz_saturating":
-        start = sys.stress_blocks(stress_old if stress_start is None else stress_start)
+        start = sys.stress_blocks(stress_start)
         g, iters = _saturating_factor(
             kappa, (a * a, np.einsum("ec,ec->e", D, D)), dtc.T,
             G.factor(kappa, np.sqrt(np.einsum("ec,ec->e", start, start))))
@@ -277,73 +299,34 @@ def stress_substep(sys: GalerkinSystem, C: ElasticityTensor, G: FlowRule,
     return sys.stress_coeffs(T), iters
 
 
-def _stress_split(sys: GalerkinSystem, C: ElasticityTensor, stress: np.ndarray, dt: float):
-    """Per cell a = T·n and D = T − a·n, n the unit vector of ℂ_P's volumetric eigenspace, and dt·c."""
-    n, c = sys.stress_spectrum(C)
-    blocks = sys.stress_blocks(stress)
-    a = np.einsum("ec,ec->e", blocks, n)
-    return a, blocks - a[:, None] * n, dt * c
-
-
-@dataclass
-class StepConstants:
-    """What every Picard iteration of one step takes from the start-of-step state alone."""
-
-    mass_old: np.ndarray            # M_θ·θ_old
-    kappa_old: np.ndarray           # κ(θ_old) at the cell centres, where the source is evaluated
-    a_old: Optional[np.ndarray]     # T_old's split along ℂ's eigenspaces (``_stress_split``)
-    D_old: Optional[np.ndarray]
-    dtc: Optional[np.ndarray]       # dt·c, ℂ's eigenvalues (volumetric, deviatoric) per cell
-
-
-def step_constants(sys: GalerkinSystem, state: SimState, G: FlowRule,
-                   C: Optional[ElasticityTensor] = None, dt: float = 0.0) -> StepConstants:
-    """Check θ_old > 0 and compute the step's ``StepConstants``; the stress
-    split only with ``C``, as a heat solve alone needs none of it."""
-    if not state.theta.min() > 0.0:
-        raise PositivityError(f"start-of-step temperature not positive "
-                              f"(min = {state.theta.min():g})")
-    kappa = np.asarray(G.kappa(sys.cell_center_values(state.theta)), dtype=float)
-    split = (None,) * 3 if C is None else _stress_split(sys, C, state.stress, dt)
-    return StepConstants(sys.M_theta @ state.theta, kappa, *split)
-
-
-def heat_substep(sys: GalerkinSystem, state: SimState, div_v, G: FlowRule,
-                 truncation: TruncationLevel, dt: float,
-                 stress: Optional[np.ndarray] = None,
-                 theta_start: Optional[np.ndarray] = None,
-                 constants: Optional[StepConstants] = None) -> HeatResult:
+def heat_substep(sys: GalerkinSystem, div_v: np.ndarray, G: FlowRule,
+                 truncation: TruncationLevel, dt: float, stress: np.ndarray,
+                 theta_start: np.ndarray, constants: StepConstants) -> HeatResult:
     """Implicit Euler heat solve with clamped dissipation source.
 
     (M + dt·K + dt·A_adv(div u_t))·θ_new = M·θ_old + dt·∫clamp(G(θ_old,T):T)φ
 
-    The source is evaluated at cell midpoints from the start-of-step
-    temperature and the supplied stress iterate, as g·|T|² with g the radial
-    factor of κ(θ_old); homogeneous Neumann data is built into the space (no
-    constrained rows).  ``div_v`` is div u_t at the Gauss points, as
-    ``divergence_of`` returns it, or None or a scalar for a constant div u_t.
-    ``constants`` are the step's ``step_constants``, computed here when not
-    given.
+    The source is evaluated at cell midpoints from the stress iterate
+    ``stress``, as g·|T|² with g the radial factor of the step's κ(θ_old);
+    M·θ_old and κ(θ_old) are the step's ``constants``.  Homogeneous Neumann
+    data is built into the space (no constrained rows).  ``div_v`` is div u_t
+    at the Gauss points, as ``divergence_of`` returns it.
 
     In 1D the matrix is tridiagonal (``sys.heat_bands``) and is solved
     directly by LAPACK ``gtsv``, Gaussian elimination with partial pivoting,
     for any δ = dt·‖div u_t‖_∞; ``theta_start`` is unused and the result
     reports 0 CG iterations.  In 2D/3D the system is solved by CG on
     ``sys.heat_operator``, which applies the matrix cell by cell without
-    assembling it, preconditioned with ``sys.heat_inverse(dt)``, the memoized
-    exact per-axis inverse of M + dt·K: with δ < 1, exact 2-point Gauss and
+    assembling it, preconditioned with ``sys.heat_inverse(dt)``, the exact
+    per-axis inverse of M + dt·K: with δ < 1, exact 2-point Gauss and
     M + dt·K ≥ M put the preconditioned spectrum in [1 − δ, 1 + δ].  CG
-    starts from ``theta_start``, by default θ_old; inside the Picard loop it
-    is the current θ iterate.  Should CG stall, the matrix is assembled
-    (``sys.heat_matrix``), a direct solve runs and ``fallback`` is set.
-    Raises StepFailureError if the matrix is singular, and PositivityError if
-    any dof of the solution is nonpositive.
+    starts from ``theta_start``, inside the Picard loop the current θ
+    iterate.  Should CG stall, the matrix is assembled (``sys.heat_matrix``),
+    a direct solve runs and ``fallback`` is set.  Raises StepFailureError if
+    the matrix is singular, and PositivityError if any dof of the solution is
+    nonpositive.
     """
-    if constants is None:
-        constants = step_constants(sys, state, G)
-    blocks = sys.stress_blocks(state.stress if stress is None else stress)
-    if div_v is None or np.isscalar(div_v):
-        div_v = np.full((sys.mesh.n_cells, sys._gauss_N.shape[0]), float(div_v or 0.0))
+    blocks = sys.stress_blocks(stress)
 
     # G(θ_old, T):T = g·|T|² per cell, zero where no stress dofs live.
     norm2 = np.einsum("ec,ec->e", blocks, blocks)
@@ -358,8 +341,7 @@ def heat_substep(sys: GalerkinSystem, state: SimState, div_v, G: FlowRule,
                                    f"heat matrix is exactly zero")
         cg_iters, fallback = 0, False
     else:
-        theta_new, cg_iters = pcg(sys.heat_operator(dt, div_v), rhs,
-                                  state.theta if theta_start is None else theta_start,
+        theta_new, cg_iters = pcg(sys.heat_operator(dt, div_v), rhs, theta_start,
                                   sys.heat_inverse(dt))
         fallback = theta_new is None
         if fallback:
@@ -412,8 +394,7 @@ def step(sys: GalerkinSystem, cfg: SolverConfig, state: SimState,
     inner_total = cg_total = fallbacks = 0
     for _ in range(1, cfg.picard_max_iters + 1):
         div = divergence_of(sys, v_i)
-        heat = heat_substep(sys, state, div, cfg.flow_rule, cfg.truncation, dt, stress=T_i,
-                            theta_start=th_i, constants=constants)
+        heat = heat_substep(sys, div, cfg.flow_rule, cfg.truncation, dt, T_i, th_i, constants)
         cg_total += heat.cg_iters
         fallbacks += heat.fallback
         th_new = heat.theta
@@ -421,8 +402,7 @@ def step(sys: GalerkinSystem, cfg: SolverConfig, state: SimState,
         strain_rate = sys.B @ v_new
         th_cells = sys.cell_center_values(th_new)
         T_new, inner = stress_substep(sys, cfg.elasticity, cfg.flow_rule, th_cells,
-                                      state.stress, strain_rate, dt, stress_start=T_i,
-                                      constants=constants)
+                                      strain_rate, T_i, constants)
         inner_total += inner
         # Per field max|new − prev| / max(max|new|, 1): the unit floor lets
         # roundoff on (near-)zero fields count as converged.
@@ -552,8 +532,8 @@ def run(sys: GalerkinSystem, cfg: SolverConfig, observers: Sequence[Callable] = 
     ``_ADMISSIBILITY_SAMPLES`` samples of seed 0, or ValueError is raised
     before any step.  Observers are called as ``observer(step_index, t,
     state, row)`` with a read-only state snapshot and the ledger row dict;
-    they must not mutate.  Step errors propagate annotated with the failing
-    time.  Per-step results are not kept: ``stats`` holds their counts.
+    they must not mutate.  Step errors, and errors of an expression evaluated
+    in a step, propagate annotated with the failing step and time.  Per-step results are not kept: ``stats`` holds their counts.
     """
     report = verify_admissibility(cfg.flow_rule, _ADMISSIBILITY_SAMPLES)
     if not report.passed:
@@ -573,7 +553,7 @@ def run(sys: GalerkinSystem, cfg: SolverConfig, observers: Sequence[Callable] = 
         order = history.order
         try:
             result = step(sys, cfg, state, history.start())
-        except StepFailureError as exc:
+        except (StepFailureError, ExpressionError) as exc:
             exc.args = (f"step {i} (t={state.t + cfg.dt:g}) failed: {exc}",)
             raise
         state = result.state

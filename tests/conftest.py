@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from thermovisco import ElasticityTensor, FlowRule, build_mesh, build_spaces, solver
-from thermovisco.solver import SolverConfig, run
+from thermovisco.solver import (SimState, SolverConfig, heat_substep, run, step_constants,
+                                stress_substep)
 
 
 def run_recording_steps(sys, cfg):
@@ -22,6 +23,30 @@ def run_recording_steps(sys, cfg):
         return run(sys, cfg), steps
     finally:
         solver.step = step
+
+
+def heat_solve(sys, state, div, rule, truncation, dt, stress=None, theta_start=None):
+    """``heat_substep`` with the inputs a step from ``state`` hands it: that
+    step's ``step_constants``, and ``stress`` and ``theta_start``, by default
+    ``state``'s own.  ``div`` is div u_t at the Gauss points, or one number
+    for all of them."""
+    if np.isscalar(div):
+        div = np.full((sys.mesh.n_cells, sys._gauss_N.shape[0]), float(div))
+    constants = step_constants(sys, state, rule, ElasticityTensor(0.0, 0.5), dt)
+    return heat_substep(sys, div, rule, truncation, dt,
+                        state.stress if stress is None else stress,
+                        state.theta if theta_start is None else theta_start, constants)
+
+
+def stress_solve(sys, C, rule, theta_cells, stress_old, strain_rate, dt, stress_start=None):
+    """``stress_substep`` with the inputs a step from the stress ``stress_old``
+    hands it: that step's ``step_constants``, and ``stress_start``, by default
+    ``stress_old``."""
+    state = SimState(0.0, np.zeros(sys.n_disp), np.zeros(sys.n_disp), stress_old,
+                     np.ones(sys.n_temp))
+    return stress_substep(sys, C, rule, theta_cells, strain_rate,
+                          stress_old if stress_start is None else stress_start,
+                          step_constants(sys, state, rule, C, dt))
 
 
 def assembled_advection(sys, div):

@@ -20,9 +20,9 @@ from thermovisco.discretization import (
     eval_temperature,
 )
 from thermovisco.oracle import fd_run, make_grid
-from thermovisco.solver import SimState, SolverConfig, heat_substep, run
+from thermovisco.solver import SimState, SolverConfig, run
 
-from conftest import run_recording_steps
+from conftest import heat_solve, run_recording_steps
 
 SHIPPED = ("zero.cfg", "smooth_coupled.cfg", "smooth_2d.cfg")
 
@@ -161,8 +161,8 @@ def test_criterion_05_temperature_positivity(shipped_runs, announce):
                      np.zeros(sys_.k_stress), np.ones(sys_.n_temp))
     worst = 0.0
     while state.t < 1.0 - dt / 2:
-        out = heat_substep(sys_, state, 1.0, FlowRule.linear(1.0),
-                           TruncationLevel(5.0), dt)
+        out = heat_solve(sys_, state, 1.0, FlowRule.linear(1.0),
+                         TruncationLevel(5.0), dt)
         state = SimState(state.t + dt, state.u, state.v, state.stress, out.theta)
         worst = max(worst, abs(state.theta.min() - np.exp(-state.t)) / np.exp(-state.t))
     assert worst <= 0.02
@@ -215,8 +215,8 @@ def test_criterion_07_manufactured_solutions(announce):
                      np.zeros(sys_.k_stress),
                      1 + 0.5 * np.cos(np.pi * mesh.nodes[:, 0]))
     for _ in range(int(round(t_end / dt))):
-        out = heat_substep(sys_, state, None, FlowRule.linear(1.0),
-                           TruncationLevel(1.0), dt)
+        out = heat_solve(sys_, state, 0.0, FlowRule.linear(1.0),
+                         TruncationLevel(1.0), dt)
         state = SimState(state.t + dt, state.u, state.v, state.stress, out.theta)
     x = mesh.nodes[:, 0]
     g_heat = rel_l2(state.theta, 1 + 0.5 * np.exp(-np.pi ** 2 * t_end) * np.cos(np.pi * x), x)

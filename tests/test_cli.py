@@ -321,11 +321,13 @@ class TestConfigParsing:
             assert make_flow_rule(rc).kind == kind
 
 
-# Data whose evaluation raises on Python scalars: at t = 0, or (the forcing)
-# at step 2, where t - 0.002 is exactly zero.
-RAISING_EXPRESSIONS = ["theta0 = 1/0", "theta0 = 1 + (-1)**0.5", "theta0 = 1 + 10.0**400",
-                       "theta0 = 1\nf = 1/(t - 0.002)"]
-RAISING_IDS = ["zero-division", "complex", "overflow", "forcing-at-step-2"]
+# Data whose evaluation raises on Python scalars or is complex: at t = 0, or
+# (the forcing) at step 2, where t - 0.002 is exactly zero, and the error then
+# names the step.  Each case is (config lines, the step's prefix).
+RAISING_EXPRESSIONS = [("theta0 = 1/0", ""), ("theta0 = 1 + (-1)**0.5", ""),
+                       ("theta0 = 1 + (-1)**0.5*x", ""), ("theta0 = 1 + 10.0**400", ""),
+                       ("theta0 = 1\nf = 1/(t - 0.002)", "step 2 (t=0.002) failed: ")]
+RAISING_IDS = ["zero-division", "complex", "complex-array", "overflow", "forcing-at-step-2"]
 
 
 class TestCmdRun:
@@ -418,12 +420,12 @@ class TestCmdRun:
         assert "residual history" in err and "t=" in err
         assert err.count("residual history") == 1
 
-    @pytest.mark.parametrize("data", RAISING_EXPRESSIONS, ids=RAISING_IDS)
-    def test_expression_that_raises_exit_one(self, tmp_path, monkeypatch, capsys, data):
+    @pytest.mark.parametrize("data, step", RAISING_EXPRESSIONS, ids=RAISING_IDS)
+    def test_expression_that_raises_exit_one(self, tmp_path, monkeypatch, capsys, data, step):
         monkeypatch.setenv("THERMOVISCO_OUTDIR", str(tmp_path / "out"))
         assert main(["run", str(write_cfg(tmp_path, MINIMAL.replace("preset = zero", data)))]) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: evaluating {data.split(' = ')[-1]!r} failed: ")
+        assert err.startswith(f"error: {step}evaluating {data.split(' = ')[-1]!r} failed: ")
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize("dim, cells", [(1, 16), (2, 4), (3, 3)])
@@ -575,12 +577,12 @@ class TestCmdConvergence:
         assert pair[0] == "0->" and pair[1] == "1"
         assert all(0.0 < float(d) < 1.0 for d in pair[2:])
 
-    @pytest.mark.parametrize("data", RAISING_EXPRESSIONS, ids=RAISING_IDS)
-    def test_expression_that_raises_exit_one(self, tmp_path, capsys, data):
+    @pytest.mark.parametrize("data, step", RAISING_EXPRESSIONS, ids=RAISING_IDS)
+    def test_expression_that_raises_exit_one(self, tmp_path, capsys, data, step):
         cfg = write_cfg(tmp_path, MINIMAL.replace("preset = zero", data))
         assert main(["convergence", str(cfg), "--levels", "4:full:full:1e-3;8:full:full:1e-3"]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: level 0 (4 cells, dt=0.001) failed: evaluating ")
+        assert err.startswith(f"error: level 0 (4 cells, dt=0.001) failed: {step}evaluating ")
         assert err.count("\n") == 1
 
     def test_single_level_rejected(self, tmp_path):

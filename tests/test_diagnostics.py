@@ -6,9 +6,9 @@ from thermovisco import (ElasticityTensor, FlowRule, TruncationLevel, build_mesh
 from thermovisco.diagnostics import (ACCUMULATORS, C_SCHEME, LEDGER_COLUMNS, format_summary,
                                      scheme_tolerance)
 from thermovisco.oracle import fd_run, make_grid
-from thermovisco.solver import SimState, SolverConfig, heat_substep, run
+from thermovisco.solver import SimState, SolverConfig, run
 
-from conftest import make_smooth_problem, run_recording_steps
+from conftest import heat_solve, make_smooth_problem, run_recording_steps
 
 
 class TestZeroScenario:
@@ -112,8 +112,8 @@ class TestEntropyLedger:
         s0 = sys.integrate_nodal(np.log(theta))
         grad_acc = 0.0
         for _ in range(int(round(t_end / dt))):
-            out = heat_substep(sys, state, None, FlowRule.linear(1.0),
-                               TruncationLevel(1.0), dt)
+            out = heat_solve(sys, state, 0.0, FlowRule.linear(1.0),
+                             TruncationLevel(1.0), dt)
             state = SimState(state.t + dt, state.u, state.v, state.stress, out.theta)
             tau = np.log(state.theta)
             grad_acc += dt * float(tau @ (sys.K_theta @ tau))
@@ -202,8 +202,8 @@ class TestPositivityBound:
                          np.zeros(sys.k_stress), np.ones(sys.n_temp))
         worst = 0.0
         while state.t < t_end - dt / 2:
-            out = heat_substep(sys, state, 1.0, FlowRule.linear(1.0),
-                               TruncationLevel(5.0), dt)
+            out = heat_solve(sys, state, 1.0, FlowRule.linear(1.0),
+                             TruncationLevel(5.0), dt)
             state = SimState(state.t + dt, state.u, state.v, state.stress, out.theta)
             rel = abs(state.theta.min() - np.exp(-state.t)) / np.exp(-state.t)
             worst = max(worst, rel)

@@ -33,7 +33,8 @@ from thermovisco.solver import (
 )
 from thermovisco.diagnostics import total_energy
 
-from conftest import assembled_advection, make_smooth_problem, make_zero_problem, run_recording_steps
+from conftest import (assembled_advection, heat_solve, make_smooth_problem, make_zero_problem,
+                      run_recording_steps, stress_solve)
 
 C_HALF = ElasticityTensor(0.0, 0.5)  # identity action on symmetric matrices
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
@@ -118,8 +119,8 @@ class TestStress:
         T_old = rng.standard_normal(sys.k_stress)
         E = rng.standard_normal(sys.k_stress)
         dt = 0.02
-        T_new, iters = stress_substep(sys, C, FlowRule.linear(0.0),
-                                      np.ones(sys.mesh.n_cells), T_old, E, dt)
+        T_new, iters = stress_solve(sys, C, FlowRule.linear(0.0),
+                                    np.ones(sys.mesh.n_cells), T_old, E, dt)
         assert np.allclose(T_new, T_old + dt * 1.4 * E, atol=1e-12)
 
     def test_scalar_relaxation_closed_form(self):
@@ -127,9 +128,9 @@ class TestStress:
         sys = small_system()
         T_old = np.full(sys.k_stress, 0.8)
         dt = 0.1
-        T_new, _ = stress_substep(sys, C_HALF, FlowRule.linear(1.0),
-                                  np.ones(sys.mesh.n_cells), T_old,
-                                  np.zeros(sys.k_stress), dt)
+        T_new, _ = stress_solve(sys, C_HALF, FlowRule.linear(1.0),
+                                np.ones(sys.mesh.n_cells), T_old,
+                                np.zeros(sys.k_stress), dt)
         assert np.allclose(T_new, 0.8 / (1 + dt), atol=1e-12)
 
     def test_equilibrium_is_fixed_point(self):
@@ -139,7 +140,7 @@ class TestStress:
         T_old = np.full(sys.k_stress, 0.5)
         theta = np.full(sys.mesh.n_cells, 1.3)
         E = rule.eval_mandel(theta, T_old[:, None])[:, 0]
-        T_new, iters = stress_substep(sys, C_HALF, rule, theta, T_old, E, 0.05)
+        T_new, iters = stress_solve(sys, C_HALF, rule, theta, T_old, E, 0.05)
         assert np.allclose(T_new, T_old, atol=1e-12)
         assert iters <= 2
 
@@ -149,8 +150,8 @@ class TestStress:
         sys = build_spaces(mesh, mesh.interior_nodes.size * 2, 5)  # 1 full cell + 2 comps
         C = ElasticityTensor(1.0, 1.0)
         T_old = np.array([0.4, -0.2, 0.1, 0.3, 0.2])
-        T_new, _ = stress_substep(sys, C, FlowRule.linear(2.0),
-                                  np.ones(4), T_old, np.zeros(5), 0.01)
+        T_new, _ = stress_solve(sys, C, FlowRule.linear(2.0),
+                                np.ones(4), T_old, np.zeros(5), 0.01)
         # every component relaxes toward zero, none blows up
         assert np.all(np.abs(T_new) < np.abs(T_old) + 1e-12)
 
@@ -174,7 +175,7 @@ class TestStress:
         T_old, E = rng.standard_normal(k), 5.0 * rng.standard_normal(k)
         theta = rng.uniform(0.5, 2.0, mesh.n_cells)
         dt = 0.25
-        T_new, _ = stress_substep(sys, C, rule, theta, T_old, E, dt)
+        T_new, _ = stress_solve(sys, C, rule, theta, T_old, E, dt)
 
         cinv = C.inverse_mandel_matrix(dim)
         for e in range(mesh.n_cells):
@@ -204,8 +205,8 @@ class TestStress:
         sys = small_system()
         bad = FlowRule.custom(lambda theta: -1.0, c_growth=1.0)
         with pytest.raises(StepFailureError, match=r"1 \+ dt·g·c"):
-            stress_substep(sys, C_HALF, bad, np.ones(sys.mesh.n_cells),
-                           np.full(sys.k_stress, 1.0), np.zeros(sys.k_stress), dt=2.0)
+            stress_solve(sys, C_HALF, bad, np.ones(sys.mesh.n_cells),
+                         np.full(sys.k_stress, 1.0), np.zeros(sys.k_stress), dt=2.0)
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_warm_start_matches_cold_start(self, dim):
@@ -218,13 +219,13 @@ class TestStress:
         rng = np.random.default_rng(dim)
         T_old, E = rng.standard_normal(k), 5.0 * rng.standard_normal(k)
         theta = rng.uniform(0.5, 2.0, mesh.n_cells)
-        cold, cold_iters = stress_substep(sys, C, rule, theta, T_old, E, 0.25)
+        cold, cold_iters = stress_solve(sys, C, rule, theta, T_old, E, 0.25)
         start = cold * (1.0 + 0.2 * rng.uniform(-1.0, 1.0, k))
-        warm, warm_iters = stress_substep(sys, C, rule, theta, T_old, E, 0.25,
-                                          stress_start=start)
+        warm, warm_iters = stress_solve(sys, C, rule, theta, T_old, E, 0.25,
+                                        stress_start=start)
         assert np.abs(warm - cold).max() <= 1e-12 * np.abs(cold).max()
         assert warm_iters <= cold_iters
-        same, _ = stress_substep(sys, C, rule, theta, T_old, E, 0.25, stress_start=T_old)
+        same, _ = stress_solve(sys, C, rule, theta, T_old, E, 0.25, stress_start=T_old)
         assert np.array_equal(same, cold)
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -234,7 +235,7 @@ class TestStress:
                              ids=lambda r: r.kind)
     def test_split_update_matches_the_split_of_R(self, dim, partial, rule):
         # Adding dt·c times the split of ε to the split of T_old is the split of
-        # R = T_old + dt·ℂ_P·ε, to rounding, with or without the step's constants.
+        # R = T_old + dt·ℂ_P·ε, to rounding.
         mesh = build_mesh(dim, [1.0] * dim, [3] * dim)
         n_disp, k = max_levels(dim, mesh.cells)
         k -= 2 if partial else 0
@@ -260,10 +261,9 @@ class TestStress:
         ref = sys.stress_coeffs((a / den[:, 0])[:, None] * n + D / den[:, 1:])
 
         state = SimState(0.0, np.zeros(n_disp), np.zeros(n_disp), T_old, np.ones(sys.n_temp))
-        constants = step_constants(sys, state, rule, C, dt)
-        for given in (None, constants):
-            T_new, _ = stress_substep(sys, C, rule, theta, T_old, E, dt, constants=given)
-            assert np.abs(T_new - ref).max() <= 1e-14 * np.abs(ref).max()
+        T_new, _ = stress_substep(sys, C, rule, theta, E, T_old,
+                                  step_constants(sys, state, rule, C, dt))
+        assert np.abs(T_new - ref).max() <= 1e-14 * np.abs(ref).max()
 
     @pytest.mark.parametrize("outside", [-1.0, 0.0, 1e6])
     def test_saturating_start_is_clipped_to_bracket(self, outside):
@@ -321,8 +321,8 @@ class TestHeat:
     def test_constant_theta_preserved(self):
         sys = small_system()
         state = quiet_state(sys, theta=2.5)
-        out = heat_substep(sys, state, None, FlowRule.linear(1.0),
-                           TruncationLevel(1.0), dt=0.01)
+        out = heat_solve(sys, state, 0.0, FlowRule.linear(1.0),
+                         TruncationLevel(1.0), dt=0.01)
         assert np.allclose(out.theta, 2.5, atol=1e-13)
 
     def test_total_heat_conserved_without_sources(self):
@@ -330,8 +330,8 @@ class TestHeat:
         theta = 1.0 + 0.5 * np.cos(np.pi * sys.mesh.nodes[:, 0])
         state = SimState(0.0, np.zeros(sys.n_disp), np.zeros(sys.n_disp),
                          np.zeros(sys.k_stress), theta)
-        out = heat_substep(sys, state, None, FlowRule.linear(1.0),
-                           TruncationLevel(1.0), dt=0.01)
+        out = heat_solve(sys, state, 0.0, FlowRule.linear(1.0),
+                         TruncationLevel(1.0), dt=0.01)
         assert sys.integrate_nodal(out.theta) == pytest.approx(
             sys.integrate_nodal(theta), abs=1e-13)
 
@@ -346,8 +346,8 @@ class TestHeat:
                          np.zeros(sys.k_stress), theta)
         mins = [theta.min()]
         for _ in range(int(round(t_end / dt))):
-            out = heat_substep(sys, state, None, FlowRule.linear(1.0),
-                               TruncationLevel(1.0), dt)
+            out = heat_solve(sys, state, 0.0, FlowRule.linear(1.0),
+                             TruncationLevel(1.0), dt)
             state = SimState(state.t + dt, state.u, state.v, state.stress, out.theta)
             mins.append(out.theta.min())
         grid = make_grid(cells + 1, 1.0, dt,
@@ -365,8 +365,8 @@ class TestHeat:
         sys = small_system()
         state = quiet_state(sys)
         T = np.full(sys.k_stress, np.sqrt(7.0))  # linear κ=1: G:T = |T|² = 7
-        out = heat_substep(sys, state, None, FlowRule.linear(1.0),
-                           TruncationLevel(5.0), dt=0.01, stress=T)
+        out = heat_solve(sys, state, 0.0, FlowRule.linear(1.0),
+                         TruncationLevel(5.0), dt=0.01, stress=T)
         assert np.allclose(out.source_raw, 7.0, atol=1e-12)
         assert np.allclose(out.source_trunc, 5.0, atol=1e-12)
 
@@ -381,7 +381,7 @@ class TestHeat:
         dt = 0.01
         sys, state, div = random_heat_case(cells, partial, 0.0, dt)
         stress = 3.0 * np.random.default_rng(2).standard_normal(sys.k_stress)
-        out = heat_substep(sys, state, div, rule, TruncationLevel(1e6), dt, stress=stress)
+        out = heat_solve(sys, state, div, rule, TruncationLevel(1e6), dt, stress=stress)
         blocks = sys.stress_blocks(stress)
         ref = np.einsum("ec,ec->e", rule.eval_mandel(sys.cell_center_values(state.theta),
                                                      blocks), blocks)
@@ -403,7 +403,7 @@ class TestHeat:
             monkeypatch.setattr(solver, "pcg", lambda apply, b, x0, precond: (bad(b), 1))
         sys, state, div = random_heat_case(cells, False, 0.5, 0.01)
         with pytest.raises(StepFailureError) as err:
-            heat_substep(sys, state, div, FlowRule.linear(1.0), TruncationLevel(10.0), 0.01)
+            heat_solve(sys, state, div, FlowRule.linear(1.0), TruncationLevel(10.0), 0.01)
         if error == "non-finite":
             assert type(err.value) is StepFailureError
             assert str(err.value) == "heat solve produced non-finite values"
@@ -416,8 +416,8 @@ class TestHeat:
         sys = small_system()
         state = quiet_state(sys)
         with pytest.raises(PositivityError):
-            heat_substep(sys, state, -2.0, FlowRule.linear(1.0),
-                         TruncationLevel(1.0), dt=1.0)
+            heat_solve(sys, state, -2.0, FlowRule.linear(1.0),
+                       TruncationLevel(1.0), dt=1.0)
 
     @pytest.mark.parametrize("partial", [False, True])
     @pytest.mark.parametrize("n_cells, dt, delta, signed", [
@@ -429,7 +429,7 @@ class TestHeat:
         # The tridiagonal solve pivots, so it needs no bound on dt·‖div‖∞ = delta;
         # the last two cases are diffusion-dominated enough to keep θ positive.
         sys, state, div = random_heat_case((n_cells,), partial, delta, dt, signed=signed)
-        out = heat_substep(sys, state, div, FlowRule.linear(1.0), TruncationLevel(10.0), dt)
+        out = heat_solve(sys, state, div, FlowRule.linear(1.0), TruncationLevel(10.0), dt)
         assert out.cg_iters == 0 and not out.fallback
         ref = direct_heat_solve(sys, state, div, out, dt)
         assert np.abs(out.theta - ref).max() <= 1e-12 * np.abs(ref).max()
@@ -441,8 +441,8 @@ class TestHeat:
                                 np.zeros(sys.n_temp - 1))
         monkeypatch.setattr(sys, "heat_bands", zero)
         with pytest.raises(StepFailureError, match="heat solve failed"):
-            heat_substep(sys, quiet_state(sys), None, FlowRule.linear(1.0),
-                         TruncationLevel(1.0), dt=0.01)
+            heat_solve(sys, quiet_state(sys), 0.0, FlowRule.linear(1.0),
+                       TruncationLevel(1.0), dt=0.01)
 
     @pytest.mark.parametrize("delta", [0.0, 0.5, 0.9])
     @pytest.mark.parametrize("partial", [False, True])
@@ -451,7 +451,7 @@ class TestHeat:
         # dt·‖div‖∞ < 1 bounds the preconditioned spectrum in [1 − δ, 1 + δ].
         dt = 0.01
         sys, state, div = random_heat_case(cells, partial, delta, dt)
-        out = heat_substep(sys, state, div, FlowRule.linear(1.0), TruncationLevel(10.0), dt)
+        out = heat_solve(sys, state, div, FlowRule.linear(1.0), TruncationLevel(10.0), dt)
         assert not out.fallback
         # Without advection the preconditioner is the exact inverse: one step.
         assert out.cg_iters == 1 if delta == 0.0 else out.cg_iters >= 1
@@ -460,17 +460,19 @@ class TestHeat:
 
     @pytest.mark.parametrize("cells", [(9,), (5, 7), (4, 3, 5)])
     def test_warm_start_matches_cold_start(self, cells):
-        # CG from a perturbed guess reaches the θ_old start's answer; the step's
-        # constants passed in change nothing.
+        # CG from a perturbed guess reaches the θ_old start's answer; the stress
+        # split in the step's constants plays no part in the heat solve.
         dt = 0.01
         sys, state, div = random_heat_case(cells, False, 0.5, dt)
         args = (sys, state, div, FlowRule.linear(1.0), TruncationLevel(10.0), dt)
-        cold = heat_substep(*args)
+        cold = heat_solve(*args)
         guess = state.theta + 0.1 * np.random.default_rng(1).standard_normal(sys.n_temp)
-        warm = heat_substep(*args, theta_start=guess)
+        warm = heat_solve(*args, theta_start=guess)
         assert not warm.fallback
         assert np.abs(warm.theta - cold.theta).max() <= 1e-12 * np.abs(cold.theta).max()
-        hoisted = heat_substep(*args, constants=step_constants(sys, state, FlowRule.linear(1.0)))
+        other = step_constants(sys, state, FlowRule.linear(1.0), ElasticityTensor(1.0, 0.7), 0.5)
+        hoisted = heat_substep(sys, div, FlowRule.linear(1.0), TruncationLevel(10.0), dt,
+                               state.stress, state.theta, other)
         assert np.array_equal(hoisted.theta, cold.theta)
 
     @pytest.mark.parametrize("cells", [(200, 2), (200, 2, 2)], ids=["cells1", "cells2"])
@@ -480,7 +482,7 @@ class TestHeat:
         # div ≥ 0 (pure cooling) and strong diffusion, dt/h² = 4, keep θ positive.
         dt = 1e-4
         sys, state, div = random_heat_case(cells, False, 20.0, dt, signed=False)
-        out = heat_substep(sys, state, div, FlowRule.linear(1.0), TruncationLevel(10.0), dt)
+        out = heat_solve(sys, state, div, FlowRule.linear(1.0), TruncationLevel(10.0), dt)
         assert out.fallback
         ref = direct_heat_solve(sys, state, div, out, dt)
         assert np.array_equal(out.theta, ref)
@@ -591,7 +593,7 @@ class TestStep:
         class FirstHeatSolve(Exception):
             pass
 
-        def capture(sys_, state_, div, *args, stress, theta_start, constants):
+        def capture(sys_, div, G, truncation, dt, stress, theta_start, constants):
             raise FirstHeatSolve(div, stress, theta_start)
 
         sys, cfg = swirl_problem()
@@ -609,6 +611,17 @@ class TestStep:
             assert np.array_equal(div, divergence_of(sys, seen_state.v))
             assert np.array_equal(stress, seen_state.stress)
             assert np.array_equal(theta, seen_state.theta)
+
+    def test_nonpositive_start_temperature_fails_the_step(self):
+        # A state with one zero θ dof is rejected before any Picard iteration.
+        sys, cfg = make_zero_problem()
+        state = initialize(sys, cfg)
+        cfg = replace(cfg, truncation=resolve_truncation(sys, cfg, state))
+        theta = state.theta.copy()
+        theta[7] = 0.0
+        with pytest.raises(PositivityError, match=r"start-of-step temperature not positive "
+                                                  r"\(min = 0\)"):
+            step(sys, cfg, replace(state, theta=theta))
 
     def test_zero_data_fixed_point_in_one_iteration(self):
         sys, cfg = make_zero_problem()
@@ -636,13 +649,14 @@ class TestStep:
         state = initialize(sys, cfg)
         cfg = replace(cfg, truncation=resolve_truncation(sys, cfg, state))
 
-        heat = heat_substep(sys, state, divergence_of(sys, state.v), cfg.flow_rule,
-                            cfg.truncation, dt, stress=state.stress)
+        constants = step_constants(sys, state, cfg.flow_rule, cfg.elasticity, dt)
+        heat = heat_substep(sys, divergence_of(sys, state.v), cfg.flow_rule,
+                            cfg.truncation, dt, state.stress, state.theta, constants)
         v1 = momentum_substep(sys, state, heat.theta, state.stress,
                               np.zeros(sys.n_disp), dt)
         T1, _ = stress_substep(sys, cfg.elasticity, cfg.flow_rule,
-                               sys.cell_center_values(heat.theta), state.stress,
-                               sys.B @ v1, dt)
+                               sys.cell_center_values(heat.theta), sys.B @ v1,
+                               state.stress, constants)
         result = step(sys, cfg, state)
         assert result.iterations <= 5
         assert np.abs(result.state.theta - heat.theta).max() < 10 * dt ** 2
@@ -737,11 +751,10 @@ def spy_on_run(monkeypatch, sys, cfg):
         steps[-1]["iterations"] = result.iterations
         return result
 
-    def spy_heat(sys_, state, div, *args, stress, theta_start, constants):
+    def spy_heat(sys_, div, G, truncation, dt, stress, theta_start, constants):
         if "seen" not in steps[-1]:
             steps[-1]["seen"] = (div, stress, theta_start)
-        return real_heat(sys_, state, div, *args, stress=stress, theta_start=theta_start,
-                         constants=constants)
+        return real_heat(sys_, div, G, truncation, dt, stress, theta_start, constants)
 
     monkeypatch.setattr(StartHistory, "start", start)
     monkeypatch.setattr(solver, "step", spy_step)
