@@ -7,10 +7,10 @@
 Exit codes: 0 all verdicts pass, 1 runtime or verdict failure, 2 config
 error.  THERMOVISCO_OUTDIR overrides the configured output directory.
 
-``run`` writes the final state as ``snapshot_final.txt``, a diffable text
-table, and every ``snapshot_stride`` steps the state as
-``snapshot_<step>.npz``, its raw arrays exact to the bit.  Each snapshot is
-written by ``write_snapshot`` before the solve goes on.
+``run`` writes the final state as ``snapshot_final.npz`` and, every
+``snapshot_stride`` steps, the state as ``snapshot_<step>.npz``: one format,
+raw arrays exact to the bit.  Each snapshot is written by ``write_snapshot``
+before the solve goes on.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .diagnostics import format_summary
 from .discretization import eval_displacement, eval_stress, eval_temperature
 from .solver import StepFailureError, run as solver_run
 
-SNAPSHOT_SCHEMA = "thermovisco-snapshot-v1"
 STATE_SCHEMA = "thermovisco-state-v1"
 
 
@@ -49,35 +48,17 @@ class SnapshotError(Exception):
 
 
 def write_snapshot(path, sys_, state) -> None:
-    """Write ``state`` to ``path`` in the format its suffix names.
+    """Write ``state`` to the ``.npz`` file ``path``.
 
-    ``.npz``: the coefficient vectors ``u``, ``v``, ``stress`` and ``theta``
+    It holds the coefficient vectors ``u``, ``v``, ``stress`` and ``theta``
     with ``t``, ``schema`` (STATE_SCHEMA), ``dim`` and ``cells``, as plain
     arrays that ``np.load(path, allow_pickle=False)`` reads back exactly.
-    Any other suffix: a flat, diffable text table of the nodal fields, then
-    the cellwise stress.  An OSError becomes a SnapshotError naming ``path``.
+    An OSError becomes a SnapshotError naming ``path``.
     """
     mesh = sys_.mesh
     try:
-        if Path(path).suffix == ".npz":
-            np.savez(path, schema=STATE_SCHEMA, dim=mesh.dim, cells=mesh.cells, t=state.t,
-                     u=state.u, v=state.v, stress=state.stress, theta=state.theta)
-            return
-        nodes = np.hstack([mesh.nodes, sys_.nodal_displacement(state.u),
-                           sys_.nodal_displacement(state.v), state.theta[:, None]])
-        cells = np.hstack([mesh.cell_centers, sys_.stress_blocks(state.stress)])
-        axes = "xyz"[:mesh.dim]
-        with open(path, "w") as fh:
-            fh.write(f"# schema: {SNAPSHOT_SCHEMA}\n")
-            fh.write(f"# t: {state.t!r}\n")
-            fh.write(f"# dim: {mesh.dim}  cells: {','.join(map(str, mesh.cells))}\n")
-            cols = [*axes, *(f"u_{a}" for a in axes), *(f"v_{a}" for a in axes), "theta"]
-            fh.write("[nodes] " + " ".join(cols) + "\n")
-            # .tolist() yields Python floats, whose repr is the shortest round-trip form.
-            fh.writelines(" ".join(map(repr, row)) + "\n" for row in nodes.tolist())
-            fh.write("[cells] " + " ".join([*(f"c_{a}" for a in axes),
-                                            *(f"stress_{k}" for k in range(sys_.s_comp))]) + "\n")
-            fh.writelines(" ".join(map(repr, row)) + "\n" for row in cells.tolist())
+        np.savez(path, schema=STATE_SCHEMA, dim=mesh.dim, cells=mesh.cells, t=state.t,
+                 u=state.u, v=state.v, stress=state.stress, theta=state.theta)
     except OSError as exc:
         raise SnapshotError(f"writing {path} failed: {exc}") from exc
 
@@ -98,7 +79,7 @@ def cmd_run(args) -> int:
         result = solver_run(sys_, cfg, observers=observers)
         ledger = result.ledger
         ledger.to_csv(out / rc.ledger_filename)
-        write_snapshot(out / "snapshot_final.txt", sys_, result.state)
+        write_snapshot(out / "snapshot_final.npz", sys_, result.state)
         summary = ledger.write_summary_json(out / "summary.json",
                                             solver_stats=asdict(result.stats))
     except (StepFailureError, ValueError, SnapshotError) as exc:
@@ -109,7 +90,7 @@ def cmd_run(args) -> int:
         return 1
 
     print(format_summary(summary))
-    print(f"wrote {out / rc.ledger_filename}, snapshot_final.txt, summary.json")
+    print(f"wrote {out / rc.ledger_filename}, snapshot_final.npz, summary.json")
     return 0 if summary["passed"] else 1
 
 

@@ -217,6 +217,11 @@ def check(rc: RunConfig) -> RunConfig:
         check_time(rc.dt, rc.t_end, rc.picard_tol, rc.picard_max_iters)
     if rc.snapshot_stride < 0:
         raise ConfigError("[output] snapshot_stride must be >= 0")
+    name = rc.ledger_filename
+    if (Path(name).name != name or name in ("", "..", "summary.json")
+            or name.startswith("snapshot_")):
+        raise ConfigError(f"[output] ledger must be a file name other than summary.json and "
+                          f"snapshot_*, got {name!r}")
     return rc
 
 

@@ -548,8 +548,7 @@ class GalerkinSystem:
         Cell e couples nodes e and e + 1 only, so the matrix is tridiagonal in
         node order, with the ``heat_blocks`` of the cells as its 2x2 pieces.
         """
-        blocks = ((self._m_elem + dt * self._k_elem).reshape(-1)
-                  + dt * (self.advection_matrix(div_gauss) @ self._adv_table))
+        blocks = self.heat_blocks(dt, div_gauss).reshape(-1, 4)
         diag = np.concatenate((blocks[:, 0], [0.0]))
         diag[1:] += blocks[:, 3]
         return blocks[:, 2], diag, blocks[:, 1]

@@ -533,7 +533,8 @@ def run(sys: GalerkinSystem, cfg: SolverConfig, observers: Sequence[Callable] = 
     before any step.  Observers are called as ``observer(step_index, t,
     state, row)`` with a read-only state snapshot and the ledger row dict;
     they must not mutate.  Step errors, and errors of an expression evaluated
-    in a step, propagate annotated with the failing step and time.  Per-step results are not kept: ``stats`` holds their counts.
+    in a step, propagate annotated with the failing step and time.  Per-step
+    results are not kept: ``stats`` holds their counts.
     """
     report = verify_admissibility(cfg.flow_rule, _ADMISSIBILITY_SAMPLES)
     if not report.passed:

@@ -8,7 +8,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from thermovisco import cli, solver
-from thermovisco.cli import main, write_snapshot, SNAPSHOT_SCHEMA, STATE_SCHEMA
+from thermovisco.cli import main, STATE_SCHEMA
 from thermovisco.config import (
     ConfigError,
     PRESETS,
@@ -471,9 +471,20 @@ class TestCmdRun:
         assert main(["run", str(write_cfg(tmp_path, body))]) == 0
         snaps = sorted(p.name for p in (tmp_path / "snap").glob("snapshot_0*"))
         assert snaps == ["snapshot_000002.npz", "snapshot_000004.npz"]
-        text = (tmp_path / "snap" / "snapshot_final.txt").read_text()
-        assert text.startswith(f"# schema: {SNAPSHOT_SCHEMA}")
-        assert "[nodes]" in text and "[cells]" in text
+        with np.load(tmp_path / "snap" / "snapshot_final.npz", allow_pickle=False) as final:
+            assert final["schema"].item() == STATE_SCHEMA and final["t"].item() == 5e-3
+
+    @pytest.mark.parametrize("name", ["summary.json", "snapshot_final.npz", "snapshot_000002.npz",
+                                      "sub/ledger.csv"])
+    def test_ledger_name_of_another_output_exit_two(self, tmp_path, monkeypatch, capsys, name):
+        out = tmp_path / "out"
+        monkeypatch.setenv("THERMOVISCO_OUTDIR", str(out))
+        monkeypatch.setattr(cli, "solver_run", lambda *a, **k: pytest.fail("solve started"))
+        body = MINIMAL + f"\n[output]\nledger = {name}\n"
+        assert main(["run", str(write_cfg(tmp_path, body))]) == 2
+        assert f"[output] ledger must be a file name other than summary.json and snapshot_*, " \
+            f"got {name!r}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["run", "check-constitutive"])
@@ -670,9 +681,10 @@ class TestBackgroundSnapshots:
         code, out = self.run(tmp_path, monkeypatch, "out", body)
         assert code == 0
         assert sorted(p.name for p in out.glob("snapshot_0*")) == snaps
-        # Every snapshot goes through write_snapshot; the final one is always text.
-        assert calls == [*snaps, "snapshot_final.txt"]
-        assert (out / "snapshot_final.txt").read_text().startswith(f"# schema: {SNAPSHOT_SCHEMA}")
+        # Every snapshot goes through write_snapshot, the final one last.
+        assert calls == [*snaps, "snapshot_final.npz"]
+        with np.load(out / "snapshot_final.npz", allow_pickle=False) as final:
+            assert final["schema"].item() == STATE_SCHEMA and final["t"].item() == 6e-3
 
     def test_step_failure_leaves_complete_snapshot(self, tmp_path, monkeypatch, capsys):
         real_step, calls = solver.step, []
@@ -701,49 +713,47 @@ class TestBackgroundSnapshots:
         assert err.count("\n") == 1 and "Traceback" not in err
 
 
-class TestSnapshotWriter:
-    def test_snapshot_contains_all_fields(self, tmp_path):
-        from conftest import make_smooth_problem
-        from thermovisco.solver import run
-        sys, cfg = make_smooth_problem(cells=10, dt=1e-3, t_end=2e-3)
-        result = run(sys, cfg)
-        path = tmp_path / "snap.txt"
-        write_snapshot(path, sys, result.state)
-        lines = path.read_text().split("\n")
-        node_rows = [l for l in lines if l and not l.startswith(("#", "["))]
-        assert len(node_rows) == sys.mesh.n_nodes + sys.mesh.n_cells
+class TestFinalSnapshot:
+    """``snapshot_final.npz``: the state ``run`` returns, exact to the bit."""
 
-    @pytest.mark.parametrize("dim, cells", [(1, [5]), (2, [3, 4]), (3, [2, 3, 2])])
-    def test_matches_row_by_row_formatting(self, tmp_path, dim, cells):
-        from thermovisco import build_mesh, build_spaces
-        from thermovisco.solver import SimState
-        mesh = build_mesh(dim, [1.0, 2.0, 0.5][:dim], cells)
-        s = dim * (dim + 1) // 2
-        # The last stress cell misses a component (in 1D, its only one).
-        sys = build_spaces(mesh, mesh.interior_nodes.size * dim, mesh.n_cells * s - 1)
-        rng = np.random.default_rng(dim)
-        state = SimState(0.1 * dim, rng.standard_normal(sys.n_disp),
-                         rng.standard_normal(sys.n_disp) * 1e-7,
-                         rng.standard_normal(sys.k_stress) * 1e5,
-                         rng.uniform(0.5, 2.0, sys.n_temp))
-        path = tmp_path / "snap.txt"
-        write_snapshot(path, sys, state)
+    @pytest.mark.parametrize("dim, cells, partial", [(1, 8, False), (2, 4, False), (3, 3, True)],
+                             ids=["1d", "2d", "3d-partial-stress"])
+    def test_holds_the_final_state_exactly(self, tmp_path, monkeypatch, dim, cells, partial):
+        max_stress = max_levels(dim, [cells] * dim)[1]
+        body = MINIMAL.replace("dim = 1", f"dim = {dim}").replace(
+            "cells = 8", f"cells = {cells}").replace(
+            "preset = zero", "u0 = 0.1*sin(pi*x)\ntheta0 = 1 + 0.2*cos(pi*x)")
+        body += f"\n[spaces]\nk_stress_level = {max_stress - partial}\n"
+        results, real_run = [], cli.solver_run
 
-        # The writer's format, one value at a time.
-        axes = "xyz"[:dim]
-        nodal_u = sys.nodal_displacement(state.u)
-        nodal_v = sys.nodal_displacement(state.v)
-        stress_full = sys.stress_blocks(state.stress)
-        lines = [f"# schema: {SNAPSHOT_SCHEMA}", f"# t: {state.t!r}",
-                 f"# dim: {dim}  cells: {','.join(map(str, cells))}",
-                 "[nodes] " + " ".join([*axes, *(f"u_{a}" for a in axes),
-                                        *(f"v_{a}" for a in axes), "theta"])]
-        for i in range(mesh.n_nodes):
-            vals = [*mesh.nodes[i], *nodal_u[i], *nodal_v[i], state.theta[i]]
-            lines.append(" ".join(repr(float(v)) for v in vals))
-        lines.append("[cells] " + " ".join([*(f"c_{a}" for a in axes),
-                                            *(f"stress_{k}" for k in range(s))]))
-        for e in range(mesh.n_cells):
-            vals = [*mesh.cell_centers[e], *stress_full[e]]
-            lines.append(" ".join(repr(float(v)) for v in vals))
-        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+        def recording_run(*args, **kwargs):
+            results.append(real_run(*args, **kwargs))
+            return results[-1]
+        monkeypatch.setattr(cli, "solver_run", recording_run)
+        out = tmp_path / "out"
+        monkeypatch.setenv("THERMOVISCO_OUTDIR", str(out))
+        assert main(["run", str(write_cfg(tmp_path, body))]) == 0
+        assert sorted(p.name for p in out.iterdir()) == \
+            ["ledger.csv", "snapshot_final.npz", "summary.json"]
+        sys_, _ = build_problem(load_config(tmp_path / "case.cfg"))
+        assert sys_.k_stress == max_stress - partial
+        assert np.any(results[0].state.stress != 0.0)
+        assert_exact_state_file(out / "snapshot_final.npz", sys_, results[0].state)
+
+    def test_writes_no_text_file(self, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        monkeypatch.setenv("THERMOVISCO_OUTDIR", str(out))
+        assert main(["run", str(write_cfg(tmp_path, SMOOTH_2D_STRIDE_2))]) == 0
+        assert list(out.glob("*.txt")) == []
+        assert sorted(p.name for p in out.iterdir()) == [
+            "ledger.csv", "snapshot_000002.npz", "snapshot_000004.npz", "snapshot_000006.npz",
+            "snapshot_final.npz", "summary.json"]
+
+    def test_final_snapshot_in_the_way_exit_one(self, tmp_path, monkeypatch, capsys):
+        blocked = tmp_path / "out" / "snapshot_final.npz"
+        blocked.mkdir(parents=True)
+        monkeypatch.setenv("THERMOVISCO_OUTDIR", str(tmp_path / "out"))
+        assert main(["run", str(shipped_config_path("zero.cfg"))]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: writing {blocked} failed: [Errno 21] Is a directory")
+        assert err.count("\n") == 1 and "Traceback" not in err
