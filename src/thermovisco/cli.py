@@ -69,7 +69,7 @@ def cmd_run(args) -> int:
     out = Path(os.environ.get("THERMOVISCO_OUTDIR", rc.output_dir))
     observers = []
     if rc.snapshot_stride > 0:
-        def snap(i, t, state, row):
+        def snap(i, t, state, result):
             if i % rc.snapshot_stride == 0:
                 write_snapshot(out / f"snapshot_{i:06d}.npz", sys_, state)
         observers.append(snap)

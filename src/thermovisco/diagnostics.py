@@ -1,7 +1,7 @@
 """Balance-law bookkeeping: energy, entropy, total dissipation, positivity.
 
-Per accepted step the ledger accumulates every integral entering the three
-identities the scheme shadows:
+The ledger keeps one row per accepted step, computed per block of steps,
+holding every integral entering the three identities the scheme shadows:
 
   energy       E(t) = ½∫|u_t|² + ½∫ℂ⁻¹T:T + ∫θ changes only through the
                applied work and the clamp deficit of the dissipation source;
@@ -17,9 +17,11 @@ raised, so adversarial runs can be inspected.
 
 ``LedgerBase`` owns the one accumulation path, shared by the Galerkin
 ``BalanceLedger`` and the finite-difference oracle's ``FDLedger``: it opens
-the ledger with every ``ACCUMULATORS`` entry at zero, adds each step's
-increments, and integrates the θ floor.  A ledger subclass only computes a
-row's instantaneous integrals and the step's increments.  The energy
+the ledger with every ``ACCUMULATORS`` entry at zero, adds a block of steps'
+increments at a time, and integrates the θ floor.  A ledger subclass only
+computes the rows' instantaneous integrals and the steps' increments: the
+oracle's one step at a time, ``BalanceLedger`` per block of buffered steps,
+at most ``BLOCK_BYTES`` (1 MiB) of them or a single step.  The energy
 functional (``energy_terms``, ``total_energy``) is defined here, once.
 """
 
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import numpy as np
 from dataclasses import dataclass
 
@@ -45,6 +48,10 @@ MONOTONE_ACCUMULATORS = ("grad_tau_diss", "inelastic_diss", "entropic_diss",
 # Every running integral a step adds to; the applied work has either sign.
 ACCUMULATORS = MONOTONE_ACCUMULATORS + ("work",)
 
+# Bytes of step data a BalanceLedger holds before it computes the block's rows:
+# 186 steps of the 100-cell 1D scenario, 5 at 48² and 8 at 10³.
+BLOCK_BYTES = 1 << 20
+
 # First-order scheme constant, calibrated once on the shipped smooth coupled
 # scenario (observed energy residual / dt ≈ 0.054 at t = 0.5) and frozen with
 # a ~4x safety factor.  Tolerances below scale as max(1e-10, C_SCHEME·dt).
@@ -62,10 +69,6 @@ class Verdict:
     tol: float
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def _energy(row: dict) -> float:
     """E = kinetic + elastic + thermal, summed in that order."""
     return row["kinetic"] + row["elastic"] + row["thermal"]
@@ -74,27 +77,36 @@ def _energy(row: dict) -> float:
 def stress_quadratic_form(sys: GalerkinSystem, C: ElasticityTensor,
                           coeffs: np.ndarray) -> np.ndarray:
     """Cellwise vol·(ℂ⁻¹T̂):T̂ = vol·(|T̂|² − c·(tr T̂)²)/(2μ), c = λ/(dλ + 2μ), the
-    closed form of isotropic ℂ⁻¹; zero padding restricts ℂ⁻¹ to a partial cell."""
+    closed form of isotropic ℂ⁻¹; zero padding restricts ℂ⁻¹ to a partial cell.
+    Leading axes of ``coeffs`` are kept, so stacked coefficients give one row each."""
     dim = sys.mesh.dim
     blocks = sys.stress_blocks(coeffs)
-    trace = blocks[:, :dim].sum(axis=1)
+    trace = blocks[..., :dim].sum(axis=-1)
     c = C.lam / (dim * C.lam + 2.0 * C.mu)
-    return (np.einsum("ec,ec->e", blocks, blocks) - c * trace * trace) \
+    return (np.einsum("...c,...c->...", blocks, blocks) - c * trace * trace) \
         * (sys.mesh.cell_volume / (2.0 * C.mu))
 
 
-def energy_terms(sys: GalerkinSystem, C: ElasticityTensor, state) -> dict:
-    """Kinetic ½‖u_t‖², elastic ½∫ℂ⁻¹T:T and thermal ∫θ energy of a solver state."""
+def _apply(op, x: np.ndarray) -> np.ndarray:
+    """The linear map ``op`` of the vector ``x``, or of each row of ``x`` in contiguous
+    rows, with which ``np.vecdot`` adds in the order of one vector's dot."""
+    return np.ascontiguousarray(op(x.T).T)
+
+
+def energy_terms(sys: GalerkinSystem, C: ElasticityTensor, v: np.ndarray,
+                 stress: np.ndarray, theta: np.ndarray) -> dict:
+    """Kinetic ½‖u_t‖², elastic ½∫ℂ⁻¹T:T and thermal ∫θ energy of the fields of
+    one state, or of each row of fields stacked by row."""
     return {
-        "kinetic": 0.5 * float(state.v @ (sys.M_u @ state.v)),
-        "elastic": 0.5 * float(stress_quadratic_form(sys, C, state.stress).sum()),
-        "thermal": sys.integrate_nodal(state.theta),
+        "kinetic": 0.5 * np.vecdot(v, _apply(sys.M_u.dot, v)),
+        "elastic": 0.5 * stress_quadratic_form(sys, C, stress).sum(axis=-1),
+        "thermal": sys.integrate_nodal(theta),
     }
 
 
 def total_energy(sys: GalerkinSystem, C: ElasticityTensor, state) -> float:
-    """½‖u_t‖² + ½∫ℂ⁻¹T:T + ∫θ."""
-    return _energy(energy_terms(sys, C, state))
+    """½‖u_t‖² + ½∫ℂ⁻¹T:T + ∫θ of a solver state."""
+    return float(_energy(energy_terms(sys, C, state.v, state.stress, state.theta)))
 
 
 class LedgerBase:
@@ -104,31 +116,51 @@ class LedgerBase:
         self.dt = dt
         self.rows = []
         self.invariant_violations = []
-        self._theta0_min = None
-        self._div_integral = 0.0    # trapezoid ∫‖div u_t‖_∞ over the steps so far
-        self._prev_div_sup = 0.0
 
     # -- accumulation -------------------------------------------------------
 
     def _start(self, row: dict, div_sup: float) -> dict:
-        """Record the initial ``row``: accumulators at zero, θ floor = min θ₀."""
-        self._theta0_min = row["theta_min"]
-        self._prev_div_sup = div_sup
-        row.update(dict.fromkeys(ACCUMULATORS, 0.0), div_sup=div_sup,
-                   theta_floor=self._theta0_min)
-        return self.record_row(row)
+        """Record the initial ``row``: accumulators and residuals at zero, θ floor = min θ₀."""
+        row.update(dict.fromkeys(ACCUMULATORS + ("div_integral", "energy_residual",
+                                                 "dissipation_margin"), 0.0),
+                   div_sup=div_sup, theta_floor=row["theta_min"], positivity_ratio=1.0)
+        self.rows.append(row)
+        return row
 
-    def _advance(self, row: dict, increments: dict, div_sup: float) -> dict:
-        """Record ``row`` one step on: each accumulator grows by its increment,
-        and the floor min θ₀·exp(−∫‖div u_t‖_∞) takes the step's trapezoid."""
-        prev = self.rows[-1]
-        for key in ACCUMULATORS:
-            row[key] = prev[key] + increments[key]
-        self._div_integral += 0.5 * self.dt * (self._prev_div_sup + div_sup)
-        self._prev_div_sup = div_sup
-        row["div_sup"] = div_sup
-        row["theta_floor"] = self._theta0_min * math.exp(-self._div_integral)
-        return self.record_row(row)
+    def _advance(self, columns: dict, increments: dict, div_sup) -> dict:
+        """Record the next steps' rows, from arrays over them (or numbers for one
+        step) of t and the instantaneous integrals, the increments and div_sup;
+        return the last row.  Running sums continue from the last row by cumsum,
+        which adds in the order prev + increment; ``div_integral`` is the
+        trapezoid ∫‖div u_t‖_∞ of the θ floor min θ₀·exp(−∫‖div u_t‖_∞)."""
+        first, last = self.rows[0], self.rows[-1]
+        cols = {key: np.atleast_1d(x) for key, x in columns.items()}
+        div = np.append(last["div_sup"], div_sup)
+        cols["div_sup"] = div[1:]
+        increments = {**increments, "div_integral": 0.5 * self.dt * (div[:-1] + div[1:])}
+        for key, inc in increments.items():
+            cols[key] = np.cumsum(np.append(last[key], inc))[1:]
+        # libm's exp, as one exp per step takes it: numpy's may differ in the last bit.
+        cols["theta_floor"] = first["theta_min"] * np.array(
+            [math.exp(-x) for x in cols["div_integral"].tolist()])
+        acc = np.column_stack([cols[key] for key in MONOTONE_ACCUMULATORS])
+        prev = np.vstack(([last[key] for key in MONOTONE_ACCUMULATORS], acc[:-1]))
+        for i, j in zip(*np.nonzero(acc < prev - 1e-12 * np.maximum(1.0, np.abs(prev)))):
+            self.invariant_violations.append(
+                f"t={cols['t'][i]:g}: accumulator {MONOTONE_ACCUMULATORS[j]} decreased "
+                f"({prev[i, j]:.6g} -> {acc[i, j]:.6g})")
+        cols["energy_residual"] = abs((_energy(cols) - _energy(first)) - (
+            cols["work"] + cols["source_trunc"] - cols["inelastic_diss"]))
+        lhs = (cols["thermal"] - cols["entropy"]) + cols["kinetic"] + cols["elastic"] \
+            + cols["grad_tau_diss"]
+        rhs = cols["work"] + (first["thermal"] - first["entropy"]) \
+            + first["kinetic"] + first["elastic"]
+        cols["dissipation_margin"] = rhs - lhs
+        floor = cols["theta_floor"]
+        cols["positivity_ratio"] = np.divide(cols["theta_min"], floor,
+                                             out=np.full(floor.shape, np.inf), where=floor > 0)
+        self.rows += [dict(zip(cols, row)) for row in zip(*(x.tolist() for x in cols.values()))]
+        return self.rows[-1]
 
     # -- row access ---------------------------------------------------------
 
@@ -145,34 +177,6 @@ class LedgerBase:
         if not self.rows:
             raise ValueError("empty ledger")
         return self.rows[-1]
-
-    # -- derived quantities ---------------------------------------------------
-
-    def _residuals_for(self, row: dict) -> dict:
-        first = self.rows[0]
-        energy_residual = abs((_energy(row) - _energy(first))
-                              - (row["work"] + row["source_trunc"] - row["inelastic_diss"]))
-        lhs = (row["thermal"] - row["entropy"]) + row["kinetic"] + row["elastic"] \
-            + row["grad_tau_diss"]
-        rhs = row["work"] + (first["thermal"] - first["entropy"]) \
-            + first["kinetic"] + first["elastic"]
-        margin = rhs - lhs
-        return {"energy_residual": energy_residual, "dissipation_margin": margin}
-
-    def record_row(self, row: dict) -> dict:
-        if self.rows:
-            prev = self.rows[-1]
-            for key in MONOTONE_ACCUMULATORS:
-                if row[key] < prev[key] - 1e-12 * max(1.0, abs(prev[key])):
-                    self.invariant_violations.append(
-                        f"t={row['t']:g}: accumulator {key} decreased "
-                        f"({prev[key]:.6g} -> {row[key]:.6g})")
-        row.update(self._residuals_for(row) if self.rows else
-                   {"energy_residual": 0.0, "dissipation_margin": 0.0})
-        denom = row["theta_floor"]
-        row["positivity_ratio"] = row["theta_min"] / denom if denom > 0 else np.inf
-        self.rows.append(row)
-        return row
 
     # -- residuals and verdicts -------------------------------------------------
 
@@ -211,17 +215,15 @@ class LedgerBase:
         """E(t) ≤ E(0) + work(t) + tol at every logged time."""
         e0 = _energy(self.rows[0])
         tol = scheme_tolerance(self.dt, scale=max(1.0, e0))
-        worst = np.inf
-        for r in self.rows:
-            worst = min(worst, e0 + r["work"] + tol - _energy(r))
+        worst = min(e0 + r["work"] + tol - _energy(r) for r in self.rows)
         return Verdict(worst >= 0.0, worst, tol)
 
     # -- serialization ----------------------------------------------------------
 
     def to_csv(self, path=None) -> str:
+        values = operator.itemgetter(*LEDGER_COLUMNS)   # every row value is a Python float
         lines = [",".join(LEDGER_COLUMNS)]
-        for row in self.rows:
-            lines.append(",".join(_fmt(row[c]) for c in LEDGER_COLUMNS))
+        lines += [",".join(map(repr, values(row))) for row in self.rows]
         text = "\n".join(lines) + "\n"
         if path is not None:
             with open(path, "w") as fh:
@@ -289,52 +291,76 @@ def format_summary(s: dict) -> str:
 
 
 class BalanceLedger(LedgerBase):
-    """Ledger bound to a Galerkin system; fed by solver.run per step."""
+    """Ledger bound to a Galerkin system, fed by solver.run once per step.
 
-    def __init__(self, sys: GalerkinSystem, elasticity: ElasticityTensor, dt: float):
+    ``record_step`` copies what a step's row needs into one row of a block
+    buffer of at most ``BLOCK_BYTES``.  The call that fills the block, or that
+    takes step ``n_steps``, computes the rows of the whole block.
+    """
+
+    def __init__(self, sys: GalerkinSystem, elasticity: ElasticityTensor, dt: float,
+                 n_steps: int):
         super().__init__(dt)
-        self.sys = sys
-        self.elasticity = elasticity
-
-    def _base_row(self, state, tau: np.ndarray) -> dict:
-        row = {"t": state.t, **energy_terms(self.sys, self.elasticity, state)}
-        row["entropy"] = self.sys.integrate_nodal(tau)
-        row["theta_min"] = float(state.theta.min())
-        return row
+        self.sys, self.elasticity, self.n_steps = sys, elasticity, n_steps
+        # A buffer row: t and div_sup, then v, f_load, stress, θ, both sources and θ_cells.
+        n_cells = sys.mesh.n_cells
+        self._splits = np.cumsum((2, sys.n_disp, sys.n_disp, sys.k_stress, sys.n_temp,
+                                  n_cells, n_cells))
+        width = self._splits[-1] + n_cells
+        self._block = np.empty((max(1, BLOCK_BYTES // (8 * width)), width))
+        self._filled = 0
+        self._inv_theta = self._exp_neg_tau = np.empty((0, n_cells))
 
     def record_initial(self, state) -> dict:
         tau = np.log(state.theta)
-        row = self._base_row(state, tau)
-        self._remember_centers(self.sys.cell_center_values(state.theta), tau)
-        return self._start(row, self.sys.divergence_sup(state.v))
+        self._entropic_weights(self.sys.cell_center_values(state.theta)[None], tau[None])
+        cols = self._integrals(state.t, state.v, state.stress, state.theta, tau)
+        return self._start({key: float(x) for key, x in cols.items()},
+                           self.sys.divergence_sup(state.v))
 
-    def record_step(self, state, result) -> dict:
-        """Accumulate one accepted step; ``result`` is a solver.StepResult."""
-        dt = self.dt
-        vol = self.sys.mesh.cell_volume
-        tau = np.log(state.theta)
-        row = self._base_row(state, tau)
+    def record_step(self, state, result) -> None:
+        """Take one accepted step; ``result`` is its solver.StepResult."""
+        np.concatenate(([state.t, result.div_sup], state.v, result.f_load, state.stress,
+                        state.theta, result.heat.source_raw, result.heat.source_trunc,
+                        result.theta_cells), out=self._block[self._filled])
+        self._filled += 1
+        if self._filled == len(self._block) or len(self.rows) + self._filled > self.n_steps:
+            self._record_block()
 
+    def _integrals(self, t, v, stress, theta, tau) -> dict:
+        """The instantaneous columns of one state, or of states stacked by row."""
+        return {"t": t, **energy_terms(self.sys, self.elasticity, v, stress, theta),
+                "entropy": self.sys.integrate_nodal(tau), "theta_min": theta.min(axis=-1)}
+
+    def _entropic_weights(self, theta_cells: np.ndarray, tau: np.ndarray) -> tuple:
+        """1/θ and e^{−τ} at the cell centres of the state before each row of ``tau``;
+        the last row's are kept for the next call."""
+        inv_theta = np.vstack((self._inv_theta, 1.0 / theta_cells))
+        exp_neg_tau = np.vstack((self._exp_neg_tau,
+                                 np.exp(-_apply(self.sys.cell_center_values, tau))))
+        self._inv_theta, self._exp_neg_tau = inv_theta[-1:], exp_neg_tau[-1:]
+        return inv_theta[:-1], exp_neg_tau[:-1]
+
+    def _record_block(self):
+        """Compute and record the rows of the buffered steps, and empty the block."""
+        block, self._filled = self._block[:self._filled], 0
+        head, v, f_load, stress, theta, src_raw, src_trunc, theta_cells = \
+            np.split(block, self._splits, axis=1)
+        t, div_sup = head.T
+        tau = np.log(theta)
         # Source accumulators re-use exactly what the final heat solve
         # received, so the clamp deficit vanishes identically whenever the
         # clamp is inactive and the energy residual measures scheme error only.
         # Entropic weights use the same lagged (start-of-step) temperature as
         # the source itself: 1/θ for the full dissipation, e^{−τ} with the
         # nodal-log interpolant for the clamped entropy source.
-        src_raw = result.heat.source_raw
-        src_trunc = result.heat.source_trunc
-        increments = {
-            "grad_tau_diss": dt * float(tau @ (self.sys.K_theta @ tau)),
-            "inelastic_diss": dt * vol * float(src_raw.sum()),
-            "source_trunc": dt * vol * float(src_trunc.sum()),
-            "entropic_diss": dt * vol * float(src_raw @ self._inv_theta_prev),
-            "entropic_src_trunc": dt * vol * float(src_trunc @ self._exp_neg_tau_prev),
-            "work": dt * float(result.f_load @ state.v),
-        }
-        self._remember_centers(result.theta_cells, tau)
-        return self._advance(row, increments, result.div_sup)
-
-    def _remember_centers(self, theta_cells: np.ndarray, tau: np.ndarray):
-        """The next step's entropic weights 1/θ and e^{−τ} at the cell centres."""
-        self._inv_theta_prev = 1.0 / theta_cells
-        self._exp_neg_tau_prev = np.exp(-self.sys.cell_center_values(tau))
+        inv_theta, exp_neg_tau = self._entropic_weights(theta_cells, tau)
+        dt, dt_vol = self.dt, self.dt * self.sys.mesh.cell_volume
+        self._advance(self._integrals(t, v, stress, theta, tau), {
+            "grad_tau_diss": dt * np.vecdot(tau, _apply(self.sys.K_theta.dot, tau)),
+            "inelastic_diss": dt_vol * src_raw.sum(axis=1),
+            "source_trunc": dt_vol * src_trunc.sum(axis=1),
+            "entropic_diss": dt_vol * np.vecdot(src_raw, inv_theta),
+            "entropic_src_trunc": dt_vol * np.vecdot(src_trunc, exp_neg_tau),
+            "work": dt * np.vecdot(f_load, v),
+        }, div_sup)

@@ -271,6 +271,7 @@ class GalerkinSystem:
         # Stress dof a <-> (cell, Mandel component), cell-major order.
         self.stress_cell = np.repeat(np.arange(mesh.n_cells), self.s_comp)[:k_stress]
         self.stress_comp = np.tile(np.arange(self.s_comp), mesh.n_cells)[:k_stress]
+        self._stress_shape = (mesh.n_cells, self.s_comp)
         self._spectra = {}
 
         self._build_cell_maps(mesh)
@@ -442,13 +443,14 @@ class GalerkinSystem:
     # -- solves and field plumbing ---------------------------------------------
 
     def stress_blocks(self, coeffs: np.ndarray) -> np.ndarray:
-        """Stress coefficients as Mandel vectors (n_cells, s): dof a is flat entry a,
-        so a view of ``coeffs`` at the full level, else zero-padded."""
-        shape = (self.mesh.n_cells, self.s_comp)
-        if coeffs.size == shape[0] * shape[1]:
+        """Stress coefficients as Mandel vectors (..., n_cells, s), keeping the leading
+        axes of ``coeffs``: dof a is flat entry a of the last two axes, so a view of
+        ``coeffs`` at the full level, else zero-padded."""
+        shape = coeffs.shape[:-1] + self._stress_shape
+        if coeffs.shape[-1] == shape[-2] * shape[-1]:
             return coeffs.reshape(shape)
         blocks = np.zeros(shape)
-        blocks.reshape(-1)[:self.k_stress] = coeffs
+        blocks.reshape(*shape[:-2], -1)[..., :self.k_stress] = coeffs
         return blocks
 
     def stress_coeffs(self, blocks: np.ndarray) -> np.ndarray:
@@ -574,9 +576,9 @@ class GalerkinSystem:
         return np.bincount(self._load_dofs, weights=contrib.ravel()[self._load_slots],
                            minlength=self.n_disp)
 
-    def integrate_nodal(self, nodal_values: np.ndarray) -> float:
-        """∫ of the Q1 interpolant with the given nodal values."""
-        return float(self._integral_weights @ nodal_values)
+    def integrate_nodal(self, nodal_values: np.ndarray):
+        """∫ of the Q1 interpolant with the given nodal values, per row if stacked by row."""
+        return np.vecdot(nodal_values, self._integral_weights)
 
     def locate(self, pts: np.ndarray):
         """Cell index and reference coordinates of physical points."""

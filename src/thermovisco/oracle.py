@@ -197,7 +197,8 @@ class FDLedger(LedgerBase):
 def fd_run(grid: FDGrid, C_scalar: float, G_scalar: Callable, t_end: float,
            f_sampler=None, mode: str = "full",
            observers: Sequence[Callable] = ()):
-    """Iterate fd_step to t_end; returns (final grid, ledger)."""
+    """Iterate fd_step to t_end; returns (final grid, ledger).  Observers are
+    called as ``observer(step_index, t, grid, row)``, ``row`` a copy of the step's ledger row."""
     ledger = FDLedger(grid.dt, C_scalar)
     ledger.record_initial(grid)
     n_steps = max(1, int(round(t_end / grid.dt)))

@@ -531,9 +531,10 @@ def run(sys: GalerkinSystem, cfg: SolverConfig, observers: Sequence[Callable] = 
     First the flow rule must pass ``verify_admissibility`` on
     ``_ADMISSIBILITY_SAMPLES`` samples of seed 0, or ValueError is raised
     before any step.  Observers are called as ``observer(step_index, t,
-    state, row)`` with a read-only state snapshot and the ledger row dict;
-    they must not mutate.  Step errors, and errors of an expression evaluated
-    in a step, propagate annotated with the failing step and time.  Per-step
+    state, result)`` with a read-only state snapshot and the step's
+    ``StepResult``; they must not mutate.  The ledger's rows are complete once
+    ``run`` returns.  Step errors, and errors of an expression evaluated in a
+    step, propagate annotated with the failing step and time.  Per-step
     results are not kept: ``stats`` holds their counts.
     """
     report = verify_admissibility(cfg.flow_rule, _ADMISSIBILITY_SAMPLES)
@@ -545,7 +546,7 @@ def run(sys: GalerkinSystem, cfg: SolverConfig, observers: Sequence[Callable] = 
     cfg = replace(cfg, truncation=trunc)
 
     n_steps = round(cfg.t_end / cfg.dt)
-    ledger = BalanceLedger(sys, cfg.elasticity, cfg.dt)
+    ledger = BalanceLedger(sys, cfg.elasticity, cfg.dt, n_steps)
     ledger.record_initial(state)
 
     stats = SolverStats()
@@ -560,7 +561,7 @@ def run(sys: GalerkinSystem, cfg: SolverConfig, observers: Sequence[Callable] = 
         state = result.state
         history.push(state, result.iterations)
         stats.record(result, order)
-        row = ledger.record_step(state, result)
+        ledger.record_step(state, result)
         for obs in observers:
-            obs(i, state.t, state, dict(row))
+            obs(i, state.t, state, result)
     return RunResult(state, ledger, n_steps, stats)

@@ -622,8 +622,8 @@ def record_observed_states(monkeypatch):
     seen, real_run = {}, cli.solver_run
 
     def recording_run(sys_, cfg, observers=()):
-        return real_run(sys_, cfg, observers=[*observers,
-                                              lambda i, t, state, row: seen.setdefault(i, state)])
+        return real_run(sys_, cfg, observers=[
+            *observers, lambda i, t, state, result: seen.setdefault(i, state)])
     monkeypatch.setattr(cli, "solver_run", recording_run)
     return seen
 

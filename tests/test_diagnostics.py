@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+from dataclasses import replace
 
 from thermovisco import (ElasticityTensor, FlowRule, TruncationLevel, build_mesh, build_spaces,
                          solver, verify_admissibility)
-from thermovisco.diagnostics import (ACCUMULATORS, C_SCHEME, LEDGER_COLUMNS, format_summary,
+from thermovisco.config import build_problem, load_config, shipped_config_path
+from thermovisco.diagnostics import (ACCUMULATORS, BLOCK_BYTES, C_SCHEME, LEDGER_COLUMNS,
+                                     BalanceLedger, energy_terms, format_summary,
                                      scheme_tolerance)
+from thermovisco.discretization import max_levels
 from thermovisco.oracle import fd_run, make_grid
-from thermovisco.solver import SimState, SolverConfig, run
+from thermovisco.solver import SimState, SolverConfig, initialize, run
 
 from conftest import heat_solve, make_smooth_problem, run_recording_steps
 
@@ -281,3 +285,70 @@ class TestSerialization:
                                       "accumulators_monotone"}
         text = format_summary(result.ledger.summary())
         assert "[pass]" in text and "FAIL" not in text
+
+
+@pytest.fixture(scope="module")
+def blocked_run():
+    """``smooth_coupled.cfg`` run for three and a half blocks of the ledger:
+    it crosses three block boundaries and ends mid-block."""
+    rc = load_config(shipped_config_path("smooth_coupled.cfg"))
+    sys, cfg = build_problem(rc)
+    block = len(BalanceLedger(sys, cfg.elasticity, cfg.dt, 1)._block)
+    n_steps = 3 * block + block // 2
+    sys, cfg = build_problem(replace(rc, t_end=n_steps * rc.dt))
+    return (sys, cfg, n_steps, block, *run_recording_steps(sys, cfg))
+
+
+class TestBatchedLedger:
+    def test_rows_equal_the_per_state_formulas(self, blocked_run):
+        sys, cfg, n_steps, block, result, steps = blocked_run
+        assert n_steps > 3 * block and n_steps % block
+        rows = result.ledger.rows
+        assert len(rows) == len(steps) + 1 == n_steps + 1
+        dt, vol = cfg.dt, sys.mesh.cell_volume
+        states = [initialize(sys, cfg)] + [info.state for info in steps]
+        expected = {key: [] for key in ("t", "kinetic", "elastic", "thermal", "entropy",
+                                        "theta_min", *ACCUMULATORS)}
+        for i, state in enumerate(states):
+            tau = np.log(state.theta)
+            instant = {"t": state.t, "entropy": sys.integrate_nodal(tau),
+                       "theta_min": state.theta.min(),
+                       **energy_terms(sys, cfg.elasticity, state.v, state.stress, state.theta)}
+            if i == 0:
+                increments = dict.fromkeys(ACCUMULATORS, 0.0)
+            else:
+                info, before = steps[i - 1], states[i - 1].theta
+                raw, trunc = info.heat.source_raw, info.heat.source_trunc
+                increments = {
+                    "grad_tau_diss": dt * (tau @ (sys.K_theta @ tau)),
+                    "inelastic_diss": dt * vol * raw.sum(),
+                    "source_trunc": dt * vol * trunc.sum(),
+                    "entropic_diss": dt * vol * (raw @ (1.0 / sys.cell_center_values(before))),
+                    "entropic_src_trunc": dt * vol * (trunc @ np.exp(
+                        -sys.cell_center_values(np.log(before)))),
+                    "work": dt * (info.f_load @ state.v),
+                }
+            for key, value in {**instant, **increments}.items():
+                expected[key].append(value)
+        for key in ACCUMULATORS:
+            expected[key] = np.cumsum(expected[key])
+        for key, values in expected.items():
+            values = np.asarray(values)
+            np.testing.assert_allclose([row[key] for row in rows], values, rtol=1e-13,
+                                       atol=1e-13 * np.abs(values).max(), err_msg=key)
+
+    def test_the_shipped_scenario_passes_across_blocks(self, blocked_run):
+        _, _, _, _, result, _ = blocked_run
+        summary = result.ledger.summary()
+        assert summary["passed"] and not summary["invariant_violations"]
+
+    @pytest.mark.parametrize("dim, cells, steps_at_least", [(1, 100, 100), (3, 16, 1)])
+    def test_a_block_stays_within_the_byte_budget(self, dim, cells, steps_at_least):
+        mesh = build_mesh(dim, [1.0] * dim, [cells] * dim)
+        sys = build_spaces(mesh, *max_levels(dim, mesh.cells))
+        ledger = BalanceLedger(sys, ElasticityTensor(1.0, 1.0), 1e-3, 1000)
+        per_step = 2 + 2 * sys.n_disp + sys.k_stress + sys.n_temp + 3 * mesh.n_cells
+        assert ledger._block.shape[1] == per_step
+        assert len(ledger._block) >= steps_at_least
+        assert ledger._block.nbytes <= BLOCK_BYTES
+

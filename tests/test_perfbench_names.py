@@ -9,9 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from thermovisco import ElasticityTensor, FlowRule, build_mesh, build_spaces, solver
+from thermovisco import ElasticityTensor, FlowRule, build_mesh, build_spaces, diagnostics, solver
 from thermovisco.discretization import GalerkinSystem, max_levels
 from thermovisco.solver import SolverConfig, StepResult, initialize, resolve_truncation, step
+
+from conftest import make_smooth_problem
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -27,6 +29,30 @@ def test_every_entry_point_resolves():
     tracing = load_tracing()
     for owner, attr, name in tracing.ENTRY_POINTS:
         assert callable(vars(owner).get(attr)), f"{name}: {owner.__name__}.{attr} is missing"
+
+
+def test_record_step_span_holds_all_ledger_work(monkeypatch):
+    # diagnostics.record_s is the time inside BalanceLedger.record_step: when
+    # the run's last record_step returns, the ledger holds every row, and
+    # writing it out computes no column again.
+    sys, cfg = make_smooth_problem(cells=20, t_end=0.05)
+    lengths = []
+    record_step = diagnostics.BalanceLedger.record_step
+
+    def recorded(self, state, result):
+        record_step(self, state, result)
+        lengths.append(len(self.rows))
+    monkeypatch.setattr(diagnostics.BalanceLedger, "record_step", recorded)
+    result = solver.run(sys, cfg)
+    assert len(lengths) == result.n_steps and lengths[-1] == result.n_steps + 1
+
+    def no_product(*args):
+        raise AssertionError("the ledger's output recomputed a column")
+    monkeypatch.setattr(GalerkinSystem, "cell_center_values", no_product)
+    monkeypatch.setattr(sys, "M_u", None)
+    monkeypatch.setattr(sys, "K_theta", None)
+    assert result.ledger.to_csv().count("\n") == result.n_steps + 2
+    assert result.ledger.summary()["steps"] == result.n_steps
 
 
 def test_step_result_reports_inner_iterations():

@@ -907,13 +907,15 @@ class TestRun:
         sys, cfg = make_zero_problem(dt=0.01, t_end=0.02)
         seen = []
 
-        def observer(i, t, state, row):
-            seen.append((i, t, row["t"]))
+        def observer(i, t, state, result):
+            seen.append((i, t, result.state.t))
+            assert result.iterations >= 1
             with pytest.raises((ValueError, RuntimeError)):
                 state.theta[0] = -1.0
 
         run(sys, cfg, observers=[observer])
         assert [s[0] for s in seen] == [1, 2]
+        assert all(t == t_result for _, t, t_result in seen)
 
     def test_no_switches_to_skip_the_gate_or_keep_step_results(self):
         sys, cfg = make_zero_problem()
