@@ -174,11 +174,13 @@ def cmd_convergence(args) -> int:
         print(f"{i - 1}->{i:>10} {diffs['u']:12.4e} {diffs['stress']:12.4e} "
               f"{diffs['theta']:12.4e} {total:12.4e}")
     for i, s in enumerate(summaries):
+        failed = [name for name, ok in s["verdicts"].items() if not ok]
         print(f"level {i}: energy residual {s['energy_residual']:.4e}, "
-              f"dissipation margin {s['dissipation_margin_min']:.4e}")
+              f"dissipation margin {s['dissipation_margin_min']:.4e}, "
+              f"verdicts: {'FAIL ' + ', '.join(failed) if failed else 'pass'}")
     decreasing = all(b <= a * (1.0 + 1e-12) for a, b in zip(totals, totals[1:]))
     print(f"pairwise differences monotonically decreasing: {decreasing}")
-    return 0 if decreasing else 1
+    return 0 if decreasing and all(s["passed"] for s in summaries) else 1
 
 
 def positive_int(raw: str) -> int:

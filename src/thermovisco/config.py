@@ -2,8 +2,8 @@
 
 A config has sections [mesh], [spaces], [material], [time], [data] and
 [output]; see the shipped files under ``thermovisco/configs``.  The [data]
-section either names a preset or gives component expressions over x, y, z
-(and t for the forcing f).  This module only parses values.  Their ranges
+section gives component expressions over x, y, z (and t for the forcing f);
+theta0 is required.  This module only parses values.  Their ranges
 are the rules of the objects that own them (``mesh_shape``,
 ``check_levels``, ``ElasticityTensor``, ``FlowRule``, ``check_time``);
 ``check`` runs them all and names the section of a rule that fails, so the
@@ -52,24 +52,6 @@ class RunConfig:
     output_dir: str
     snapshot_stride: int
     ledger_filename: str
-
-
-PRESETS = {
-    "zero": {
-        "theta0": "1.0",
-    },
-    "smooth_coupled": {
-        "u0": "0.1*sin(pi*x)",
-        "stress0": "0.3*cos(pi*x)",
-        "theta0": "1.0 + 0.2*cos(pi*x)",
-        "f": "0.05*cos(2*t)*sin(pi*x)",
-    },
-    "smooth_2d": {
-        "u0": "0.05*sin(pi*x)*sin(pi*y); 0.05*sin(pi*x)*sin(pi*y)",
-        "stress0": "0.2*cos(pi*x); 0.2*cos(pi*x); 0.0",
-        "theta0": "1.0 + 0.1*cos(pi*x)*cos(pi*y)",
-    },
-}
 
 
 def shipped_config_path(name: str) -> Path:
@@ -180,10 +162,10 @@ def load_config(path) -> RunConfig:
     rc = check(RunConfig(dim, extents, cells, n_disp, k_stress, lam, mu, flow_kind,
                          kappa0, kappa_min, dt, t_end, picard_tol, picard_max,
                          truncation, {}, out_dir, stride, ledger_name))
-    # The data section is read last: its component counts need a checked dim.
-    rc = replace(rc, data=_parse_data(cp, rc.dim))
+    texts = {key: _get(cp, "data", key, str) for key in ("u0", "u1", "stress0", "theta0", "f")}
     cp.reject_unread()
-    return rc
+    # The data section is compiled last: its component counts need a checked dim.
+    return replace(rc, data=_parse_data(texts, rc.dim))
 
 
 @contextmanager
@@ -225,19 +207,12 @@ def check(rc: RunConfig) -> RunConfig:
     return rc
 
 
-def _parse_data(cp, dim) -> dict:
+def _parse_data(texts, dim) -> dict:
+    """Samplers of the [data] expression ``texts``, None where a key is absent."""
     fields = {}
-    preset = _get(cp, "data", "preset", str.strip)
-    if preset is not None and preset not in PRESETS:
-        raise ConfigError(f"[data] preset: unknown preset {preset!r} "
-                          f"(one of {sorted(PRESETS)})")
-    defaults = PRESETS.get(preset, {})  # explicit keys override the preset
-
-    def text(key):
-        return _get(cp, "data", key, str, default=defaults.get(key))
 
     def comps(key, count, broadcast=False):
-        parts = [part.strip() for part in text(key).split(";")]
+        parts = [part.strip() for part in texts[key].split(";")]
         if broadcast and len(parts) == 1:
             parts = parts * count
         if len(parts) != count:
@@ -246,14 +221,14 @@ def _parse_data(cp, dim) -> dict:
 
     try:
         for key in ("u0", "u1"):
-            if text(key) is not None:
+            if texts[key] is not None:
                 fields[key] = vector_sampler(comps(key, dim, broadcast=True))
-        if text("stress0") is not None:
+        if texts["stress0"] is not None:
             fields["stress0"] = tensor_sampler(comps("stress0", sym_components(dim)), dim)
-        if text("theta0") is None:
+        if texts["theta0"] is None:
             raise ConfigError("[data] theta0: required (strictly positive expression)")
-        fields["theta0"] = compile_expression(text("theta0"))
-        if text("f") is not None:
+        fields["theta0"] = compile_expression(texts["theta0"])
+        if texts["f"] is not None:
             fields["forcing"] = vector_sampler(comps("f", dim, broadcast=True), with_time=True)
     except ExpressionError as exc:
         raise ConfigError(f"[data] bad expression: {exc}") from exc

@@ -32,32 +32,11 @@ def to_mandel(A: np.ndarray) -> np.ndarray:
     return np.stack(parts, axis=-1)
 
 
-def from_mandel(v: np.ndarray, dim: int) -> np.ndarray:
-    """Convert Mandel vectors (..., s) back to symmetric matrices (..., d, d)."""
-    v = np.asarray(v, dtype=float)
-    A = np.zeros(v.shape[:-1] + (dim, dim))
-    for i in range(dim):
-        A[..., i, i] = v[..., i]
-    for k, (i, j) in enumerate(_OFFDIAG[dim]):
-        A[..., i, j] = A[..., j, i] = v[..., dim + k] / SQRT2
-    return A
-
-
 def mandel_identity(dim: int) -> np.ndarray:
     """Mandel vector of the d×d identity matrix."""
     m = np.zeros(sym_components(dim))
     m[:dim] = 1.0
     return m
-
-
-def _check_symmetric(A: np.ndarray) -> np.ndarray:
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] not in (1, 2, 3):
-        raise ValueError(f"expected a symmetric 1x1, 2x2 or 3x3 matrix, got shape {A.shape}")
-    scale = max(1.0, float(np.abs(A).max()))
-    if np.abs(A - A.T).max() > 1e-12 * scale:
-        raise ValueError("matrix is not symmetric")
-    return 0.5 * (A + A.T)
 
 
 @dataclass(frozen=True)
@@ -78,25 +57,13 @@ class ElasticityTensor:
                 f"got lambda={self.lam}, mu={self.mu}"
             )
 
-    def apply(self, A: np.ndarray) -> np.ndarray:
-        """λ·tr(A)·I + 2μ·A for a symmetric matrix A."""
-        A = _check_symmetric(A)
-        d = A.shape[0]
-        return self.lam * np.trace(A) * np.eye(d) + 2.0 * self.mu * A
-
-    def inverse_apply(self, A: np.ndarray) -> np.ndarray:
-        """Closed-form inverse: (A − λ/(dλ+2μ)·tr(A)·I) / (2μ)."""
-        A = _check_symmetric(A)
-        d = A.shape[0]
-        c = self.lam / (d * self.lam + 2.0 * self.mu)
-        return (A - c * np.trace(A) * np.eye(d)) / (2.0 * self.mu)
-
     def mandel_matrix(self, dim: int) -> np.ndarray:
         """Matrix of the tensor acting on Mandel vectors: λ m mᵀ + 2μ I."""
         m = mandel_identity(dim)
         return self.lam * np.outer(m, m) + 2.0 * self.mu * np.eye(m.size)
 
     def inverse_mandel_matrix(self, dim: int) -> np.ndarray:
+        """Matrix of the closed-form inverse: (I − c m mᵀ) / (2μ), c = λ/(dλ + 2μ)."""
         m = mandel_identity(dim)
         c = self.lam / (dim * self.lam + 2.0 * self.mu)
         return (np.eye(m.size) - c * np.outer(m, m)) / (2.0 * self.mu)
@@ -197,13 +164,6 @@ class FlowRule:
         V = np.atleast_2d(np.asarray(V, dtype=float))
         norm = np.sqrt(np.einsum("ec,ec->e", V, V))
         return self.factor(self.kappa(theta), norm)[:, None] * V
-
-    def eval(self, theta: float, T: np.ndarray) -> np.ndarray:
-        """G(θ, T) for a single symmetric matrix T."""
-        T = _check_symmetric(T)
-        v = to_mandel(T)
-        out = self.eval_mandel(np.array([theta]), v[None, :])
-        return from_mandel(out[0], T.shape[0])
 
     def scalar_eval(self, theta, T):
         """1D reduction: scalar stress in, scalar rate out (arrays ok)."""

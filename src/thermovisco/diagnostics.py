@@ -15,6 +15,11 @@ holding every integral entering the three identities the scheme shadows:
 accumulated dissipation terms are monotone; violations are collected, not
 raised, so adversarial runs can be inspected.
 
+``LedgerBase.summary`` is the one place a verdict is decided.  From the rows
+it computes the worst dissipation margin, the worst positivity ratio, the
+uniform-bound slack and the final residuals, each verdict's tolerance and
+pass/fail, and ``passed`` as all of them; callers read its keys or ``rows``.
+
 ``LedgerBase`` owns the one accumulation path, shared by the Galerkin
 ``BalanceLedger`` and the finite-difference oracle's ``FDLedger``: it opens
 the ledger with every ``ACCUMULATORS`` entry at zero, adds a block of steps'
@@ -31,7 +36,6 @@ import json
 import math
 import operator
 import numpy as np
-from dataclasses import dataclass
 
 from .constitutive import ElasticityTensor
 from .discretization import GalerkinSystem
@@ -62,16 +66,18 @@ def scheme_tolerance(dt: float, scale: float = 1.0) -> float:
     return max(1e-10, C_SCHEME * dt * scale)
 
 
-@dataclass
-class Verdict:
-    passed: bool
-    value: float
-    tol: float
-
-
 def _energy(row: dict) -> float:
     """E = kinetic + elastic + thermal, summed in that order."""
     return row["kinetic"] + row["elastic"] + row["thermal"]
+
+
+def entropy_residual(first: dict, row: dict) -> float:
+    """|∫ln θ − ∫ln θ₀ − entropic source − ∫∫|∇τ|²| at ``row``, ``first`` the ledger's
+    first row: the defect of the integrated entropy identity."""
+    if row["theta_min"] <= 0.0 or first["theta_min"] <= 0.0:
+        raise ValueError("entropy residual undefined: nonpositive temperature")
+    return abs(row["entropy"] - first["entropy"]
+               - row["entropic_src_trunc"] - row["grad_tau_diss"])
 
 
 def stress_quadratic_form(sys: GalerkinSystem, C: ElasticityTensor,
@@ -110,7 +116,7 @@ def total_energy(sys: GalerkinSystem, C: ElasticityTensor, state) -> float:
 
 
 class LedgerBase:
-    """Row bookkeeping and residual formulas shared by both solvers."""
+    """Row bookkeeping and the verdicts, shared by both solvers."""
 
     def __init__(self, dt: float):
         self.dt = dt
@@ -162,62 +168,6 @@ class LedgerBase:
         self.rows += [dict(zip(cols, row)) for row in zip(*(x.tolist() for x in cols.values()))]
         return self.rows[-1]
 
-    # -- row access ---------------------------------------------------------
-
-    def row_at(self, t: float) -> dict:
-        for row in self.rows:
-            if abs(row["t"] - t) <= 1e-12 * max(1.0, abs(t)):
-                return row
-        raise KeyError(f"no ledger row at t={t!r}; ledger covers "
-                       f"[{self.rows[0]['t'] if self.rows else '-'}, "
-                       f"{self.rows[-1]['t'] if self.rows else '-'}] "
-                       f"in {len(self.rows)} rows (missing steps?)")
-
-    def final_row(self) -> dict:
-        if not self.rows:
-            raise ValueError("empty ledger")
-        return self.rows[-1]
-
-    # -- residuals and verdicts -------------------------------------------------
-
-    def energy_residual(self, t: float) -> float:
-        """|ΔE − work − (clamped source − full dissipation)| at time t."""
-        return self.row_at(t)["energy_residual"]
-
-    def truncation_deficit(self, t: float) -> float:
-        """∫∫G:T − ∫∫clamp(G:T) ≥ 0; zero while the clamp is inactive."""
-        row = self.row_at(t)
-        return row["inelastic_diss"] - row["source_trunc"]
-
-    def entropy_residual(self, t: float) -> float:
-        """Defect of the integrated entropy identity at time t."""
-        row = self.row_at(t)
-        first = self.rows[0]
-        if row["theta_min"] <= 0.0 or first["theta_min"] <= 0.0:
-            raise ValueError("entropy residual undefined: nonpositive temperature")
-        return abs(row["entropy"] - first["entropy"]
-                   - row["entropic_src_trunc"] - row["grad_tau_diss"])
-
-    def dissipation_inequality_check(self) -> Verdict:
-        """Worst margin of the combined energy/entropy inequality; must be ≥ −tol."""
-        tol = scheme_tolerance(self.dt)
-        worst = min(r["dissipation_margin"] for r in self.rows)
-        return Verdict(worst >= -tol, worst, tol)
-
-    def positivity_bound_check(self) -> Verdict:
-        """worst θ_min(t) / (min θ₀ · exp(−∫‖div u_t‖_∞)) over the run."""
-        if not self.rows:
-            raise ValueError("empty state history")
-        worst = min(r["positivity_ratio"] for r in self.rows)
-        return Verdict(worst >= 0.95, worst, 0.95)
-
-    def uniform_bound_check(self) -> Verdict:
-        """E(t) ≤ E(0) + work(t) + tol at every logged time."""
-        e0 = _energy(self.rows[0])
-        tol = scheme_tolerance(self.dt, scale=max(1.0, e0))
-        worst = min(e0 + r["work"] + tol - _energy(r) for r in self.rows)
-        return Verdict(worst >= 0.0, worst, tol)
-
     # -- serialization ----------------------------------------------------------
 
     def to_csv(self, path=None) -> str:
@@ -231,35 +181,40 @@ class LedgerBase:
         return text
 
     def summary(self) -> dict:
-        last = self.final_row()
-        diss = self.dissipation_inequality_check()
-        pos = self.positivity_bound_check()
-        bound = self.uniform_bound_check()
-        energy_tol = scheme_tolerance(self.dt, scale=max(1.0, _energy(self.rows[0])))
-        energy_ok = last["energy_residual"] <= energy_tol
+        """The run's worst and final values, each verdict's tolerance, and the verdicts."""
+        if not self.rows:
+            raise ValueError("empty ledger")
+        first, last = self.rows[0], self.rows[-1]
+        e0 = _energy(first)
+        energy_tol = scheme_tolerance(self.dt, scale=max(1.0, e0))
+        margin_tol = scheme_tolerance(self.dt)
+        margin = min(r["dissipation_margin"] for r in self.rows)
+        ratio = min(r["positivity_ratio"] for r in self.rows)
+        # E(t) ≤ E(0) + work(t) + tol at every row.
+        slack = min(e0 + r["work"] + energy_tol - _energy(r) for r in self.rows)
+        verdicts = {
+            "energy_balance": last["energy_residual"] <= energy_tol,
+            "dissipation_inequality": margin >= -margin_tol,
+            "temperature_positivity": ratio >= 0.95,   # θ_min within 5% of its floor
+            "uniform_bound": slack >= 0.0,
+            "accumulators_monotone": not self.invariant_violations,
+        }
         return {
             "t_final": last["t"],
             "steps": len(self.rows) - 1,
             "energy_residual": last["energy_residual"],
             "energy_residual_tol": energy_tol,
-            "entropy_residual": self.entropy_residual(last["t"]),
-            "dissipation_margin_min": diss.value,
-            "dissipation_margin_tol": diss.tol,
+            "entropy_residual": entropy_residual(first, last),
+            "dissipation_margin_min": margin,
+            "dissipation_margin_tol": margin_tol,
             "entropic_dissipation": last["entropic_diss"],
             "truncation_deficit": last["inelastic_diss"] - last["source_trunc"],
             "theta_min": last["theta_min"],
-            "positivity_worst_ratio": pos.value,
-            "uniform_bound_slack": bound.value,
+            "positivity_worst_ratio": ratio,
+            "uniform_bound_slack": slack,
             "invariant_violations": list(self.invariant_violations),
-            "verdicts": {
-                "energy_balance": bool(energy_ok),
-                "dissipation_inequality": bool(diss.passed),
-                "temperature_positivity": bool(pos.passed),
-                "uniform_bound": bool(bound.passed),
-                "accumulators_monotone": not self.invariant_violations,
-            },
-            "passed": bool(energy_ok and diss.passed and pos.passed and bound.passed
-                           and not self.invariant_violations),
+            "verdicts": {name: bool(ok) for name, ok in verdicts.items()},
+            "passed": all(verdicts.values()),
         }
 
     def write_summary_json(self, path, **blocks) -> dict:

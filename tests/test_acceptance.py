@@ -11,7 +11,7 @@ import pytest
 from thermovisco import ElasticityTensor, FlowRule, verify_admissibility
 from thermovisco.cli import main as cli_main
 from thermovisco.config import build_problem, load_config, shipped_config_path
-from thermovisco.diagnostics import C_SCHEME
+from thermovisco.diagnostics import C_SCHEME, entropy_residual
 from thermovisco.discretization import (
     build_mesh,
     build_spaces,
@@ -97,7 +97,7 @@ def test_criterion_02_zero_data_fixed_point(announce):
     worst = 0.0
     for row in led.rows:
         worst = max(worst, row["energy_residual"], abs(row["dissipation_margin"]),
-                    led.entropy_residual(row["t"]))
+                    entropy_residual(led.rows[0], row))
     assert worst <= 1e-12
     assert np.abs(result.state.u).max() <= 1e-12
     assert np.abs(result.state.theta - 1.0).max() <= 1e-12
@@ -116,10 +116,11 @@ def test_criterion_03_energy_balance_first_order(announce):
     led = full.ledger
     first = led.rows[0]
     e0 = first["kinetic"] + first["elastic"] + first["thermal"]
-    res = led.energy_residual(full.state.t)
-    res_half = half.ledger.energy_residual(half.state.t)
+    summary = led.summary()
+    res = summary["energy_residual"]
+    res_half = half.ledger.summary()["energy_residual"]
     ratio = res / res_half
-    assert led.truncation_deficit(full.state.t) == 0.0  # clamp inactive
+    assert summary["truncation_deficit"] == 0.0  # clamp inactive
     assert res <= 5e-3 * e0
     assert 1.6 <= ratio <= 2.4
     assert elapsed < 30.0
@@ -130,10 +131,10 @@ def test_criterion_03_energy_balance_first_order(announce):
 def test_criterion_04_dissipation_inequality(shipped_runs, announce):
     details = []
     for name, (sys_, cfg, result, steps) in shipped_runs.items():
-        verdict = result.ledger.dissipation_inequality_check()
+        margin = result.ledger.summary()["dissipation_margin_min"]
         tol = max(1e-10, C_SCHEME * cfg.dt)
-        assert verdict.value >= -tol, f"{name}: margin {verdict.value}"
-        details.append(f"{name} margin>= {verdict.value:.2e}")
+        assert margin >= -tol, f"{name}: margin {margin}"
+        details.append(f"{name} margin>= {margin:.2e}")
         # accepted steps show a monotone fixed-point residual tail
         for info in steps:
             tail = info.residual_history[-3:]
@@ -148,9 +149,9 @@ def test_criterion_04_dissipation_inequality(shipped_runs, announce):
 def test_criterion_05_temperature_positivity(shipped_runs, announce):
     ratios = {}
     for name, (sys_, cfg, result, _) in shipped_runs.items():
-        verdict = result.ledger.positivity_bound_check()
-        assert verdict.value >= 0.95, f"{name}: ratio {verdict.value}"
-        ratios[name] = verdict.value
+        ratio = result.ledger.summary()["positivity_worst_ratio"]
+        assert ratio >= 0.95, f"{name}: ratio {ratio}"
+        ratios[name] = ratio
 
     # spatially constant contraction (rate 1, no source): θ_min tracks e^{−t}
     mesh = build_mesh(1, [1.0], [50])

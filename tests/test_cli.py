@@ -7,11 +7,10 @@ import pytest
 from dataclasses import replace
 from pathlib import Path
 
-from thermovisco import cli, solver
+from thermovisco import FlowRule, cli, solver, verify_admissibility
 from thermovisco.cli import main, STATE_SCHEMA
 from thermovisco.config import (
     ConfigError,
-    PRESETS,
     build_problem,
     check,
     load_config,
@@ -46,7 +45,7 @@ dt = 1e-3
 t_end = 5e-3
 
 [data]
-preset = zero
+theta0 = 1.0
 """
 
 
@@ -179,12 +178,7 @@ class TestConfigParsing:
     def test_missing_section(self, tmp_path):
         with pytest.raises(ConfigError, match=r"\[time\]"):
             load_config(write_cfg(tmp_path, "[mesh]\ndim = 1\nextents = 1\ncells = 4\n"
-                                            "[material]\nmu = 0.5\n[data]\npreset = zero\n"))
-
-    def test_unknown_preset(self, tmp_path):
-        bad = MINIMAL.replace("preset = zero", "preset = nonsense")
-        with pytest.raises(ConfigError, match="preset"):
-            load_config(write_cfg(tmp_path, bad))
+                                            "[material]\nmu = 0.5\n[data]\ntheta0 = 1.0\n"))
 
     def test_bad_moduli(self, tmp_path):
         bad = MINIMAL.replace("mu = 0.5", "mu = -0.5")
@@ -217,13 +211,10 @@ class TestConfigParsing:
             rc = load_config(shipped_config_path(name))
             build_problem(rc)
 
-    def test_presets_compile(self):
-        assert set(PRESETS) >= {"zero", "smooth_coupled", "smooth_2d"}
-
     def test_bad_dim_rejected_before_data(self, tmp_path):
         # [data] sizes its components by dim, so dim must be checked first.
         bad = MINIMAL.replace("dim = 1", "dim = 4").replace(
-            "preset = zero", "stress0 = " + "; ".join(["0"] * 10) + "\ntheta0 = 1")
+            "theta0 = 1.0", "stress0 = " + "; ".join(["0"] * 10) + "\ntheta0 = 1")
         with pytest.raises(ConfigError, match=r"\[mesh\] dim"):
             load_config(write_cfg(tmp_path, bad))
 
@@ -244,13 +235,13 @@ class TestConfigParsing:
     ], ids=["u0-components", "f-components", "stress0-components", "no-theta0",
             "bad-expression"])
     def test_bad_data_exit_two(self, tmp_path, capsys, data, message):
-        body = MINIMAL.replace("preset = zero", data)
+        body = MINIMAL.replace("theta0 = 1.0", data)
         assert main(["run", str(write_cfg(tmp_path, body))]) == 2
         assert f"[data] {message}" in capsys.readouterr().err
 
     def test_stress0_components_named_like_u0(self, tmp_path, capsys):
         body = MINIMAL.replace("dim = 1", "dim = 2").replace(
-            "preset = zero", "stress0 = 0.3*cos(pi*x)\ntheta0 = 1")
+            "theta0 = 1.0", "stress0 = 0.3*cos(pi*x)\ntheta0 = 1")
         assert main(["run", str(write_cfg(tmp_path, body))]) == 2
         assert capsys.readouterr().err == \
             "config error: [data] stress0: need 3 components, got 1\n"
@@ -295,7 +286,8 @@ class TestConfigParsing:
         (MINIMAL + "g = 1\n", "[data] g: unknown key"),
         (MINIMAL + "\n[solver]\n", "[solver]: unknown section"),
         ("[DEFAULT]\ndt = 1e-3\n" + MINIMAL, "[DEFAULT] dt: unknown key"),
-    ], ids=["key", "data-key", "section", "default-section"])
+        (MINIMAL.replace("theta0 = 1.0", "preset = zero"), "[data] preset: unknown key"),
+    ], ids=["key", "data-key", "section", "default-section", "data-preset"])
     def test_unknown_key_or_section_exit_two(self, tmp_path, capsys, body, message):
         assert main(["run", str(write_cfg(tmp_path, body))]) == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
@@ -411,7 +403,7 @@ class TestCmdRun:
     def test_runtime_failure_exit_one(self, tmp_path, monkeypatch, capsys):
         # picard_max_iters = 1 cannot converge on a coupled scenario
         monkeypatch.setenv("THERMOVISCO_OUTDIR", str(tmp_path / "out"))
-        body = MINIMAL.replace("preset = zero",
+        body = MINIMAL.replace("theta0 = 1.0",
                                "u0 = 0.1*sin(pi*x)\ntheta0 = 1 + 0.2*cos(pi*x)")
         body = body.replace("[time]", "[time]\npicard_max_iters = 1")
         cfg = write_cfg(tmp_path, body)
@@ -423,7 +415,7 @@ class TestCmdRun:
     @pytest.mark.parametrize("data, step", RAISING_EXPRESSIONS, ids=RAISING_IDS)
     def test_expression_that_raises_exit_one(self, tmp_path, monkeypatch, capsys, data, step):
         monkeypatch.setenv("THERMOVISCO_OUTDIR", str(tmp_path / "out"))
-        assert main(["run", str(write_cfg(tmp_path, MINIMAL.replace("preset = zero", data)))]) == 1
+        assert main(["run", str(write_cfg(tmp_path, MINIMAL.replace("theta0 = 1.0", data)))]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {step}evaluating {data.split(' = ')[-1]!r} failed: ")
         assert err.count("\n") == 1
@@ -526,7 +518,7 @@ class TestCmdCheckConstitutive:
 
 
 class TestCmdConvergence:
-    SMOOTH = MINIMAL.replace("preset = zero",
+    SMOOTH = MINIMAL.replace("theta0 = 1.0",
                              "u0 = 0.1*sin(pi*x)\nstress0 = 0.3*cos(pi*x)\n"
                              "theta0 = 1 + 0.2*cos(pi*x)").replace(
                                  "t_end = 5e-3", "t_end = 0.1")
@@ -574,6 +566,20 @@ class TestCmdConvergence:
         assert "error: level 1 (50 cells, dt=0.01) failed: step 1" in err
         assert "lost positivity" in err
 
+    def test_level_failing_its_verdicts_exit_one(self, tmp_path, monkeypatch, capsys):
+        # The admissibility gate would stop this rule before the ledger sees it.
+        monkeypatch.setattr(solver, "verify_admissibility",
+                            lambda rule, samples: verify_admissibility(FlowRule.linear(), samples))
+        body = self.SMOOTH.replace("flow_rule = linear", "flow_rule = anti_monotone")
+        assert main(["convergence", str(write_cfg(tmp_path, body)),
+                     "--levels", "10:full:full:2e-3;20:full:full:1e-3"]) == 1
+        out = capsys.readouterr().out
+        assert "monotonically decreasing: True" in out
+        for level in (0, 1):
+            assert f"level {level}: " in out
+            assert out.split(f"level {level}: ")[1].split("\n")[0].endswith(
+                "verdicts: FAIL dissipation_inequality, accumulators_monotone")
+
     @pytest.mark.parametrize("dim, levels", [
         (2, "4:full:full:2e-3;8:full:full:1e-3"),
         (3, "2:full:full:2e-3;4:full:full:1e-3"),
@@ -590,7 +596,7 @@ class TestCmdConvergence:
 
     @pytest.mark.parametrize("data, step", RAISING_EXPRESSIONS, ids=RAISING_IDS)
     def test_expression_that_raises_exit_one(self, tmp_path, capsys, data, step):
-        cfg = write_cfg(tmp_path, MINIMAL.replace("preset = zero", data))
+        cfg = write_cfg(tmp_path, MINIMAL.replace("theta0 = 1.0", data))
         assert main(["convergence", str(cfg), "--levels", "4:full:full:1e-3;8:full:full:1e-3"]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: level 0 (4 cells, dt=0.001) failed: {step}evaluating ")
@@ -654,7 +660,7 @@ class TestBackgroundSnapshots:
     def test_npz_holds_the_observed_state_exactly(self, tmp_path, monkeypatch, dim, cells):
         body = MINIMAL.replace("dim = 1", f"dim = {dim}").replace(
             "cells = 8", f"cells = {cells}").replace(
-            "preset = zero", "u0 = 0.1*sin(pi*x)\ntheta0 = 1 + 0.2*cos(pi*x)")
+            "theta0 = 1.0", "u0 = 0.1*sin(pi*x)\ntheta0 = 1 + 0.2*cos(pi*x)")
         seen = record_observed_states(monkeypatch)
         code, out = self.run(tmp_path, monkeypatch, "out",
                              body + "\n[output]\nsnapshot_stride = 2\n")
@@ -722,7 +728,7 @@ class TestFinalSnapshot:
         max_stress = max_levels(dim, [cells] * dim)[1]
         body = MINIMAL.replace("dim = 1", f"dim = {dim}").replace(
             "cells = 8", f"cells = {cells}").replace(
-            "preset = zero", "u0 = 0.1*sin(pi*x)\ntheta0 = 1 + 0.2*cos(pi*x)")
+            "theta0 = 1.0", "u0 = 0.1*sin(pi*x)\ntheta0 = 1 + 0.2*cos(pi*x)")
         body += f"\n[spaces]\nk_stress_level = {max_stress - partial}\n"
         results, real_run = [], cli.solver_run
 

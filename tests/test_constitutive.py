@@ -5,7 +5,6 @@ from thermovisco.constitutive import (
     ElasticityTensor,
     FlowRule,
     TruncationLevel,
-    from_mandel,
     mandel_identity,
     to_mandel,
     truncate,
@@ -29,6 +28,16 @@ def apply_full_tensor(lam, mu, A):
     return np.einsum("ijkl,kl->ij", C, A)
 
 
+def matrix_of_mandel(v, dim):
+    """The symmetric matrix of a Mandel vector, read from the documented layout:
+    the diagonal, then √2 times the entries (1, 2), (0, 2), (0, 1) of those present."""
+    offdiag = {1: [], 2: [(0, 1)], 3: [(1, 2), (0, 2), (0, 1)]}[dim]
+    A = np.diag(v[:dim])
+    for k, (i, j) in enumerate(offdiag):
+        A[i, j] = A[j, i] = v[dim + k] / np.sqrt(2.0)
+    return A
+
+
 class TestMandel:
     def test_dot_product_matches_frobenius(self):
         for dim in (1, 2, 3):
@@ -40,20 +49,23 @@ class TestMandel:
     def test_round_trip(self):
         for dim in (1, 2, 3):
             A = random_symmetric(dim)
-            assert np.allclose(from_mandel(to_mandel(A), dim), A, atol=1e-15)
+            assert np.allclose(matrix_of_mandel(to_mandel(A), dim), A, atol=1e-15)
 
     def test_identity_vector(self):
         assert np.allclose(mandel_identity(3), [1, 1, 1, 0, 0, 0])
 
 
 class TestElasticity:
+    """ℂ and ℂ⁻¹ as runs use them: ``mandel_matrix`` and ``inverse_mandel_matrix``
+    acting on Mandel vectors, checked against the full-tensor contraction."""
+
     def test_identity_input(self):
         C = ElasticityTensor(1.0, 1.0)
-        assert np.allclose(C.apply(np.eye(3)), 5.0 * np.eye(3))
+        assert np.allclose(C.mandel_matrix(3) @ to_mandel(np.eye(3)), to_mandel(5.0 * np.eye(3)))
 
     def test_zero_input(self):
         C = ElasticityTensor(2.0, 3.0)
-        assert np.allclose(C.apply(np.zeros((3, 3))), 0.0)
+        assert np.allclose(C.mandel_matrix(3) @ to_mandel(np.zeros((3, 3))), 0.0)
 
     def test_diag_example_against_contraction_oracle(self):
         # (λ=2, μ=3), A=diag(1,0,0) -> diag(8,2,2)
@@ -61,40 +73,45 @@ class TestElasticity:
         A = np.diag([1.0, 0.0, 0.0])
         expected = apply_full_tensor(2.0, 3.0, A)
         assert np.allclose(expected, np.diag([8.0, 2.0, 2.0]))
-        assert np.allclose(C.apply(A), expected)
+        assert np.allclose(C.mandel_matrix(3) @ to_mandel(A), to_mandel(expected))
 
     def test_matches_contraction_oracle_random(self):
         C = ElasticityTensor(1.3, 0.7)
         for dim in (1, 2, 3):
             A = random_symmetric(dim)
-            assert np.allclose(C.apply(A), apply_full_tensor(1.3, 0.7, A), atol=1e-13)
+            assert np.allclose(C.mandel_matrix(dim) @ to_mandel(A),
+                               to_mandel(apply_full_tensor(1.3, 0.7, A)), atol=1e-13)
 
     def test_inverse_examples(self):
-        assert np.allclose(ElasticityTensor(1.0, 1.0).inverse_apply(5.0 * np.eye(3)), np.eye(3))
-        got = ElasticityTensor(2.0, 3.0).inverse_apply(np.diag([8.0, 2.0, 2.0]))
-        assert np.allclose(got, np.diag([1.0, 0.0, 0.0]), atol=1e-14)
+        C_inv = ElasticityTensor(1.0, 1.0).inverse_mandel_matrix(3)
+        assert np.allclose(C_inv @ to_mandel(5.0 * np.eye(3)), to_mandel(np.eye(3)))
+        got = ElasticityTensor(2.0, 3.0).inverse_mandel_matrix(3) @ to_mandel(
+            np.diag([8.0, 2.0, 2.0]))
+        assert np.allclose(got, to_mandel(np.diag([1.0, 0.0, 0.0])), atol=1e-14)
 
     def test_round_trip_random(self):
         C = ElasticityTensor(2.0, 3.0)
         for dim in (1, 2, 3):
+            M, M_inv = C.mandel_matrix(dim), C.inverse_mandel_matrix(dim)
             for _ in range(10):
-                A = random_symmetric(dim, scale=3.0)
-                assert np.allclose(C.inverse_apply(C.apply(A)), A, atol=1e-12)
-                assert np.allclose(C.apply(C.inverse_apply(A)), A, atol=1e-12)
+                v = to_mandel(random_symmetric(dim, scale=3.0))
+                assert np.allclose(M_inv @ (M @ v), v, atol=1e-12)
+                assert np.allclose(M @ (M_inv @ v), v, atol=1e-12)
 
     def test_tensor_symmetry(self):
-        C = ElasticityTensor(1.7, 0.9)
+        M = ElasticityTensor(1.7, 0.9).mandel_matrix(3)
         for _ in range(30):
-            A, B = random_symmetric(), random_symmetric()
-            assert np.sum(C.apply(A) * B) == pytest.approx(np.sum(A * C.apply(B)), abs=1e-12)
+            a, b = to_mandel(random_symmetric()), to_mandel(random_symmetric())
+            assert (M @ a) @ b == pytest.approx(a @ (M @ b), abs=1e-12)
 
     def test_positive_definiteness(self):
-        C = ElasticityTensor(-0.5, 1.0)  # 3λ+2μ = 0.5 > 0
+        M = ElasticityTensor(-0.5, 1.0).mandel_matrix(3)  # 3λ+2μ = 0.5 > 0
         for _ in range(30):
             A = random_symmetric()
             if np.abs(A).max() < 1e-12:
                 continue
-            assert np.sum(C.apply(A) * A) > 0.0
+            a = to_mandel(A)
+            assert (M @ a) @ a > 0.0
 
     def test_rejects_bad_moduli(self):
         with pytest.raises(ValueError):
@@ -102,20 +119,13 @@ class TestElasticity:
         with pytest.raises(ValueError):
             ElasticityTensor(-1.0, 1.0)  # 3λ+2μ = -1
 
-    def test_rejects_non_symmetric(self):
-        C = ElasticityTensor(1.0, 1.0)
-        A = np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-        with pytest.raises(ValueError):
-            C.apply(A)
-
     def test_mandel_matrix_consistent(self):
         C = ElasticityTensor(2.0, 3.0)
         for dim in (1, 2, 3):
             A = random_symmetric(dim)
-            v = to_mandel(A)
-            assert np.allclose(C.mandel_matrix(dim) @ v, to_mandel(C.apply(A)), atol=1e-13)
-            assert np.allclose(C.inverse_mandel_matrix(dim) @ v,
-                               to_mandel(C.inverse_apply(A)), atol=1e-13)
+            v, Cv = to_mandel(A), to_mandel(apply_full_tensor(2.0, 3.0, A))
+            assert np.allclose(C.mandel_matrix(dim) @ v, Cv, atol=1e-13)
+            assert np.allclose(C.inverse_mandel_matrix(dim) @ Cv, v, atol=1e-13)
             assert np.allclose(C.mandel_matrix(dim) @ C.inverse_mandel_matrix(dim),
                                np.eye(v.size), atol=1e-13)
 
@@ -125,20 +135,20 @@ class TestFlowRules:
         for rule in (FlowRule.linear(2.0), FlowRule.mroz_saturating(1.5),
                      FlowRule.temperature_weighted(1.0)):
             for theta in (-3.0, 0.0, 1.0, 100.0):
-                assert np.allclose(rule.eval(theta, np.zeros((3, 3))), 0.0)
+                assert np.allclose(rule.eval_mandel(theta, np.zeros((1, 6))), 0.0)
 
     def test_linear_identity_scaling(self):
         rule = FlowRule.linear(1.0)
-        T = np.diag([2.0, 0.0, 0.0])
-        assert np.allclose(rule.eval(1.0, T), T)
+        t = to_mandel(np.diag([2.0, 0.0, 0.0]))
+        assert np.allclose(rule.eval_mandel(1.0, t), t)
 
     def test_mroz_saturation(self):
         # |T| = 3 -> G = T / (1+3)
         rule = FlowRule.mroz_saturating(1.0)
-        T = np.diag([3.0, 0.0, 0.0])
-        got = rule.eval(0.5, T)
-        assert np.allclose(got, np.diag([0.75, 0.0, 0.0]))
-        assert np.linalg.norm(got) <= rule.c_growth * (1.0 + np.linalg.norm(T))
+        t = to_mandel(np.diag([3.0, 0.0, 0.0]))
+        got = rule.eval_mandel(0.5, t)[0]
+        assert np.allclose(got, to_mandel(np.diag([0.75, 0.0, 0.0])))
+        assert np.linalg.norm(got) <= rule.c_growth * (1.0 + np.linalg.norm(t))
 
     def test_temperature_weighting_clamped(self):
         rule = FlowRule.temperature_weighted(2.0, kappa_min=0.01)
@@ -150,8 +160,7 @@ class TestFlowRules:
     def test_scalar_eval_matches_matrix(self):
         rule = FlowRule.mroz_saturating(0.8)
         T = 2.5
-        mat = rule.eval(1.2, np.array([[T]]))
-        assert rule.scalar_eval(1.2, T) == pytest.approx(mat[0, 0])
+        assert rule.scalar_eval(1.2, T) == pytest.approx(rule.eval_mandel(1.2, [[T]])[0, 0])
 
 
 class TestTruncate:

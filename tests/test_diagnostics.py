@@ -1,13 +1,15 @@
+import re
 import numpy as np
 import pytest
 from dataclasses import replace
+from pathlib import Path
 
 from thermovisco import (ElasticityTensor, FlowRule, TruncationLevel, build_mesh, build_spaces,
                          solver, verify_admissibility)
 from thermovisco.config import build_problem, load_config, shipped_config_path
 from thermovisco.diagnostics import (ACCUMULATORS, BLOCK_BYTES, C_SCHEME, LEDGER_COLUMNS,
-                                     BalanceLedger, energy_terms, format_summary,
-                                     scheme_tolerance)
+                                     BalanceLedger, energy_terms, entropy_residual,
+                                     format_summary, scheme_tolerance)
 from thermovisco.discretization import max_levels
 from thermovisco.oracle import fd_run, make_grid
 from thermovisco.solver import SimState, SolverConfig, initialize, run
@@ -23,14 +25,15 @@ class TestZeroScenario:
         for row in led.rows:
             assert row["energy_residual"] <= 1e-12
             assert abs(row["dissipation_margin"]) <= 1e-12
-        assert led.entropy_residual(result.state.t) <= 1e-12
+        assert led.summary()["entropy_residual"] <= 1e-12
         assert led.rows[-1]["entropic_diss"] <= 1e-12
         assert led.rows[-1]["grad_tau_diss"] <= 1e-12
 
     def test_margin_zero_at_equality(self, zero_run):
         _, _, result = zero_run
-        verdict = result.ledger.dissipation_inequality_check()
-        assert verdict.passed and abs(verdict.value) <= 1e-12
+        s = result.ledger.summary()
+        assert s["verdicts"]["dissipation_inequality"]
+        assert abs(s["dissipation_margin_min"]) <= 1e-12
 
 
 class TestEnergyBalance:
@@ -39,8 +42,8 @@ class TestEnergyBalance:
         _, _, half = smooth_run_half_dt
         led = result.ledger
         e0 = led.rows[0]["kinetic"] + led.rows[0]["elastic"] + led.rows[0]["thermal"]
-        res_full = led.energy_residual(result.state.t)
-        res_half = half.ledger.energy_residual(half.state.t)
+        res_full = led.summary()["energy_residual"]
+        res_half = half.ledger.summary()["energy_residual"]
         assert res_full <= 5e-3 * e0
         assert 1.6 <= res_full / res_half <= 2.4
 
@@ -59,11 +62,6 @@ class TestEnergyBalance:
         recomputed = abs((kinetic + elastic + thermal - e0)
                          - (last["work"] + last["source_trunc"] - last["inelastic_diss"]))
         assert recomputed == pytest.approx(last["energy_residual"], abs=1e-12)
-
-    def test_missing_time_reports_gap(self, smooth_run):
-        _, _, result = smooth_run
-        with pytest.raises(KeyError, match="no ledger row"):
-            result.ledger.energy_residual(0.12345)
 
 
 @pytest.fixture(scope="module")
@@ -84,7 +82,7 @@ class TestTruncationSemantics:
         _, _, result, _ = clamped_run
         last = result.ledger.rows[-1]
         assert last["source_trunc"] < last["inelastic_diss"]
-        assert result.ledger.truncation_deficit(result.state.t) > 0.0
+        assert result.ledger.summary()["truncation_deficit"] > 0.0
 
     def test_source_values_within_clamp(self, clamped_run):
         _, cfg, _, steps = clamped_run
@@ -96,7 +94,7 @@ class TestTruncationSemantics:
 
     def test_margin_still_nonnegative(self, clamped_run):
         _, _, result, _ = clamped_run
-        assert result.ledger.dissipation_inequality_check().passed
+        assert result.ledger.summary()["verdicts"]["dissipation_inequality"]
 
     def test_inactive_clamp_gives_identical_accumulators(self, smooth_run):
         _, _, result = smooth_run
@@ -127,8 +125,15 @@ class TestEntropyLedger:
 
     def test_entropy_residual_first_order(self, smooth_run):
         _, cfg, result = smooth_run
-        res = result.ledger.entropy_residual(result.state.t)
+        res = result.ledger.summary()["entropy_residual"]
         assert res <= scheme_tolerance(cfg.dt)
+
+    def test_entropy_residual_needs_positive_temperature(self, smooth_run):
+        _, _, result = smooth_run
+        first, last = result.ledger.rows[0], result.ledger.rows[-1]
+        assert entropy_residual(first, last) == result.ledger.summary()["entropy_residual"]
+        with pytest.raises(ValueError, match="nonpositive temperature"):
+            entropy_residual(first, {**last, "theta_min": 0.0})
 
     def test_inelastic_production_strictly_positive(self, smooth_run):
         _, _, result = smooth_run
@@ -150,9 +155,9 @@ class TestEntropyLedger:
 class TestDissipationInequality:
     def test_margin_nonnegative_on_smooth(self, smooth_run):
         _, cfg, result = smooth_run
-        verdict = result.ledger.dissipation_inequality_check()
-        assert verdict.passed
-        assert verdict.value >= -max(1e-10, C_SCHEME * cfg.dt)
+        s = result.ledger.summary()
+        assert s["verdicts"]["dissipation_inequality"]
+        assert s["dissipation_margin_min"] >= -max(1e-10, C_SCHEME * cfg.dt)
 
     def test_margin_tracks_entropic_dissipation(self, smooth_run):
         _, _, result = smooth_run
@@ -172,11 +177,11 @@ class TestDissipationInequality:
                            stress0=lambda pts: (0.3 * np.cos(np.pi * pts[:, 0]))[:, None, None],
                            theta0=lambda pts: np.ones(pts.shape[0]))
         result = run(sys, cfg)
-        verdict = result.ledger.dissipation_inequality_check()
-        assert not verdict.passed
-        assert verdict.value < 0.0
+        s = result.ledger.summary()
+        assert not s["verdicts"]["dissipation_inequality"]
+        assert s["dissipation_margin_min"] < 0.0
         assert result.ledger.invariant_violations  # anti-dissipation is flagged
-        assert not result.ledger.summary()["passed"]
+        assert not s["passed"]
 
 
 class TestPositivityBound:
@@ -189,13 +194,13 @@ class TestPositivityBound:
                            flow_rule=FlowRule.linear(1.0),
                            theta0=lambda pts: 1.0 + 0.5 * np.cos(np.pi * pts[:, 0]))
         result = run(sys, cfg)
-        verdict = result.ledger.positivity_bound_check()
-        assert verdict.passed
-        assert verdict.value >= 1.0
+        s = result.ledger.summary()
+        assert s["verdicts"]["temperature_positivity"]
+        assert s["positivity_worst_ratio"] >= 1.0
 
     def test_smooth_scenario_ratio(self, smooth_run):
         _, _, result = smooth_run
-        assert result.ledger.positivity_bound_check().value >= 0.95
+        assert result.ledger.summary()["positivity_worst_ratio"] >= 0.95
 
     def test_synthetic_exponential_decay(self):
         # spatially constant contraction rate 1: θ(t) = e^{−t} exactly
@@ -216,13 +221,13 @@ class TestPositivityBound:
     def test_empty_history_rejected(self):
         from thermovisco.diagnostics import LedgerBase
         with pytest.raises(ValueError):
-            LedgerBase(1e-3).positivity_bound_check()
+            LedgerBase(1e-3).summary()
 
 
 class TestUniformBound:
     def test_smooth_scenario(self, smooth_run):
         _, _, result = smooth_run
-        assert result.ledger.uniform_bound_check().passed
+        assert result.ledger.summary()["verdicts"]["uniform_bound"]
 
 
 @pytest.fixture(scope="module")
@@ -285,6 +290,12 @@ class TestSerialization:
                                       "accumulators_monotone"}
         text = format_summary(result.ledger.summary())
         assert "[pass]" in text and "FAIL" not in text
+
+    def test_readme_lists_every_verdict(self, zero_run):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("\n## Summary and verdicts\n")[1].split("\n## ")[0]
+        listed = re.findall(r"^\| `(\w+)` \|", section, flags=re.MULTILINE)
+        assert listed == list(zero_run[2].ledger.summary()["verdicts"])
 
 
 @pytest.fixture(scope="module")

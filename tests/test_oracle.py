@@ -122,7 +122,7 @@ class TestFdRun:
         last = ledger.rows[-1]
         assert last["entropic_diss"] >= 0.0
         assert last["grad_tau_diss"] >= 0.0
-        assert ledger.positivity_bound_check().passed
+        assert ledger.summary()["verdicts"]["temperature_positivity"]
         # untruncated oracle: no clamp deficit, ever
         assert last["source_trunc"] == last["inelastic_diss"]
 
