@@ -2,10 +2,14 @@
 
     thermovisco run <config.cfg>
     thermovisco check-constitutive <config.cfg> [--samples N] [--seed S]
-    thermovisco convergence <config.cfg> --levels "cells:n:k:dt;..."
+    thermovisco convergence <config.cfg> --levels "cells:dt;..."
 
 Exit codes: 0 all verdicts pass, 1 runtime or verdict failure, 2 config
 error.  THERMOVISCO_OUTDIR overrides the configured output directory.
+
+``convergence`` reruns the config once per ``cells:dt`` level, each on the
+full discrete spaces of its mesh, and reports the pairwise differences of the
+final fields at fixed probe points.
 
 ``run`` writes the final state as ``snapshot_final.npz`` and, every
 ``snapshot_stride`` steps, the state as ``snapshot_<step>.npz``: one format,
@@ -23,7 +27,7 @@ import numpy as np
 from dataclasses import asdict, replace
 from pathlib import Path
 
-from .config import (ConfigError, RunConfig, _float, _int_list, _level, build_problem, check,
+from .config import (ConfigError, RunConfig, _float, _int_list, build_problem, check,
                      load_config, make_flow_rule, shipped_config_path)
 from .constitutive import verify_admissibility
 from .diagnostics import format_summary
@@ -103,19 +107,17 @@ def cmd_check_constitutive(args) -> int:
 
 
 def _parse_levels(arg: str, rc: RunConfig) -> list:
-    """The runs of a ``--levels`` list: ``rc`` at each level, checked like a config."""
+    """The runs of a ``--levels`` list: ``rc`` at each cells:dt level, checked like a config."""
     levels = []
     for chunk in arg.split(";"):
         chunk = chunk.strip()
         if not chunk:
             continue
         parts = chunk.split(":")
-        if len(parts) != 4:
-            raise ConfigError(f"level {chunk!r}: expected cells:n_disp:k_stress:dt")
+        if len(parts) != 2:
+            raise ConfigError(f"level {chunk!r}: expected cells:dt")
         try:
-            levels.append(check(replace(rc, cells=_int_list(parts[0]),
-                                        n_disp_level=_level(parts[1]),
-                                        k_stress_level=_level(parts[2]), dt=_float(parts[3]))))
+            levels.append(check(replace(rc, cells=_int_list(parts[0]), dt=_float(parts[1]))))
         except ValueError as exc:
             raise ConfigError(f"level {chunk!r}: {exc}") from exc
     if len(levels) < 2:
@@ -207,11 +209,10 @@ def main(argv=None) -> int:
     p_chk.add_argument("--seed", type=int, default=0)
     p_chk.set_defaults(func=cmd_check_constitutive)
 
-    p_cnv = sub.add_parser("convergence", help="refinement study over nested levels")
+    p_cnv = sub.add_parser("convergence", help="refinement study over cells and dt")
     p_cnv.add_argument("config")
     p_cnv.add_argument("--levels", required=True,
-                       help='semicolon list "cells:n_disp:k_stress:dt", coarse to fine; '
-                            '"full" picks the maximal level')
+                       help='semicolon list "cells:dt", coarse to fine')
     p_cnv.set_defaults(func=cmd_convergence)
 
     args = parser.parse_args(argv)

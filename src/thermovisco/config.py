@@ -1,11 +1,13 @@
 """INI-style run configuration: parsing, checking and problem assembly.
 
-A config has sections [mesh], [spaces], [material], [time], [data] and
-[output]; see the shipped files under ``thermovisco/configs``.  The [data]
-section gives component expressions over x, y, z (and t for the forcing f);
-theta0 is required.  This module only parses values.  Their ranges
-are the rules of the objects that own them (``mesh_shape``,
-``check_levels``, ``ElasticityTensor``, ``FlowRule``, ``check_time``);
+A config has sections [mesh], [material], [time], [data] and [output];
+see the shipped files under ``thermovisco/configs``.  The [data] section
+gives component expressions over x, y, z (and t for the forcing f); theta0
+is required.  Each mesh has one set of discrete spaces, so an older
+config's [spaces] section is accepted only with ``n_disp_level`` and
+``k_stress_level`` both ``full``.  This module only parses values.  Their
+ranges are the rules of the objects that own them (``mesh_shape``,
+``ElasticityTensor``, ``FlowRule``, ``check_time``);
 ``check`` runs them all and names the section of a rule that fails, so the
 command line reports a config error before anything runs.  A section or key
 that nothing reads, such as a misspelt one, is a config error too.
@@ -22,7 +24,7 @@ from pathlib import Path
 from typing import Optional
 
 from .constitutive import ElasticityTensor, FlowRule, TruncationLevel, sym_components
-from .discretization import build_mesh, build_spaces, check_levels, max_levels, mesh_shape
+from .discretization import build_mesh, build_spaces, mesh_shape
 from .expressions import ExpressionError, compile_expression, tensor_sampler, vector_sampler
 from .solver import SolverConfig, check_time
 
@@ -36,8 +38,6 @@ class RunConfig:
     dim: int
     extents: tuple
     cells: tuple
-    n_disp_level: int           # a count, or "full" until ``check`` expands it
-    k_stress_level: int
     lam: float
     mu: float
     flow_kind: str
@@ -107,11 +107,6 @@ def _int_list(raw):
     return tuple(int(v) for v in raw.replace("x", ",").split(","))
 
 
-def _level(raw):
-    """A space level: "full" (expanded by ``check``) or a count."""
-    return "full" if raw.strip().lower() == "full" else int(raw)
-
-
 def load_config(path) -> RunConfig:
     """Parse an INI config file into a RunConfig that has passed ``check``."""
     path = Path(path)
@@ -133,8 +128,11 @@ def load_config(path) -> RunConfig:
     dim = _get(cp, "mesh", "dim", int, required=True)
     extents = _get(cp, "mesh", "extents", _num_list, required=True)
     cells = _get(cp, "mesh", "cells", _int_list, required=True)
-    n_disp = _get(cp, "spaces", "n_disp_level", _level, default="full")
-    k_stress = _get(cp, "spaces", "k_stress_level", _level, default="full")
+    for key in ("n_disp_level", "k_stress_level"):
+        level = _get(cp, "spaces", key, str, default="full")
+        if level.strip().lower() != "full":
+            raise ConfigError(f"[spaces] {key}: partial Galerkin levels were removed, "
+                              f"only 'full' is accepted, got {level!r}")
 
     lam = _get(cp, "material", "lambda", _float, default=0.0)
     mu = _get(cp, "material", "mu", _float, required=True)
@@ -159,7 +157,7 @@ def load_config(path) -> RunConfig:
     stride = _get(cp, "output", "snapshot_stride", int, default=0)
     ledger_name = _get(cp, "output", "ledger", str, default="ledger.csv")
 
-    rc = check(RunConfig(dim, extents, cells, n_disp, k_stress, lam, mu, flow_kind,
+    rc = check(RunConfig(dim, extents, cells, lam, mu, flow_kind,
                          kappa0, kappa_min, dt, t_end, picard_tol, picard_max,
                          truncation, {}, out_dir, stride, ledger_name))
     texts = {key: _get(cp, "data", key, str) for key in ("u0", "u1", "stress0", "theta0", "f")}
@@ -180,18 +178,12 @@ def _section(name):
 def check(rc: RunConfig) -> RunConfig:
     """Run every range rule on ``rc``, each in the object that owns it.
 
-    Returns ``rc`` with ``extents``/``cells`` at ``dim`` entries and "full"
-    levels expanded to ``max_levels``.  A failed rule raises ConfigError
-    with the section it belongs to.
+    Returns ``rc`` with ``extents``/``cells`` at ``dim`` entries.  A failed
+    rule raises ConfigError with the section it belongs to.
     """
     with _section("mesh"):
         extents, cells = mesh_shape(rc.dim, rc.extents, rc.cells)
-    max_disp, max_stress = max_levels(rc.dim, cells)
-    rc = replace(rc, extents=extents, cells=cells,
-                 n_disp_level=max_disp if rc.n_disp_level == "full" else rc.n_disp_level,
-                 k_stress_level=max_stress if rc.k_stress_level == "full" else rc.k_stress_level)
-    with _section("spaces"):
-        check_levels(rc.dim, cells, rc.n_disp_level, rc.k_stress_level)
+    rc = replace(rc, extents=extents, cells=cells)
     with _section("material"):
         ElasticityTensor(rc.lam, rc.mu)
         make_flow_rule(rc)
@@ -254,7 +246,7 @@ def make_flow_rule(rc: RunConfig) -> FlowRule:
 def build_problem(rc: RunConfig):
     """Materialize (GalerkinSystem, SolverConfig) from a parsed RunConfig."""
     mesh = build_mesh(rc.dim, rc.extents, rc.cells)
-    sys = build_spaces(mesh, rc.n_disp_level, rc.k_stress_level)
+    sys = build_spaces(mesh)
     cfg = SolverConfig(
         dt=rc.dt,
         t_end=rc.t_end,

@@ -68,22 +68,16 @@ class ElasticityTensor:
         c = self.lam / (dim * self.lam + 2.0 * self.mu)
         return (np.eye(m.size) - c * np.outer(m, m)) / (2.0 * self.mu)
 
-    def restricted_spectrum(self, present: np.ndarray, dim: int):
-        """Eigenspaces of ℂ_P = (Pℂ⁻¹P)⁻¹, P the first ``present[e]`` Mandel components.
+    def spectrum(self, dim: int):
+        """Eigenspaces of ℂ = λ m mᵀ + 2μ I on the Mandel space.
 
-        By Sherman–Morrison ℂ_P = 2μ·I_P + λ_P·m_P m_Pᵀ, with m_P the p present
-        diagonal entries of the identity and λ_P = 2μλ / ((d − p)λ + 2μ).
-        Returns the unit vectors m_P/√p (n, s) and the eigenvalues (n, 2):
-        2μ + p·λ_P on span(m_P), then 2μ on the rest of P; 0 if that is empty.
+        Returns the unit vector n = m/√d of the volumetric eigenspace (s,) and
+        the eigenvalues (2,): 2μ + dλ on span(m), then 2μ on its complement,
+        the deviatoric part; 0 in 1D, where that is empty.
         """
-        q = np.asarray(present)
-        p = np.minimum(q, dim)
         two_mu = 2.0 * self.mu
-        lam_p = two_mu * self.lam / ((dim - p) * self.lam + two_mu)
-        c = np.stack((np.where(p > 0, two_mu + p * lam_p, 0.0),
-                      np.where(q > 1, two_mu, 0.0)), axis=1)
-        unit = (np.arange(sym_components(dim)) < p[:, None]) / np.sqrt(np.maximum(p, 1))[:, None]
-        return unit, c
+        unit = mandel_identity(dim) / np.sqrt(dim)
+        return unit, np.array([two_mu + dim * self.lam, two_mu if dim > 1 else 0.0])
 
 
 @dataclass(frozen=True)
@@ -99,9 +93,12 @@ class FlowRule:
       temperature_weighted  g = κ(θ) = clamp(κ₀/(1 + max(θ,0)), κ_min, κ₀)
 
     The temperature factor is clamped into [κ_min, κ₀] so the growth
-    constant stays finite for every real θ.  User rules go through
-    ``FlowRule.custom`` as a θ-only radial factor; run
-    ``verify_admissibility`` on them before use in the time stepper.
+    constant stays finite for every real θ.  Any other ``kind`` is a rule
+    G(θ, T) = fn(θ)·T with a θ-only radial factor ``fn``, which maps an array
+    of temperatures to g(θ) (an array of that shape or a scalar) and has
+    declared growth bound ``c_growth``; it is monotone and dissipative iff
+    g ≥ 0.  Run ``verify_admissibility`` on such a rule before use in the
+    time stepper.
     """
 
     kind: str
@@ -133,16 +130,6 @@ class FlowRule:
         if not 0.0 <= kappa_min <= kappa0:
             raise ValueError("need 0 <= kappa_min <= kappa0")
         return cls("temperature_weighted", kappa0, kappa_min=kappa_min, c_growth=kappa0)
-
-    @classmethod
-    def custom(cls, fn: Callable[[np.ndarray], np.ndarray], c_growth: float) -> "FlowRule":
-        """Wrap the user rule G(θ, T) = fn(θ)·T, radial with a θ-only factor.
-
-        ``fn`` maps an array of temperatures to g(θ), an array of that shape
-        or a scalar.  The rule is monotone and dissipative iff g ≥ 0;
-        ``c_growth`` is the declared bound on |g|.
-        """
-        return cls("custom", kappa0=0.0, kappa_min=0.0, c_growth=c_growth, fn=fn)
 
     def kappa(self, theta):
         """Temperature factor κ(θ); defined for every real θ."""

@@ -83,7 +83,7 @@ def entropy_residual(first: dict, row: dict) -> float:
 def stress_quadratic_form(sys: GalerkinSystem, C: ElasticityTensor,
                           coeffs: np.ndarray) -> np.ndarray:
     """Cellwise vol·(ℂ⁻¹T̂):T̂ = vol·(|T̂|² − c·(tr T̂)²)/(2μ), c = λ/(dλ + 2μ), the
-    closed form of isotropic ℂ⁻¹; zero padding restricts ℂ⁻¹ to a partial cell.
+    closed form of isotropic ℂ⁻¹.
     Leading axes of ``coeffs`` are kept, so stacked coefficients give one row each."""
     dim = sys.mesh.dim
     blocks = sys.stress_blocks(coeffs)

@@ -1,21 +1,19 @@
 """Box meshes, Galerkin spaces and the coupling operators, assembled or applied per cell.
 
-Displacement lives in the span of the first ``n_disp`` vector hat functions
-on interior nodes (zero on the boundary), stress in the span of the first
-``k_stress`` cellwise-constant Mandel components (an L²-orthogonal basis),
-and temperature in the full multilinear nodal space with no boundary
+Each mesh has one set of spaces.  Displacement lives in the span of every
+vector hat function on the interior nodes (zero on the boundary), stress in
+the span of every cellwise-constant Mandel component (an L²-orthogonal
+basis), and temperature in the full multilinear nodal space with no boundary
 conditions (pure Neumann).  All element integrals of basis-function
 products use closed forms; sampler integrals use 2-point Gauss per axis.
 """
 
 from __future__ import annotations
 
-import math
 import numpy as np
 from functools import cached_property
 import scipy.linalg as sla
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from dataclasses import dataclass
 from typing import Callable
 
@@ -180,22 +178,12 @@ def pcg(apply: Callable, b: np.ndarray, x0: np.ndarray, precond: Callable):
     return (x if r @ r <= stop else None), _CG_MAX_ITERS
 
 
-def max_levels(dim: int, cells) -> tuple:
-    """Largest (n_disp, k_stress) levels with ``cells`` elements per axis."""
-    return math.prod(c - 1 for c in cells) * dim, math.prod(cells) * sym_components(dim)
-
-
-def check_levels(dim: int, cells, n_disp: int, k_stress: int) -> None:
-    """Reject displacement and stress levels outside [1, ``max_levels``]."""
-    max_disp, max_stress = max_levels(dim, cells)
-    if not 1 <= n_disp <= max_disp:
-        raise ValueError(f"n_disp_level must be in [1, {max_disp}], got {n_disp}")
-    if not 1 <= k_stress <= max_stress:
-        raise ValueError(f"k_stress_level must be in [1, {max_stress}], got {k_stress}")
-
-
 class GalerkinSystem:
-    """Assembled discrete spaces and coupling operators on one mesh.
+    """The discrete spaces of one mesh and their coupling operators.
+
+    Every space is the whole space of the mesh: displacement has one dof per
+    interior node and component (Q1, zero on the boundary), stress one per
+    cell and Mandel component (P0), temperature one per node (Q1).
 
     Each node operator is one sparse product: ``_gather_T``, the map that
     sums cell corners into the nodes, times the per-cell blocks laid out one
@@ -208,8 +196,8 @@ class GalerkinSystem:
     sums them into CSR only for the direct solve CG falls back to.
 
     In 1D every node-block operator is tridiagonal in node order: the caller
-    solves the heat matrix directly from its bands, and M_u, a prefix of the
-    interior nodes, is factored once here by LAPACK's symmetric positive
+    solves the heat matrix directly from its bands, and M_u, on the interior
+    nodes, is factored once here by LAPACK's symmetric positive
     definite tridiagonal ``dpttrf``.  In 2D/3D ``heat_inverse(dt)`` applies
     the inverse of the fixed part M_theta + dt·K_theta, a preconditioner for
     the heat matrix, and ``solve_mass_u`` that of M_u.  Both operators are
@@ -217,10 +205,8 @@ class GalerkinSystem:
     exactly one axis at a time, by the fast diagonalization method (Lynch,
     Rice & Thomas 1964):
     with K1ₐVₐ = M1ₐVₐΛₐ and VₐᵀM1ₐVₐ = I,
-    (M_theta + dt·K_theta)⁻¹ = (⊗Vₐ)·diag(1/(1 + dt·Σλ))·(⊗Vₐ)ᵀ, and at the
-    full level M_u⁻¹ = (⊗ₐ M1ₐ[int, int]⁻¹) ⊗ I_d.  A partial level's M_u is
-    a principal submatrix, solved by ``pcg`` preconditioned with the
-    full-level inverse restricted to the prefix.
+    (M_theta + dt·K_theta)⁻¹ = (⊗Vₐ)·diag(1/(1 + dt·Σλ))·(⊗Vₐ)ᵀ and
+    M_u⁻¹ = (⊗ₐ M1ₐ[int, int]⁻¹) ⊗ I_d.
 
     Every map the Picard loop applies is set up once here, so an iteration
     builds no matrix: a fixed sparse gather takes nodal values to the corners
@@ -248,29 +234,25 @@ class GalerkinSystem:
     ``stress_spectrum``, and safe to share read-only.
     """
 
-    def __init__(self, mesh: Mesh, n_disp: int, k_stress: int):
+    def __init__(self, mesh: Mesh):
         dim = mesh.dim
         self.mesh = mesh
         self.s_comp = sym_components(dim)
 
-        check_levels(dim, mesh.cells, n_disp, k_stress)
         interior = mesh.interior_nodes
-        self.n_disp = n_disp
-        self.k_stress = k_stress
+        self.n_disp = interior.size * dim
         self.n_temp = mesh.n_nodes
 
-        # Displacement dof a <-> (interior node, component), node-major order;
-        # the basis for n is a prefix of the basis for any larger level.
-        self.disp_node = np.repeat(interior, dim)[:n_disp]
-        self.disp_comp = np.tile(np.arange(dim), interior.size)[:n_disp]
+        # Displacement dof a <-> (interior node, component), node-major order.
+        self.disp_node = np.repeat(interior, dim)
+        self.disp_comp = np.tile(np.arange(dim), interior.size)
         dof_of = -np.ones((mesh.n_nodes, dim), dtype=np.int64)
-        dof_of[self.disp_node, self.disp_comp] = np.arange(n_disp)
-        # Dof of each (corner, component) of every cell, -1 where absent.
+        dof_of[self.disp_node, self.disp_comp] = np.arange(self.n_disp)
+        # Dof of each (corner, component) of every cell, -1 on the boundary.
         self._cell_dofs = dof_of[mesh.cell_nodes].reshape(mesh.n_cells, -1)
 
         # Stress dof a <-> (cell, Mandel component), cell-major order.
-        self.stress_cell = np.repeat(np.arange(mesh.n_cells), self.s_comp)[:k_stress]
-        self.stress_comp = np.tile(np.arange(self.s_comp), mesh.n_cells)[:k_stress]
+        self.k_stress = mesh.n_cells * self.s_comp
         self._stress_shape = (mesh.n_cells, self.s_comp)
         self._spectra = {}
 
@@ -282,8 +264,8 @@ class GalerkinSystem:
             # construction; a factor that is not positive definite means a
             # broken basis.  The wrapper wants one off-diagonal entry even
             # when M_u is 1x1.
-            off = np.zeros(max(n_disp - 1, 1))
-            off[:n_disp - 1] = self.M_u.diagonal(1)
+            off = np.zeros(max(self.n_disp - 1, 1))
+            off[:self.n_disp - 1] = self.M_u.diagonal(1)
             *self._Mu_factor, info = sla.lapack.dpttrf(self.M_u.diagonal(), off)
             if info > 0:
                 raise ValueError(f"singular Gram matrix for displacement space: "
@@ -306,7 +288,6 @@ class GalerkinSystem:
         self._heat_lam = (lam[2][:, None, None] + lam[1][:, None] + lam[0]).reshape(-1)
         mass_inv[0] = np.kron(mass_inv[0], np.eye(dim))  # components fastest
         self._mass_inv = mass_inv
-        self._n_disp_full = max_levels(dim, mesh.cells)[0]
 
     # -- reference-cell data ------------------------------------------------
 
@@ -419,7 +400,7 @@ class GalerkinSystem:
         # exactly representable, so bitwise zero is unattainable there).
         self.K_theta = self._scatter(self._k_elem)
 
-        # Included displacement dofs as (node, component) vector indices.
+        # Displacement dofs as (node, component) vector indices.
         vec = self.disp_node * dim + self.disp_comp
         # Displacement mass: the scalar mass once per component.
         self.M_u = sp.kron(self.M_theta, sp.eye(dim), format="csr")[vec][:, vec]
@@ -437,52 +418,35 @@ class GalerkinSystem:
                            ((cells * self.s_comp + comp).ravel(),
                             (mesh.cell_nodes[:, p] * dim + c).ravel())),
                           shape=(mesh.n_cells * self.s_comp, self.n_temp * dim))
-        self.B = B[:self.k_stress][:, vec]
+        self.B = B[:, vec]
         self.B_T, self.D_T = self.B.T, self.D.T
 
     # -- solves and field plumbing ---------------------------------------------
 
     def stress_blocks(self, coeffs: np.ndarray) -> np.ndarray:
-        """Stress coefficients as Mandel vectors (..., n_cells, s), keeping the leading
-        axes of ``coeffs``: dof a is flat entry a of the last two axes, so a view of
-        ``coeffs`` at the full level, else zero-padded."""
-        shape = coeffs.shape[:-1] + self._stress_shape
-        if coeffs.shape[-1] == shape[-2] * shape[-1]:
-            return coeffs.reshape(shape)
-        blocks = np.zeros(shape)
-        blocks.reshape(*shape[:-2], -1)[..., :self.k_stress] = coeffs
-        return blocks
+        """Stress coefficients as Mandel vectors (..., n_cells, s), a view keeping the
+        leading axes of ``coeffs``: dof a is flat entry a of the last two axes."""
+        return coeffs.reshape(coeffs.shape[:-1] + self._stress_shape)
 
     def stress_coeffs(self, blocks: np.ndarray) -> np.ndarray:
-        """Inverse of ``stress_blocks``: at the full level a view of ``blocks``, else a copy."""
-        flat = blocks.reshape(-1)
-        return flat if flat.size == self.k_stress else flat[:self.k_stress].copy()
+        """Inverse of ``stress_blocks``: a flat view of ``blocks``."""
+        return blocks.reshape(-1)
 
     def stress_spectrum(self, C) -> tuple:
-        """``C.restricted_spectrum`` per cell in the ``stress_blocks`` layout, memoized."""
+        """``C.spectrum`` repeated per cell in the ``stress_blocks`` layout, memoized."""
         if C not in self._spectra:
-            present = np.clip(self.k_stress - self.s_comp * np.arange(self.mesh.n_cells),
-                              0, self.s_comp)
-            spectrum = C.restricted_spectrum(present, self.mesh.dim)
+            spectrum = tuple(np.tile(arr, (self.mesh.n_cells, 1))
+                             for arr in C.spectrum(self.mesh.dim))
             for arr in spectrum:  # shared by every caller
                 arr.setflags(write=False)
             self._spectra[C] = spectrum
         return self._spectra[C]
 
     def solve_mass_u(self, rhs: np.ndarray) -> np.ndarray:
-        """M_u⁻¹·rhs: from its tridiagonal factor in 1D, per axis at a full 2D/3D level, else by CG."""
+        """M_u⁻¹·rhs: from its tridiagonal factor in 1D, per axis in 2D/3D."""
         if self.mesh.dim == 1:
             return sla.lapack.dpttrs(*self._Mu_factor, rhs)[0]
-        if self.n_disp == self._n_disp_full:
-            return _tensor_apply(rhs, *self._mass_inv)
-        x, _ = pcg(self.M_u.dot, rhs, np.zeros_like(rhs), self._restricted_mass_inverse)
-        return spla.spsolve(self.M_u.tocsc(), rhs) if x is None else x
-
-    def _restricted_mass_inverse(self, r: np.ndarray) -> np.ndarray:
-        """The full-level M_u⁻¹ applied to r padded with zeros, cut to the prefix."""
-        full = np.zeros(self._n_disp_full)
-        full[:self.n_disp] = r
-        return _tensor_apply(full, *self._mass_inv)[:self.n_disp]
+        return _tensor_apply(rhs, *self._mass_inv)
 
     def nodal_displacement(self, coeffs: np.ndarray) -> np.ndarray:
         """Expand coefficients to a full (n_nodes, dim) nodal array (zeros elsewhere)."""
@@ -591,9 +555,9 @@ class GalerkinSystem:
         return cell, ref
 
 
-def build_spaces(mesh: Mesh, n_disp_level: int, k_stress_level: int) -> GalerkinSystem:
-    """Construct the discrete spaces and assemble all coupling matrices."""
-    return GalerkinSystem(mesh, n_disp_level, k_stress_level)
+def build_spaces(mesh: Mesh) -> GalerkinSystem:
+    """Construct the discrete spaces of ``mesh`` and assemble all coupling matrices."""
+    return GalerkinSystem(mesh)
 
 
 def project_displacement(sys: GalerkinSystem, sampler: Callable) -> np.ndarray:

@@ -242,7 +242,8 @@ class StepConstants:
 
     mass_old: np.ndarray    # M_θ·θ_old
     kappa_old: np.ndarray   # κ(θ_old) at the cell centres, where the source is evaluated
-    a_old: np.ndarray       # per cell a = T_old·n, n the unit vector of ℂ_P's volumetric eigenspace
+    n: np.ndarray           # per cell the unit vector of ℂ's volumetric eigenspace
+    a_old: np.ndarray       # per cell a = T_old·n
     D_old: np.ndarray       # per cell T_old − a·n
     dtc: np.ndarray         # dt·c, ℂ's eigenvalues (volumetric, deviatoric) per cell
 
@@ -257,18 +258,18 @@ def step_constants(sys: GalerkinSystem, state: SimState, G: FlowRule,
     n, c = sys.stress_spectrum(C)
     blocks = sys.stress_blocks(state.stress)
     a = np.einsum("ec,ec->e", blocks, n)
-    return StepConstants(sys.M_theta @ state.theta, kappa, a, blocks - a[:, None] * n, dt * c)
+    return StepConstants(sys.M_theta @ state.theta, kappa, n, a, blocks - a[:, None] * n, dt * c)
 
 
-def stress_substep(sys: GalerkinSystem, C: ElasticityTensor, G: FlowRule,
+def stress_substep(sys: GalerkinSystem, G: FlowRule,
                    theta_cells: np.ndarray, strain_rate: np.ndarray,
                    stress_start: np.ndarray, constants: StepConstants):
     """Implicit stress update ℂ⁻¹(T_new − T_old)/dt + G(θ, T_new) = ε(u_t), per cell.
 
-    Every rule is radial, G = g·T, so on a cell's components P this reads
-    (I + dt·g·ℂ_P)·T_new = R := T_old + dt·ℂ_P·ε.  Split R = a·n + D along the
-    eigenspaces of ℂ_P; then T_new = a·n/(1 + dt·g·c_vol) + D/(1 + dt·g·c_dev).
-    ℂ_P acts on each eigenspace by its eigenvalue, so the split of R is that
+    Every rule is radial, G = g·T, so in each cell this reads
+    (I + dt·g·ℂ)·T_new = R := T_old + dt·ℂ·ε.  Split R = a·n + D along the
+    eigenspaces of ℂ; then T_new = a·n/(1 + dt·g·c_vol) + D/(1 + dt·g·c_dev).
+    ℂ acts on each eigenspace by its eigenvalue, so the split of R is that
     of T_old, from the step's ``constants``, plus dt·c times that of ε.
     The ``mroz_saturating`` g = κ(θ)/(1 + |T_new|) is found by Newton from
     κ(θ)/(1 + |T_start|), where ``stress_start`` is the best guess of T_new
@@ -276,8 +277,7 @@ def stress_substep(sys: GalerkinSystem, C: ElasticityTensor, G: FlowRule,
     (coefficients, Newton iterations or 1).  Raises StepFailureError if
     1 + dt·g·c ≤ 0 (an anti-monotone g < 0), where no solution exists.
     """
-    n, _ = sys.stress_spectrum(C)
-    dtc = constants.dtc
+    n, dtc = constants.n, constants.dtc
     rate = sys.stress_blocks(strain_rate)
     a_rate = np.einsum("ec,ec->e", rate, n)
     a = constants.a_old + dtc[:, 0] * a_rate
@@ -328,7 +328,7 @@ def heat_substep(sys: GalerkinSystem, div_v: np.ndarray, G: FlowRule,
     """
     blocks = sys.stress_blocks(stress)
 
-    # G(θ_old, T):T = g·|T|² per cell, zero where no stress dofs live.
+    # G(θ_old, T):T = g·|T|² per cell.
     norm2 = np.einsum("ec,ec->e", blocks, blocks)
     src_raw = G.factor(constants.kappa_old, np.sqrt(norm2)) * norm2
     src = np.asarray(truncate(truncation, src_raw), dtype=float)
@@ -401,8 +401,8 @@ def step(sys: GalerkinSystem, cfg: SolverConfig, state: SimState,
         v_new = momentum_substep(sys, state, th_new, T_i, f_load, dt)
         strain_rate = sys.B @ v_new
         th_cells = sys.cell_center_values(th_new)
-        T_new, inner = stress_substep(sys, cfg.elasticity, cfg.flow_rule, th_cells,
-                                      strain_rate, T_i, constants)
+        T_new, inner = stress_substep(sys, cfg.flow_rule, th_cells, strain_rate, T_i,
+                                      constants)
         inner_total += inner
         # Per field max|new − prev| / max(max|new|, 1): the unit floor lets
         # roundoff on (near-)zero fields count as converged.

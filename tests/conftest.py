@@ -44,7 +44,7 @@ def stress_solve(sys, C, rule, theta_cells, stress_old, strain_rate, dt, stress_
     ``stress_old``."""
     state = SimState(0.0, np.zeros(sys.n_disp), np.zeros(sys.n_disp), stress_old,
                      np.ones(sys.n_temp))
-    return stress_substep(sys, C, rule, theta_cells, strain_rate,
+    return stress_substep(sys, rule, theta_cells, strain_rate,
                           stress_old if stress_start is None else stress_start,
                           step_constants(sys, state, rule, C, dt))
 
@@ -59,7 +59,7 @@ def assembled_advection(sys, div):
 def make_smooth_problem(cells=100, dt=1e-3, t_end=0.5, kappa0=1.0, with_forcing=True):
     """The shipped smooth coupled 1D scenario (C = λ + 2μ = 1)."""
     mesh = build_mesh(1, [1.0], [cells])
-    sys = build_spaces(mesh, mesh.interior_nodes.size, mesh.n_cells)
+    sys = build_spaces(mesh)
     cfg = SolverConfig(
         dt=dt,
         t_end=t_end,
@@ -76,7 +76,7 @@ def make_smooth_problem(cells=100, dt=1e-3, t_end=0.5, kappa0=1.0, with_forcing=
 
 def make_zero_problem(cells=16, dt=1e-3, t_end=0.1):
     mesh = build_mesh(1, [1.0], [cells])
-    sys = build_spaces(mesh, mesh.interior_nodes.size, mesh.n_cells)
+    sys = build_spaces(mesh)
     cfg = SolverConfig(dt=dt, t_end=t_end,
                        elasticity=ElasticityTensor(0.0, 0.5),
                        flow_rule=FlowRule.linear(0.5),

@@ -49,8 +49,7 @@ def smooth_problem(cells, dt, t_end=0.5):
     """The smooth coupled scenario rebuilt at a chosen resolution."""
     rc = load_config(shipped_config_path("smooth_coupled.cfg"))
     from dataclasses import replace
-    return build_problem(replace(rc, cells=(cells,), dt=dt,
-                                 n_disp_level=cells - 1, k_stress_level=cells))
+    return build_problem(replace(rc, cells=(cells,), dt=dt))
 
 
 def fd_matching_smooth(N, dt):
@@ -155,7 +154,7 @@ def test_criterion_05_temperature_positivity(shipped_runs, announce):
 
     # spatially constant contraction (rate 1, no source): θ_min tracks e^{−t}
     mesh = build_mesh(1, [1.0], [50])
-    sys_ = build_spaces(mesh, mesh.interior_nodes.size, mesh.n_cells)
+    sys_ = build_spaces(mesh)
     from thermovisco.constitutive import TruncationLevel
     dt = 0.01
     state = SimState(0.0, np.zeros(sys_.n_disp), np.zeros(sys_.n_disp),
@@ -209,7 +208,7 @@ def test_criterion_07_manufactured_solutions(announce):
 
     # Galerkin heat solve at the same resolution (200 cells = 201 nodes)
     mesh = build_mesh(1, [1.0], [200])
-    sys_ = build_spaces(mesh, mesh.interior_nodes.size, mesh.n_cells)
+    sys_ = build_spaces(mesh)
     from thermovisco.constitutive import TruncationLevel
     dt = 5e-5
     state = SimState(0.0, np.zeros(sys_.n_disp), np.zeros(sys_.n_disp),
@@ -237,7 +236,7 @@ def test_criterion_07_manufactured_solutions(announce):
     # Galerkin wave: κ₀ = 0 and a tiny constant temperature so the thermal
     # force stays negligible relative to the elastic response
     mesh = build_mesh(1, [1.0], [200])
-    sys_ = build_spaces(mesh, mesh.interior_nodes.size, mesh.n_cells)
+    sys_ = build_spaces(mesh)
     cfg = SolverConfig(dt=5e-4, t_end=1.0,
                        elasticity=ElasticityTensor(0.0, 0.5),
                        flow_rule=FlowRule.linear(0.0),
@@ -257,7 +256,7 @@ def test_criterion_07_manufactured_solutions(announce):
 def test_criterion_08_truncation_semantics(announce):
     from thermovisco.constitutive import TruncationLevel
     mesh = build_mesh(1, [1.0], [40])
-    sys_ = build_spaces(mesh, mesh.interior_nodes.size, mesh.n_cells)
+    sys_ = build_spaces(mesh)
     height = 0.05
     cfg = SolverConfig(dt=1e-3, t_end=0.05, elasticity=ElasticityTensor(0.0, 0.5),
                        flow_rule=FlowRule.linear(1.0),
@@ -278,7 +277,7 @@ def test_criterion_08_truncation_semantics(announce):
 def test_criterion_09_refinement_study(announce, capsys):
     code = cli_main(["convergence", str(shipped_config_path("smooth_coupled.cfg")),
                      "--levels",
-                     "25:full:full:4e-3;50:full:full:2e-3;100:full:full:1e-3"])
+                     "25:4e-3;50:2e-3;100:1e-3"])
     out = capsys.readouterr().out
     assert code == 0
     assert "monotonically decreasing: True" in out

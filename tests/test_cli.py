@@ -17,7 +17,6 @@ from thermovisco.config import (
     make_flow_rule,
     shipped_config_path,
 )
-from thermovisco.discretization import max_levels
 from thermovisco.expressions import _CONSTS, _FUNCS, ExpressionError, compile_expression, vector_sampler
 
 from conftest import run_recording_steps
@@ -162,12 +161,11 @@ class TestConfigParsing:
     def test_minimal_round_trip(self, tmp_path):
         rc = load_config(write_cfg(tmp_path, MINIMAL))
         assert rc.dim == 1 and rc.cells == (8,)
-        assert rc.n_disp_level == 7 and rc.k_stress_level == 8
         # no [output] section: every output key takes its default
         assert (rc.output_dir, rc.snapshot_stride, rc.ledger_filename) == \
             ("out", 0, "ledger.csv")
         sys, cfg = build_problem(rc)
-        assert sys.n_disp == 7
+        assert sys.n_disp == 7 and sys.k_stress == 8
         assert cfg.theta0 is not None
 
     def test_negative_dt_field_message(self, tmp_path):
@@ -218,13 +216,10 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=r"\[mesh\] dim"):
             load_config(write_cfg(tmp_path, bad))
 
-    def test_check_expands_full_and_repeats_cells(self, tmp_path):
+    def test_check_repeats_cells(self, tmp_path):
         rc = load_config(write_cfg(tmp_path, MINIMAL))
-        rc = check(replace(rc, dim=2, extents=(2.0,), cells=(4,),
-                           n_disp_level="full", k_stress_level=5))
+        rc = check(replace(rc, dim=2, extents=(2.0,), cells=(4,)))
         assert rc.extents == (2.0, 2.0) and rc.cells == (4, 4)
-        assert rc.n_disp_level == max_levels(2, (4, 4))[0] == 18
-        assert rc.k_stress_level == 5
 
     @pytest.mark.parametrize("data, message", [
         ("u0 = 0; 0\ntheta0 = 1", "u0: need 1 components, got 2"),
@@ -287,7 +282,10 @@ class TestConfigParsing:
         (MINIMAL + "\n[solver]\n", "[solver]: unknown section"),
         ("[DEFAULT]\ndt = 1e-3\n" + MINIMAL, "[DEFAULT] dt: unknown key"),
         (MINIMAL.replace("theta0 = 1.0", "preset = zero"), "[data] preset: unknown key"),
-    ], ids=["key", "data-key", "section", "default-section", "data-preset"])
+        (MINIMAL + "\n[spaces]\nn_disp_level = 5\n",
+         "[spaces] n_disp_level: partial Galerkin levels were removed, only 'full' is accepted, "
+         "got '5'"),
+    ], ids=["key", "data-key", "section", "default-section", "data-preset", "partial-level"])
     def test_unknown_key_or_section_exit_two(self, tmp_path, capsys, body, message):
         assert main(["run", str(write_cfg(tmp_path, body))]) == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
@@ -526,7 +524,7 @@ class TestCmdConvergence:
     def test_three_nested_levels_decrease(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, self.SMOOTH)
         code = main(["convergence", str(cfg),
-                     "--levels", "10:full:full:4e-3;20:full:full:2e-3;40:full:full:1e-3"])
+                     "--levels", "10:4e-3;20:2e-3;40:1e-3"])
         out = capsys.readouterr().out
         assert code == 0
         assert "monotonically decreasing: True" in out
@@ -534,7 +532,7 @@ class TestCmdConvergence:
     def test_identical_levels_zero_difference(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, self.SMOOTH)
         code = main(["convergence", str(cfg),
-                     "--levels", "10:full:full:2e-3;10:full:full:2e-3"])
+                     "--levels", "10:2e-3;10:2e-3"])
         out = capsys.readouterr().out
         assert code == 0
         assert "0.0000e+00" in out
@@ -542,26 +540,25 @@ class TestCmdConvergence:
     def test_fine_to_coarse_rejected(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, self.SMOOTH)
         code = main(["convergence", str(cfg),
-                     "--levels", "40:full:full:1e-3;20:full:full:2e-3"])
+                     "--levels", "40:1e-3;20:2e-3"])
         assert code == 2
         assert "coarse to fine" in capsys.readouterr().err
 
     @pytest.mark.parametrize("level, section", [
-        ("25:0:full:4e-3", "[spaces] n_disp_level"),
-        ("25:500:full:4e-3", "[spaces] n_disp_level"),   # rejected, not clamped to 24
-        ("25:full:full:0", "[time] dt"),
-        ("25:full:full:3e-3", "[time] t_end must be a whole number of steps"),
-        ("1:full:full:4e-3", "[mesh]"),
+        ("25:0", "[time] dt"),
+        ("25:3e-3", "[time] t_end must be a whole number of steps"),
+        ("1:4e-3", "[mesh]"),
+        ("25:full:full:4e-3", "level '25:full:full:4e-3': expected cells:dt"),
     ])
     def test_out_of_range_level_exit_two(self, tmp_path, capsys, level, section):
         cfg = write_cfg(tmp_path, self.SMOOTH)
-        assert main(["convergence", str(cfg), "--levels", f"{level};50:full:full:2e-3"]) == 2
+        assert main(["convergence", str(cfg), "--levels", f"{level};50:2e-3"]) == 2
         assert section in capsys.readouterr().err
 
     def test_failing_level_exit_one(self, capsys):
         # dt = 1e-2 keeps positivity on 25 cells and loses it on 50.
         assert main(["convergence", "smooth_coupled.cfg",
-                     "--levels", "25:full:full:1e-2;50:full:full:1e-2"]) == 1
+                     "--levels", "25:1e-2;50:1e-2"]) == 1
         err = capsys.readouterr().err
         assert "error: level 1 (50 cells, dt=0.01) failed: step 1" in err
         assert "lost positivity" in err
@@ -572,7 +569,7 @@ class TestCmdConvergence:
                             lambda rule, samples: verify_admissibility(FlowRule.linear(), samples))
         body = self.SMOOTH.replace("flow_rule = linear", "flow_rule = anti_monotone")
         assert main(["convergence", str(write_cfg(tmp_path, body)),
-                     "--levels", "10:full:full:2e-3;20:full:full:1e-3"]) == 1
+                     "--levels", "10:2e-3;20:1e-3"]) == 1
         out = capsys.readouterr().out
         assert "monotonically decreasing: True" in out
         for level in (0, 1):
@@ -581,8 +578,8 @@ class TestCmdConvergence:
                 "verdicts: FAIL dissipation_inequality, accumulators_monotone")
 
     @pytest.mark.parametrize("dim, levels", [
-        (2, "4:full:full:2e-3;8:full:full:1e-3"),
-        (3, "2:full:full:2e-3;4:full:full:1e-3"),
+        (2, "4:2e-3;8:1e-3"),
+        (3, "2:2e-3;4:1e-3"),
     ])
     def test_multi_dimensional_levels(self, tmp_path, capsys, dim, levels):
         body = self.SMOOTH.replace("dim = 1", f"dim = {dim}").replace(
@@ -597,14 +594,14 @@ class TestCmdConvergence:
     @pytest.mark.parametrize("data, step", RAISING_EXPRESSIONS, ids=RAISING_IDS)
     def test_expression_that_raises_exit_one(self, tmp_path, capsys, data, step):
         cfg = write_cfg(tmp_path, MINIMAL.replace("theta0 = 1.0", data))
-        assert main(["convergence", str(cfg), "--levels", "4:full:full:1e-3;8:full:full:1e-3"]) == 1
+        assert main(["convergence", str(cfg), "--levels", "4:1e-3;8:1e-3"]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: level 0 (4 cells, dt=0.001) failed: {step}evaluating ")
         assert err.count("\n") == 1
 
     def test_single_level_rejected(self, tmp_path):
         cfg = write_cfg(tmp_path, self.SMOOTH)
-        assert main(["convergence", str(cfg), "--levels", "10:full:full:1e-3"]) == 2
+        assert main(["convergence", str(cfg), "--levels", "10:1e-3"]) == 2
 
 
 class TestDeterminism:
@@ -722,14 +719,11 @@ class TestBackgroundSnapshots:
 class TestFinalSnapshot:
     """``snapshot_final.npz``: the state ``run`` returns, exact to the bit."""
 
-    @pytest.mark.parametrize("dim, cells, partial", [(1, 8, False), (2, 4, False), (3, 3, True)],
-                             ids=["1d", "2d", "3d-partial-stress"])
-    def test_holds_the_final_state_exactly(self, tmp_path, monkeypatch, dim, cells, partial):
-        max_stress = max_levels(dim, [cells] * dim)[1]
+    @pytest.mark.parametrize("dim, cells", [(1, 8), (2, 4), (3, 3)], ids=["1d", "2d", "3d"])
+    def test_holds_the_final_state_exactly(self, tmp_path, monkeypatch, dim, cells):
         body = MINIMAL.replace("dim = 1", f"dim = {dim}").replace(
             "cells = 8", f"cells = {cells}").replace(
             "theta0 = 1.0", "u0 = 0.1*sin(pi*x)\ntheta0 = 1 + 0.2*cos(pi*x)")
-        body += f"\n[spaces]\nk_stress_level = {max_stress - partial}\n"
         results, real_run = [], cli.solver_run
 
         def recording_run(*args, **kwargs):
@@ -742,7 +736,6 @@ class TestFinalSnapshot:
         assert sorted(p.name for p in out.iterdir()) == \
             ["ledger.csv", "snapshot_final.npz", "summary.json"]
         sys_, _ = build_problem(load_config(tmp_path / "case.cfg"))
-        assert sys_.k_stress == max_stress - partial
         assert np.any(results[0].state.stress != 0.0)
         assert_exact_state_file(out / "snapshot_final.npz", sys_, results[0].state)
 

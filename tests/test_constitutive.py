@@ -210,7 +210,7 @@ class TestAdmissibility:
         assert rep.passed
 
     def test_adversarial_anti_monotone_fails_with_witness(self):
-        bad = FlowRule.custom(lambda theta: -1.0, c_growth=1.0)
+        bad = FlowRule("custom", c_growth=1.0, fn=lambda theta: -1.0)
         rep = verify_admissibility(bad, 500, rng_seed=6)
         assert not rep.passed
         assert not rep.monotone_ok

@@ -10,7 +10,6 @@ from thermovisco.config import build_problem, load_config, shipped_config_path
 from thermovisco.diagnostics import (ACCUMULATORS, BLOCK_BYTES, C_SCHEME, LEDGER_COLUMNS,
                                      BalanceLedger, energy_terms, entropy_residual,
                                      format_summary, scheme_tolerance)
-from thermovisco.discretization import max_levels
 from thermovisco.oracle import fd_run, make_grid
 from thermovisco.solver import SimState, SolverConfig, initialize, run
 
@@ -67,7 +66,7 @@ class TestEnergyBalance:
 @pytest.fixture(scope="module")
 def clamped_run():
     mesh = build_mesh(1, [1.0], [40])
-    sys = build_spaces(mesh, mesh.interior_nodes.size, mesh.n_cells)
+    sys = build_spaces(mesh)
     cfg = SolverConfig(dt=1e-3, t_end=0.05,
                        elasticity=ElasticityTensor(0.0, 0.5),
                        flow_rule=FlowRule.linear(1.0),
@@ -106,7 +105,7 @@ class TestEntropyLedger:
     def test_pure_diffusion_jensen_gap(self):
         # ∫ln θ(t) − ∫ln θ(0) realizes the accumulated ∫∫|∇ln θ|²
         mesh = build_mesh(1, [1.0], [50])
-        sys = build_spaces(mesh, mesh.interior_nodes.size, mesh.n_cells)
+        sys = build_spaces(mesh)
         dt, t_end = 1e-4, 0.05
         theta = 1.0 + 0.5 * np.cos(np.pi * mesh.nodes[:, 0])
         state = SimState(0.0, np.zeros(sys.n_disp), np.zeros(sys.n_disp),
@@ -169,8 +168,8 @@ class TestDissipationInequality:
         monkeypatch.setattr(solver, "verify_admissibility",
                             lambda rule, samples: verify_admissibility(FlowRule.linear(), samples))
         mesh = build_mesh(1, [1.0], [20])
-        sys = build_spaces(mesh, mesh.interior_nodes.size, mesh.n_cells)
-        bad = FlowRule.custom(lambda theta: -1.0, c_growth=1.0)
+        sys = build_spaces(mesh)
+        bad = FlowRule("custom", c_growth=1.0, fn=lambda theta: -1.0)
         cfg = SolverConfig(dt=1e-3, t_end=0.05,
                            elasticity=ElasticityTensor(0.0, 0.5),
                            flow_rule=bad,
@@ -188,7 +187,7 @@ class TestPositivityBound:
     def test_no_motion_keeps_minimum(self):
         # div u_t = 0 and nonnegative source: θ_min can only rise
         mesh = build_mesh(1, [1.0], [30])
-        sys = build_spaces(mesh, mesh.interior_nodes.size, mesh.n_cells)
+        sys = build_spaces(mesh)
         cfg = SolverConfig(dt=1e-3, t_end=0.05,
                            elasticity=ElasticityTensor(0.0, 0.5),
                            flow_rule=FlowRule.linear(1.0),
@@ -205,7 +204,7 @@ class TestPositivityBound:
     def test_synthetic_exponential_decay(self):
         # spatially constant contraction rate 1: θ(t) = e^{−t} exactly
         mesh = build_mesh(1, [1.0], [50])
-        sys = build_spaces(mesh, mesh.interior_nodes.size, mesh.n_cells)
+        sys = build_spaces(mesh)
         dt, t_end = 0.01, 1.0
         state = SimState(0.0, np.zeros(sys.n_disp), np.zeros(sys.n_disp),
                          np.zeros(sys.k_stress), np.ones(sys.n_temp))
@@ -356,7 +355,7 @@ class TestBatchedLedger:
     @pytest.mark.parametrize("dim, cells, steps_at_least", [(1, 100, 100), (3, 16, 1)])
     def test_a_block_stays_within_the_byte_budget(self, dim, cells, steps_at_least):
         mesh = build_mesh(dim, [1.0] * dim, [cells] * dim)
-        sys = build_spaces(mesh, *max_levels(dim, mesh.cells))
+        sys = build_spaces(mesh)
         ledger = BalanceLedger(sys, ElasticityTensor(1.0, 1.0), 1e-3, 1000)
         per_step = 2 + 2 * sys.n_disp + sys.k_stress + sys.n_temp + 3 * mesh.n_cells
         assert ledger._block.shape[1] == per_step

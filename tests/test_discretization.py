@@ -6,13 +6,11 @@ import scipy.sparse.linalg as spla
 
 from thermovisco.constitutive import SQRT2, to_mandel
 from thermovisco.discretization import (
-    GalerkinSystem,
     build_mesh,
     build_spaces,
     eval_displacement,
     eval_stress,
     eval_temperature,
-    max_levels,
     project_displacement,
     project_stress,
 )
@@ -68,21 +66,21 @@ class TestBuildMesh:
         strides = np.cumprod([1] + [c + 1 for c in cells[:-1]])
         expect = (_grid([c - 1 for c in cells]) + 1) @ strides
         assert np.array_equal(m.interior_nodes, expect)
-        assert build_spaces(m, *max_levels(dim, cells)).n_disp == expect.size * dim
+        assert build_spaces(m).n_disp == expect.size * dim
 
 
 class TestBuildSpaces:
     def test_1d_mass_matrix_closed_form(self):
         # 4 cells, 3 interior hats: tridiagonal h/6 * (1, 4, 1), h = 0.25
         m = build_mesh(1, [1.0], [4])
-        sys = build_spaces(m, 3, 4)
+        sys = build_spaces(m)
         h = 0.25
         expected = np.diag([4 * h / 6] * 3) + np.diag([h / 6] * 2, 1) + np.diag([h / 6] * 2, -1)
         assert np.allclose(sys.M_u.toarray(), expected, atol=1e-15)
 
     def test_neumann_kernel_exact_1d(self):
         m = build_mesh(1, [1.3], [7])
-        sys = build_spaces(m, 1, 1)
+        sys = build_spaces(m)
         assert np.abs(sys.K_theta @ np.ones(sys.n_temp)).max() == 0.0
 
     def test_neumann_kernel_machine_zero_2d_3d(self):
@@ -90,43 +88,27 @@ class TestBuildSpaces:
         # the ulp of the entry scale rather than bitwise.
         for dim, cells, ext in ((2, [3, 4], [1.0, 1.0]), (3, [2, 3, 2], [1.0, 2.0, 0.5])):
             m = build_mesh(dim, ext, cells)
-            sys = build_spaces(m, 1, 1)
+            sys = build_spaces(m)
             entry_scale = max(1.0, np.abs(sys.K_theta.data).max())
             resid = np.abs(sys.K_theta @ np.ones(sys.n_temp)).max()
             assert resid <= 4 * np.finfo(float).eps * entry_scale
 
     def test_mass_matrices_positive_definite(self):
         m = build_mesh(2, [1.0, 1.0], [3, 3])
-        sys = build_spaces(m, m.interior_nodes.size * 2, m.n_cells * 3)
+        sys = build_spaces(m)
         for M in (sys.M_u.toarray(), sys.M_theta.toarray()):
             eigs = np.linalg.eigvalsh(M)
             assert eigs.min() > 0.0
 
     def test_stiffness_positive_semidefinite(self):
         m = build_mesh(2, [1.0, 1.0], [3, 3])
-        sys = build_spaces(m, 1, 1)
+        sys = build_spaces(m)
         eigs = np.linalg.eigvalsh(sys.K_theta.toarray())
         assert eigs.min() > -1e-12
 
-    def test_nesting_prefix_property(self):
-        m = build_mesh(1, [1.0], [5])
-        s2 = build_spaces(m, 2, 3)
-        s3 = build_spaces(m, 3, 5)
-        assert np.array_equal(s2.disp_node, s3.disp_node[:2])
-        assert np.allclose(s2.M_u.toarray(), s3.M_u.toarray()[:2, :2])
-
-    def test_level_bounds_enforced(self):
-        m = build_mesh(1, [1.0], [4])
-        with pytest.raises(ValueError):
-            build_spaces(m, 4, 2)   # only 3 interior hats
-        with pytest.raises(ValueError):
-            build_spaces(m, 3, 5)   # only 4 cells
-        with pytest.raises(ValueError):
-            build_spaces(m, 0, 1)
-
     def test_heat_matrix_on_shared_pattern(self):
         m = build_mesh(3, [1.0, 2.0, 0.5], [3, 2, 2])
-        sys = build_spaces(m, 1, 1)
+        sys = build_spaces(m)
         div = np.random.default_rng(2).standard_normal((m.n_cells, 8))
         dt = 0.3
         H = sys.heat_matrix(dt, div)
@@ -139,7 +121,7 @@ class TestBuildSpaces:
 
     def test_heat_bands_are_the_1d_heat_matrix(self):
         m = build_mesh(1, [1.3], [7])
-        sys = build_spaces(m, 6, 7)
+        sys = build_spaces(m)
         div = np.random.default_rng(3).standard_normal((m.n_cells, 2))
         for dt in (0.3, 0.01, 0.3):  # a repeated dt gives the same bands
             lower, diag, upper = sys.heat_bands(dt, div)
@@ -152,7 +134,7 @@ class TestBuildSpaces:
         # integer array with one entry per entry of every n_loc x n_loc cell
         # block outlives set-up.
         m = build_mesh(dim, [1.0] * dim, cells)
-        sys = build_spaces(m, *max_levels(dim, m.cells))
+        sys = build_spaces(m)
         held = []
         for value in vars(sys).values():
             held += [value] if isinstance(value, np.ndarray) else [
@@ -162,19 +144,16 @@ class TestBuildSpaces:
 
     def test_displacement_basis_vanishes_on_boundary(self):
         m = build_mesh(2, [1.0, 1.0], [4, 4])
-        sys = build_spaces(m, m.interior_nodes.size * 2, 1)
+        sys = build_spaces(m)
         assert not np.any(m.boundary_node_mask[sys.disp_node])
 
 
-# (dim, extents, cells, n_disp, k_stress); None is the full level.  The
-# partial 2D/3D cases leave the last stress cell with only some components.
+# (dim, extents, cells)
 ORACLE_CASES = [
-    (1, [1.3], [5], None, None),
-    (1, [1.3], [5], 3, 4),
-    (2, [1.0, 2.0], [2, 3], None, None),
-    (2, [1.0, 2.0], [3, 3], 5, 9 * 3 - 2),
-    (3, [1.0, 2.0, 0.5], [3, 3, 2], None, None),
-    (3, [1.0, 2.0, 0.5], [3, 3, 2], 7, 18 * 6 - 4),
+    (1, [1.3], [5]),
+    (2, [1.0, 2.0], [2, 3]),
+    (2, [1.0, 2.0], [3, 3]),
+    (3, [1.0, 2.0, 0.5], [3, 3, 2]),
 ]
 
 
@@ -221,10 +200,8 @@ def _quadrature(dim, extents, cells):
 @pytest.fixture(scope="module")
 def oracle_cases():
     cases = []
-    for dim, extents, cells, n_disp, k_stress in ORACLE_CASES:
-        m = build_mesh(dim, extents, cells)
-        system = build_spaces(m, n_disp or m.interior_nodes.size * dim,
-                              k_stress or m.n_cells * dim * (dim + 1) // 2)
+    for dim, extents, cells in ORACLE_CASES:
+        system = build_spaces(build_mesh(dim, extents, cells))
         cases.append((system, _quadrature(dim, extents, cells)))
     return cases
 
@@ -240,7 +217,7 @@ def _oracle_divergence(system, grads, v):
 
 class TestAssemblyOracle:
     """Brute-force high-order quadrature oracle for every assembled operator,
-    in 1D/2D/3D at full and partial levels."""
+    in 1D/2D/3D."""
 
     def test_temperature_matrices(self, oracle_cases):
         for system, (w, v, g, _) in oracle_cases:
@@ -303,7 +280,8 @@ class TestAssemblyOracle:
             eps = to_mandel(0.5 * (grad_u + grad_u.swapaxes(-1, -2)))  # (q, n_disp, s)
             means = np.zeros((system.mesh.n_cells,) + eps.shape[1:])
             np.add.at(means, cell_of, w[:, None, None] * eps)
-            B = means[system.stress_cell, :, system.stress_comp] / system.mesh.cell_volume
+            # Stress dofs are (cell, component), cell-major.
+            B = means.transpose(0, 2, 1).reshape(-1, system.n_disp) / system.mesh.cell_volume
             assert np.allclose(B, system.B.toarray(), atol=1e-13)
 
 
@@ -313,8 +291,7 @@ def _relative_error(x, ref):
 
 class TestInverses:
     """The heat (2D/3D, per axis) and displacement-mass (tridiagonal factor in
-    1D, per axis in 2D/3D) inverses against a sparse direct solve, at full and
-    partial levels."""
+    1D, per axis in 2D/3D) inverses against a sparse direct solve."""
 
     @pytest.mark.parametrize("dt", [1e-4, 1e-3, 1e-1, 10.0])
     def test_heat_inverse(self, oracle_cases, dt):
@@ -328,7 +305,7 @@ class TestInverses:
     def test_heat_inverse_keeps_constants(self, dim, cells, extent):
         # K_θ·1 = 0, so (M_θ + dt·K_θ)⁻¹·M_θ·1 = 1 however stiff dt·K_θ is.
         m = build_mesh(dim, [extent] * dim, [cells] * dim)
-        system = build_spaces(m, *max_levels(dim, m.cells))
+        system = build_spaces(m)
         ones = np.ones(system.n_temp)
         assert np.abs(system.heat_inverse(1e-3)(system.M_theta @ ones) - 1.0).max() <= 1e-12
 
@@ -338,51 +315,22 @@ class TestInverses:
             ref = spla.spsolve(system.M_u.tocsc(), r)
             assert _relative_error(system.solve_mass_u(r), ref) <= 1e-12
 
-    @pytest.mark.parametrize("dim, cells, levels", [
-        (2, [5, 9], [5, 21, 61, 63]),
-        (2, [48, 48], [1472, 4415]),
-        (3, [4, 3, 5], [5, 24, 68, 71]),
-        (3, [10, 10, 10], [729, 1093, 2183]),
-    ])
-    def test_partial_levels_converge_without_fallback(self, monkeypatch, dim, cells, levels):
-        # A partial level's M_u has no tensor form: CG preconditioned with the
-        # full-level inverse restricted to the prefix takes a few iterations.
-        def no_direct_solve(*args, **kwargs):
-            raise AssertionError("partial-level M_u solve fell back to spsolve")
 
-        applies = []
-        restricted = GalerkinSystem._restricted_mass_inverse
-        monkeypatch.setattr(spla, "spsolve", no_direct_solve)
-        monkeypatch.setattr(GalerkinSystem, "_restricted_mass_inverse",
-                            lambda self, r: applies.append(1) or restricted(self, r))
-        m = build_mesh(dim, [c / cells[0] for c in cells], cells)
-        for n in levels:
-            system = build_spaces(m, n, 1)
-            r = np.random.default_rng(n).standard_normal(n)
-            applies.clear()
-            x = system.solve_mass_u(r)
-            assert 1 <= len(applies) <= 10
-            assert np.abs(system.M_u @ x - r).max() <= 1e-13 * np.abs(r).max()
-
-
-def _levels(m, partial):
-    """Full levels, or the last displacement dof and two stress components dropped."""
-    n_disp, k_stress = max_levels(m.dim, m.cells)
-    return (n_disp - 1, k_stress - 2) if partial else (n_disp, k_stress)
+# Case ids of the 1D/2D/3D meshes; "full": each runs on the full spaces of its mesh.
+FULL_IDS = ["1d-full", "2d-full", "3d-full"]
 
 
 class TestCellOperators:
     """The maps applied cell by cell against the assembled matrix and the
-    indexed formulas they replace, in 1D/2D/3D at full and partial levels."""
+    indexed formulas they replace, in 1D/2D/3D on the full spaces of a mesh."""
 
     @pytest.mark.parametrize("signed", [True, False], ids=["signed", "nonnegative"])
-    @pytest.mark.parametrize("partial", [False, True], ids=["full", "partial"])
-    @pytest.mark.parametrize("cells", [(5, 7), (4, 3, 5)], ids=["2d", "3d"])
-    def test_heat_operator_applies_the_heat_matrix(self, cells, partial, signed):
+    @pytest.mark.parametrize("cells", [(5, 7), (4, 3, 5)], ids=["2d-full", "3d-full"])
+    def test_heat_operator_applies_the_heat_matrix(self, cells, signed):
         dim = len(cells)
         m = build_mesh(dim, [0.5 + 0.3 * a for a in range(dim)], cells)
-        system = build_spaces(m, *_levels(m, partial))
-        rng = np.random.default_rng(dim + 2 * partial)
+        system = build_spaces(m)
+        rng = np.random.default_rng(dim)
         div = rng.uniform(-1.0 if signed else 0.0, 1.0, (m.n_cells, system._gauss_N.shape[0]))
         for dt in (1e-3, 0.3):
             apply, H = system.heat_operator(dt, div / dt), system.heat_matrix(dt, div / dt)
@@ -390,12 +338,11 @@ class TestCellOperators:
                 x = rng.standard_normal(system.n_temp)
                 assert _relative_error(apply(x), H @ x) <= 1e-14
 
-    @pytest.mark.parametrize("partial", [False, True], ids=["full", "partial"])
-    @pytest.mark.parametrize("cells", [(7,), (5, 7), (4, 3, 5)], ids=["1d", "2d", "3d"])
-    def test_cell_maps_match_the_indexed_formulas(self, cells, partial):
+    @pytest.mark.parametrize("cells", [(7,), (5, 7), (4, 3, 5)], ids=FULL_IDS)
+    def test_cell_maps_match_the_indexed_formulas(self, cells):
         dim = len(cells)
         m = build_mesh(dim, [0.5 + 0.3 * a for a in range(dim)], cells)
-        system = build_spaces(m, *_levels(m, partial))
+        system = build_spaces(m)
         rng = np.random.default_rng(dim)
         n_loc = 2 ** dim
         tol = 4 * np.finfo(float).eps
@@ -424,12 +371,11 @@ class TestCellOperators:
 class TestStressLayout:
     """Stress coefficients against their per-cell Mandel blocks."""
 
-    @pytest.mark.parametrize("partial", [False, True], ids=["full", "partial"])
-    @pytest.mark.parametrize("cells", [(7,), (5, 7), (4, 3, 5)], ids=["1d", "2d", "3d"])
-    def test_blocks_round_trip_bitwise(self, cells, partial):
+    @pytest.mark.parametrize("cells", [(7,), (5, 7), (4, 3, 5)], ids=FULL_IDS)
+    def test_blocks_round_trip_bitwise(self, cells):
         dim = len(cells)
         m = build_mesh(dim, [1.0] * dim, cells)
-        system = build_spaces(m, *_levels(m, partial))
+        system = build_spaces(m)
         coeffs = np.random.default_rng(dim).standard_normal(system.k_stress)
         back = system.stress_coeffs(system.stress_blocks(coeffs))
         assert back.shape == coeffs.shape and back.tobytes() == coeffs.tobytes()
@@ -438,7 +384,7 @@ class TestStressLayout:
     def test_full_level_blocks_of_a_frozen_state_are_a_read_only_view(self, cells):
         dim = len(cells)
         m = build_mesh(dim, [1.0] * dim, cells)
-        system = build_spaces(m, *_levels(m, False))
+        system = build_spaces(m)
         rng = np.random.default_rng(dim)
         state = SimState(0.0, np.zeros(system.n_disp), np.zeros(system.n_disp),
                          rng.standard_normal(system.k_stress), np.ones(system.n_temp)).freeze()
@@ -448,23 +394,11 @@ class TestStressLayout:
         with pytest.raises(ValueError, match="read-only"):
             blocks[0, 0] = 1.0
 
-    @pytest.mark.parametrize("cells", [(7,), (5, 7), (4, 3, 5)], ids=["1d", "2d", "3d"])
-    def test_partial_level_blocks_are_a_zero_padded_copy(self, cells):
-        dim = len(cells)
-        m = build_mesh(dim, [1.0] * dim, cells)
-        system = build_spaces(m, *_levels(m, True))
-        coeffs = np.random.default_rng(dim).standard_normal(system.k_stress)
-        blocks = system.stress_blocks(coeffs)
-        assert not np.shares_memory(blocks, coeffs)
-        flat = blocks.reshape(-1)
-        assert np.array_equal(flat[:system.k_stress], coeffs)
-        assert np.all(flat[system.k_stress:] == 0.0) and flat.size - system.k_stress == 2
-
 
 class TestProjections:
     def test_idempotence(self):
         m = build_mesh(1, [1.0], [4])
-        sys = build_spaces(m, 3, 4)
+        sys = build_spaces(m)
         c = np.array([0.3, -0.2, 0.5])
         p = project_displacement(sys, lambda pts: eval_displacement(sys, c, pts))
         assert np.abs(p - c).max() < 1e-12
@@ -492,42 +426,40 @@ class TestProjections:
         assert np.allclose(oracle, expected, atol=1e-14)
 
         m = build_mesh(1, [1.0], [4])
-        sys = build_spaces(m, 3, 4)
+        sys = build_spaces(m)
         p = project_displacement(sys, lambda pts: (pts[:, 0] * (1 - pts[:, 0]))[:, None])
         assert np.allclose(p, expected, atol=1e-13)
 
     def test_error_non_increasing_in_level(self):
-        m = build_mesh(1, [1.0], [8])
+        # A level is a mesh: each one halves the cells of the last.
         sampler = lambda pts: (pts[:, 0] * (1 - pts[:, 0]))[:, None]
         xs = np.linspace(0, 1, 400)[:, None]
         errs = []
-        for n in (2, 4, 7):
-            sys = build_spaces(m, n, 1)
+        for cells in (2, 4, 8):
+            sys = build_spaces(build_mesh(1, [1.0], [cells]))
             p = project_displacement(sys, sampler)
             diff = eval_displacement(sys, p, xs)[:, 0] - sampler(xs)[:, 0]
             errs.append(np.sqrt(np.mean(diff ** 2)))
         assert errs[0] >= errs[1] >= errs[2]
 
-    def test_nested_reprojection_preserves_prefix(self):
-        # A field in the level-2 space re-projected at level 3 keeps its
-        # first 2 coefficients and gains a zero.
-        m = build_mesh(1, [1.0], [4])
-        s2 = build_spaces(m, 2, 4)
-        s3 = build_spaces(m, 3, 4)
-        c = np.array([0.7, -0.4])
-        p = project_displacement(s3, lambda pts: eval_displacement(s2, c, pts))
-        assert np.allclose(p[:2], c, atol=1e-12)
-        assert abs(p[2]) < 1e-12
+    def test_nested_reprojection_is_exact(self):
+        # A field of the 2-cell space lies in the 4-cell space: re-projected
+        # there it keeps its nodal values, and the new midpoints interpolate.
+        coarse = build_spaces(build_mesh(1, [1.0], [2]))
+        fine = build_spaces(build_mesh(1, [1.0], [4]))
+        c = np.array([0.7])
+        p = project_displacement(fine, lambda pts: eval_displacement(coarse, c, pts))
+        assert np.allclose(p, [0.35, 0.7, 0.35], atol=1e-12)
 
     def test_stress_zero_field(self):
         m = build_mesh(1, [1.0], [2])
-        sys = build_spaces(m, 1, 2)
+        sys = build_spaces(m)
         p = project_stress(sys, lambda pts: np.zeros((pts.shape[0], 1, 1)))
         assert np.allclose(p, 0.0)
 
     def test_stress_constant_exact(self):
         m = build_mesh(2, [1.0, 1.0], [2, 2])
-        sys = build_spaces(m, 1, 12)
+        sys = build_spaces(m)
         A = np.array([[2.0, 0.5], [0.5, -1.0]])
         p = project_stress(sys, lambda pts: np.broadcast_to(A, (pts.shape[0], 2, 2)))
         back = eval_stress(sys, p, m.cell_centers)
@@ -537,7 +469,7 @@ class TestProjections:
     def test_stress_linear_gives_cell_means(self):
         # T(x) = x on two cells of [0,1] -> means at 0.25 and 0.75
         m = build_mesh(1, [1.0], [2])
-        sys = build_spaces(m, 1, 2)
+        sys = build_spaces(m)
         p = project_stress(sys, lambda pts: pts[:, 0][:, None, None])
         assert np.allclose(p, [0.25, 0.75], atol=1e-14)
 
@@ -548,27 +480,27 @@ class TestProjections:
 
         monkeypatch.setattr("thermovisco.discretization.sla.lapack.dpttrf", not_positive_definite)
         with pytest.raises(ValueError, match="singular Gram"):
-            build_spaces(build_mesh(1, [1.0], [4]), 3, 4)
+            build_spaces(build_mesh(1, [1.0], [4]))
 
 
 class TestStrain:
     def test_zero(self):
         m = build_mesh(1, [1.0], [2])
-        sys = build_spaces(m, 1, 2)
+        sys = build_spaces(m)
         st = sys.B @ np.zeros(1)
         assert np.allclose(st, 0.0)
 
     def test_single_hat_slopes(self):
         # hat at x=0.5 on 2 cells: slopes +2 then -2
         m = build_mesh(1, [1.0], [2])
-        sys = build_spaces(m, 1, 2)
+        sys = build_spaces(m)
         st = sys.B @ np.array([1.0])
         assert np.allclose(st, [2.0, -2.0], atol=1e-14)
 
     def test_2d_linear_field(self):
         # u = (x, -y) projected then strained: central cell ~ diag(1, -1)
         m = build_mesh(2, [1.0, 1.0], [16, 16])
-        sys = build_spaces(m, m.interior_nodes.size * 2, m.n_cells * 3)
+        sys = build_spaces(m)
         p = project_displacement(sys, lambda pts: np.stack([pts[:, 0], -pts[:, 1]], axis=1))
         st = (sys.B @ p).reshape(m.n_cells, 3)
         central = np.argmin(np.abs(m.cell_centers - 0.5).sum(axis=1))
@@ -576,7 +508,7 @@ class TestStrain:
 
     def test_linearity(self):
         m = build_mesh(2, [1.0, 1.0], [3, 3])
-        sys = build_spaces(m, m.interior_nodes.size * 2, m.n_cells * 3)
+        sys = build_spaces(m)
         rng = np.random.default_rng(0)
         c1 = rng.standard_normal(sys.n_disp)
         c2 = rng.standard_normal(sys.n_disp)
@@ -614,7 +546,7 @@ class TestShapeTables:
     @pytest.mark.parametrize("scale", [1.0, 1e-8])
     def test_bitwise_equal_to_loops(self, dim, scale):
         m = build_mesh(dim, [scale * (1.0 + 0.3 * a) for a in range(dim)], [2, 3, 2][:dim])
-        sys = build_spaces(m, 1, 1)
+        sys = build_spaces(m)
         corners = (np.arange(2 ** dim)[:, None] >> np.arange(dim)) & 1
         xi = np.vstack([np.random.default_rng(dim).uniform(size=(20, dim)),
                         np.full((1, dim), 0.5), corners.astype(float)])
@@ -623,7 +555,7 @@ class TestShapeTables:
 
     def test_locate_numbers_cells_x_fastest(self):
         m = build_mesh(3, [1.0, 2.0, 0.5], [3, 4, 2])
-        sys = build_spaces(m, 1, 1)
+        sys = build_spaces(m)
         cell, ref = sys.locate(m.cell_centers)
         assert np.array_equal(cell, np.arange(m.n_cells))
         assert np.allclose(ref, 0.5)
@@ -632,7 +564,7 @@ class TestShapeTables:
 class TestFieldEvaluation:
     def test_temperature_interpolation(self):
         m = build_mesh(2, [1.0, 1.0], [4, 4])
-        sys = build_spaces(m, 1, 1)
+        sys = build_spaces(m)
         theta = 1.0 + m.nodes[:, 0] + 2 * m.nodes[:, 1]  # multilinear: exact
         pts = np.random.default_rng(1).uniform(0, 1, size=(50, 2))
         vals = eval_temperature(sys, theta, pts)

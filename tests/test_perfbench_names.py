@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from thermovisco import ElasticityTensor, FlowRule, build_mesh, build_spaces, diagnostics, solver
-from thermovisco.discretization import GalerkinSystem, max_levels
+from thermovisco.discretization import GalerkinSystem
 from thermovisco.solver import SolverConfig, StepResult, initialize, resolve_truncation, step
 
 from conftest import make_smooth_problem
@@ -63,7 +63,7 @@ def step_counting_heat_systems(monkeypatch, dim, cells):
     """One step of a swirling run; returns it with the ``advection_matrix``
     and ``heat_matrix`` calls it made."""
     mesh = build_mesh(dim, [1.0] * dim, [cells] * dim)
-    sys = build_spaces(mesh, *max_levels(dim, mesh.cells))
+    sys = build_spaces(mesh)
     cfg = SolverConfig(
         dt=1e-2, t_end=1e-2, elasticity=ElasticityTensor(1.0, 1.0), flow_rule=FlowRule.linear(1.0),
         u1=lambda pts: np.sin(np.pi * pts) * np.sin(np.pi * pts[:, ::-1]),

@@ -11,7 +11,6 @@ from thermovisco import ElasticityTensor, FlowRule, TruncationLevel, build_mesh,
 from thermovisco.constitutive import truncate
 from thermovisco import solver
 from thermovisco.config import build_problem, load_config, shipped_config_path
-from thermovisco.discretization import max_levels
 from thermovisco.solver import (
     MAX_START_ORDER,
     PicardConvergenceError,
@@ -37,12 +36,14 @@ from conftest import (assembled_advection, heat_solve, make_smooth_problem, make
                       run_recording_steps, stress_solve)
 
 C_HALF = ElasticityTensor(0.0, 0.5)  # identity action on symmetric matrices
+# Case ids of dim 1, 2, 3; "full": the stress space holds every component of every cell.
+FULL_DIM_IDS = ["full-1", "full-2", "full-3"]
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 
 def small_system(cells=8):
     mesh = build_mesh(1, [1.0], [cells])
-    return build_spaces(mesh, mesh.interior_nodes.size, mesh.n_cells)
+    return build_spaces(mesh)
 
 
 def quiet_state(sys, theta=1.0):
@@ -62,7 +63,7 @@ class TestInitialize:
     def test_initial_displacement_is_projection(self):
         # reuse the hand-solved x(1-x) coefficients (45/224, 29/112, 45/224)
         mesh = build_mesh(1, [1.0], [4])
-        sys = build_spaces(mesh, 3, 4)
+        sys = build_spaces(mesh)
         cfg = SolverConfig(dt=1e-3, t_end=1e-3, elasticity=C_HALF,
                            flow_rule=FlowRule.linear(1.0),
                            u0=lambda pts: (pts[:, 0] * (1 - pts[:, 0]))[:, None],
@@ -144,17 +145,6 @@ class TestStress:
         assert np.allclose(T_new, T_old, atol=1e-12)
         assert iters <= 2
 
-    def test_partial_last_cell(self):
-        # k not a multiple of the component count still updates consistently
-        mesh = build_mesh(2, [1.0, 1.0], [2, 2])
-        sys = build_spaces(mesh, mesh.interior_nodes.size * 2, 5)  # 1 full cell + 2 comps
-        C = ElasticityTensor(1.0, 1.0)
-        T_old = np.array([0.4, -0.2, 0.1, 0.3, 0.2])
-        T_new, _ = stress_solve(sys, C, FlowRule.linear(2.0),
-                                np.ones(4), T_old, np.zeros(5), 0.01)
-        # every component relaxes toward zero, none blows up
-        assert np.all(np.abs(T_new) < np.abs(T_old) + 1e-12)
-
     @pytest.mark.parametrize("dim", [1, 2, 3])
     @pytest.mark.parametrize("last_cell", ["full", "one_short", "one_component"])
     @pytest.mark.parametrize("lam", [0.0, 1.0])
@@ -162,32 +152,35 @@ class TestStress:
                                       FlowRule.temperature_weighted(20.0)],
                              ids=lambda r: r.kind)
     def test_matches_dense_per_cell_solve(self, dim, last_cell, lam, rule):
-        # (ℂ_P⁻¹ + dt·g·I)t = ℂ_P⁻¹t_old + dt·e per cell, g at the solution;
+        # (ℂ⁻¹ + dt·g·I)t = ℂ⁻¹t_old + dt·e per cell, g at the solution;
         # dt·g·c reaches 25, far outside any damped fixed-point contraction.
-        # A last cell with fewer diagonal components than dim has ℂ_P ≠ ℂ[P, P].
+        # The last cell's t_old and e lack their last component (one_short) or
+        # keep only the first (one_component); ℂ couples the diagonal
+        # components, so the solution there still has every component.  A cell
+        # with no data at all (one_short in 1d) must stay exactly zero.
         mesh = build_mesh(dim, [1.0] * dim, [2] * dim)
         s = dim * (dim + 1) // 2
-        short = {"full": 0, "one_short": 1, "one_component": s - 1}[last_cell]
-        k = mesh.n_cells * s - short
-        sys = build_spaces(mesh, mesh.interior_nodes.size * dim, k)
+        k = mesh.n_cells * s
+        sys = build_spaces(mesh)
         C = ElasticityTensor(lam, 1.0)
         rng = np.random.default_rng(dim)
         T_old, E = rng.standard_normal(k), 5.0 * rng.standard_normal(k)
+        kept = {"full": s, "one_short": s - 1, "one_component": 1}[last_cell]
+        T_old[k - s + kept:] = E[k - s + kept:] = 0.0
         theta = rng.uniform(0.5, 2.0, mesh.n_cells)
         dt = 0.25
         T_new, _ = stress_solve(sys, C, rule, theta, T_old, E, dt)
 
-        cinv = C.inverse_mandel_matrix(dim)
+        A = C.inverse_mandel_matrix(dim)
         for e in range(mesh.n_cells):
-            dofs = np.flatnonzero(sys.stress_cell == e)
-            if dofs.size == 0:
-                continue
-            P = sys.stress_comp[dofs]
+            dofs = e * s + np.arange(s)  # stress dofs are (cell, component), cell-major
             t = T_new[dofs]
-            G = rule.eval_mandel(theta[e:e + 1], np.pad(t, (0, s - t.size))[None, :])[0]
-            g = G[:t.size] @ t / (t @ t)  # radial: G = g·T
-            A = cinv[np.ix_(P, P)]
-            dense = np.linalg.solve(A + dt * g * np.eye(P.size), A @ T_old[dofs] + dt * E[dofs])
+            if not T_old[dofs].any() and not E[dofs].any():
+                assert not t.any()
+                continue
+            G = rule.eval_mandel(theta[e:e + 1], t[None, :])[0]
+            g = G @ t / (t @ t)  # radial: G = g·T
+            dense = np.linalg.solve(A + dt * g * np.eye(s), A @ T_old[dofs] + dt * E[dofs])
             assert np.abs(t - dense).max() <= 1e-12 * np.abs(dense).max()
 
     @pytest.mark.parametrize("kappa0", [900.0, 5000.0, 1e4])
@@ -203,7 +196,7 @@ class TestStress:
     def test_anti_monotone_without_solution_raises(self):
         # g = −1, c = 1, dt = 2: 1 + dt·g·c = −1, so no stress solves the step
         sys = small_system()
-        bad = FlowRule.custom(lambda theta: -1.0, c_growth=1.0)
+        bad = FlowRule("custom", c_growth=1.0, fn=lambda theta: -1.0)
         with pytest.raises(StepFailureError, match=r"1 \+ dt·g·c"):
             stress_solve(sys, C_HALF, bad, np.ones(sys.mesh.n_cells),
                          np.full(sys.k_stress, 1.0), np.zeros(sys.k_stress), dt=2.0)
@@ -212,8 +205,8 @@ class TestStress:
     def test_warm_start_matches_cold_start(self, dim):
         # Newton from the solution perturbed by 20% ends where Newton from T_old does.
         mesh = build_mesh(dim, [1.0] * dim, [3] * dim)
-        n_disp, k = max_levels(dim, mesh.cells)
-        sys = build_spaces(mesh, n_disp, k)
+        sys = build_spaces(mesh)
+        k = sys.k_stress
         rule = FlowRule.mroz_saturating(20.0)
         C = ElasticityTensor(1.0, 1.0)
         rng = np.random.default_rng(dim)
@@ -228,18 +221,16 @@ class TestStress:
         same, _ = stress_solve(sys, C, rule, theta, T_old, E, 0.25, stress_start=T_old)
         assert np.array_equal(same, cold)
 
-    @pytest.mark.parametrize("dim", [1, 2, 3])
-    @pytest.mark.parametrize("partial", [False, True], ids=["full", "partial"])
+    @pytest.mark.parametrize("dim", [1, 2, 3], ids=FULL_DIM_IDS)
     @pytest.mark.parametrize("rule", [FlowRule.linear(20.0), FlowRule.mroz_saturating(20.0),
                                       FlowRule.temperature_weighted(20.0)],
                              ids=lambda r: r.kind)
-    def test_split_update_matches_the_split_of_R(self, dim, partial, rule):
+    def test_split_update_matches_the_split_of_R(self, dim, rule):
         # Adding dt·c times the split of ε to the split of T_old is the split of
-        # R = T_old + dt·ℂ_P·ε, to rounding.
+        # R = T_old + dt·ℂ·ε, to rounding.
         mesh = build_mesh(dim, [1.0] * dim, [3] * dim)
-        n_disp, k = max_levels(dim, mesh.cells)
-        k -= 2 if partial else 0
-        sys = build_spaces(mesh, n_disp, k)
+        sys = build_spaces(mesh)
+        k = sys.k_stress
         C, dt = ElasticityTensor(1.0, 0.7), 0.25
         rng = np.random.default_rng(dim)
         T_old, E = rng.standard_normal(k), 5.0 * rng.standard_normal(k)
@@ -260,8 +251,9 @@ class TestStress:
         den = 1.0 + dt * g[:, None] * c
         ref = sys.stress_coeffs((a / den[:, 0])[:, None] * n + D / den[:, 1:])
 
-        state = SimState(0.0, np.zeros(n_disp), np.zeros(n_disp), T_old, np.ones(sys.n_temp))
-        T_new, _ = stress_substep(sys, C, rule, theta, E, T_old,
+        state = SimState(0.0, np.zeros(sys.n_disp), np.zeros(sys.n_disp), T_old,
+                         np.ones(sys.n_temp))
+        T_new, _ = stress_substep(sys, rule, theta, E, T_old,
                                   step_constants(sys, state, rule, C, dt))
         assert np.abs(T_new - ref).max() <= 1e-14 * np.abs(ref).max()
 
@@ -278,23 +270,21 @@ class TestStress:
         assert np.array_equal(g, g_end) and iters == iters_end
 
 
-def random_heat_case(cells, partial, delta, dt, signed=True, seed=0):
+def random_heat_case(cells, delta, dt, signed=True, seed=0, stress_free=False):
     """A heat substep input with a random per-Gauss-point div at dt·‖div‖∞ = delta.
 
-    Every axis has the spacing 1/cells[0]; ``partial`` drops the
-    last displacement dof and the last two stress components.  Returns the
-    system, the state and the Gauss-point divergence.
+    Every axis has the spacing 1/cells[0]; ``stress_free`` zeroes the random
+    stress, and with it the heat source.  Returns the system, the state and
+    the Gauss-point divergence.
     """
     dim = len(cells)
     mesh = build_mesh(dim, [c / cells[0] for c in cells], cells)
-    n_disp, k_stress = max_levels(dim, mesh.cells)
-    if partial:
-        n_disp, k_stress = n_disp - 1, k_stress - 2
-    sys = build_spaces(mesh, n_disp, k_stress)
+    sys = build_spaces(mesh)
     rng = np.random.default_rng(seed)
     theta = 1.0 + 0.3 * rng.random(sys.n_temp)
+    stress = rng.standard_normal(sys.k_stress)
     state = SimState(0.0, np.zeros(sys.n_disp), np.zeros(sys.n_disp),
-                     rng.standard_normal(sys.k_stress), theta)
+                     np.zeros(sys.k_stress) if stress_free else stress, theta)
     div = rng.uniform(-1.0 if signed else 0.0, 1.0, (mesh.n_cells, sys._gauss_ref.shape[0]))
     div *= delta / dt / np.abs(div).max()
     return sys, state, div
@@ -303,7 +293,7 @@ def random_heat_case(cells, partial, delta, dt, signed=True, seed=0):
 def swirl_problem(dim=2):
     """A tiny run on 4^dim cells whose initial velocity makes div u_t nonzero."""
     mesh = build_mesh(dim, [1.0] * dim, [4] * dim)
-    sys = build_spaces(mesh, *max_levels(dim, mesh.cells))
+    sys = build_spaces(mesh)
     swirl = lambda pts: np.stack([np.prod(np.sin(np.pi * pts), axis=1)] * dim, axis=1)
     cfg = SolverConfig(dt=1e-3, t_end=5e-3, elasticity=C_HALF,
                        flow_rule=FlowRule.linear(1.0), u1=swirl,
@@ -340,7 +330,7 @@ class TestHeat:
         from thermovisco.oracle import make_grid, fd_run
         cells, dt, t_end = 50, 1e-4, 0.02
         mesh = build_mesh(1, [1.0], [cells])
-        sys = build_spaces(mesh, mesh.interior_nodes.size, mesh.n_cells)
+        sys = build_spaces(mesh)
         theta = 1.0 + 0.5 * np.cos(np.pi * mesh.nodes[:, 0])
         state = SimState(0.0, np.zeros(sys.n_disp), np.zeros(sys.n_disp),
                          np.zeros(sys.k_stress), theta)
@@ -370,16 +360,16 @@ class TestHeat:
         assert np.allclose(out.source_raw, 7.0, atol=1e-12)
         assert np.allclose(out.source_trunc, 5.0, atol=1e-12)
 
-    @pytest.mark.parametrize("partial", [False, True], ids=["full", "partial"])
-    @pytest.mark.parametrize("cells", [(9,), (5, 7), (4, 3, 5)], ids=["1d", "2d", "3d"])
+    @pytest.mark.parametrize("cells", [(9,), (5, 7), (4, 3, 5)],
+                             ids=["1d-full", "2d-full", "3d-full"])
     @pytest.mark.parametrize("rule", [
         FlowRule.linear(2.0), FlowRule.mroz_saturating(2.0), FlowRule.temperature_weighted(2.0),
-        FlowRule.custom(lambda theta: 1.0 / (1.0 + theta ** 2), c_growth=1.0)],
+        FlowRule("custom", c_growth=1.0, fn=lambda theta: 1.0 / (1.0 + theta ** 2))],
         ids=lambda r: r.kind)
-    def test_source_is_g_times_the_squared_norm(self, cells, partial, rule):
+    def test_source_is_g_times_the_squared_norm(self, cells, rule):
         # g·|T|² from the step's κ(θ_old) is G(θ_old, T):T to rounding.
         dt = 0.01
-        sys, state, div = random_heat_case(cells, partial, 0.0, dt)
+        sys, state, div = random_heat_case(cells, 0.0, dt)
         stress = 3.0 * np.random.default_rng(2).standard_normal(sys.k_stress)
         out = heat_solve(sys, state, div, rule, TruncationLevel(1e6), dt, stress=stress)
         blocks = sys.stress_blocks(stress)
@@ -401,7 +391,7 @@ class TestHeat:
             monkeypatch.setattr(solver.lapack, "dgtsv", lambda dl, d, du, b: (dl, d, du, bad(b), 0))
         else:
             monkeypatch.setattr(solver, "pcg", lambda apply, b, x0, precond: (bad(b), 1))
-        sys, state, div = random_heat_case(cells, False, 0.5, 0.01)
+        sys, state, div = random_heat_case(cells, 0.5, 0.01)
         with pytest.raises(StepFailureError) as err:
             heat_solve(sys, state, div, FlowRule.linear(1.0), TruncationLevel(10.0), 0.01)
         if error == "non-finite":
@@ -419,16 +409,18 @@ class TestHeat:
             heat_solve(sys, state, -2.0, FlowRule.linear(1.0),
                        TruncationLevel(1.0), dt=1.0)
 
-    @pytest.mark.parametrize("partial", [False, True])
+    @pytest.mark.parametrize("stress_free", [False, True])
     @pytest.mark.parametrize("n_cells, dt, delta, signed", [
         *((9, 0.01, delta, signed) for delta in (0.0, 0.5, 0.9) for signed in (True, False)),
         (200, 1e-4, 20.0, False),
         (50, 0.1, 20.0, True),
     ])
-    def test_direct_1d_solve_matches_spsolve(self, n_cells, dt, delta, signed, partial):
+    def test_direct_1d_solve_matches_spsolve(self, n_cells, dt, delta, signed, stress_free):
         # The tridiagonal solve pivots, so it needs no bound on dt·‖div‖∞ = delta;
         # the last two cases are diffusion-dominated enough to keep θ positive.
-        sys, state, div = random_heat_case((n_cells,), partial, delta, dt, signed=signed)
+        # A stress-free state has no heat source: the solve is the operator alone.
+        sys, state, div = random_heat_case((n_cells,), delta, dt, signed=signed,
+                                           stress_free=stress_free)
         out = heat_solve(sys, state, div, FlowRule.linear(1.0), TruncationLevel(10.0), dt)
         assert out.cg_iters == 0 and not out.fallback
         ref = direct_heat_solve(sys, state, div, out, dt)
@@ -445,12 +437,12 @@ class TestHeat:
                        TruncationLevel(1.0), dt=0.01)
 
     @pytest.mark.parametrize("delta", [0.0, 0.5, 0.9])
-    @pytest.mark.parametrize("partial", [False, True])
+    @pytest.mark.parametrize("stress_free", [False, True])
     @pytest.mark.parametrize("cells", [(5, 7), (4, 3, 5)], ids=["cells1", "cells2"])
-    def test_pcg_matches_direct_solve(self, cells, partial, delta):
+    def test_pcg_matches_direct_solve(self, cells, stress_free, delta):
         # dt·‖div‖∞ < 1 bounds the preconditioned spectrum in [1 − δ, 1 + δ].
         dt = 0.01
-        sys, state, div = random_heat_case(cells, partial, delta, dt)
+        sys, state, div = random_heat_case(cells, delta, dt, stress_free=stress_free)
         out = heat_solve(sys, state, div, FlowRule.linear(1.0), TruncationLevel(10.0), dt)
         assert not out.fallback
         # Without advection the preconditioner is the exact inverse: one step.
@@ -463,7 +455,7 @@ class TestHeat:
         # CG from a perturbed guess reaches the θ_old start's answer; the stress
         # split in the step's constants plays no part in the heat solve.
         dt = 0.01
-        sys, state, div = random_heat_case(cells, False, 0.5, dt)
+        sys, state, div = random_heat_case(cells, 0.5, dt)
         args = (sys, state, div, FlowRule.linear(1.0), TruncationLevel(10.0), dt)
         cold = heat_solve(*args)
         guess = state.theta + 0.1 * np.random.default_rng(1).standard_normal(sys.n_temp)
@@ -481,7 +473,7 @@ class TestHeat:
         # cells along x leave far more mass-dominated modes than the CG cap.
         # div ≥ 0 (pure cooling) and strong diffusion, dt/h² = 4, keep θ positive.
         dt = 1e-4
-        sys, state, div = random_heat_case(cells, False, 20.0, dt, signed=False)
+        sys, state, div = random_heat_case(cells, 20.0, dt, signed=False)
         out = heat_solve(sys, state, div, FlowRule.linear(1.0), TruncationLevel(10.0), dt)
         assert out.fallback
         ref = direct_heat_solve(sys, state, div, out, dt)
@@ -640,7 +632,7 @@ class TestStep:
         # the manual heat → momentum → stress chain; later sweeps only add
         # O(dt²)-in-θ (resp. O(dt³)-in-v) corrections through the advection.
         mesh = build_mesh(1, [1.0], [32])
-        sys = build_spaces(mesh, mesh.interior_nodes.size, mesh.n_cells)
+        sys = build_spaces(mesh)
         dt = 1e-3
         cfg = SolverConfig(dt=dt, t_end=dt, elasticity=C_HALF,
                            flow_rule=FlowRule.linear(0.0),
@@ -654,7 +646,7 @@ class TestStep:
                             cfg.truncation, dt, state.stress, state.theta, constants)
         v1 = momentum_substep(sys, state, heat.theta, state.stress,
                               np.zeros(sys.n_disp), dt)
-        T1, _ = stress_substep(sys, cfg.elasticity, cfg.flow_rule,
+        T1, _ = stress_substep(sys, cfg.flow_rule,
                                sys.cell_center_values(heat.theta), sys.B @ v1,
                                state.stress, constants)
         result = step(sys, cfg, state)
@@ -926,7 +918,7 @@ class TestRun:
 
     def test_admissibility_gate_rejects_bad_rule(self):
         sys, cfg = make_zero_problem()
-        bad = FlowRule.custom(lambda theta: -1.0, c_growth=1.0)
+        bad = FlowRule("custom", c_growth=1.0, fn=lambda theta: -1.0)
         cfg = replace(cfg, flow_rule=bad)
         with pytest.raises(ValueError, match="admissibility"):
             run(sys, cfg)
@@ -960,7 +952,7 @@ class TestRun:
         # G ≡ 0, f ≡ 0, θ₀ constant: elastic + kinetic energy drifts by
         # less than O(dt) per unit time under the implicit coupling.
         mesh = build_mesh(1, [1.0], [50])
-        sys = build_spaces(mesh, mesh.interior_nodes.size, mesh.n_cells)
+        sys = build_spaces(mesh)
         dt, t_end = 5e-4, 0.5
         cfg = SolverConfig(dt=dt, t_end=t_end, elasticity=C_HALF,
                            flow_rule=FlowRule.linear(0.0),
@@ -984,7 +976,7 @@ class TestRun:
 class TestThreeDimensions:
     def test_small_3d_run_passes_diagnostics(self):
         mesh = build_mesh(3, [1.0, 1.0, 1.0], [3, 3, 3])
-        sys = build_spaces(mesh, mesh.interior_nodes.size * 3, mesh.n_cells * 6)
+        sys = build_spaces(mesh)
         cfg = SolverConfig(dt=2e-3, t_end=0.01,
                            elasticity=ElasticityTensor(1.0, 1.0),
                            flow_rule=FlowRule.linear(0.5),
