@@ -185,11 +185,14 @@ def cmd_convergence(args) -> int:
     return 0 if decreasing and all(s["passed"] for s in summaries) else 1
 
 
-def positive_int(raw: str) -> int:
-    value = int(raw)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def int_at_least(low: int):
+    """The argparse type of an int >= ``low``; argparse names it ``integer`` in errors."""
+    def integer(raw: str) -> int:
+        value = int(raw)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return integer
 
 
 def main(argv=None) -> int:
@@ -205,8 +208,8 @@ def main(argv=None) -> int:
     p_chk = sub.add_parser("check-constitutive",
                            help="randomized admissibility checks of the flow rule")
     p_chk.add_argument("config")
-    p_chk.add_argument("--samples", type=positive_int, default=10_000)
-    p_chk.add_argument("--seed", type=int, default=0)
+    p_chk.add_argument("--samples", type=int_at_least(1), default=10_000)
+    p_chk.add_argument("--seed", type=int_at_least(0), default=0)
     p_chk.set_defaults(func=cmd_check_constitutive)
 
     p_cnv = sub.add_parser("convergence", help="refinement study over cells and dt")

@@ -2,10 +2,10 @@
 
 A config has sections [mesh], [material], [time], [data] and [output];
 see the shipped files under ``thermovisco/configs``.  The [data] section
-gives component expressions over x, y, z (and t for the forcing f); theta0
-is required.  Each mesh has one set of discrete spaces, so an older
-config's [spaces] section is accepted only with ``n_disp_level`` and
-``k_stress_level`` both ``full``.  This module only parses values.  Their
+gives component expressions over the mesh's coordinates (x; x, y; or x, y, z,
+and t for the forcing f); theta0 is required.  Each mesh has one set of
+discrete spaces, so an older config's [spaces] section is accepted only with
+``n_disp_level`` and ``k_stress_level`` both ``full``.  This module only parses values.  Their
 ranges are the rules of the objects that own them (``mesh_shape``,
 ``ElasticityTensor``, ``FlowRule``, ``check_time``);
 ``check`` runs them all and names the section of a rule that fails, so the
@@ -214,14 +214,14 @@ def _parse_data(texts, dim) -> dict:
     try:
         for key in ("u0", "u1"):
             if texts[key] is not None:
-                fields[key] = vector_sampler(comps(key, dim, broadcast=True))
+                fields[key] = vector_sampler(comps(key, dim, broadcast=True), dim=dim)
         if texts["stress0"] is not None:
             fields["stress0"] = tensor_sampler(comps("stress0", sym_components(dim)), dim)
         if texts["theta0"] is None:
             raise ConfigError("[data] theta0: required (strictly positive expression)")
-        fields["theta0"] = compile_expression(texts["theta0"])
+        fields["theta0"] = compile_expression(texts["theta0"], dim=dim)
         if texts["f"] is not None:
-            fields["forcing"] = vector_sampler(comps("f", dim, broadcast=True), with_time=True)
+            fields["forcing"] = vector_sampler(comps("f", dim, broadcast=True), with_time=True, dim=dim)
     except ExpressionError as exc:
         raise ConfigError(f"[data] bad expression: {exc}") from exc
     return fields

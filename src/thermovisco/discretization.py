@@ -230,8 +230,7 @@ class GalerkinSystem:
     D : csr_matrix (n_temp, n_disp) — divergence coupling ∫ N_i div φ_j
     B_T, D_T : csc_matrix — the transposes of B and D, views sharing their arrays
 
-    Instances are immutable after construction, apart from the memo of
-    ``stress_spectrum``, and safe to share read-only.
+    Instances are immutable after construction and safe to share read-only.
     """
 
     def __init__(self, mesh: Mesh):
@@ -254,7 +253,6 @@ class GalerkinSystem:
         # Stress dof a <-> (cell, Mandel component), cell-major order.
         self.k_stress = mesh.n_cells * self.s_comp
         self._stress_shape = (mesh.n_cells, self.s_comp)
-        self._spectra = {}
 
         self._build_cell_maps(mesh)
         self._build_reference(dim)
@@ -431,16 +429,6 @@ class GalerkinSystem:
     def stress_coeffs(self, blocks: np.ndarray) -> np.ndarray:
         """Inverse of ``stress_blocks``: a flat view of ``blocks``."""
         return blocks.reshape(-1)
-
-    def stress_spectrum(self, C) -> tuple:
-        """``C.spectrum`` repeated per cell in the ``stress_blocks`` layout, memoized."""
-        if C not in self._spectra:
-            spectrum = tuple(np.tile(arr, (self.mesh.n_cells, 1))
-                             for arr in C.spectrum(self.mesh.dim))
-            for arr in spectrum:  # shared by every caller
-                arr.setflags(write=False)
-            self._spectra[C] = spectrum
-        return self._spectra[C]
 
     def solve_mass_u(self, rhs: np.ndarray) -> np.ndarray:
         """M_u⁻¹·rhs: from its tridiagonal factor in 1D, per axis in 2D/3D."""

@@ -1,6 +1,6 @@
 """Tiny arithmetic expression grammar for initial data and forcing.
 
-Accepted: numbers, x, y, z (and t for forcing), pi, e, the functions
+Accepted: numbers, the first ``dim`` of x, y, z (and t for forcing), pi, e,
 sin/cos/exp/sqrt/tanh/abs, +, -, *, /, ** and parentheses.  Expressions are
 validated against an AST whitelist and evaluated vectorized over numpy
 arrays, so configs stay reproducible without embedding a scripting runtime.
@@ -65,9 +65,9 @@ def _validate(node: ast.AST, names: set) -> None:
         raise ExpressionError(f"syntax element {type(node).__name__} not allowed")
 
 
-def compile_expression(src: str, *, with_time: bool = False) -> Callable:
+def compile_expression(src: str, *, with_time: bool = False, dim: int = 3) -> Callable:
     """Compile to a callable of (points,) or (t, points) returning (m,) values."""
-    names = {"x", "y", "z"} | ({"t"} if with_time else set())
+    names = set("xyz"[:dim]) | ({"t"} if with_time else set())
     try:
         tree = ast.parse(src, mode="eval")
     except SyntaxError as exc:
@@ -98,9 +98,9 @@ def compile_expression(src: str, *, with_time: bool = False) -> Callable:
     return evaluate
 
 
-def vector_sampler(components, *, with_time: bool = False) -> Callable:
+def vector_sampler(components, *, with_time: bool = False, dim: int = 3) -> Callable:
     """Stack per-component expressions into a (m, len(components)) sampler."""
-    fns = [compile_expression(c, with_time=with_time) for c in components]
+    fns = [compile_expression(c, with_time=with_time, dim=dim) for c in components]
 
     def sample(pts, *t):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -120,7 +120,7 @@ def tensor_sampler(components, dim: int) -> Callable:
     if len(components) != expected:
         raise ExpressionError(f"stress needs {expected} component expressions "
                               f"in {dim}D, got {len(components)}")
-    fns = [compile_expression(c) for c in components]
+    fns = [compile_expression(c, dim=dim) for c in components]
 
     def sample(pts):
         pts = np.atleast_2d(pts)

@@ -22,9 +22,9 @@ taken.  Each heat CG starts from the current θ iterate, and the
 ``mroz_saturating`` Newton from the current stress iterate.  What every
 Picard iteration of a step shares is computed once per step
 (``step_constants``): the heat solve's M_θ·θ_old and κ(θ_old), and the stress
-update's split of T_old along the eigenspaces of ℂ.  That is the only place
-the start-of-step state enters the loop: each substep takes these constants
-and its iterates from ``step`` and has no default for any of them.
+update's split of T_old along the eigenspaces of ℂ.  The start-of-step
+state enters the loop there and in ``momentum_substep``, which reads its
+velocity; each substep takes its inputs from ``step`` and has no default.
 The scheme is first order in time.  For a monotone flow rule the stress
 update is solvable for every dt; only heat positivity or Picard divergence
 can reject a step.
@@ -165,7 +165,7 @@ def initialize(sys: GalerkinSystem, cfg: SolverConfig) -> SimState:
     """Project the initial data onto the discrete spaces.
 
     Displacement, velocity and stress are L² projections; the temperature
-    is interpolated at the nodes and must be strictly positive there.
+    is interpolated at the nodes and must be strictly positive there; all must be finite.
     """
     u = project_displacement(sys, cfg.u0) if cfg.u0 is not None else np.zeros(sys.n_disp)
     v = project_displacement(sys, cfg.u1) if cfg.u1 is not None else np.zeros(sys.n_disp)
@@ -174,6 +174,11 @@ def initialize(sys: GalerkinSystem, cfg: SolverConfig) -> SimState:
     theta = np.asarray(cfg.theta0(sys.mesh.nodes), dtype=float)
     if theta.shape != (sys.n_temp,):
         raise ValueError(f"theta0 sampler returned shape {theta.shape}, expected ({sys.n_temp},)")
+    for name, values in (("u0", u), ("u1", v), ("stress0", stress), ("theta0", theta)):
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"initial data {name} is not finite: "
+                             f"{np.count_nonzero(~np.isfinite(values))} of {values.size} "
+                             f"coefficients are inf or nan")
     if not np.all(theta > 0.0):
         raise ValueError(f"initial temperature must be strictly positive everywhere, "
                          f"min = {theta.min():g}")
@@ -206,7 +211,7 @@ def _saturating_factor(kappa: np.ndarray, r2, dtc, g_start: np.ndarray):
 
     |T(g)|² = Σ_k r2_k/(1 + g·dtc_k)² over the eigenspaces k = 0, 1, so the
     left side strictly increases in g, with its root in [κ/(1 + |R|), κ].
-    ``r2`` and ``dtc`` are each a pair of per-cell arrays, one per eigenspace.
+    ``r2`` holds a per-cell array and ``dtc`` a number per eigenspace.
     Bracketed Newton from ``g_start`` clipped to that bracket, bisecting when
     a step leaves the bracket.
     """
@@ -242,10 +247,10 @@ class StepConstants:
 
     mass_old: np.ndarray    # M_θ·θ_old
     kappa_old: np.ndarray   # κ(θ_old) at the cell centres, where the source is evaluated
-    n: np.ndarray           # per cell the unit vector of ℂ's volumetric eigenspace
+    n: np.ndarray           # (s,) unit vector of ℂ's volumetric eigenspace
     a_old: np.ndarray       # per cell a = T_old·n
     D_old: np.ndarray       # per cell T_old − a·n
-    dtc: np.ndarray         # dt·c, ℂ's eigenvalues (volumetric, deviatoric) per cell
+    dtc: np.ndarray         # (2,) dt·c, ℂ's eigenvalues (volumetric, deviatoric)
 
 
 def step_constants(sys: GalerkinSystem, state: SimState, G: FlowRule,
@@ -255,9 +260,9 @@ def step_constants(sys: GalerkinSystem, state: SimState, G: FlowRule,
         raise PositivityError(f"start-of-step temperature not positive "
                               f"(min = {state.theta.min():g})")
     kappa = np.asarray(G.kappa(sys.cell_center_values(state.theta)), dtype=float)
-    n, c = sys.stress_spectrum(C)
+    n, c = C.spectrum(sys.mesh.dim)
     blocks = sys.stress_blocks(state.stress)
-    a = np.einsum("ec,ec->e", blocks, n)
+    a = np.einsum("ec,c->e", blocks, n)
     return StepConstants(sys.M_theta @ state.theta, kappa, n, a, blocks - a[:, None] * n, dt * c)
 
 
@@ -279,14 +284,14 @@ def stress_substep(sys: GalerkinSystem, G: FlowRule,
     """
     n, dtc = constants.n, constants.dtc
     rate = sys.stress_blocks(strain_rate)
-    a_rate = np.einsum("ec,ec->e", rate, n)
-    a = constants.a_old + dtc[:, 0] * a_rate
-    D = constants.D_old + dtc[:, 1:] * (rate - a_rate[:, None] * n)
+    a_rate = np.einsum("ec,c->e", rate, n)
+    a = constants.a_old + dtc[0] * a_rate
+    D = constants.D_old + dtc[1] * (rate - a_rate[:, None] * n)
     kappa = np.asarray(G.kappa(theta_cells), dtype=float)
     if G.kind == "mroz_saturating":
         start = sys.stress_blocks(stress_start)
         g, iters = _saturating_factor(
-            kappa, (a * a, np.einsum("ec,ec->e", D, D)), dtc.T,
+            kappa, (a * a, np.einsum("ec,ec->e", D, D)), dtc,
             G.factor(kappa, np.sqrt(np.einsum("ec,ec->e", start, start))))
     else:
         g, iters = kappa, 1

@@ -234,6 +234,18 @@ class TestConfigParsing:
         assert main(["run", str(write_cfg(tmp_path, body))]) == 2
         assert f"[data] {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("dim, data, name, allowed", [
+        (1, "theta0 = 1.0 + 0.2*cos(pi*y)", "y", "['x']"),
+        (1, "u0 = 0.1*sin(pi*z)\ntheta0 = 1", "z", "['x']"),
+        (2, "f = 0; z\ntheta0 = 1", "z", "['t', 'x', 'y']"),
+    ], ids=["1d-theta0-y", "1d-u0-z", "2d-f-z"])
+    def test_coordinate_the_mesh_lacks_exit_two(self, tmp_path, capsys, dim, data, name,
+                                                allowed):
+        body = MINIMAL.replace("dim = 1", f"dim = {dim}").replace("theta0 = 1.0", data)
+        assert main(["run", str(write_cfg(tmp_path, body))]) == 2
+        assert capsys.readouterr().err == (f"config error: [data] bad expression: unknown "
+                                           f"name {name!r} (allowed: {allowed})\n")
+
     def test_stress0_components_named_like_u0(self, tmp_path, capsys):
         body = MINIMAL.replace("dim = 1", "dim = 2").replace(
             "theta0 = 1.0", "stress0 = 0.3*cos(pi*x)\ntheta0 = 1")
@@ -418,6 +430,23 @@ class TestCmdRun:
         assert err.startswith(f"error: {step}evaluating {data.split(' = ')[-1]!r} failed: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("data, field, bad", [
+        pytest.param("theta0 = 1/x", "theta0", "1 of 9", marks=pytest.mark.filterwarnings(
+            "ignore:divide by zero encountered:RuntimeWarning")),
+        ("theta0 = 1e308*10", "theta0", "9 of 9"),
+        ("u0 = 1e308*10*x\ntheta0 = 1", "u0", "7 of 7"),
+        ("u1 = 1e308*10\ntheta0 = 1", "u1", "7 of 7"),
+        ("stress0 = 1e308*10\ntheta0 = 1", "stress0", "8 of 8"),
+    ], ids=["theta0-inf-at-0", "theta0-inf", "u0-inf", "u1-inf", "stress0-inf"])
+    def test_non_finite_initial_data_exit_one(self, tmp_path, monkeypatch, capsys,
+                                              data, field, bad):
+        # Python float products overflow to inf silently, so a config can hold inf.
+        monkeypatch.setenv("THERMOVISCO_OUTDIR", str(tmp_path / "out"))
+        assert main(["run", str(write_cfg(tmp_path, MINIMAL.replace("theta0 = 1.0", data)))]) == 1
+        assert capsys.readouterr().err == (f"error: initial data {field} is not finite: "
+                                           f"{bad} coefficients are inf or nan\n")
+        assert not (tmp_path / "out" / "ledger.csv").exists()
+
     @pytest.mark.parametrize("dim, cells", [(1, 16), (2, 4), (3, 3)])
     def test_tiny_extents_report_stiffness_ratio(self, tmp_path, monkeypatch, capsys,
                                                  dim, cells):
@@ -507,6 +536,14 @@ class TestCmdCheckConstitutive:
         assert exit_.value.code == 2
         err = capsys.readouterr().err
         assert f"--samples: must be >= 1, got {samples}" in err and "usage:" in err
+
+    @pytest.mark.parametrize("seed", ["-1", "-7"])
+    def test_negative_seed_exit_two(self, capsys, seed):
+        with pytest.raises(SystemExit) as exit_:
+            main(["check-constitutive", "smooth_coupled.cfg", "--seed", seed])
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert f"--seed: must be >= 0, got {seed}" in err and "usage:" in err
 
     def test_anti_monotone_fails(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, MINIMAL.replace("flow_rule = linear",

@@ -4,6 +4,7 @@ from sys import modules
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from dataclasses import replace
 
@@ -236,17 +237,17 @@ class TestStress:
         T_old, E = rng.standard_normal(k), 5.0 * rng.standard_normal(k)
         theta = rng.uniform(0.5, 2.0, mesh.n_cells)
 
-        n, c = sys.stress_spectrum(C)
+        n, c = C.spectrum(dim)
         old, rate = sys.stress_blocks(T_old), sys.stress_blocks(E)
-        R = old + dt * (c[:, 1:] * rate
-                        + ((c[:, 0] - c[:, 1]) * np.einsum("ec,ec->e", rate, n))[:, None] * n)
-        a = np.einsum("ec,ec->e", R, n)
+        R = old + dt * (c[1] * rate
+                        + ((c[0] - c[1]) * np.einsum("ec,c->e", rate, n))[:, None] * n)
+        a = np.einsum("ec,c->e", R, n)
         D = R - a[:, None] * n
         kappa = rule.kappa(theta)
         g = kappa
         if rule.kind == "mroz_saturating":
             g, _ = _saturating_factor(kappa, (a * a, np.einsum("ec,ec->e", D, D)),
-                                      (dt * c[:, 0], dt * c[:, 1]),
+                                      (dt * c[0], dt * c[1]),
                                       kappa / (1.0 + np.sqrt(np.einsum("ec,ec->e", old, old))))
         den = 1.0 + dt * g[:, None] * c
         ref = sys.stress_coeffs((a / den[:, 0])[:, None] * n + D / den[:, 1:])
@@ -299,6 +300,22 @@ def swirl_problem(dim=2):
                        flow_rule=FlowRule.linear(1.0), u1=swirl,
                        theta0=lambda pts: 1.0 + 0.2 * pts[:, 0])
     return sys, cfg
+
+
+def contents(value):
+    """``value`` as comparable plain data: every attribute, with arrays as their bytes."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if sp.issparse(value):
+        return (value.format, value.shape,
+                *(contents(getattr(value, a)) for a in ("data", "indices", "indptr")))
+    if isinstance(value, (list, tuple)):
+        return tuple(contents(v) for v in value)
+    if isinstance(value, dict):
+        return {k: contents(v) for k, v in value.items()}
+    if hasattr(value, "__dict__"):
+        return type(value).__name__, contents(vars(value))
+    return value
 
 
 def direct_heat_solve(sys, state, div, out, dt):
@@ -908,6 +925,16 @@ class TestRun:
         run(sys, cfg, observers=[observer])
         assert [s[0] for s in seen] == [1, 2]
         assert all(t == t_result for _, t, t_result in seen)
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_leaves_the_system_untouched(self, dim):
+        # ℂ's spectrum is a material constant: no run stores anything on the mesh's spaces.
+        sys, cfg = make_smooth_problem(cells=20, t_end=5e-3) if dim == 1 else swirl_problem(3)
+        before = contents(vars(sys))
+        run(sys, cfg)
+        after = contents(vars(sys))
+        assert after.keys() == before.keys()
+        assert [key for key in before if after[key] != before[key]] == []
 
     def test_no_switches_to_skip_the_gate_or_keep_step_results(self):
         sys, cfg = make_zero_problem()
