@@ -228,12 +228,14 @@ def _parse_data(texts, dim) -> dict:
 
 
 def make_flow_rule(rc: RunConfig) -> FlowRule:
+    if rc.flow_kind == "temperature_weighted":
+        return FlowRule.temperature_weighted(rc.kappa0, rc.kappa_min)
+    if rc.kappa_min is not None:
+        raise ValueError(f"kappa_min: only temperature_weighted reads it, not {rc.flow_kind}")
     if rc.flow_kind == "linear":
         return FlowRule.linear(rc.kappa0)
     if rc.flow_kind == "mroz_saturating":
         return FlowRule.mroz_saturating(rc.kappa0)
-    if rc.flow_kind == "temperature_weighted":
-        return FlowRule.temperature_weighted(rc.kappa0, rc.kappa_min)
     if rc.flow_kind == "anti_monotone":
         # Deliberately inadmissible rule, kept so the admissibility gate and
         # the dissipation verdict can be demonstrated to fail from a config.

@@ -53,7 +53,7 @@ MONOTONE_ACCUMULATORS = ("grad_tau_diss", "inelastic_diss", "entropic_diss",
 ACCUMULATORS = MONOTONE_ACCUMULATORS + ("work",)
 
 # Bytes of step data a BalanceLedger holds before it computes the block's rows:
-# 186 steps of the 100-cell 1D scenario, 5 at 48² and 8 at 10³.
+# 218 steps of the 100-cell 1D scenario, 5 at 48² and 9 at 10³.
 BLOCK_BYTES = 1 << 20
 
 # First-order scheme constant, calibrated once on the shipped smooth coupled
@@ -257,18 +257,17 @@ class BalanceLedger(LedgerBase):
                  n_steps: int):
         super().__init__(dt)
         self.sys, self.elasticity, self.n_steps = sys, elasticity, n_steps
-        # A buffer row: t and div_sup, then v, f_load, stress, θ, both sources and θ_cells.
+        # A buffer row: t and div_sup, then v, f_load, stress, θ and both sources.
         n_cells = sys.mesh.n_cells
-        self._splits = np.cumsum((2, sys.n_disp, sys.n_disp, sys.k_stress, sys.n_temp,
-                                  n_cells, n_cells))
+        self._splits = np.cumsum((2, sys.n_disp, sys.n_disp, sys.k_stress, sys.n_temp, n_cells))
         width = self._splits[-1] + n_cells
         self._block = np.empty((max(1, BLOCK_BYTES // (8 * width)), width))
         self._filled = 0
-        self._inv_theta = self._exp_neg_tau = np.empty((0, n_cells))
+        self._theta = None      # θ of the last recorded state, the next step's start
 
     def record_initial(self, state) -> dict:
+        self._theta = state.theta
         tau = np.log(state.theta)
-        self._entropic_weights(self.sys.cell_center_values(state.theta)[None], tau[None])
         cols = self._integrals(state.t, state.v, state.stress, state.theta, tau)
         return self._start({key: float(x) for key, x in cols.items()},
                            self.sys.divergence_sup(state.v))
@@ -276,8 +275,8 @@ class BalanceLedger(LedgerBase):
     def record_step(self, state, result) -> None:
         """Take one accepted step; ``result`` is its solver.StepResult."""
         np.concatenate(([state.t, result.div_sup], state.v, result.f_load, state.stress,
-                        state.theta, result.heat.source_raw, result.heat.source_trunc,
-                        result.theta_cells), out=self._block[self._filled])
+                        state.theta, result.heat.source_raw, result.heat.source_trunc),
+                       out=self._block[self._filled])
         self._filled += 1
         if self._filled == len(self._block) or len(self.rows) + self._filled > self.n_steps:
             self._record_block()
@@ -287,29 +286,24 @@ class BalanceLedger(LedgerBase):
         return {"t": t, **energy_terms(self.sys, self.elasticity, v, stress, theta),
                 "entropy": self.sys.integrate_nodal(tau), "theta_min": theta.min(axis=-1)}
 
-    def _entropic_weights(self, theta_cells: np.ndarray, tau: np.ndarray) -> tuple:
-        """1/θ and e^{−τ} at the cell centres of the state before each row of ``tau``;
-        the last row's are kept for the next call."""
-        inv_theta = np.vstack((self._inv_theta, 1.0 / theta_cells))
-        exp_neg_tau = np.vstack((self._exp_neg_tau,
-                                 np.exp(-_apply(self.sys.cell_center_values, tau))))
-        self._inv_theta, self._exp_neg_tau = inv_theta[-1:], exp_neg_tau[-1:]
-        return inv_theta[:-1], exp_neg_tau[:-1]
-
     def _record_block(self):
         """Compute and record the rows of the buffered steps, and empty the block."""
         block, self._filled = self._block[:self._filled], 0
-        head, v, f_load, stress, theta, src_raw, src_trunc, theta_cells = \
-            np.split(block, self._splits, axis=1)
+        head, v, f_load, stress, theta, src_raw, src_trunc = np.split(block, self._splits, axis=1)
         t, div_sup = head.T
-        tau = np.log(theta)
+        # Row k is the state before step k of the block, row k + 1 the state after it.
+        theta_all = np.vstack((self._theta, theta))
+        self._theta = theta_all[-1].copy()
+        tau_all = np.log(theta_all)
+        tau = tau_all[1:]
         # Source accumulators re-use exactly what the final heat solve
         # received, so the clamp deficit vanishes identically whenever the
         # clamp is inactive and the energy residual measures scheme error only.
         # Entropic weights use the same lagged (start-of-step) temperature as
         # the source itself: 1/θ for the full dissipation, e^{−τ} with the
         # nodal-log interpolant for the clamped entropy source.
-        inv_theta, exp_neg_tau = self._entropic_weights(theta_cells, tau)
+        inv_theta = 1.0 / _apply(self.sys.cell_center_values, theta_all[:-1])
+        exp_neg_tau = np.exp(-_apply(self.sys.cell_center_values, tau_all[:-1]))
         dt, dt_vol = self.dt, self.dt * self.sys.mesh.cell_volume
         self._advance(self._integrals(t, v, stress, theta, tau), {
             "grad_tau_diss": dt * np.vecdot(tau, _apply(self.sys.K_theta.dot, tau)),

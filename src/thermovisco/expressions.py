@@ -1,9 +1,9 @@
 """Tiny arithmetic expression grammar for initial data and forcing.
 
 Accepted: numbers, the first ``dim`` of x, y, z (and t for forcing), pi, e,
-sin/cos/exp/sqrt/tanh/abs, +, -, *, /, ** and parentheses.  Expressions are
-validated against an AST whitelist and evaluated vectorized over numpy
-arrays, so configs stay reproducible without embedding a scripting runtime.
+sin/cos/exp/sqrt/tanh/abs, +, -, *, /, ** and parentheses, in floating point.
+Expressions are validated against an AST whitelist and evaluated vectorized
+over numpy arrays, so configs stay reproducible without a scripting runtime.
 """
 
 from __future__ import annotations
@@ -70,9 +70,13 @@ def compile_expression(src: str, *, with_time: bool = False, dim: int = 3) -> Ca
     names = set("xyz"[:dim]) | ({"t"} if with_time else set())
     try:
         tree = ast.parse(src, mode="eval")
-    except SyntaxError as exc:
+        _validate(tree, names)
+        # Float arithmetic, which overflows at once: on Python ints 9**9**9 runs for ever.
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant):
+                node.value = float(node.value)
+    except (SyntaxError, OverflowError) as exc:
         raise ExpressionError(f"cannot parse {src!r}: {exc}") from exc
-    _validate(tree, names)
     code = compile(tree, f"<expr {src!r}>", "eval")
     axes = [(name, a) for a, name in enumerate("xyz") if name in code.co_names]
 

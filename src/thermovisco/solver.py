@@ -158,7 +158,6 @@ class StepResult:
     stress_inner_iters: int
     heat_cg_iters: int          # summed over the step's Picard iterations
     heat_fallbacks: int
-    theta_cells: np.ndarray     # the new θ at the cell centres, as the stress update took it
 
 
 def initialize(sys: GalerkinSystem, cfg: SolverConfig) -> SimState:
@@ -267,7 +266,7 @@ def step_constants(sys: GalerkinSystem, state: SimState, G: FlowRule,
 
 
 def stress_substep(sys: GalerkinSystem, G: FlowRule,
-                   theta_cells: np.ndarray, strain_rate: np.ndarray,
+                   theta_mid: np.ndarray, strain_rate: np.ndarray,
                    stress_start: np.ndarray, constants: StepConstants):
     """Implicit stress update ℂ⁻¹(T_new − T_old)/dt + G(θ, T_new) = ε(u_t), per cell.
 
@@ -287,7 +286,7 @@ def stress_substep(sys: GalerkinSystem, G: FlowRule,
     a_rate = np.einsum("ec,c->e", rate, n)
     a = constants.a_old + dtc[0] * a_rate
     D = constants.D_old + dtc[1] * (rate - a_rate[:, None] * n)
-    kappa = np.asarray(G.kappa(theta_cells), dtype=float)
+    kappa = np.asarray(G.kappa(theta_mid), dtype=float)
     if G.kind == "mroz_saturating":
         start = sys.stress_blocks(stress_start)
         g, iters = _saturating_factor(
@@ -405,9 +404,8 @@ def step(sys: GalerkinSystem, cfg: SolverConfig, state: SimState,
         th_new = heat.theta
         v_new = momentum_substep(sys, state, th_new, T_i, f_load, dt)
         strain_rate = sys.B @ v_new
-        th_cells = sys.cell_center_values(th_new)
-        T_new, inner = stress_substep(sys, cfg.flow_rule, th_cells, strain_rate, T_i,
-                                      constants)
+        T_new, inner = stress_substep(sys, cfg.flow_rule, sys.cell_center_values(th_new),
+                                      strain_rate, T_i, constants)
         inner_total += inner
         # Per field max|new − prev| / max(max|new|, 1): the unit floor lets
         # roundoff on (near-)zero fields count as converged.
@@ -428,7 +426,7 @@ def step(sys: GalerkinSystem, cfg: SolverConfig, state: SimState,
     new_state = SimState(t_new, u_new, v_i, T_i, th_i).freeze()
     return StepResult(new_state, len(history), history,
                       sys.divergence_sup(v_i), heat, f_load, inner_total,
-                      cg_total, fallbacks, th_cells)
+                      cg_total, fallbacks)
 
 
 # Highest order of the Picard start.  Seed-0 heat_2d takes 98, 73 and 76

@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import sys
+import time
 import weakref
 import numpy as np
 import pytest
@@ -98,6 +99,13 @@ class TestExpressions:
         with pytest.raises(ExpressionError):
             compile_expression("open('x')")
 
+    def test_integer_arithmetic_overflows_at_once(self):
+        # On Python ints 9**9**6 is computed exactly, and the expression is 1.0.
+        start = time.perf_counter()
+        with pytest.raises(ExpressionError):
+            compile_expression("1.0 + 0*9**9**6")(np.array([[0.5]]))
+        assert time.perf_counter() - start < 0.5
+
     def test_unary_minus(self):
         f = compile_expression("1.0 - -0.5*x")
         assert np.allclose(f(np.array([[0.0], [1.0]])), [1.0, 1.5])
@@ -107,7 +115,8 @@ class TestExpressions:
         ("sin(x=1)", "keyword"),
         ("'1'", "not a number"),
         ("x.real", "Attribute"),
-    ], ids=["if", "keyword", "string", "attribute"])
+        ("1" + "0" * 400 + "*x", "int too large"),
+    ], ids=["if", "keyword", "string", "attribute", "int-beyond-float"])
     def test_rejects_syntax_outside_grammar(self, src, message):
         with pytest.raises(ExpressionError, match=message):
             compile_expression(src)
@@ -511,7 +520,10 @@ class TestCmdRun:
     "flow_rule = temperature_weighted\nkappa0 = 1\nkappa_min = 2",
     "flow_rule = temperature_weighted\nkappa0 = 1\nkappa_min = -1",
     "flow_rule = anti_monotone\nkappa0 = -1",
-], ids=["kappa_min=2", "kappa_min=-1", "anti_monotone-kappa0=-1"])
+    "flow_rule = linear\nkappa0 = 1\nkappa_min = 7",
+    "flow_rule = mroz_saturating\nkappa_min = -3",
+], ids=["kappa_min=2", "kappa_min=-1", "anti_monotone-kappa0=-1", "linear-kappa_min=7",
+        "mroz_saturating-kappa_min=-3"])
 def test_bad_flow_rule_exit_two(tmp_path, capsys, command, material):
     body = MINIMAL.replace("flow_rule = linear\nkappa0 = 0.5", material)
     assert main([command, str(write_cfg(tmp_path, body))]) == 2

@@ -5,7 +5,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from thermovisco import (ElasticityTensor, FlowRule, TruncationLevel, build_mesh, build_spaces,
-                         solver, verify_admissibility)
+                         diagnostics, solver, verify_admissibility)
 from thermovisco.config import build_problem, load_config, shipped_config_path
 from thermovisco.diagnostics import (ACCUMULATORS, BLOCK_BYTES, C_SCHEME, LEDGER_COLUMNS,
                                      BalanceLedger, energy_terms, entropy_residual,
@@ -352,12 +352,23 @@ class TestBatchedLedger:
         summary = result.ledger.summary()
         assert summary["passed"] and not summary["invariant_violations"]
 
+    @pytest.mark.parametrize("name, t_end", [("smooth_coupled.cfg", 0.05),
+                                             ("smooth_2d.cfg", 0.02)])
+    def test_rows_do_not_depend_on_the_block_size(self, monkeypatch, name, t_end):
+        # 1 byte holds one step per block, 3·8·700 three 1D steps; both against the default.
+        rc = load_config(shipped_config_path(name))
+        sys, cfg = build_problem(replace(rc, t_end=t_end))
+        expected = run(sys, cfg).ledger.to_csv()
+        for budget in (1, 3 * 8 * 700):
+            monkeypatch.setattr(diagnostics, "BLOCK_BYTES", budget)
+            assert run(sys, cfg).ledger.to_csv() == expected, budget
+
     @pytest.mark.parametrize("dim, cells, steps_at_least", [(1, 100, 100), (3, 16, 1)])
     def test_a_block_stays_within_the_byte_budget(self, dim, cells, steps_at_least):
         mesh = build_mesh(dim, [1.0] * dim, [cells] * dim)
         sys = build_spaces(mesh)
         ledger = BalanceLedger(sys, ElasticityTensor(1.0, 1.0), 1e-3, 1000)
-        per_step = 2 + 2 * sys.n_disp + sys.k_stress + sys.n_temp + 3 * mesh.n_cells
+        per_step = 2 + 2 * sys.n_disp + sys.k_stress + sys.n_temp + 2 * mesh.n_cells
         assert ledger._block.shape[1] == per_step
         assert len(ledger._block) >= steps_at_least
         assert ledger._block.nbytes <= BLOCK_BYTES

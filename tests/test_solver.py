@@ -550,15 +550,6 @@ class TestStep:
         assert len(calls) == 1 + result.iterations
         assert sum(np.array_equal(c, old) for c in calls) == 1
 
-    @pytest.mark.parametrize("dim", [1, 2, 3])
-    def test_reports_the_new_theta_at_the_cell_centres(self, dim):
-        # The ledger books the next step's entropic weights from these values.
-        sys, cfg = swirl_problem(dim)
-        state = initialize(sys, cfg)
-        cfg = replace(cfg, truncation=resolve_truncation(sys, cfg, state))
-        result = step(sys, cfg, state)
-        assert np.array_equal(result.theta_cells, sys.cell_center_values(result.state.theta))
-
     @pytest.mark.parametrize("problem", ["smooth_1d", "swirl_2d"])
     def test_predictor_start_reaches_same_state(self, problem):
         # After ten steps the start order is above 2.  From xₙ (no start), from
