@@ -65,7 +65,8 @@ class _ConfigFile(configparser.ConfigParser):
     """A parsed config that records each (section, key) read from it by ``_get``."""
 
     def __init__(self):
-        super().__init__(inline_comment_prefixes=("#", ";"))
+        # Every value is literal: no %-interpolation, so a % is just a character.
+        super().__init__(inline_comment_prefixes=("#", ";"), interpolation=None)
         self.asked = set()
 
     def reject_unread(self):

@@ -20,14 +20,13 @@ it computes the worst dissipation margin, the worst positivity ratio, the
 uniform-bound slack and the final residuals, each verdict's tolerance and
 pass/fail, and ``passed`` as all of them; callers read its keys or ``rows``.
 
-``LedgerBase`` owns the one accumulation path, shared by the Galerkin
-``BalanceLedger`` and the finite-difference oracle's ``FDLedger``: it opens
-the ledger with every ``ACCUMULATORS`` entry at zero, adds a block of steps'
-increments at a time, and integrates the θ floor.  A ledger subclass only
-computes the rows' instantaneous integrals and the steps' increments: the
-oracle's one step at a time, ``BalanceLedger`` per block of buffered steps,
-at most ``BLOCK_BYTES`` (1 MiB) of them or a single step.  The energy
-functional (``energy_terms``, ``total_energy``) is defined here, once.
+``LedgerBase`` holds the rows and owns the accumulation path: it opens the
+ledger with every ``ACCUMULATORS`` entry at zero, adds a block of steps'
+increments at a time, and integrates the θ floor.  Its subclass
+``BalanceLedger`` computes the rows' instantaneous integrals and the steps'
+increments per block of buffered steps, at most ``BLOCK_BYTES`` (1 MiB) of
+them or a single step.  The energy functional (``energy_terms``,
+``total_energy``) is defined here, once.
 """
 
 from __future__ import annotations
@@ -116,7 +115,7 @@ def total_energy(sys: GalerkinSystem, C: ElasticityTensor, state) -> float:
 
 
 class LedgerBase:
-    """Row bookkeeping and the verdicts, shared by both solvers."""
+    """The rows, their accumulation, the verdicts and the output files."""
 
     def __init__(self, dt: float):
         self.dt = dt
@@ -125,22 +124,20 @@ class LedgerBase:
 
     # -- accumulation -------------------------------------------------------
 
-    def _start(self, row: dict, div_sup: float) -> dict:
+    def _start(self, row: dict, div_sup: float) -> None:
         """Record the initial ``row``: accumulators and residuals at zero, θ floor = min θ₀."""
         row.update(dict.fromkeys(ACCUMULATORS + ("div_integral", "energy_residual",
                                                  "dissipation_margin"), 0.0),
                    div_sup=div_sup, theta_floor=row["theta_min"], positivity_ratio=1.0)
         self.rows.append(row)
-        return row
 
-    def _advance(self, columns: dict, increments: dict, div_sup) -> dict:
-        """Record the next steps' rows, from arrays over them (or numbers for one
-        step) of t and the instantaneous integrals, the increments and div_sup;
-        return the last row.  Running sums continue from the last row by cumsum,
-        which adds in the order prev + increment; ``div_integral`` is the
-        trapezoid ∫‖div u_t‖_∞ of the θ floor min θ₀·exp(−∫‖div u_t‖_∞)."""
+    def _advance(self, cols: dict, increments: dict, div_sup: np.ndarray) -> None:
+        """Record the next steps' rows, from arrays over them of t and the
+        instantaneous integrals, the increments and div_sup.  Running sums
+        continue from the last row by cumsum, which adds in the order
+        prev + increment; ``div_integral`` is the trapezoid ∫‖div u_t‖_∞ of
+        the θ floor min θ₀·exp(−∫‖div u_t‖_∞)."""
         first, last = self.rows[0], self.rows[-1]
-        cols = {key: np.atleast_1d(x) for key, x in columns.items()}
         div = np.append(last["div_sup"], div_sup)
         cols["div_sup"] = div[1:]
         increments = {**increments, "div_integral": 0.5 * self.dt * (div[:-1] + div[1:])}
@@ -166,7 +163,6 @@ class LedgerBase:
         cols["positivity_ratio"] = np.divide(cols["theta_min"], floor,
                                              out=np.full(floor.shape, np.inf), where=floor > 0)
         self.rows += [dict(zip(cols, row)) for row in zip(*(x.tolist() for x in cols.values()))]
-        return self.rows[-1]
 
     # -- serialization ----------------------------------------------------------
 
@@ -265,12 +261,11 @@ class BalanceLedger(LedgerBase):
         self._filled = 0
         self._theta = None      # θ of the last recorded state, the next step's start
 
-    def record_initial(self, state) -> dict:
+    def record_initial(self, state) -> None:
         self._theta = state.theta
         tau = np.log(state.theta)
         cols = self._integrals(state.t, state.v, state.stress, state.theta, tau)
-        return self._start({key: float(x) for key, x in cols.items()},
-                           self.sys.divergence_sup(state.v))
+        self._start({key: float(x) for key, x in cols.items()}, self.sys.divergence_sup(state.v))
 
     def record_step(self, state, result) -> None:
         """Take one accepted step; ``result`` is its solver.StepResult."""

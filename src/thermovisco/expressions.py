@@ -91,7 +91,10 @@ def compile_expression(src: str, *, with_time: bool = False, dim: int = 3) -> Ca
             if np.ndim(out) == 0:
                 return np.full(pts.shape[0], float(out))
         except (ArithmeticError, TypeError) as exc:
-            raise ExpressionError(f"evaluating {src!r} failed: {exc}") from exc
+            # An OverflowError's text is the C library's errno tuple, which differs by platform.
+            reason = "a value overflows the float range" if isinstance(exc, OverflowError) \
+                else exc
+            raise ExpressionError(f"evaluating {src!r} failed: {reason}") from exc
         if np.iscomplexobj(out):  # (-1)**0.5*x: an array takes the complex value silently
             raise ExpressionError(f"evaluating {src!r} failed: the value is complex")
         # A bare coordinate is a view of ``pts``; every other result is fresh.

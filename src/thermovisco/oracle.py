@@ -10,8 +10,10 @@ with u = 0 at both ends and zero θ-flux via ghost nodes.  Centered
 differences in space; symplectic Euler for (u, v); explicit stress update;
 implicit tridiagonal θ solve.  No clamping of the dissipation source.
 
-This module shares no spatial-discretization or time-stepping code with the
-Galerkin solver, so disagreement between the two localizes bugs.
+This module imports nothing from the package: it shares no discretization,
+time-stepping or bookkeeping code with the Galerkin solver, so disagreement
+between the two localizes bugs.  It is a field reference only; the balance
+ledger is the Galerkin solver's.
 """
 
 from __future__ import annotations
@@ -19,9 +21,7 @@ from __future__ import annotations
 import numpy as np
 from dataclasses import dataclass, replace
 from scipy.linalg import solve_banded
-from typing import Callable, Sequence
-
-from .diagnostics import LedgerBase
+from typing import Callable
 
 
 class OracleError(RuntimeError):
@@ -147,64 +147,10 @@ def fd_step(grid: FDGrid, C_scalar: float, G_scalar: Callable, f_sampler=None,
     return g
 
 
-class FDLedger(LedgerBase):
-    """Same row schema as the Galerkin ledger, integrated by trapezoid."""
-
-    def __init__(self, dt: float, C_scalar: float):
-        super().__init__(dt)
-        self.C = C_scalar
-
-    def _base_row(self, grid: FDGrid, tau: np.ndarray) -> dict:
-        x = grid.x
-        return {
-            "t": grid.t,
-            "kinetic": 0.5 * float(np.trapezoid(grid.v ** 2, x)),
-            "elastic": 0.5 * float(np.trapezoid(grid.T ** 2 / self.C, x)),
-            "thermal": float(np.trapezoid(grid.theta, x)),
-            "entropy": float(np.trapezoid(tau, x)),
-            "theta_min": float(grid.theta.min()),
-        }
-
-    @staticmethod
-    def _div_sup(grid: FDGrid) -> float:
-        return float(np.abs(_gradient(grid.v, grid.h)).max())
-
-    def record_initial(self, grid: FDGrid) -> dict:
-        return self._start(self._base_row(grid, np.log(grid.theta)), self._div_sup(grid))
-
-    def record_step(self, grid: FDGrid, G_scalar: Callable, f_sampler=None) -> dict:
-        dt = self.dt
-        x = grid.x
-        tau = np.log(grid.theta)
-        src = np.asarray(G_scalar(grid.theta, grid.T), dtype=float) * grid.T
-        inc = dt * float(np.trapezoid(src, x))
-        ent = dt * float(np.trapezoid(src / grid.theta, x))
-        work = 0.0
-        if f_sampler is not None:
-            fv = np.asarray(f_sampler(grid.t, x), dtype=float)
-            work = dt * float(np.trapezoid(fv * grid.v, x))
-        increments = {
-            "grad_tau_diss": dt * float(np.trapezoid(_gradient(tau, grid.h) ** 2, x)),
-            "inelastic_diss": inc,
-            "source_trunc": inc,            # oracle never clamps
-            "entropic_diss": ent,
-            "entropic_src_trunc": ent,
-            "work": work,
-        }
-        return self._advance(self._base_row(grid, tau), increments, self._div_sup(grid))
-
-
 def fd_run(grid: FDGrid, C_scalar: float, G_scalar: Callable, t_end: float,
-           f_sampler=None, mode: str = "full",
-           observers: Sequence[Callable] = ()):
-    """Iterate fd_step to t_end; returns (final grid, ledger).  Observers are
-    called as ``observer(step_index, t, grid, row)``, ``row`` a copy of the step's ledger row."""
-    ledger = FDLedger(grid.dt, C_scalar)
-    ledger.record_initial(grid)
+           f_sampler=None, mode: str = "full"):
+    """Iterate fd_step to t_end; returns (final grid, number of steps)."""
     n_steps = max(1, int(round(t_end / grid.dt)))
-    for i in range(1, n_steps + 1):
+    for _ in range(n_steps):
         grid = fd_step(grid, C_scalar, G_scalar, f_sampler, mode=mode)
-        row = ledger.record_step(grid, G_scalar, f_sampler)
-        for obs in observers:
-            obs(i, grid.t, grid, dict(row))
-    return grid, ledger
+    return grid, n_steps

@@ -385,8 +385,17 @@ def step(sys: GalerkinSystem, cfg: SolverConfig, state: SimState,
                          "resolve_truncation() for 'auto'")
     dt = cfg.dt
     t_new = state.t + dt
-    f_load = sys.load_vector(cfg.forcing, t_new) if cfg.forcing is not None \
-        else np.zeros(sys.n_disp)
+    if cfg.forcing is None:
+        f_load = np.zeros(sys.n_disp)
+    else:
+        # An inf or nan in the forcing is reported by the check below, not as a
+        # floating-point warning from the quadrature's matrix product.
+        with np.errstate(invalid="ignore", over="ignore"):
+            f_load = sys.load_vector(cfg.forcing, t_new)
+        if not np.isfinite(f_load).all():
+            raise StepFailureError(f"forcing f is not finite: "
+                                   f"{np.count_nonzero(~np.isfinite(f_load))} of {f_load.size} "
+                                   f"load coefficients are inf or nan")
     constants = step_constants(sys, state, cfg.flow_rule, cfg.elasticity, dt)
 
     v_i, T_i, th_i = (state.v, state.stress, state.theta) if start is None else start

@@ -102,9 +102,12 @@ class TestExpressions:
     def test_integer_arithmetic_overflows_at_once(self):
         # On Python ints 9**9**6 is computed exactly, and the expression is 1.0.
         start = time.perf_counter()
-        with pytest.raises(ExpressionError):
+        with pytest.raises(ExpressionError) as info:
             compile_expression("1.0 + 0*9**9**6")(np.array([[0.5]]))
         assert time.perf_counter() - start < 0.5
+        # Not the C library's errno tuple, "(34, 'Numerical result out of range')".
+        assert str(info.value) == \
+            "evaluating '1.0 + 0*9**9**6' failed: a value overflows the float range"
 
     def test_unary_minus(self):
         f = compile_expression("1.0 - -0.5*x")
@@ -116,7 +119,11 @@ class TestExpressions:
         ("'1'", "not a number"),
         ("x.real", "Attribute"),
         ("1" + "0" * 400 + "*x", "int too large"),
-    ], ids=["if", "keyword", "string", "attribute", "int-beyond-float"])
+        ("x // 2", "operator FloorDiv not allowed"),
+        ("~x", "unary Invert not allowed"),
+        ("not x", "unary Not not allowed"),
+    ], ids=["if", "keyword", "string", "attribute", "int-beyond-float", "floor-division",
+            "invert", "not"])
     def test_rejects_syntax_outside_grammar(self, src, message):
         with pytest.raises(ExpressionError, match=message):
             compile_expression(src)
@@ -236,8 +243,10 @@ class TestConfigParsing:
         ("stress0 = 0; 0\ntheta0 = 1", "stress0: need 1 components, got 2"),
         ("u0 = 0", "theta0: required"),
         ("theta0 = 1 + log(x)", "bad expression"),
+        # A % is literal: no interpolation error, but the grammar has no modulo.
+        ("theta0 = 1.0 + 0*(x % 2)", "bad expression: operator Mod not allowed"),
     ], ids=["u0-components", "f-components", "stress0-components", "no-theta0",
-            "bad-expression"])
+            "bad-expression", "percent"])
     def test_bad_data_exit_two(self, tmp_path, capsys, data, message):
         body = MINIMAL.replace("theta0 = 1.0", data)
         assert main(["run", str(write_cfg(tmp_path, body))]) == 2
@@ -261,6 +270,19 @@ class TestConfigParsing:
         assert main(["run", str(write_cfg(tmp_path, body))]) == 2
         assert capsys.readouterr().err == \
             "config error: [data] stress0: need 3 components, got 1\n"
+
+    @pytest.mark.parametrize("section, line, message", [
+        ("time", "t_end = 5e-4", "t_end must be at least one step, got 0.0005 < dt=0.001"),
+        ("time", "picard_tol = 0", "picard_tol must be positive"),
+        ("time", "picard_max_iters = 0", "picard_max_iters must be >= 1"),
+        ("mesh", "cells = 4, 4, 4", "cells must have 1 entries, got 3"),
+    ], ids=["t_end-below-dt", "picard_tol-zero", "picard_max_iters-zero", "cells-entries"])
+    def test_value_out_of_range_exit_two(self, tmp_path, capsys, section, line, message):
+        key = line.split(" = ")[0]
+        lines = [ln for ln in MINIMAL.split("\n") if not ln.startswith(f"{key} =")]
+        body = "\n".join(lines).replace(f"[{section}]", f"[{section}]\n{line}")
+        assert main(["run", str(write_cfg(tmp_path, body))]) == 2
+        assert capsys.readouterr().err == f"config error: [{section}] {message}\n"
 
     def test_missing_required_key(self, tmp_path):
         with pytest.raises(ConfigError, match=r"\[mesh\] dim: missing required field"):
@@ -456,6 +478,19 @@ class TestCmdRun:
                                            f"{bad} coefficients are inf or nan\n")
         assert not (tmp_path / "out" / "ledger.csv").exists()
 
+    @pytest.mark.parametrize("dim, cells, f, bad", [(1, 8, "1e200*1e200*x", "7 of 7"),
+                                                    (2, 4, "1e200*1e200*x; 0", "9 of 18")],
+                             ids=["1d", "2d"])
+    def test_non_finite_forcing_exit_one(self, tmp_path, monkeypatch, capsys, dim, cells, f,
+                                         bad):
+        # The product is inf: the step names the forcing, not the heat solve it would break.
+        monkeypatch.setenv("THERMOVISCO_OUTDIR", str(tmp_path / "out"))
+        body = MINIMAL.replace("dim = 1", f"dim = {dim}").replace("cells = 8", f"cells = {cells}")
+        body = body.replace("theta0 = 1.0", f"theta0 = 1.0\nf = {f}")
+        assert main(["run", str(write_cfg(tmp_path, body))]) == 1
+        assert capsys.readouterr().err == (f"error: step 1 (t=0.001) failed: forcing f is not "
+                                           f"finite: {bad} load coefficients are inf or nan\n")
+
     @pytest.mark.parametrize("dim, cells", [(1, 16), (2, 4), (3, 3)])
     def test_tiny_extents_report_stiffness_ratio(self, tmp_path, monkeypatch, capsys,
                                                  dim, cells):
@@ -493,6 +528,14 @@ class TestCmdRun:
         err = capsys.readouterr().err
         assert f"error: cannot use output directory {out}: " in err and name in err
 
+    def test_percent_in_output_directory(self, tmp_path, monkeypatch):
+        # Values are literal: "100%" is the directory's name, not an interpolation error.
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("THERMOVISCO_OUTDIR", raising=False)
+        body = MINIMAL + "\n[output]\ndirectory = out/100%\n"
+        assert main(["run", str(write_cfg(tmp_path, body))]) == 0
+        assert (tmp_path / "out" / "100%" / "ledger.csv").is_file()
+
     def test_snapshot_stride(self, tmp_path, monkeypatch):
         monkeypatch.setenv("THERMOVISCO_OUTDIR", str(tmp_path / "snap"))
         body = MINIMAL + "\n[output]\nsnapshot_stride = 2\n"
@@ -522,8 +565,10 @@ class TestCmdRun:
     "flow_rule = anti_monotone\nkappa0 = -1",
     "flow_rule = linear\nkappa0 = 1\nkappa_min = 7",
     "flow_rule = mroz_saturating\nkappa_min = -3",
+    # Values are literal, so this is not μ's value but a number that does not parse.
+    "flow_rule = linear\nkappa0 = %(mu)s",
 ], ids=["kappa_min=2", "kappa_min=-1", "anti_monotone-kappa0=-1", "linear-kappa_min=7",
-        "mroz_saturating-kappa_min=-3"])
+        "mroz_saturating-kappa_min=-3", "kappa0=%(mu)s"])
 def test_bad_flow_rule_exit_two(tmp_path, capsys, command, material):
     body = MINIMAL.replace("flow_rule = linear\nkappa0 = 0.5", material)
     assert main([command, str(write_cfg(tmp_path, body))]) == 2

@@ -10,7 +10,6 @@ from thermovisco.config import build_problem, load_config, shipped_config_path
 from thermovisco.diagnostics import (ACCUMULATORS, BLOCK_BYTES, C_SCHEME, LEDGER_COLUMNS,
                                      BalanceLedger, energy_terms, entropy_residual,
                                      format_summary, scheme_tolerance)
-from thermovisco.oracle import fd_run, make_grid
 from thermovisco.solver import SimState, SolverConfig, initialize, run
 
 from conftest import heat_solve, make_smooth_problem, run_recording_steps
@@ -229,40 +228,22 @@ class TestUniformBound:
         assert result.ledger.summary()["verdicts"]["uniform_bound"]
 
 
-@pytest.fixture(scope="module")
-def both_ledgers():
-    """Five steps of the smooth 1D scenario by the Galerkin solver and the oracle."""
-    dt, t_end = 1e-3, 5e-3
-    sys, cfg = make_smooth_problem(dt=dt, t_end=t_end)
-    grid = make_grid(sys.n_temp, 1.0, dt,
-                     u0=lambda x: 0.1 * np.sin(np.pi * x),
-                     T0=lambda x: 0.3 * np.cos(np.pi * x),
-                     theta0=lambda x: 1.0 + 0.2 * np.cos(np.pi * x))
-    _, fd = fd_run(grid, 1.0, FlowRule.mroz_saturating(1.0).scalar_eval, t_end,
-                   f_sampler=lambda t, x: 0.05 * np.cos(2 * t) * np.sin(np.pi * x))
-    return run(sys, cfg).ledger, fd
-
-
 class TestSharedLedgerPath:
-    def test_same_row_keys(self, both_ledgers):
-        galerkin, fd = both_ledgers
-        assert len(galerkin.rows) == len(fd.rows) == 6
-        for a, b in zip(galerkin.rows, fd.rows):
-            assert set(a) == set(b)
+    """LedgerBase's accumulation path, as the Galerkin ledger takes it."""
 
-    def test_accumulators_start_at_zero(self, both_ledgers):
-        for ledger in both_ledgers:
-            assert {key: ledger.rows[0][key] for key in ACCUMULATORS} == \
-                dict.fromkeys(ACCUMULATORS, 0.0)
+    def test_accumulators_start_at_zero(self, smooth_run):
+        ledger = smooth_run[2].ledger
+        assert {key: ledger.rows[0][key] for key in ACCUMULATORS} == \
+            dict.fromkeys(ACCUMULATORS, 0.0)
 
-    def test_theta_floor_is_trapezoid_of_div_sup(self, both_ledgers):
-        for ledger in both_ledgers:
-            rows = ledger.rows
-            sup = np.array([r["div_sup"] for r in rows])
-            assert sup[1:].min() > 0.0
-            integral = np.cumsum(np.r_[0.0, 0.5 * ledger.dt * (sup[:-1] + sup[1:])])
-            floor = rows[0]["theta_min"] * np.exp(-integral)
-            assert np.allclose([r["theta_floor"] for r in rows], floor, rtol=1e-14, atol=0.0)
+    def test_theta_floor_is_trapezoid_of_div_sup(self, smooth_run):
+        ledger = smooth_run[2].ledger
+        rows = ledger.rows
+        sup = np.array([r["div_sup"] for r in rows])
+        assert sup[1:].min() > 0.0
+        integral = np.cumsum(np.r_[0.0, 0.5 * ledger.dt * (sup[:-1] + sup[1:])])
+        floor = rows[0]["theta_min"] * np.exp(-integral)
+        assert np.allclose([r["theta_floor"] for r in rows], floor, rtol=1e-14, atol=0.0)
 
 
 class TestSerialization:
