@@ -263,7 +263,8 @@ def verify_admissibility(G: FlowRule, sample_count: int = 10_000,
 
     mono = np.einsum("ij,ij->i", g1 - g2, eta1 - eta2)
     diss = np.einsum("ij,ij->i", g1, eta1)
-    growth = np.linalg.norm(g1, axis=1) / (1.0 + np.linalg.norm(eta1, axis=1))
+    # |G| reaches κ₀·10³; a hypot reduction has no squares to overflow at large κ₀.
+    growth = np.hypot.reduce(g1, axis=1) / (1.0 + np.linalg.norm(eta1, axis=1))
 
     return AdmissibilityReport(
         kind=G.kind,

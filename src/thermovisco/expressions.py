@@ -86,8 +86,10 @@ def compile_expression(src: str, *, with_time: bool = False, dim: int = 3) -> Ca
         for name, a in axes:
             env[name] = pts[:, a] if a < pts.shape[1] else np.zeros(pts.shape[0])
         # Python scalars raise where arrays give inf or nan: 1/0, 10.0**400, (-1)**0.5.
+        # Array inf and nan pass without a warning, to the check that names the field.
         try:
-            out = eval(code, env)
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                out = eval(code, env)
             if np.ndim(out) == 0:
                 return np.full(pts.shape[0], float(out))
         except (ArithmeticError, TypeError) as exc:

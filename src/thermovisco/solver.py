@@ -18,8 +18,9 @@ starts from the order-k extrapolation Σⱼ₌₀..ₖ ∇ʲxₙ of the accepted
 x = (u_t, stress, θ), read off a table of backward differences that ``run``
 keeps (``StartHistory``); k is chosen per step, as the predictors of implicit
 ODE codes are, from the error each order would have made on the step just
-taken.  Each heat CG starts from the current θ iterate, and the
-``mroz_saturating`` Newton from the current stress iterate.  What every
+taken.  Each heat CG starts from the current θ iterate, and the 2D/3D
+``mroz_saturating`` Newton from the current stress iterate; in 1D that
+flow factor is the root of a quadratic, in closed form.  What every
 Picard iteration of a step shares is computed once per step
 (``step_constants``): the heat solve's M_θ·θ_old and κ(θ_old), and the stress
 update's split of T_old along the eigenspaces of ℂ.  The start-of-step
@@ -206,13 +207,13 @@ _FACTOR_MAX_ITERS = 100
 
 
 def _saturating_factor(kappa: np.ndarray, r2, dtc, g_start: np.ndarray):
-    """Per-cell root g of g·(1 + |T(g)|) = κ, the ``mroz_saturating`` factor.
+    """Per-cell root g of g·(1 + |T(g)|) = κ, the 2D/3D ``mroz_saturating`` factor.
 
     |T(g)|² = Σ_k r2_k/(1 + g·dtc_k)² over the eigenspaces k = 0, 1, so the
     left side strictly increases in g, with its root in [κ/(1 + |R|), κ].
     ``r2`` holds a per-cell array and ``dtc`` a number per eigenspace.
     Bracketed Newton from ``g_start`` clipped to that bracket, bisecting when
-    a step leaves the bracket.
+    a step leaves the bracket.  1D, where r2_1 = 0, takes ``_saturating_root``.
     """
     (r0, r1), (c0, c1) = r2, dtc
     lo = kappa / (1.0 + np.sqrt(r0 + r1))
@@ -238,6 +239,33 @@ def _saturating_factor(kappa: np.ndarray, r2, dtc, g_start: np.ndarray):
             return g, iters
     raise StepFailureError(f"saturating flow factor did not converge in "
                            f"{_FACTOR_MAX_ITERS} Newton iterations")
+
+
+def _saturating_root(kappa: np.ndarray, norm: np.ndarray, dtc: float) -> np.ndarray:
+    """Per-cell root g ≥ 0 of g·(1 + |T(g)|) = κ in 1D, where |T(g)| = |a|/(1 + g·dtc).
+
+    That is the quadratic dtc·g² + b·g − κ = 0 with b = 1 + |a| − κ·dtc and
+    ``norm`` = |a|.  Its root is taken without cancellation: 2κ/(b + √Δ) where
+    b > 0 and (√Δ − b)/(2·dtc) elsewhere, each divided only where it applies.
+    √Δ = hypot(b, 2√(dtc·κ)), so b² does not overflow.
+    """
+    b = 1.0 + norm - kappa * dtc
+    root = np.hypot(b, 2.0 * np.sqrt(dtc * kappa))
+    pos = b > 0.0
+    g = np.divide(2.0 * kappa, b + root, out=np.empty_like(b), where=pos)
+    return np.divide(root - b, 2.0 * dtc, out=g, where=~pos)
+
+
+def _require_solvable(g: np.ndarray, den: np.ndarray) -> None:
+    """Raise StepFailureError unless every 1 + dt·g·c in ``den`` is > 0.
+
+    ``den`` holds one value per cell and eigenspace, or one per cell in 1D.
+    """
+    if not den.min() > 0.0:
+        worst = den.reshape(g.size, -1).min(axis=1)
+        e = int(np.argmin(worst))
+        raise StepFailureError(f"stress update has no solution in cell {e}: 1 + dt·g·c = "
+                               f"{worst[e]:.3g} <= 0 for anti-monotone factor g = {g[e]:.3g}")
 
 
 @dataclass
@@ -275,18 +303,26 @@ def stress_substep(sys: GalerkinSystem, G: FlowRule,
     eigenspaces of ℂ; then T_new = a·n/(1 + dt·g·c_vol) + D/(1 + dt·g·c_dev).
     ℂ acts on each eigenspace by its eigenvalue, so the split of R is that
     of T_old, from the step's ``constants``, plus dt·c times that of ε.
-    The ``mroz_saturating`` g = κ(θ)/(1 + |T_new|) is found by Newton from
-    κ(θ)/(1 + |T_start|), where ``stress_start`` is the best guess of T_new
-    in hand: inside the Picard loop, the previous iterate.  Returns
+    In 1D the stress has one component, R = a and D = 0, and the
+    ``mroz_saturating`` g = κ(θ)/(1 + |T_new|) is a quadratic's root in
+    closed form (``_saturating_root``).  In 2D/3D that g is found by Newton
+    from κ(θ)/(1 + |T_start|), where ``stress_start`` is the best guess of
+    T_new in hand: inside the Picard loop, the previous iterate.  Returns
     (coefficients, Newton iterations or 1).  Raises StepFailureError if
     1 + dt·g·c ≤ 0 (an anti-monotone g < 0), where no solution exists.
     """
     n, dtc = constants.n, constants.dtc
+    kappa = np.asarray(G.kappa(theta_mid), dtype=float)
+    if n.size == 1:
+        a = constants.a_old + dtc[0] * strain_rate
+        g = _saturating_root(kappa, np.abs(a), dtc[0]) if G.kind == "mroz_saturating" else kappa
+        den = 1.0 + g * dtc[0]
+        _require_solvable(g, den)
+        return a / den, 1
     rate = sys.stress_blocks(strain_rate)
     a_rate = np.einsum("ec,c->e", rate, n)
     a = constants.a_old + dtc[0] * a_rate
     D = constants.D_old + dtc[1] * (rate - a_rate[:, None] * n)
-    kappa = np.asarray(G.kappa(theta_mid), dtype=float)
     if G.kind == "mroz_saturating":
         start = sys.stress_blocks(stress_start)
         g, iters = _saturating_factor(
@@ -295,10 +331,7 @@ def stress_substep(sys: GalerkinSystem, G: FlowRule,
     else:
         g, iters = kappa, 1
     den = 1.0 + g[:, None] * dtc
-    if not den.min() > 0.0:
-        e = int(np.argmin(den.min(axis=1)))
-        raise StepFailureError(f"stress update has no solution in cell {e}: 1 + dt·g·c = "
-                               f"{den[e].min():.3g} <= 0 for anti-monotone factor g = {g[e]:.3g}")
+    _require_solvable(g, den)
     T = (a / den[:, 0])[:, None] * n + D / den[:, 1:]
     return sys.stress_coeffs(T), iters
 

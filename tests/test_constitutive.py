@@ -217,6 +217,17 @@ class TestAdmissibility:
         assert rep.worst_monotonicity < 0.0
         assert not rep.dissipative_ok
 
+    @pytest.mark.parametrize("kappa0", [1e152, 1e200, 1e300])
+    @pytest.mark.parametrize("make", [FlowRule.linear, FlowRule.mroz_saturating,
+                                      FlowRule.temperature_weighted], ids=lambda m: m.__name__)
+    def test_builtin_rules_pass_at_huge_kappa0(self, make, kappa0):
+        # |G| reaches κ₀·10³, whose square overflows; the growth norm must not.
+        rep = verify_admissibility(make(kappa0), 2000, rng_seed=0)
+        assert rep.passed
+        assert rep.empirical_growth <= kappa0 * (1 + 1e-9)
+        bad = FlowRule("custom", c_growth=kappa0, fn=lambda theta: -kappa0)
+        assert not verify_admissibility(bad, 2000, rng_seed=0).monotone_ok
+
     def test_rejects_bad_sample_count(self):
         with pytest.raises(ValueError):
             verify_admissibility(FlowRule.linear(1.0), 0)

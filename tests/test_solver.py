@@ -21,6 +21,7 @@ from thermovisco.solver import (
     StartHistory,
     StepFailureError,
     _saturating_factor,
+    _saturating_root,
     divergence_of,
     step_constants,
     heat_substep,
@@ -184,9 +185,11 @@ class TestStress:
             dense = np.linalg.solve(A + dt * g * np.eye(s), A @ T_old[dofs] + dt * E[dofs])
             assert np.abs(t - dense).max() <= 1e-12 * np.abs(dense).max()
 
-    @pytest.mark.parametrize("kappa0", [900.0, 5000.0, 1e4])
+    @pytest.mark.parametrize("kappa0", [900.0, 5000.0, 1e4, 1e151, 1e200])
     def test_stiff_flow_rule_completes_step(self, kappa0):
-        # dt·2μ·κ₀ from 0.9 to 10: a damped fixed-point map does not contract here
+        # dt·2μ·κ₀ from 0.9 to 10: a damped fixed-point map does not contract here.
+        # At 1e151 and 1e200 the 1D closed-form root must neither divide by a
+        # cancelled 0 nor square b past the float range (warnings are errors).
         sys, cfg = make_smooth_problem(dt=1e-3, t_end=1e-3, kappa0=kappa0)
         state = initialize(sys, cfg)
         cfg = replace(cfg, truncation=resolve_truncation(sys, cfg, state))
@@ -257,6 +260,25 @@ class TestStress:
         T_new, _ = stress_substep(sys, rule, theta, E, T_old,
                                   step_constants(sys, state, rule, C, dt))
         assert np.abs(T_new - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("dtc", [1e-6, 1e-3, 1.0, 1e3])
+    def test_closed_form_root_matches_newton(self, dtc):
+        # The 1D root against the bracketed Newton with no deviatoric part (r₁ = 0),
+        # on cells with κ = 0, with a = 0, on both sides of b = 1 + |a| − κ·dtc = 0,
+        # and with κ up to 1e300 (warnings are errors).
+        rng = np.random.default_rng(7)
+        m = 2000
+        kappa = 10.0 ** rng.uniform(-3.0, 300.0, m)
+        kappa[:20] = 0.0
+        kappa[20:200] = 10.0 ** rng.uniform(-3.0, 3.0, 180)
+        a = rng.choice([-1.0, 1.0], m) * 10.0 ** rng.uniform(-3.0, 4.0, m)
+        a[20:40] = 0.0
+        b = 1.0 + np.abs(a) - kappa * dtc
+        assert (b > 0.0).sum() > 20 and (b <= 0.0).sum() > 20
+        g = _saturating_root(kappa, np.abs(a), dtc)
+        ref, _ = _saturating_factor(kappa, (a * a, np.zeros(m)), (dtc, 0.0),
+                                    kappa / (1.0 + np.abs(a)))
+        assert np.all(np.abs(g - ref) <= 1e-14 * ref)
 
     @pytest.mark.parametrize("outside", [-1.0, 0.0, 1e6])
     def test_saturating_start_is_clipped_to_bracket(self, outside):
