@@ -69,7 +69,6 @@ def write_snapshot(path, sys_, state) -> None:
 
 def cmd_run(args) -> int:
     rc = load_config(_resolve_config(args.config))
-    sys_, cfg = build_problem(rc)
     out = Path(os.environ.get("THERMOVISCO_OUTDIR", rc.output_dir))
     observers = []
     if rc.snapshot_stride > 0:
@@ -79,6 +78,7 @@ def cmd_run(args) -> int:
         observers.append(snap)
 
     try:
+        sys_, cfg = build_problem(rc)
         out.mkdir(parents=True, exist_ok=True)
         result = solver_run(sys_, cfg, observers=observers)
         ledger = result.ledger
@@ -148,8 +148,8 @@ def cmd_convergence(args) -> int:
 
     fields, summaries = [], []
     for k, level_rc in enumerate(levels):
-        sys_, cfg = build_problem(level_rc)
         try:
+            sys_, cfg = build_problem(level_rc)
             result = solver_run(sys_, cfg)
         except (StepFailureError, ValueError) as exc:
             cells = "x".join(map(str, level_rc.cells))

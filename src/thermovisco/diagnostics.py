@@ -15,18 +15,15 @@ holding every integral entering the three identities the scheme shadows:
 accumulated dissipation terms are monotone; violations are collected, not
 raised, so adversarial runs can be inspected.
 
-``LedgerBase.summary`` is the one place a verdict is decided.  From the rows
-it computes the worst dissipation margin, the worst positivity ratio, the
+``BalanceLedger.summary`` is the one place a verdict is decided.  From the
+rows it computes the worst dissipation margin, the worst positivity ratio, the
 uniform-bound slack and the final residuals, each verdict's tolerance and
 pass/fail, and ``passed`` as all of them; callers read its keys or ``rows``.
 
-``LedgerBase`` holds the rows and owns the accumulation path: it opens the
-ledger with every ``ACCUMULATORS`` entry at zero, adds a block of steps'
-increments at a time, and integrates the θ floor.  Its subclass
-``BalanceLedger`` computes the rows' instantaneous integrals and the steps'
-increments per block of buffered steps, at most ``BLOCK_BYTES`` (1 MiB) of
-them or a single step.  The energy functional (``energy_terms``,
-``total_energy``) is defined here, once.
+``BalanceLedger`` opens every ``ACCUMULATORS`` entry at zero, buffers the
+accepted steps, at most ``BLOCK_BYTES`` (1 MiB) of them or a single step, and
+adds a block's increments at once and integrates the θ floor.  The energy
+functional (``energy_terms``, ``total_energy``) is defined here, once.
 """
 
 from __future__ import annotations
@@ -114,33 +111,89 @@ def total_energy(sys: GalerkinSystem, C: ElasticityTensor, state) -> float:
     return float(_energy(energy_terms(sys, C, state.v, state.stress, state.theta)))
 
 
-class LedgerBase:
-    """The rows, their accumulation, the verdicts and the output files."""
+class BalanceLedger:
+    """The rows, verdicts and output files of a run, fed by solver.run once per step.
 
-    def __init__(self, dt: float):
-        self.dt = dt
-        self.rows = []
-        self.invariant_violations = []
+    ``record_step`` copies what a step's row needs into one row of a block
+    buffer of at most ``BLOCK_BYTES``.  The call that fills the block, or that
+    takes step ``n_steps``, computes the rows of the whole block.
+    """
+
+    def __init__(self, sys: GalerkinSystem, elasticity: ElasticityTensor, dt: float,
+                 n_steps: int):
+        self.sys, self.elasticity, self.dt, self.n_steps = sys, elasticity, dt, n_steps
+        self.rows, self.invariant_violations = [], []
+        # A buffer row: t and div_sup, then v, f_load, stress, θ and both sources.
+        n_cells = sys.mesh.n_cells
+        self._splits = np.cumsum((2, sys.n_disp, sys.n_disp, sys.k_stress, sys.n_temp, n_cells))
+        width = self._splits[-1] + n_cells
+        self._block = np.empty((max(1, BLOCK_BYTES // (8 * width)), width))
+        self._filled = 0
+        self._theta = None      # θ of the last recorded state, the next step's start
 
     # -- accumulation -------------------------------------------------------
 
-    def _start(self, row: dict, div_sup: float) -> None:
-        """Record the initial ``row``: accumulators and residuals at zero, θ floor = min θ₀."""
+    def record_initial(self, state) -> None:
+        """Record the initial row: accumulators and residuals at zero, θ floor = min θ₀."""
+        self._theta = state.theta
+        cols = self._integrals(state.t, state.v, state.stress, state.theta, np.log(state.theta))
+        row = {key: float(x) for key, x in cols.items()}
         row.update(dict.fromkeys(ACCUMULATORS + ("div_integral", "energy_residual",
                                                  "dissipation_margin"), 0.0),
-                   div_sup=div_sup, theta_floor=row["theta_min"], positivity_ratio=1.0)
+                   div_sup=self.sys.divergence_sup(state.v), theta_floor=row["theta_min"],
+                   positivity_ratio=1.0)
         self.rows.append(row)
 
-    def _advance(self, cols: dict, increments: dict, div_sup: np.ndarray) -> None:
-        """Record the next steps' rows, from arrays over them of t and the
-        instantaneous integrals, the increments and div_sup.  Running sums
-        continue from the last row by cumsum, which adds in the order
-        prev + increment; ``div_integral`` is the trapezoid ∫‖div u_t‖_∞ of
+    def record_step(self, state, result) -> None:
+        """Take one accepted step; ``result`` is its solver.StepResult."""
+        np.concatenate(([state.t, result.div_sup], state.v, result.f_load, state.stress,
+                        state.theta, result.heat.source_raw, result.heat.source_trunc),
+                       out=self._block[self._filled])
+        self._filled += 1
+        if self._filled == len(self._block) or len(self.rows) + self._filled > self.n_steps:
+            self._record_block()
+
+    def _integrals(self, t, v, stress, theta, tau) -> dict:
+        """The instantaneous columns of one state, or of states stacked by row."""
+        return {"t": t, **energy_terms(self.sys, self.elasticity, v, stress, theta),
+                "entropy": self.sys.integrate_nodal(tau), "theta_min": theta.min(axis=-1)}
+
+    def _record_block(self):
+        """Compute and record the rows of the buffered steps, and empty the block.
+
+        Running sums continue from the last row by cumsum, which adds in the
+        order prev + increment; ``div_integral`` is the trapezoid ∫‖div u_t‖_∞ of
         the θ floor min θ₀·exp(−∫‖div u_t‖_∞)."""
+        block, self._filled = self._block[:self._filled], 0
+        head, v, f_load, stress, theta, src_raw, src_trunc = np.split(block, self._splits, axis=1)
+        t, div_sup = head.T
+        # Row k is the state before step k of the block, row k + 1 the state after it.
+        theta_all = np.vstack((self._theta, theta))
+        self._theta = theta_all[-1].copy()
+        tau_all = np.log(theta_all)
+        tau = tau_all[1:]
+        # Source accumulators re-use exactly what the final heat solve
+        # received, so the clamp deficit vanishes identically whenever the
+        # clamp is inactive and the energy residual measures scheme error only.
+        # Entropic weights use the same lagged (start-of-step) temperature as
+        # the source itself: 1/θ for the full dissipation, e^{−τ} with the
+        # nodal-log interpolant for the clamped entropy source.
+        inv_theta = 1.0 / _apply(self.sys.cell_center_values, theta_all[:-1])
+        exp_neg_tau = np.exp(-_apply(self.sys.cell_center_values, tau_all[:-1]))
+        dt, dt_vol = self.dt, self.dt * self.sys.mesh.cell_volume
+        cols = self._integrals(t, v, stress, theta, tau)
         first, last = self.rows[0], self.rows[-1]
         div = np.append(last["div_sup"], div_sup)
         cols["div_sup"] = div[1:]
-        increments = {**increments, "div_integral": 0.5 * self.dt * (div[:-1] + div[1:])}
+        increments = {
+            "grad_tau_diss": dt * np.vecdot(tau, _apply(self.sys.K_theta.dot, tau)),
+            "inelastic_diss": dt_vol * src_raw.sum(axis=1),
+            "source_trunc": dt_vol * src_trunc.sum(axis=1),
+            "entropic_diss": dt_vol * np.vecdot(src_raw, inv_theta),
+            "entropic_src_trunc": dt_vol * np.vecdot(src_trunc, exp_neg_tau),
+            "work": dt * np.vecdot(f_load, v),
+            "div_integral": 0.5 * dt * (div[:-1] + div[1:]),
+        }
         for key, inc in increments.items():
             cols[key] = np.cumsum(np.append(last[key], inc))[1:]
         # libm's exp, as one exp per step takes it: numpy's may differ in the last bit.
@@ -222,6 +275,11 @@ class LedgerBase:
         return summary
 
 
+# The benchmark's tracer (perfbench/tracing.py) wraps the ledger's methods
+# under this name; delete the alias once it names BalanceLedger.
+LedgerBase = BalanceLedger
+
+
 def format_summary(s: dict) -> str:
     """Human-readable form of a ledger ``summary()``."""
     lines = [f"run summary @ t={s['t_final']:g} ({s['steps']} steps)"]
@@ -239,72 +297,3 @@ def format_summary(s: dict) -> str:
     for v in s["invariant_violations"]:
         lines.append(f"  ! {v}")
     return "\n".join(lines)
-
-
-class BalanceLedger(LedgerBase):
-    """Ledger bound to a Galerkin system, fed by solver.run once per step.
-
-    ``record_step`` copies what a step's row needs into one row of a block
-    buffer of at most ``BLOCK_BYTES``.  The call that fills the block, or that
-    takes step ``n_steps``, computes the rows of the whole block.
-    """
-
-    def __init__(self, sys: GalerkinSystem, elasticity: ElasticityTensor, dt: float,
-                 n_steps: int):
-        super().__init__(dt)
-        self.sys, self.elasticity, self.n_steps = sys, elasticity, n_steps
-        # A buffer row: t and div_sup, then v, f_load, stress, θ and both sources.
-        n_cells = sys.mesh.n_cells
-        self._splits = np.cumsum((2, sys.n_disp, sys.n_disp, sys.k_stress, sys.n_temp, n_cells))
-        width = self._splits[-1] + n_cells
-        self._block = np.empty((max(1, BLOCK_BYTES // (8 * width)), width))
-        self._filled = 0
-        self._theta = None      # θ of the last recorded state, the next step's start
-
-    def record_initial(self, state) -> None:
-        self._theta = state.theta
-        tau = np.log(state.theta)
-        cols = self._integrals(state.t, state.v, state.stress, state.theta, tau)
-        self._start({key: float(x) for key, x in cols.items()}, self.sys.divergence_sup(state.v))
-
-    def record_step(self, state, result) -> None:
-        """Take one accepted step; ``result`` is its solver.StepResult."""
-        np.concatenate(([state.t, result.div_sup], state.v, result.f_load, state.stress,
-                        state.theta, result.heat.source_raw, result.heat.source_trunc),
-                       out=self._block[self._filled])
-        self._filled += 1
-        if self._filled == len(self._block) or len(self.rows) + self._filled > self.n_steps:
-            self._record_block()
-
-    def _integrals(self, t, v, stress, theta, tau) -> dict:
-        """The instantaneous columns of one state, or of states stacked by row."""
-        return {"t": t, **energy_terms(self.sys, self.elasticity, v, stress, theta),
-                "entropy": self.sys.integrate_nodal(tau), "theta_min": theta.min(axis=-1)}
-
-    def _record_block(self):
-        """Compute and record the rows of the buffered steps, and empty the block."""
-        block, self._filled = self._block[:self._filled], 0
-        head, v, f_load, stress, theta, src_raw, src_trunc = np.split(block, self._splits, axis=1)
-        t, div_sup = head.T
-        # Row k is the state before step k of the block, row k + 1 the state after it.
-        theta_all = np.vstack((self._theta, theta))
-        self._theta = theta_all[-1].copy()
-        tau_all = np.log(theta_all)
-        tau = tau_all[1:]
-        # Source accumulators re-use exactly what the final heat solve
-        # received, so the clamp deficit vanishes identically whenever the
-        # clamp is inactive and the energy residual measures scheme error only.
-        # Entropic weights use the same lagged (start-of-step) temperature as
-        # the source itself: 1/θ for the full dissipation, e^{−τ} with the
-        # nodal-log interpolant for the clamped entropy source.
-        inv_theta = 1.0 / _apply(self.sys.cell_center_values, theta_all[:-1])
-        exp_neg_tau = np.exp(-_apply(self.sys.cell_center_values, tau_all[:-1]))
-        dt, dt_vol = self.dt, self.dt * self.sys.mesh.cell_volume
-        self._advance(self._integrals(t, v, stress, theta, tau), {
-            "grad_tau_diss": dt * np.vecdot(tau, _apply(self.sys.K_theta.dot, tau)),
-            "inelastic_diss": dt_vol * src_raw.sum(axis=1),
-            "source_trunc": dt_vol * src_trunc.sum(axis=1),
-            "entropic_diss": dt_vol * np.vecdot(src_raw, inv_theta),
-            "entropic_src_trunc": dt_vol * np.vecdot(src_trunc, exp_neg_tau),
-            "work": dt * np.vecdot(f_load, v),
-        }, div_sup)

@@ -49,6 +49,11 @@ theta0 = 1.0
 """
 
 
+# 1/h² overflows on this mesh, so setting up its 2D per-axis inverses fails.
+FINE_2D = MINIMAL.replace("dim = 1", "dim = 2").replace(
+    "extents = 1.0", "extents = 1e-160, 1.0").replace("cells = 8", "cells = 4, 4")
+
+
 SMOOTH_1D = """
 [mesh]
 dim = 1
@@ -513,6 +518,13 @@ class TestCmdRun:
         assert "lost positivity" in err and "reduce dt" in err
         assert f"dt·max(1/h²) = {ratio:.3g}" in err
 
+    def test_failed_setup_exit_one(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("THERMOVISCO_OUTDIR", str(tmp_path / "out"))
+        assert main(["run", str(write_cfg(tmp_path, FINE_2D))]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
     def test_unusable_output_dir_exit_one(self, tmp_path, monkeypatch, capsys, under):
         blocker = tmp_path / "blocker"
@@ -698,6 +710,13 @@ class TestCmdConvergence:
         err = capsys.readouterr().err
         assert err.startswith(f"error: level 0 (4 cells, dt=0.001) failed: {step}evaluating ")
         assert err.count("\n") == 1
+
+    def test_failed_level_setup_exit_one(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, FINE_2D)
+        assert main(["convergence", str(cfg), "--levels", "4:1e-3;8:1e-3"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: level 0 (4x4 cells, dt=0.001) failed: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_single_level_rejected(self, tmp_path):
         cfg = write_cfg(tmp_path, self.SMOOTH)

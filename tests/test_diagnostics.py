@@ -217,9 +217,9 @@ class TestPositivityBound:
         assert worst <= 0.02
 
     def test_empty_history_rejected(self):
-        from thermovisco.diagnostics import LedgerBase
+        sys = build_spaces(build_mesh(1, [1.0], [8]))
         with pytest.raises(ValueError):
-            LedgerBase(1e-3).summary()
+            BalanceLedger(sys, ElasticityTensor(0.0, 0.5), 1e-3, 5).summary()
 
 
 class TestUniformBound:
@@ -229,7 +229,7 @@ class TestUniformBound:
 
 
 class TestSharedLedgerPath:
-    """LedgerBase's accumulation path, as the Galerkin ledger takes it."""
+    """The ledger's accumulation path: accumulators opened at zero, the θ floor."""
 
     def test_accumulators_start_at_zero(self, smooth_run):
         ledger = smooth_run[2].ledger
