@@ -100,7 +100,7 @@ def energy_terms(sys: GalerkinSystem, C: ElasticityTensor, v: np.ndarray,
     """Kinetic ½‖u_t‖², elastic ½∫ℂ⁻¹T:T and thermal ∫θ energy of the fields of
     one state, or of each row of fields stacked by row."""
     return {
-        "kinetic": 0.5 * np.vecdot(v, _apply(sys.M_u.dot, v)),
+        "kinetic": 0.5 * np.vecdot(v, sys.apply_mass_u(v)),
         "elastic": 0.5 * stress_quadratic_form(sys, C, stress).sum(axis=-1),
         "thermal": sys.integrate_nodal(theta),
     }

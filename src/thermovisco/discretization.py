@@ -1,4 +1,4 @@
-"""Box meshes, Galerkin spaces and the coupling operators, assembled or applied per cell.
+"""Box meshes, Galerkin spaces and the coupling operators, assembled or applied per cell or axis.
 
 Each mesh has one set of spaces.  Displacement lives in the span of every
 vector hat function on the interior nodes (zero on the boundary), stress in
@@ -139,10 +139,23 @@ def _axis_matrix(elem, m):
 
 
 def _tensor_apply(r, ax, ay, az):
-    """(az ⊗ ay ⊗ ax)·r for r on an (nz, ny, nx) grid flattened x fastest."""
-    g = r.reshape(-1, ax.shape[0]) @ ax.T
-    g = ay @ g.reshape(az.shape[0], ay.shape[0], -1)
-    return (az @ g.reshape(az.shape[0], -1)).reshape(-1)
+    """(az ⊗ ay ⊗ ax)·r for r on an (nz, ny, nx) grid flattened x fastest, each
+    factor (out, in).  Leading axes of r are kept: each row is applied by the
+    same matrix products as a lone vector, so its value does not depend on the
+    stack."""
+    lead = r.shape[:-1]
+    g = r.reshape(lead + (-1, ax.shape[1])) @ ax.T
+    g = ay @ g.reshape(lead + (az.shape[1], ay.shape[1], -1))
+    return (az @ g.reshape(lead + (az.shape[1], -1))).reshape(lead + (-1,))
+
+
+def _axis_apply(f, g, a):
+    """Factor f (out, in) applied along mesh axis a of the (z, y, x) grid g."""
+    if a == 0:
+        return g @ f.T
+    if a == 1:
+        return f @ g
+    return (f @ g.reshape(g.shape[0], -1)).reshape((-1,) + g.shape[1:])
 
 
 # CG stops at this residual relative to the right-hand side; past the
@@ -185,10 +198,17 @@ class GalerkinSystem:
     interior node and component (Q1, zero on the boundary), stress one per
     cell and Mandel component (P0), temperature one per node (Q1).
 
-    Each node operator is one sparse product: ``_gather_T``, the map that
-    sums cell corners into the nodes, times the per-cell blocks laid out one
-    row per corner; D's blocks carry one column per displacement component,
-    and M_u is M_theta once per component.  The heat matrix
+    M_theta and K_theta are each one sparse product: ``_gather_T``, the map
+    that sums cell corners into the nodes, times the per-cell blocks laid out
+    one row per corner.  B is built straight into the displacement dof
+    columns, one row per (cell, Mandel component).  The displacement mass
+    M_u and the divergence coupling D[i, (m, c)] = ∫ N_i ∂N_m/∂x_c are
+    applied, not stored, through ``apply_mass_u`` and ``apply_D_T``: in 1D
+    from sparse matrices (M_u the interior block of M_theta, D assembled in
+    dof columns), in 2D/3D from per-axis 1D factors (sum factorization,
+    Orszag 1980), since on the tensor box
+    M_u = (⊗ₐ M1ₐ[int, int]) ⊗ I_d and component c of Dᵀ is ⊗ₐ Fₐ[int, :]
+    with Fₐ = (axis G1)ᵀ on axis c and M1ₐ on the others.  The heat matrix
     M_theta + dt·K_theta + dt·A_adv(div u_t) has one definition in every
     dimension, its per-cell blocks M_e + dt·K_e + dt·Nᵀ·diag(w·div)·N: in 1D
     ``heat_bands`` reads them as three bands, and in 2D/3D ``heat_operator``
@@ -218,17 +238,15 @@ class GalerkinSystem:
     cell through one precomputed dof map and multiplies them by a fixed table
     of shape-function gradients at the corners, ``load_vector`` takes a fixed
     table of w_g·N_gp, ``integrate_nodal`` a stored 1ᵀM_theta, and the
-    momentum right-hand side reads the stored transposes B_T and D_T.
+    momentum right-hand side reads ``apply_D_T`` and the stored transpose B_T.
 
     Attributes
     ----------
-    M_u : csr_matrix (n_disp, n_disp) — displacement mass matrix
     M_theta, K_theta : csr_matrix (n_temp, n_temp) — temperature mass/stiffness
     B : csr_matrix (k_stress, n_disp) — L² projection of ε(u) onto the
         stress basis (cellwise Mandel components of the cell-mean strain);
         the coupling ∫ ψ_a : ε(φ_j) is ``mesh.cell_volume``·B
-    D : csr_matrix (n_temp, n_disp) — divergence coupling ∫ N_i div φ_j
-    B_T, D_T : csc_matrix — the transposes of B and D, views sharing their arrays
+    B_T : csc_matrix — the transpose of B, a view sharing its arrays
 
     Instances are immutable after construction and safe to share read-only.
     """
@@ -258,34 +276,49 @@ class GalerkinSystem:
         self._build_reference(dim)
         self._assemble(mesh, dim)
         if dim == 1:
+            # M_u is the interior block of M_theta, and D, whose cell block
+            # ∫ N_p N_q' is _G1, is built in dof columns.
+            self._mass_u = self.M_theta[1:-1, 1:-1]
+            self._D_T = self._scatter(_G1, self._cell_dofs, self.n_disp).T
             # Factor eagerly so instances stay immutable (and shareable) after
             # construction; a factor that is not positive definite means a
             # broken basis.  The wrapper wants one off-diagonal entry even
             # when M_u is 1x1.
             off = np.zeros(max(self.n_disp - 1, 1))
-            off[:self.n_disp - 1] = self.M_u.diagonal(1)
-            *self._Mu_factor, info = sla.lapack.dpttrf(self.M_u.diagonal(), off)
+            off[:self.n_disp - 1] = self._mass_u.diagonal(1)
+            *self._Mu_factor, info = sla.lapack.dpttrf(self._mass_u.diagonal(), off)
             if info > 0:
                 raise ValueError(f"singular Gram matrix for displacement space: "
                                  f"leading minor {info} of M_u is not positive")
         else:
-            self._build_axis_inverses(mesh, dim)
+            self._build_axis_factors(mesh, dim)
 
-    def _build_axis_inverses(self, mesh, dim):
-        """Per-axis factors of the 2D/3D inverses; 2D gets a trivial z axis."""
-        V, lam, mass_inv = [np.ones((1, 1))] * 3, [np.zeros(1)] * 3, [np.ones((1, 1))] * 3
+    def _build_axis_factors(self, mesh, dim):
+        """Per-axis 1D factors of the 2D/3D operators and inverses; 2D gets a
+        trivial z axis.  Rows of the displacement factors are the interior
+        nodes; on axis 0 M_u's factors act on (node, component) pairs."""
+        one = np.ones((1, 1))
+        V, lam, mass, mass_inv = [one] * 3, [np.zeros(1)] * 3, [one] * 3, [one] * 3
+        div = []
         for a in range(dim):
-            m1 = _axis_matrix(_m1(mesh.spacing[a]), mesh.cells[a])
-            lam[a], V[a] = sla.eigh(_axis_matrix(_k1(mesh.spacing[a]), mesh.cells[a]), m1)
+            h, m = mesh.spacing[a], mesh.cells[a]
+            m1 = _axis_matrix(_m1(h), m)
+            lam[a], V[a] = sla.eigh(_axis_matrix(_k1(h), m), m1)
             # K1·1 = 0 exactly, but eigh only resolves the constant mode's
             # eigenvalue (the smallest) to about ε·λ_max, which swamps 1 on
             # tiny cells; pinning it keeps constants fixed under the inverse.
             lam[a][0] = 0.0
-            mass_inv[a] = np.linalg.inv(m1[1:-1, 1:-1])
+            mass[a] = m1[1:-1, 1:-1].copy()
+            mass_inv[a] = np.linalg.inv(mass[a])
+            # Dᵀ's factors, stacked: M1[int, :] over (axis G1)ᵀ[int, :].
+            div.append(np.vstack((m1[1:-1], _axis_matrix(_G1, m).T[1:-1])))
         self._heat_V = V
         self._heat_lam = (lam[2][:, None, None] + lam[1][:, None] + lam[0]).reshape(-1)
         mass_inv[0] = np.kron(mass_inv[0], np.eye(dim))  # components fastest
-        self._mass_inv = mass_inv
+        # Axis 0 is applied as g @ f.T, which BLAS runs fastest with f.T C-contiguous.
+        mass[0] = np.asfortranarray(np.kron(mass[0], np.eye(dim)))
+        div[0] = np.asfortranarray(div[0])
+        self._mass_u_axes, self._mass_inv, self._div_axes = mass, mass_inv, div
 
     # -- reference-cell data ------------------------------------------------
 
@@ -302,10 +335,6 @@ class GalerkinSystem:
             fac = [_k1(h[b]) if b == a else _m1(h[b]) for b in range(dim)]
             k_elem += _kron_axes(fac)
         self._k_elem = k_elem
-        # ∫ N_p ∂N_q/∂x_c per axis c (exact; _G1 is h-independent).
-        self._d_elem = [
-            _kron_axes([_G1 if b == c else _m1(h[b]) for b in range(dim)]) for c in range(dim)
-        ]
         self._grad_center = self._shape_gradients(np.full((1, dim), 0.5))[0]
 
         # 2-point Gauss per axis on the reference cell [0,1]^d.
@@ -334,8 +363,8 @@ class GalerkinSystem:
         value of every slot, and ``_gather_T`` sums slot values into the
         nodes; ``_center_map`` averages the corners of every cell, and
         ``_source_map`` spreads vol/n_loc of a cell value to each corner.
-        All are built directly in CSR, and ``_scatter`` assembles every node
-        operator through ``_gather_T``.
+        All are built directly in CSR, and ``_scatter`` assembles every
+        stored node operator through ``_gather_T``.
         """
         n, n_loc = mesh.n_nodes, 2 ** mesh.dim
         # CSR's own index type, so that maps on the same indices share them.
@@ -374,50 +403,52 @@ class GalerkinSystem:
 
     # -- assembly -------------------------------------------------------------
 
-    def _scatter(self, blocks, k=1) -> sp.csr_matrix:
-        """Sum per-cell blocks (n_loc, n_loc[, k]), or one block for every cell, into an
-        (n_nodes, n_nodes·k) CSR, entry (p, q[, c]) of cell e at row ``cell_nodes[e, p]``
-        and column ``cell_nodes[e, q]``·k + c: ``_gather_T`` sums into the nodes a
-        per-slot CSR whose row (e, p) holds block row p of cell e."""
+    def _scatter(self, blocks, cols, n_cols) -> sp.csr_matrix:
+        """Sum per-cell blocks (n_loc, m), or one block for every cell, into an
+        (n_nodes, n_cols) CSR: entry (p, j) of cell e lands in row
+        ``cell_nodes[e, p]`` and column ``cols[e, j]``, and is dropped where
+        that is negative.  ``_gather_T`` sums into the nodes a per-slot CSR
+        whose row (e, p) holds block row p of cell e."""
         cn = self.mesh.cell_nodes
-        shape = cn.shape + (cn.shape[1], k)  # (cell, p, q, c)
+        shape = cn.shape + cols.shape[1:]  # (cell, p, j)
         data = np.broadcast_to(np.reshape(blocks, (-1,) + shape[1:]), shape)
         # CSR's own index type, so that scipy keeps the columns rather than a copy.
-        cols = np.broadcast_to((cn * k).astype(np.int32)[:, None, :, None]
-                               + np.arange(k, dtype=np.int32), shape)
-        indptr = np.arange(0, data.size + 1, shape[2] * k, dtype=np.int32)
-        out = self._gather_T @ sp.csr_matrix((data.ravel(), cols.ravel(), indptr),
-                                             shape=(cn.size, self.n_temp * k))
+        cols = np.broadcast_to(cols.astype(np.int32)[:, None, :], shape)
+        keep = cols >= 0
+        if keep.all():  # every slot row is full: no mask to apply
+            data, cols = data.ravel(), cols.ravel()
+            indptr = np.arange(0, data.size + 1, shape[2], dtype=np.int32)
+        else:
+            data, cols = data[keep], cols[keep]
+            indptr = np.zeros(cn.size + 1, dtype=np.int32)
+            np.cumsum(keep.sum(axis=-1), out=indptr[1:])
+        out = self._gather_T @ sp.csr_matrix((data, cols, indptr), shape=(cn.size, n_cols))
         out.sort_indices()  # so that a product with it sums every row in column order
         return out
 
     def _assemble(self, mesh, dim):
-        self.M_theta = self._scatter(self._m_elem)
+        self.M_theta = self._scatter(self._m_elem, mesh.cell_nodes, self.n_temp)
         # Constants are the Neumann kernel: K @ 1 vanishes exactly in 1D and
         # to one or two ulp of the entry scale in 2D/3D (hx/hy ratios are not
         # exactly representable, so bitwise zero is unattainable there).
-        self.K_theta = self._scatter(self._k_elem)
-
-        # Displacement dofs as (node, component) vector indices.
-        vec = self.disp_node * dim + self.disp_comp
-        # Displacement mass: the scalar mass once per component.
-        self.M_u = sp.kron(self.M_theta, sp.eye(dim), format="csr")[vec][:, vec]
-
-        # Divergence coupling D[i, (m, c)] = ∫ N_i ∂N_m/∂x_c, in vector columns m·dim + c.
-        self.D = self._scatter(np.stack(self._d_elem, -1), dim)[:, vec]
+        self.K_theta = self._scatter(self._k_elem, mesh.cell_nodes, self.n_temp)
 
         # Strain projection B: Mandel components of the cell-mean of ε(N_p e_c)
-        # = sym(e_c ⊗ ∇N_p(center)), one constant block per cell; zeros not stored.
+        # = sym(e_c ⊗ ∇N_p(center)), one constant block per cell.  Row (cell,
+        # Mandel component) holds the block's nonzero entries straight in the
+        # dof columns, in (corner, component) order, boundary slots dropped.
         grad = np.eye(dim)[None, :, :, None] * self._grad_center[:, None, None, :]
         block = to_mandel(0.5 * (grad + grad.swapaxes(-1, -2)))  # (n_loc, dim, s)
-        p, c, comp = np.nonzero(block)
-        cells = np.arange(mesh.n_cells)[:, None]
-        B = sp.csr_matrix((np.tile(block[p, c, comp], mesh.n_cells),
-                           ((cells * self.s_comp + comp).ravel(),
-                            (mesh.cell_nodes[:, p] * dim + c).ravel())),
-                          shape=(mesh.n_cells * self.s_comp, self.n_temp * dim))
-        self.B = B[:, vec]
-        self.B_T, self.D_T = self.B.T, self.D.T
+        block = block.reshape(-1, self.s_comp).T                   # (s, (corner, component))
+        comp, slot = np.nonzero(block)
+        cols = self._cell_dofs.astype(np.int32)[:, slot]
+        keep = cols >= 0
+        indptr = np.zeros(self.k_stress + 1, dtype=np.int32)
+        starts = np.flatnonzero(np.diff(comp, prepend=-1))  # each component's first slot
+        np.cumsum(np.add.reduceat(keep, starts, axis=1, dtype=np.int32), out=indptr[1:])
+        self.B = sp.csr_matrix((np.broadcast_to(block[comp, slot], cols.shape)[keep], cols[keep],
+                                indptr), shape=(self.k_stress, self.n_disp))
+        self.B_T = self.B.T
 
     # -- solves and field plumbing ---------------------------------------------
 
@@ -429,6 +460,43 @@ class GalerkinSystem:
     def stress_coeffs(self, blocks: np.ndarray) -> np.ndarray:
         """Inverse of ``stress_blocks``: a flat view of ``blocks``."""
         return blocks.reshape(-1)
+
+    def apply_mass_u(self, v: np.ndarray) -> np.ndarray:
+        """M_u·v, per row if v is stacked by row, each row as if alone; in
+        2D/3D as (⊗ₐ M1ₐ[int, int]) ⊗ I_d, one axis at a time."""
+        if self.mesh.dim == 1:
+            return np.ascontiguousarray((self._mass_u @ v.T).T)
+        return _tensor_apply(v, *self._mass_u_axes)
+
+    def apply_D_T(self, theta: np.ndarray) -> np.ndarray:
+        """Dᵀ·θ, entry (m, c) = ∫ θ ∂N_m/∂x_c: the momentum's thermal load.
+
+        In 2D/3D by sum factorization (Orszag 1980): component c is
+        ⊗ₐ Fₐ·θ with Fₐ = (axis G1)ᵀ[int, :] on axis c and M1ₐ[int, :] on
+        the others, so the components share the M1 products of the axes
+        before c.  Axis by axis, M1 extends every finished partial and
+        G1ᵀ starts the next component from the all-M1 one.
+        """
+        if self.mesh.dim == 1:
+            return self._D_T @ theta
+        dim = self.mesh.dim
+        rest = theta.reshape(tuple(m + 1 for m in self.mesh.cells[::-1]))
+        parts = []
+        for a, f in enumerate(self._div_axes):
+            n = f.shape[0] // 2
+            parts = [_axis_apply(f[:n], p, a) for p in parts]
+            if a + 1 == dim:
+                parts.append(_axis_apply(f[n:], rest, a))
+            else:
+                # Both factors on the all-M1 partial in one product, split along axis a.
+                both = _axis_apply(f, rest, a)
+                head = (slice(None),) * (dim - 1 - a)
+                rest = both[head + (slice(None, n),)]
+                parts.append(both[head + (slice(n, None),)])
+        out = np.empty(parts[0].shape + (dim,))
+        for c, part in enumerate(parts):
+            out[..., c] = part
+        return out.reshape(-1)
 
     def solve_mass_u(self, rhs: np.ndarray) -> np.ndarray:
         """M_u⁻¹·rhs: from its tridiagonal factor in 1D, per axis in 2D/3D."""
@@ -494,7 +562,7 @@ class GalerkinSystem:
 
     def heat_matrix(self, dt: float, div_gauss: np.ndarray) -> sp.csr_matrix:
         """The ``heat_blocks`` summed into a CSR matrix, assembled anew per call."""
-        return self._scatter(self.heat_blocks(dt, div_gauss))
+        return self._scatter(self.heat_blocks(dt, div_gauss), self.mesh.cell_nodes, self.n_temp)
 
     def heat_bands(self, dt: float, div_gauss: np.ndarray) -> tuple:
         """1D: the (lower, diagonal, upper) bands of the heat matrix.
@@ -544,7 +612,7 @@ class GalerkinSystem:
 
 
 def build_spaces(mesh: Mesh) -> GalerkinSystem:
-    """Construct the discrete spaces of ``mesh`` and assemble all coupling matrices."""
+    """Construct the discrete spaces of ``mesh`` and set up all coupling operators."""
     return GalerkinSystem(mesh)
 
 

@@ -33,6 +33,8 @@ can reject a step.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
@@ -196,7 +198,7 @@ def resolve_truncation(sys: GalerkinSystem, cfg: SolverConfig,
 def momentum_substep(sys: GalerkinSystem, state: SimState, theta: np.ndarray,
                      stress: np.ndarray, f_load: np.ndarray, dt: float) -> np.ndarray:
     """Exact linear solve of M_u (v_new − v_old)/dt = Dᵀ·θ + load − vol·Bᵀ·T."""
-    rhs = sys.D_T @ theta + f_load - sys.mesh.cell_volume * (sys.B_T @ stress)
+    rhs = sys.apply_D_T(theta) + f_load - sys.mesh.cell_volume * (sys.B_T @ stress)
     return state.v + dt * sys.solve_mass_u(rhs)
 
 
@@ -383,7 +385,12 @@ def heat_substep(sys: GalerkinSystem, div_v: np.ndarray, G: FlowRule,
         fallback = theta_new is None
         if fallback:
             try:
-                theta_new = spla.spsolve(sys.heat_matrix(dt, div_v).tocsc(), rhs)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", spla.MatrixRankWarning)
+                    theta_new = spla.spsolve(sys.heat_matrix(dt, div_v).tocsc(), rhs)
+            except spla.MatrixRankWarning as exc:
+                raise StepFailureError("heat solve failed: the assembled heat matrix "
+                                       "M_θ + dt·K_θ + dt·A_adv is exactly singular") from exc
             except RuntimeError as exc:
                 raise StepFailureError(f"heat solve failed: {exc}") from exc
     low = theta_new.min()

@@ -53,7 +53,18 @@ def assembled_advection(sys, div):
     """A_adv(div) as a CSR matrix: the per-cell blocks Σ_g (w·div)_g·N_gp·N_gq,
     from ``advection_matrix``'s Gauss weights, summed into the nodes by ``_scatter``."""
     N = sys._gauss_N
-    return sys._scatter(np.einsum("eg,gp,gq->epq", sys.advection_matrix(div), N, N))
+    return sys._scatter(np.einsum("eg,gp,gq->epq", sys.advection_matrix(div), N, N),
+                        sys.mesh.cell_nodes, sys.n_temp)
+
+
+def dense_mass_u(sys):
+    """M_u as a dense matrix: ``apply_mass_u`` of every identity column."""
+    return sys.apply_mass_u(np.eye(sys.n_disp)).T
+
+
+def dense_D(sys):
+    """D (n_temp, n_disp) as a dense matrix: row i is ``apply_D_T`` of identity column i."""
+    return np.array([sys.apply_D_T(e) for e in np.eye(sys.n_temp)])
 
 
 def make_smooth_problem(cells=100, dt=1e-3, t_end=0.5, kappa0=1.0, with_forcing=True):

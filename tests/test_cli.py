@@ -226,7 +226,7 @@ class TestConfigParsing:
         assert "config file not found" in capsys.readouterr().err
 
     def test_shipped_configs_parse(self):
-        for name in ("zero.cfg", "smooth_coupled.cfg", "smooth_2d.cfg"):
+        for name in ("zero.cfg", "smooth_coupled.cfg", "smooth_2d.cfg", "smooth_3d.cfg"):
             rc = load_config(shipped_config_path(name))
             build_problem(rc)
 
@@ -348,7 +348,7 @@ class TestConfigParsing:
         paths = sorted(shipped_config_path("zero.cfg").parent.glob("*.cfg"))
         paths += [workloads.write_config(w, seed, tmp_path / f"{w.name}_{seed}.cfg", tmp_path)
                   for w in workloads.WORKLOADS.values() for seed in (0, 1)]
-        assert len(paths) == 3 + 2 * 3
+        assert len(paths) == 4 + 2 * 3
         for path in paths:
             load_config(path)
 
@@ -386,6 +386,13 @@ class TestCmdRun:
         assert all(abs(r["dissipation_margin"]) <= 1e-12 for r in rows)
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert summary["passed"]
+
+    def test_smooth_3d_config_passes(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("THERMOVISCO_OUTDIR", str(tmp_path / "out"))
+        assert main(["run", "smooth_3d.cfg"]) == 0
+        assert "FAIL" not in capsys.readouterr().out
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["passed"] and summary["steps"] == 50
 
     def test_summary_reports_solver_stats(self, tmp_path):
         # The counts of an in-process run with every step's result recorded, and
@@ -524,6 +531,20 @@ class TestCmdRun:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    def test_singular_heat_matrix_exit_one(self, tmp_path, monkeypatch, capsys):
+        # On 1e-150-wide cells CG gives up and the assembled heat matrix of the
+        # direct fallback is exactly singular: one error line names it, with no
+        # scipy warning before it.
+        monkeypatch.setenv("THERMOVISCO_OUTDIR", str(tmp_path / "out"))
+        body = shipped_config_path("zero.cfg").read_text().replace("dim = 1", "dim = 2")
+        body = body.replace("extents = 1.0", "extents = 1e-150, 1.0")
+        body = body.replace("cells = 16", "cells = 4, 4")
+        assert main(["run", str(write_cfg(tmp_path, body))]) == 1
+        err = capsys.readouterr().err
+        assert err == ("error: step 1 (t=0.001) failed: heat solve failed: the assembled "
+                       "heat matrix M_θ + dt·K_θ + dt·A_adv is exactly singular\n")
+        assert "Warning" not in err
 
     @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
     def test_unusable_output_dir_exit_one(self, tmp_path, monkeypatch, capsys, under):

@@ -52,7 +52,7 @@ class TestEnergyBalance:
         led = result.ledger
         last = led.rows[-1]
         state = result.state
-        kinetic = 0.5 * float(state.v @ (sys.M_u @ state.v))
+        kinetic = 0.5 * float(state.v @ sys.apply_mass_u(state.v))
         elastic = 0.5 * float(stress_quadratic_form(sys, cfg.elasticity, state.stress).sum())
         thermal = sys.integrate_nodal(state.theta)
         first = led.rows[0]

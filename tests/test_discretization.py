@@ -2,10 +2,12 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from thermovisco.constitutive import SQRT2, to_mandel
 from thermovisco.discretization import (
+    _tensor_apply,
     build_mesh,
     build_spaces,
     eval_displacement,
@@ -16,7 +18,7 @@ from thermovisco.discretization import (
 )
 from thermovisco.solver import SimState, divergence_of
 
-from conftest import assembled_advection
+from conftest import assembled_advection, dense_D, dense_mass_u
 
 
 class TestBuildMesh:
@@ -76,7 +78,7 @@ class TestBuildSpaces:
         sys = build_spaces(m)
         h = 0.25
         expected = np.diag([4 * h / 6] * 3) + np.diag([h / 6] * 2, 1) + np.diag([h / 6] * 2, -1)
-        assert np.allclose(sys.M_u.toarray(), expected, atol=1e-15)
+        assert np.allclose(dense_mass_u(sys), expected, atol=1e-15)
 
     def test_neumann_kernel_exact_1d(self):
         m = build_mesh(1, [1.3], [7])
@@ -96,7 +98,7 @@ class TestBuildSpaces:
     def test_mass_matrices_positive_definite(self):
         m = build_mesh(2, [1.0, 1.0], [3, 3])
         sys = build_spaces(m)
-        for M in (sys.M_u.toarray(), sys.M_theta.toarray()):
+        for M in (dense_mass_u(sys), sys.M_theta.toarray()):
             eigs = np.linalg.eigvalsh(M)
             assert eigs.min() > 0.0
 
@@ -231,12 +233,12 @@ class TestAssemblyOracle:
             M = np.einsum("q,qi,qj->ij", w, v, v)
             node, comp = system.disp_node, system.disp_comp
             M_u = M[np.ix_(node, node)] * (comp[:, None] == comp[None, :])
-            assert np.allclose(M_u, system.M_u.toarray(), atol=1e-13)
+            assert np.allclose(M_u, dense_mass_u(system), atol=1e-13)
 
     def test_divergence_coupling(self, oracle_cases):
         for system, (w, v, g, _) in oracle_cases:
             D = np.einsum("q,qi,qj->ij", w, v, g[:, system.disp_node, system.disp_comp])
-            assert np.allclose(D, system.D.toarray(), atol=1e-13)
+            assert np.allclose(D, dense_D(system), atol=1e-13)
 
     def test_advection(self, oracle_cases):
         # The integrand div(v)·N_i·N_j has degree <= 3 per axis, so 2-point
@@ -258,7 +260,7 @@ class TestAssemblyOracle:
             div = divergence_of(system, vel).ravel()
             assert np.allclose(div, _oracle_divergence(system, grads, vel), rtol=0.0, atol=1e-12)
             w = mesh.cell_volume / (pts.shape[0] // mesh.n_cells)
-            assert np.allclose(w * div @ vals, system.D @ vel, rtol=0.0, atol=1e-13)
+            assert np.allclose(w * div @ vals, dense_D(system) @ vel, rtol=0.0, atol=1e-13)
 
     def test_divergence_sup(self, oracle_cases):
         for system, _ in oracle_cases:
@@ -312,8 +314,57 @@ class TestInverses:
     def test_mass_u_inverse(self, oracle_cases):
         for system, _ in oracle_cases:
             r = np.random.default_rng(system.n_disp).standard_normal(system.n_disp)
-            ref = spla.spsolve(system.M_u.tocsc(), r)
+            ref = np.linalg.solve(dense_mass_u(system), r)
             assert _relative_error(system.solve_mass_u(r), ref) <= 1e-12
+
+
+# Unequal extents and cells on every axis, so that no axis factor can stand in
+# for another.
+ANISOTROPIC_CASES = [(2, [1.0, 0.3], [6, 5]), (3, [1.0, 2.0, 0.5], [4, 3, 5])]
+
+
+class TestAxisApplies:
+    """M_u·v and Dᵀ·θ applied from per-axis factors, against dense references,
+    and the 1D operators kept banded."""
+
+    def test_tensor_apply_rectangular_factors(self):
+        rng = np.random.default_rng(7)
+        ax, ay, az = (rng.standard_normal(shape) for shape in [(4, 6), (3, 5), (2, 7)])
+        r = rng.standard_normal((3, 7 * 5 * 6))
+        ref = r @ np.kron(az, np.kron(ay, ax)).T  # x fastest
+        got = _tensor_apply(r, ax, ay, az)
+        assert got.shape == (3, 2 * 3 * 4)
+        assert _relative_error(got, ref) <= 1e-13
+        # A row of a stack gets the bits it gets alone.
+        assert np.array_equal(got[1], _tensor_apply(r[1], ax, ay, az))
+
+    @pytest.mark.parametrize("dim, extents, cells", ANISOTROPIC_CASES)
+    def test_mass_u_and_divergence_against_the_oracle(self, dim, extents, cells):
+        system = build_spaces(build_mesh(dim, extents, cells))
+        w, v, g, _ = _quadrature(dim, extents, cells)
+        node, comp = system.disp_node, system.disp_comp
+        M_u = np.einsum("q,qi,qj->ij", w, v[:, node], v[:, node]) * (comp[:, None] == comp)
+        D = np.einsum("q,qi,qj->ij", w, v, g[:, node, comp])
+        rng = np.random.default_rng(dim)
+        vel, theta = rng.standard_normal((4, system.n_disp)), rng.standard_normal(system.n_temp)
+        assert _relative_error(system.apply_mass_u(vel), vel @ M_u) <= 1e-13
+        assert _relative_error(system.apply_D_T(theta), D.T @ theta) <= 1e-13
+
+    def test_1d_holds_no_dense_axis_matrix(self):
+        # Every 1D operator is banded: no array the system holds grows like n_nodes².
+        system = build_spaces(build_mesh(1, [1.0], [5000]))
+
+        def sizes(value):
+            if sp.issparse(value):
+                yield from (value.data.size, value.indices.size, value.indptr.size)
+            elif isinstance(value, np.ndarray):
+                yield value.size
+            elif isinstance(value, (list, tuple)):
+                for item in value:
+                    yield from sizes(item)
+        held = [size for obj in (system, system.mesh) for value in vars(obj).values()
+                for size in sizes(value)]
+        assert max(held) <= 20 * system.mesh.n_nodes
 
 
 # Case ids of the 1D/2D/3D meshes; "full": each runs on the full spaces of its mesh.

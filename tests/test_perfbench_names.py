@@ -49,7 +49,7 @@ def test_record_step_span_holds_all_ledger_work(monkeypatch):
     def no_product(*args):
         raise AssertionError("the ledger's output recomputed a column")
     monkeypatch.setattr(GalerkinSystem, "cell_center_values", no_product)
-    monkeypatch.setattr(sys, "M_u", None)
+    monkeypatch.setattr(sys, "apply_mass_u", None)
     monkeypatch.setattr(sys, "K_theta", None)
     assert result.ledger.to_csv().count("\n") == result.n_steps + 2
     assert result.ledger.summary()["steps"] == result.n_steps
