@@ -142,7 +142,8 @@ def _tensor_apply(r, ax, ay, az):
     """(az ⊗ ay ⊗ ax)·r for r on an (nz, ny, nx) grid flattened x fastest, each
     factor (out, in).  Leading axes of r are kept: each row is applied by the
     same matrix products as a lone vector, so its value does not depend on the
-    stack."""
+    stack.  This is ``_axis_apply`` on axes 0, 1, 2 in turn, written out:
+    it runs on every CG iteration, where three calls cost 1-2 µs more."""
     lead = r.shape[:-1]
     g = r.reshape(lead + (-1, ax.shape[1])) @ ax.T
     g = ay @ g.reshape(lead + (az.shape[1], ay.shape[1], -1))
@@ -150,9 +151,10 @@ def _tensor_apply(r, ax, ay, az):
 
 
 def _axis_apply(f, g, a):
-    """Factor f (out, in) applied along mesh axis a of the (z, y, x) grid g."""
+    """Factor f (out, in) applied along mesh axis a of the (z, y, x) grid g,
+    with the same products as ``_tensor_apply``: axis 0 as one flattened gemm."""
     if a == 0:
-        return g @ f.T
+        return (g.reshape(-1, g.shape[-1]) @ f.T).reshape(g.shape[:-1] + (-1,))
     if a == 1:
         return f @ g
     return (f @ g.reshape(g.shape[0], -1)).reshape((-1,) + g.shape[1:])
@@ -203,10 +205,10 @@ class GalerkinSystem:
     one row per corner.  B is built straight into the displacement dof
     columns, one row per (cell, Mandel component).  The displacement mass
     M_u and the divergence coupling D[i, (m, c)] = ∫ N_i ∂N_m/∂x_c are
-    applied, not stored, through ``apply_mass_u`` and ``apply_D_T``: in 1D
-    from sparse matrices (M_u the interior block of M_theta, D assembled in
-    dof columns), in 2D/3D from per-axis 1D factors (sum factorization,
-    Orszag 1980), since on the tensor box
+    applied, not stored, through ``apply_mass_u`` and ``apply_D_T``.  In 1D,
+    M_u is the interior block of M_theta and Dᵀ a closed-form central
+    difference.  In 2D/3D both come from per-axis 1D factors (sum
+    factorization, Orszag 1980), since on the tensor box
     M_u = (⊗ₐ M1ₐ[int, int]) ⊗ I_d and component c of Dᵀ is ⊗ₐ Fₐ[int, :]
     with Fₐ = (axis G1)ᵀ on axis c and M1ₐ on the others.  The heat matrix
     M_theta + dt·K_theta + dt·A_adv(div u_t) has one definition in every
@@ -276,10 +278,8 @@ class GalerkinSystem:
         self._build_reference(dim)
         self._assemble(mesh, dim)
         if dim == 1:
-            # M_u is the interior block of M_theta, and D, whose cell block
-            # ∫ N_p N_q' is _G1, is built in dof columns.
+            # M_u is the interior block of M_theta.
             self._mass_u = self.M_theta[1:-1, 1:-1]
-            self._D_T = self._scatter(_G1, self._cell_dofs, self.n_disp).T
             # Factor eagerly so instances stay immutable (and shareable) after
             # construction; a factor that is not positive definite means a
             # broken basis.  The wrapper wants one off-diagonal entry even
@@ -403,35 +403,28 @@ class GalerkinSystem:
 
     # -- assembly -------------------------------------------------------------
 
-    def _scatter(self, blocks, cols, n_cols) -> sp.csr_matrix:
-        """Sum per-cell blocks (n_loc, m), or one block for every cell, into an
-        (n_nodes, n_cols) CSR: entry (p, j) of cell e lands in row
-        ``cell_nodes[e, p]`` and column ``cols[e, j]``, and is dropped where
-        that is negative.  ``_gather_T`` sums into the nodes a per-slot CSR
-        whose row (e, p) holds block row p of cell e."""
+    def _scatter(self, blocks) -> sp.csr_matrix:
+        """Sum per-cell blocks (n_loc, n_loc), or one block for every cell, into an
+        (n_nodes, n_nodes) CSR, entry (p, q) of cell e at row ``cell_nodes[e, p]``
+        and column ``cell_nodes[e, q]``: ``_gather_T`` sums into the nodes a
+        per-slot CSR whose row (e, p) holds block row p of cell e."""
         cn = self.mesh.cell_nodes
-        shape = cn.shape + cols.shape[1:]  # (cell, p, j)
+        shape = cn.shape + cn.shape[1:]  # (cell, p, q)
         data = np.broadcast_to(np.reshape(blocks, (-1,) + shape[1:]), shape)
         # CSR's own index type, so that scipy keeps the columns rather than a copy.
-        cols = np.broadcast_to(cols.astype(np.int32)[:, None, :], shape)
-        keep = cols >= 0
-        if keep.all():  # every slot row is full: no mask to apply
-            data, cols = data.ravel(), cols.ravel()
-            indptr = np.arange(0, data.size + 1, shape[2], dtype=np.int32)
-        else:
-            data, cols = data[keep], cols[keep]
-            indptr = np.zeros(cn.size + 1, dtype=np.int32)
-            np.cumsum(keep.sum(axis=-1), out=indptr[1:])
-        out = self._gather_T @ sp.csr_matrix((data, cols, indptr), shape=(cn.size, n_cols))
+        cols = np.broadcast_to(cn.astype(np.int32)[:, None, :], shape)
+        indptr = np.arange(0, data.size + 1, shape[2], dtype=np.int32)
+        out = self._gather_T @ sp.csr_matrix((data.ravel(), cols.ravel(), indptr),
+                                             shape=(cn.size, self.n_temp))
         out.sort_indices()  # so that a product with it sums every row in column order
         return out
 
     def _assemble(self, mesh, dim):
-        self.M_theta = self._scatter(self._m_elem, mesh.cell_nodes, self.n_temp)
+        self.M_theta = self._scatter(self._m_elem)
         # Constants are the Neumann kernel: K @ 1 vanishes exactly in 1D and
         # to one or two ulp of the entry scale in 2D/3D (hx/hy ratios are not
         # exactly representable, so bitwise zero is unattainable there).
-        self.K_theta = self._scatter(self._k_elem, mesh.cell_nodes, self.n_temp)
+        self.K_theta = self._scatter(self._k_elem)
 
         # Strain projection B: Mandel components of the cell-mean of ε(N_p e_c)
         # = sym(e_c ⊗ ∇N_p(center)), one constant block per cell.  Row (cell,
@@ -478,7 +471,9 @@ class GalerkinSystem:
         G1ᵀ starts the next component from the all-M1 one.
         """
         if self.mesh.dim == 1:
-            return self._D_T @ theta
+            # The cell block ∫ N_p N_q' is _G1 whatever h is, so the two cells
+            # at interior node k give ∫ θ N_k' = (θ_{k-1} - θ_{k+1})/2.
+            return 0.5 * (theta[:-2] - theta[2:])
         dim = self.mesh.dim
         rest = theta.reshape(tuple(m + 1 for m in self.mesh.cells[::-1]))
         parts = []
@@ -489,10 +484,9 @@ class GalerkinSystem:
                 parts.append(_axis_apply(f[n:], rest, a))
             else:
                 # Both factors on the all-M1 partial in one product, split along axis a.
-                both = _axis_apply(f, rest, a)
-                head = (slice(None),) * (dim - 1 - a)
-                rest = both[head + (slice(None, n),)]
-                parts.append(both[head + (slice(n, None),)])
+                both, cut = _axis_apply(f, rest, a), (slice(None),) * a
+                rest = both[(..., slice(None, n)) + cut]
+                parts.append(both[(..., slice(n, None)) + cut])
         out = np.empty(parts[0].shape + (dim,))
         for c, part in enumerate(parts):
             out[..., c] = part
@@ -562,7 +556,7 @@ class GalerkinSystem:
 
     def heat_matrix(self, dt: float, div_gauss: np.ndarray) -> sp.csr_matrix:
         """The ``heat_blocks`` summed into a CSR matrix, assembled anew per call."""
-        return self._scatter(self.heat_blocks(dt, div_gauss), self.mesh.cell_nodes, self.n_temp)
+        return self._scatter(self.heat_blocks(dt, div_gauss))
 
     def heat_bands(self, dt: float, div_gauss: np.ndarray) -> tuple:
         """1D: the (lower, diagonal, upper) bands of the heat matrix.
